@@ -148,25 +148,29 @@ Status Connection::EnsureTxn() {
 
 Result<engine::QueryResult> Connection::Execute(
     const std::string& sql, const std::vector<sql::Value>& params) {
-  // Recognize transaction-control statements.
-  auto parsed = sql::Parse(sql);
-  if (!parsed.ok()) return parsed.status();
-  switch (parsed.value().kind) {
-    case sql::StatementKind::kBegin: {
-      if (txn_.valid()) {
-        return Status::InvalidArgument("transaction already in progress");
+  if (sql::IsTransactionControl(sql)) {
+    // The connection runs these itself ("COMMIT x" still fails with the
+    // parser's error). Every other statement goes to the replica
+    // unparsed, where the prepared-statement cache parses it once.
+    auto parsed = sql::Parse(sql);
+    if (!parsed.ok()) return parsed.status();
+    switch (parsed.value().kind) {
+      case sql::StatementKind::kBegin: {
+        if (txn_.valid()) {
+          return Status::InvalidArgument("transaction already in progress");
+        }
+        SIREP_RETURN_IF_ERROR(EnsureTxn());
+        return engine::QueryResult{};
       }
-      SIREP_RETURN_IF_ERROR(EnsureTxn());
-      return engine::QueryResult{};
+      case sql::StatementKind::kCommit:
+        SIREP_RETURN_IF_ERROR(Commit());
+        return engine::QueryResult{};
+      case sql::StatementKind::kRollback:
+        SIREP_RETURN_IF_ERROR(Rollback());
+        return engine::QueryResult{};
+      default:
+        break;
     }
-    case sql::StatementKind::kCommit:
-      SIREP_RETURN_IF_ERROR(Commit());
-      return engine::QueryResult{};
-    case sql::StatementKind::kRollback:
-      SIREP_RETURN_IF_ERROR(Rollback());
-      return engine::QueryResult{};
-    default:
-      break;
   }
 
   const bool had_txn_before = txn_.valid();
@@ -198,6 +202,11 @@ Result<engine::QueryResult> Connection::Execute(
     if (result.status().IsTransactionFailure()) {
       // The DB aborted the transaction (conflict/deadlock); forget it.
       txn_ = {};
+    } else if (!had_txn_before) {
+      // A statement error (parse error, unknown table) in the transaction
+      // this statement began: roll it back, or every later autocommit
+      // statement would silently join it and never commit.
+      (void)Rollback();
     }
     return result;
   }

@@ -56,7 +56,8 @@ struct ConnectionOptions {
 /// Transaction semantics mirror JDBC: with autocommit on, each statement
 /// is its own transaction; with autocommit off, the first statement after
 /// a commit/rollback implicitly starts one. BEGIN/COMMIT/ROLLBACK
-/// statements are also accepted.
+/// statements are also accepted. A statement that fails rolls back the
+/// transaction it implicitly started.
 ///
 /// Error contract on replica crash:
 ///  * no transaction active: fail-over is fully transparent;

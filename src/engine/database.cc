@@ -24,6 +24,7 @@ Result<std::shared_ptr<const Statement>> Database::Prepare(
   if (!parsed.ok()) return parsed.status();
   auto stmt = std::make_shared<const Statement>(std::move(parsed).value());
   std::lock_guard<std::mutex> lock(prepared_mu_);
+  if (prepared_.size() >= kMaxPreparedStatements) prepared_.clear();
   prepared_.emplace(sql, stmt);
   return stmt;
 }

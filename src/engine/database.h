@@ -27,6 +27,13 @@ namespace sirep::engine {
 /// time. Statement texts are parsed once and cached (prepared statements).
 class Database {
  public:
+  /// Most statement texts the prepared-statement cache holds. A full
+  /// cache is emptied before the next text goes in: it only saves
+  /// parses, and a workload's few dozen parameterised texts never fill
+  /// it, while texts with inlined literals could otherwise grow it
+  /// without bound.
+  static constexpr size_t kMaxPreparedStatements = 1024;
+
   explicit Database(std::string name = "db") : name_(std::move(name)) {
     h_stmt_us_ = engine_.metrics().GetLatencyHistogram("engine.stmt_us");
   }
@@ -76,6 +83,12 @@ class Database {
   /// Parses with cache. The returned statement is immutable and shared.
   Result<std::shared_ptr<const sql::Statement>> Prepare(
       const std::string& sql);
+
+  /// Statement texts currently in the prepared-statement cache.
+  size_t PreparedCount() {
+    std::lock_guard<std::mutex> lock(prepared_mu_);
+    return prepared_.size();
+  }
 
   // ---- middleware primitives (paper §5.5) ----
 

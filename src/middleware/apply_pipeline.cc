@@ -1,46 +1,36 @@
 #include "middleware/apply_pipeline.h"
 
 #include <algorithm>
-#include <string>
 #include <utility>
 
 #include "obs/profiler.h"
-#include "storage/types.h"
 
 namespace sirep::middleware {
 
 ApplyPipeline::ApplyPipeline(size_t width, ApplyFn apply,
                              obs::MetricsRegistry* registry)
     : apply_(std::move(apply)),
-      queues_(std::max<size_t>(width, 1)),
-      depth_(queues_.size(), nullptr) {
-  if (registry != nullptr) {
-    for (size_t i = 0; i < depth_.size(); ++i) {
-      depth_[i] = registry->GetGauge("mw.apply.shard" + std::to_string(i) +
-                                     ".queue_depth");
-    }
-  }
-  workers_.reserve(queues_.size());
-  for (size_t i = 0; i < queues_.size(); ++i) {
-    workers_.emplace_back([this, i] { Loop(i); });
+      depth_(registry != nullptr ? registry->GetGauge("mw.apply.queue_depth")
+                                 : nullptr) {
+  width = std::max<size_t>(width, 1);
+  workers_.reserve(width);
+  for (size_t i = 0; i < width; ++i) {
+    workers_.emplace_back([this] { Loop(); });
   }
 }
 
 ApplyPipeline::~ApplyPipeline() { Shutdown(); }
 
 void ApplyPipeline::Dispatch(ToCommitEntry entry) {
-  const size_t q = Route(entry);
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (shutdown_) return;
-    queues_[q].push_back(std::move(entry));
-    if (depth_[q] != nullptr) {
-      depth_[q]->Set(static_cast<int64_t>(queues_[q].size()));
-    }
+    queue_.push_back(std::move(entry));
+    if (depth_ != nullptr) depth_->Set(static_cast<int64_t>(queue_.size()));
   }
-  // Any idle worker may steal the entry, so wake them all; dispatch
-  // rates are bounded by the delivery thread, not by this notify.
-  cv_.notify_all();
+  // Any worker takes any entry, so one wake-up per entry suffices: a
+  // worker that is busy now re-checks the queue before it sleeps.
+  cv_.notify_one();
 }
 
 void ApplyPipeline::Shutdown() {
@@ -56,36 +46,14 @@ void ApplyPipeline::Shutdown() {
   }
 }
 
-size_t ApplyPipeline::Route(const ToCommitEntry& entry) const {
-  if (entry.ws != nullptr && !entry.ws->entries().empty()) {
-    return storage::TupleIdHash()(entry.ws->entries().front().tuple) %
-           queues_.size();
-  }
-  return static_cast<size_t>(entry.tid) % queues_.size();
-}
-
-bool ApplyPipeline::FindWork(size_t self, size_t* victim) const {
-  for (size_t k = 0; k < queues_.size(); ++k) {
-    const size_t q = (self + k) % queues_.size();
-    if (!queues_[q].empty()) {
-      *victim = q;
-      return true;
-    }
-  }
-  return false;
-}
-
-void ApplyPipeline::Loop(size_t self) {
+void ApplyPipeline::Loop() {
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
-    size_t victim = 0;
-    cv_.wait(lock, [&] { return shutdown_ || FindWork(self, &victim); });
-    if (!FindWork(self, &victim)) return;  // shut down and drained
-    ToCommitEntry entry = std::move(queues_[victim].front());
-    queues_[victim].pop_front();
-    if (depth_[victim] != nullptr) {
-      depth_[victim]->Set(static_cast<int64_t>(queues_[victim].size()));
-    }
+    cv_.wait(lock, [&] { return shutdown_ || !queue_.empty(); });
+    if (queue_.empty()) return;  // shut down and drained
+    ToCommitEntry entry = std::move(queue_.front());
+    queue_.pop_front();
+    if (depth_ != nullptr) depth_->Set(static_cast<int64_t>(queue_.size()));
     lock.unlock();
     {
       obs::Profiler::Section section("mw.pipeline.apply");

@@ -24,12 +24,11 @@ namespace sirep::middleware {
 /// the stable prefix, and the ToCommitQueue withholds conflicting
 /// successors until their predecessor commits.
 ///
-/// One dispatch queue per worker, routed by the writeset's first tuple
-/// hash (keeps writers of a hot key on one worker, warm), with work
-/// stealing so a worker blocked on a database lock held by a local
-/// transaction never strands other queues' entries (the pool must not
-/// lose width to hidden blocking, paper §4.2). Width 1 is one worker
-/// draining one FIFO: the original single-applier replica.
+/// One FIFO drained by all workers, one wake-up per dispatched entry.
+/// Any idle worker takes the next entry, so a worker blocked on a
+/// database lock held by a local transaction never strands queued
+/// entries (the pool must not lose width to hidden blocking, paper
+/// §4.2). Width 1 is the original single-applier replica.
 ///
 /// Shutdown() drains queued entries through `apply` before returning —
 /// the replica's shutdown flag makes those drained applies fall through
@@ -40,8 +39,8 @@ class ApplyPipeline {
   /// SrcaRepReplica::ApplyRemote). Must be callable concurrently.
   using ApplyFn = std::function<void(ToCommitEntry)>;
 
-  /// Starts max(width, 1) workers. `registry`, if non-null, receives
-  /// per-shard "mw.apply.shard<i>.queue_depth" gauges.
+  /// Starts max(width, 1) workers. `registry`, if non-null, receives the
+  /// "mw.apply.queue_depth" gauge.
   ApplyPipeline(size_t width, ApplyFn apply, obs::MetricsRegistry* registry);
   ~ApplyPipeline();
 
@@ -56,16 +55,13 @@ class ApplyPipeline {
   void Shutdown();
 
  private:
-  size_t Route(const ToCommitEntry& entry) const;
-  /// Own queue first (affinity), then steal left-to-right from the next.
-  bool FindWork(size_t self, size_t* victim) const;
-  void Loop(size_t self);
+  void Loop();
 
   ApplyFn apply_;
+  obs::Gauge* depth_ = nullptr;
   std::mutex mu_;
   std::condition_variable cv_;
-  std::vector<std::deque<ToCommitEntry>> queues_;
-  std::vector<obs::Gauge*> depth_;
+  std::deque<ToCommitEntry> queue_;
   bool shutdown_ = false;
   std::vector<std::thread> workers_;
 };

@@ -187,7 +187,7 @@ Result<engine::QueryResult> SrcaRepReplica::Execute(
     return engine::QueryResult{};
   }
   if (txn.trace != nullptr) txn.trace->Begin(obs::Stage::kExecute);
-  auto result = db_->Execute(txn.db_txn, sql, params);
+  auto result = db_->Execute(txn.db_txn, *parsed.value(), params);
   if (txn.trace != nullptr) txn.trace->End(obs::Stage::kExecute);
   return result;
 }

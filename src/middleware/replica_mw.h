@@ -159,9 +159,11 @@ class SrcaRepReplica : public gcs::GroupListener {
   /// begin instead).
   Result<TxnHandle> BeginTxn();
 
-  /// Executes a statement of the transaction at the local DB replica.
+  /// Executes a statement of the transaction at the local DB replica,
+  /// parsed once through the database's prepared-statement cache.
   /// A transaction-failure status means the transaction was aborted
-  /// inside the database (conflict/deadlock) — restart it.
+  /// inside the database (conflict/deadlock) — restart it. Any other
+  /// error (parse error, unknown table) leaves the transaction open.
   Result<engine::QueryResult> Execute(const TxnHandle& txn,
                                       const std::string& sql,
                                       const std::vector<sql::Value>& params =

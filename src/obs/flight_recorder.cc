@@ -108,50 +108,84 @@ FlightRecorder::~FlightRecorder() {
 void FlightRecorder::Record(FlightEventType type, uint32_t replica,
                             uint64_t a, uint64_t b,
                             std::string_view detail) {
-  const uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  Slot& slot = slots_[seq & (capacity_ - 1)];
-  slot.mono_ns.store(MonotonicNanos(), std::memory_order_relaxed);
-  slot.meta.store(static_cast<uint64_t>(type) |
-                      (static_cast<uint64_t>(replica) << 8),
-                  std::memory_order_relaxed);
-  slot.a.store(a, std::memory_order_relaxed);
-  slot.b.store(b, std::memory_order_relaxed);
+  // Claim the slot exclusively by marking it in progress.
+  uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
+  Slot* slot = &slots_[seq & (capacity_ - 1)];
+  uint64_t stamp = slot->stamp.load(std::memory_order_relaxed);
+  while (true) {
+    if (stamp > 2 * seq + 1) {
+      // A later event took the slot while this writer was descheduled:
+      // ours counts as overwritten.
+      return;
+    }
+    if ((stamp & 1) != 0) {
+      // An earlier writer is still filling the slot: rather than wait or
+      // interleave stores with it, take the next number.
+      skipped_.fetch_add(1, std::memory_order_release);
+      seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
+      slot = &slots_[seq & (capacity_ - 1)];
+      stamp = slot->stamp.load(std::memory_order_relaxed);
+      continue;
+    }
+    if (slot->stamp.compare_exchange_weak(stamp, 2 * seq + 1,
+                                          std::memory_order_acquire,
+                                          std::memory_order_relaxed)) {
+      break;
+    }
+  }
+  // Release field stores keep the in-progress mark ahead of them: a
+  // reader that sees any of them (by an acquire load) then sees the
+  // stamp changed.
+  slot->mono_ns.store(MonotonicNanos(), std::memory_order_release);
+  slot->meta.store(static_cast<uint64_t>(type) |
+                       (static_cast<uint64_t>(replica) << 8),
+                   std::memory_order_release);
+  slot->a.store(a, std::memory_order_release);
+  slot->b.store(b, std::memory_order_release);
   uint64_t words[kDetailBytes / 8] = {0};
   const size_t len = std::min(detail.size(), kDetailBytes);
   std::memcpy(words, detail.data(), len);
   for (size_t i = 0; i < kDetailBytes / 8; ++i) {
-    slot.detail[i].store(words[i], std::memory_order_relaxed);
+    slot->detail[i].store(words[i], std::memory_order_release);
   }
-  slot.stamp.store(seq + 1, std::memory_order_release);
+  slot->stamp.store(2 * seq + 2, std::memory_order_release);
 }
 
 bool FlightRecorder::ReadSlot(const Slot& slot, FlightEvent* out) const {
   const uint64_t stamp = slot.stamp.load(std::memory_order_acquire);
-  if (stamp == 0) return false;
-  out->seq = stamp - 1;
-  out->mono_ns = slot.mono_ns.load(std::memory_order_relaxed);
-  const uint64_t meta = slot.meta.load(std::memory_order_relaxed);
+  if (stamp == 0 || (stamp & 1) != 0) return false;  // empty or in progress
+  out->seq = stamp / 2 - 1;
+  // Acquire field loads order the copy before the stamp re-check below,
+  // as a seqlock reader's acquire fence would.
+  out->mono_ns = slot.mono_ns.load(std::memory_order_acquire);
+  const uint64_t meta = slot.meta.load(std::memory_order_acquire);
   out->type = static_cast<FlightEventType>(meta & 0xff);
   out->replica = static_cast<uint32_t>(meta >> 8);
-  out->a = slot.a.load(std::memory_order_relaxed);
-  out->b = slot.b.load(std::memory_order_relaxed);
+  out->a = slot.a.load(std::memory_order_acquire);
+  out->b = slot.b.load(std::memory_order_acquire);
   char bytes[kDetailBytes];
   for (size_t i = 0; i < kDetailBytes / 8; ++i) {
-    const uint64_t w = slot.detail[i].load(std::memory_order_relaxed);
+    const uint64_t w = slot.detail[i].load(std::memory_order_acquire);
     std::memcpy(bytes + i * 8, &w, 8);
   }
   out->detail.assign(bytes, strnlen(bytes, kDetailBytes));
-  // A writer may have overwritten the slot while we copied: discard
-  // rather than report a torn event.
-  return slot.stamp.load(std::memory_order_acquire) == stamp;
+  // A writer claimed the slot while we copied: discard rather than
+  // report a torn event.
+  return slot.stamp.load(std::memory_order_relaxed) == stamp;
 }
 
 std::vector<FlightEvent> FlightRecorder::Dump() const {
+  // Only the last `capacity_` claims are retained; an older event is one
+  // a writer descheduled mid-record published after its lap had passed.
+  const uint64_t claimed = next_seq_.load(std::memory_order_relaxed);
+  const uint64_t horizon = claimed > capacity_ ? claimed - capacity_ : 0;
   std::vector<FlightEvent> events;
   events.reserve(capacity_);
   for (const Slot& slot : slots_) {
     FlightEvent event;
-    if (ReadSlot(slot, &event)) events.push_back(std::move(event));
+    if (ReadSlot(slot, &event) && event.seq >= horizon) {
+      events.push_back(std::move(event));
+    }
   }
   std::sort(events.begin(), events.end(),
             [](const FlightEvent& x, const FlightEvent& y) {

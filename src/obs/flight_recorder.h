@@ -57,19 +57,21 @@ struct FlightEvent {
 /// Fixed-size lock-free black box: the last `capacity` structured
 /// events, recorded from hot paths with one atomic claim per event.
 ///
-/// Writers claim a slot with a single fetch_add on the sequence
-/// counter, fill the slot's fields with relaxed atomic stores, then
-/// publish with a release store of the stamp. No locks, no allocation,
-/// no syscalls on the record path. If the ring wraps while a slow
-/// writer is still filling a slot, the stamp mismatch lets readers
-/// drop that slot instead of reporting a torn event; every field is an
-/// atomic word, so the race is benign (and TSan-clean) by
-/// construction.
+/// Each slot is a seqlock. A writer takes a sequence number with one
+/// fetch_add, claims that number's slot exclusively by swapping its
+/// stamp to "in progress", fills the fields with release stores, then
+/// publishes with a release store of the stamp. If a writer a lap
+/// behind still holds the slot, the writer takes the next number
+/// instead of waiting; if a later event already holds it, the event
+/// counts as overwritten. No locks, no allocation, no syscalls on the
+/// record path; every field is an atomic word, so the protocol is
+/// TSan-clean by construction.
 ///
-/// Readers (Dump/DumpText) are best-effort and lock-free too: they
-/// re-check the stamp after copying and discard slots that changed
-/// underneath them. The recorder is meant to be dumped on crash
-/// signal, invariant violation, or explicit request — not polled.
+/// Readers (Dump/DumpText) are best-effort and lock-free too: they skip
+/// slots in progress, copy the fields with acquire loads, re-check the
+/// stamp and discard slots that changed underneath them. The recorder
+/// is meant to be dumped on crash signal, invariant violation, or
+/// explicit request — not polled.
 class FlightRecorder {
  public:
   static constexpr size_t kDetailBytes = 48;
@@ -82,21 +84,23 @@ class FlightRecorder {
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
   /// Records one event. Safe from any thread; one atomic claim plus a
-  /// handful of relaxed stores.
+  /// handful of release stores.
   void Record(FlightEventType type, uint32_t replica, uint64_t a,
               uint64_t b, std::string_view detail);
 
-  /// Events currently readable, oldest first. Slots being overwritten
-  /// concurrently are skipped.
+  /// Events currently readable, oldest first: at most the last
+  /// `capacity` recorded. Slots being overwritten concurrently are
+  /// skipped.
   std::vector<FlightEvent> Dump() const;
 
   /// Human-readable dump, one line per event:
   ///   [seq] +<ms-since-first> <type> r<replica> a=<a> b=<b> <detail>
   std::string DumpText() const;
 
-  /// Total events ever recorded (claims), including overwritten ones.
+  /// Total events ever recorded, including overwritten ones.
   uint64_t TotalRecorded() const {
-    return next_seq_.load(std::memory_order_relaxed);
+    const uint64_t skipped = skipped_.load(std::memory_order_acquire);
+    return next_seq_.load(std::memory_order_relaxed) - skipped;
   }
 
   size_t capacity() const { return capacity_; }
@@ -125,8 +129,8 @@ class FlightRecorder {
 
  private:
   struct Slot {
-    /// 0 = never written; otherwise claim seq + 1, stored last with
-    /// release ordering (the publication stamp).
+    /// 0 = never written; 2 * seq + 1 while the writer of event `seq`
+    /// fills the slot; 2 * seq + 2 once it is published.
     std::atomic<uint64_t> stamp{0};
     std::atomic<uint64_t> mono_ns{0};
     std::atomic<uint64_t> meta{0};  ///< type | replica << 8
@@ -139,6 +143,8 @@ class FlightRecorder {
 
   size_t capacity_;  ///< power of two
   std::atomic<uint64_t> next_seq_{0};
+  /// Sequence numbers given up at a slot still in progress.
+  std::atomic<uint64_t> skipped_{0};
   std::vector<Slot> slots_;
 };
 

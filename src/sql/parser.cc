@@ -1,5 +1,6 @@
 #include "sql/parser.h"
 
+#include <algorithm>
 #include <cctype>
 #include <utility>
 
@@ -747,6 +748,30 @@ Result<Statement> Parse(const std::string& sql) {
   if (!tokens.ok()) return tokens.status();
   Parser parser(std::move(tokens).value());
   return parser.ParseStatement();
+}
+
+bool IsTransactionControl(std::string_view sql) {
+  size_t begin = 0;
+  while (begin < sql.size() &&
+         std::isspace(static_cast<unsigned char>(sql[begin]))) {
+    ++begin;
+  }
+  size_t end = begin;
+  while (end < sql.size() &&
+         (std::isalnum(static_cast<unsigned char>(sql[end])) ||
+          sql[end] == '_')) {
+    ++end;
+  }
+  const std::string_view word = sql.substr(begin, end - begin);
+  for (std::string_view keyword : {"BEGIN", "COMMIT", "ROLLBACK", "ABORT"}) {
+    if (std::equal(word.begin(), word.end(), keyword.begin(), keyword.end(),
+                   [](char c, char k) {
+                     return std::toupper(static_cast<unsigned char>(c)) == k;
+                   })) {
+      return true;
+    }
+  }
+  return false;
 }
 
 }  // namespace sirep::sql

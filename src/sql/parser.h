@@ -2,6 +2,7 @@
 #define SIREP_SQL_PARSER_H_
 
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 #include "sql/ast.h"
@@ -23,6 +24,12 @@ namespace sirep::sql {
 /// MIN(c)/MAX(c). Expressions support literals, column refs, '?' parameters,
 /// arithmetic, comparisons, IS [NOT] NULL, AND/OR/NOT and parentheses.
 Result<Statement> Parse(const std::string& sql);
+
+/// True if `sql` opens with BEGIN, COMMIT, ROLLBACK or ABORT, in any
+/// case, the keywords of the transaction-control statements. Looks at
+/// the first word only, without parsing: a session runs these
+/// statements itself and hands every other text on unparsed.
+bool IsTransactionControl(std::string_view sql);
 
 }  // namespace sirep::sql
 

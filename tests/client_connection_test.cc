@@ -92,9 +92,60 @@ TEST_F(ClientConnectionTest, ImplicitBeginWithAutocommitOff) {
   EXPECT_EQ(Read(4), 7);
 }
 
+TEST_F(ClientConnectionTest, TransactionControlInAnyCaseWithSemicolon) {
+  ASSERT_TRUE(conn_->Execute("  Begin;").ok());
+  EXPECT_TRUE(conn_->in_transaction());
+  ASSERT_TRUE(conn_->Execute("UPDATE kv SET v = 1 WHERE k = 1").ok());
+  ASSERT_TRUE(conn_->Execute("cOmMiT ;").ok());
+  EXPECT_FALSE(conn_->in_transaction());
+  EXPECT_EQ(Read(1), 1);
+  for (const char* rollback : {"rollback;", "Abort"}) {
+    ASSERT_TRUE(conn_->Execute("begin").ok());
+    ASSERT_TRUE(conn_->Execute("UPDATE kv SET v = 9 WHERE k = 2").ok());
+    ASSERT_TRUE(conn_->Execute(rollback).ok()) << rollback;
+    EXPECT_FALSE(conn_->in_transaction()) << rollback;
+    EXPECT_EQ(Read(2), 0) << rollback;
+  }
+  // Trailing input after the keyword is the parser's error, and the
+  // transaction stays open.
+  ASSERT_TRUE(conn_->Execute("BEGIN").ok());
+  EXPECT_EQ(conn_->Execute("COMMIT now").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(conn_->in_transaction());
+  ASSERT_TRUE(conn_->Execute("ROLLBACK").ok());
+}
+
 TEST_F(ClientConnectionTest, ParseErrorLeavesConnectionUsable) {
-  EXPECT_FALSE(conn_->Execute("SELEC bogus").ok());
+  auto r = conn_->Execute("SELEC bogus");
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("parse error"), std::string::npos)
+      << r.status();
+  EXPECT_FALSE(conn_->in_transaction());
   EXPECT_TRUE(conn_->Execute("SELECT v FROM kv WHERE k = 0").ok());
+}
+
+TEST_F(ClientConnectionTest, FailedStatementRollsBackTheTransactionItBegan) {
+  // Same replica as conn_, so visibility does not wait on remote apply.
+  client::ConnectionOptions same_replica;
+  same_replica.pinned_replica =
+      static_cast<int>(conn_->replica()->member_id());
+  auto other = std::move(cluster_->Connect(same_replica)).value();
+  for (bool autocommit : {true, false}) {
+    conn_->SetAutoCommit(autocommit);
+    EXPECT_EQ(conn_->Execute("UPDATE nosuch SET v = 1 WHERE k = 0")
+                  .status()
+                  .code(),
+              StatusCode::kNotFound);
+    EXPECT_FALSE(conn_->in_transaction()) << "autocommit " << autocommit;
+    EXPECT_FALSE(conn_->Execute("SELEC bogus").ok());
+    EXPECT_FALSE(conn_->in_transaction()) << "autocommit " << autocommit;
+  }
+  conn_->SetAutoCommit(true);
+  ASSERT_TRUE(conn_->Execute("UPDATE kv SET v = 5 WHERE k = 0").ok());
+  EXPECT_FALSE(conn_->in_transaction());
+  auto peek = other->Execute("SELECT v FROM kv WHERE k = 0");
+  ASSERT_TRUE(peek.ok()) << peek.status();
+  EXPECT_EQ(peek.value().rows[0][0].AsInt(), 5);
 }
 
 TEST_F(ClientConnectionTest, CommitWithoutTxnIsNoop) {

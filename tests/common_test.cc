@@ -12,7 +12,6 @@
 #include "common/stats.h"
 #include "common/status.h"
 #include "common/sync.h"
-#include "common/thread_pool.h"
 
 namespace sirep {
 namespace {
@@ -264,22 +263,6 @@ TEST(CountDownLatchTest, WaitForTimesOut) {
   EXPECT_FALSE(latch.WaitFor(std::chrono::milliseconds(10)));
   latch.CountDown();
   EXPECT_TRUE(latch.WaitFor(std::chrono::milliseconds(10)));
-}
-
-TEST(ThreadPoolTest, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(pool.Submit([&] { done.fetch_add(1); }));
-  }
-  pool.Shutdown();
-  EXPECT_EQ(done.load(), 100);
-}
-
-TEST(ThreadPoolTest, RejectsAfterShutdown) {
-  ThreadPool pool(1);
-  pool.Shutdown();
-  EXPECT_FALSE(pool.Submit([] {}));
 }
 
 }  // namespace

@@ -141,6 +141,24 @@ TEST_F(DatabaseTest, PreparedStatementsAreCached) {
   EXPECT_EQ(s1.value().get(), s2.value().get());
 }
 
+TEST_F(DatabaseTest, PreparedStatementCacheIsBounded) {
+  // Inlined literals make every text distinct: one cache entry each.
+  const size_t texts = Database::kMaxPreparedStatements + 100;
+  auto text = [](size_t i) {
+    return "SELECT owner FROM acct WHERE id = " + std::to_string(i % 4 + 1) +
+           " AND branch < " + std::to_string(i + 3);
+  };
+  for (size_t i = 0; i < texts; ++i) {
+    ASSERT_TRUE(db_.Prepare(text(i)).ok());
+    ASSERT_LE(db_.PreparedCount(), Database::kMaxPreparedStatements);
+  }
+  // Evicted texts are parsed again and still run.
+  for (size_t i = 0; i < texts; ++i) {
+    EXPECT_EQ(Must(text(i)).NumRows(), 1u) << text(i);
+  }
+  EXPECT_LE(db_.PreparedCount(), Database::kMaxPreparedStatements);
+}
+
 TEST_F(DatabaseTest, TransactionControlRejectedAtDatabaseLevel) {
   auto txn = db_.Begin();
   EXPECT_FALSE(db_.Execute(txn, "COMMIT").ok());

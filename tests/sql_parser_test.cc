@@ -124,6 +124,12 @@ TEST(ParserTest, TransactionControl) {
   EXPECT_EQ(MustParse("COMMIT").kind, StatementKind::kCommit);
   EXPECT_EQ(MustParse("ROLLBACK").kind, StatementKind::kRollback);
   EXPECT_EQ(MustParse("ABORT").kind, StatementKind::kRollback);
+  for (const char* sql : {"BEGIN", "  commit;", "Rollback", "abort ;"}) {
+    EXPECT_TRUE(IsTransactionControl(sql)) << sql;
+  }
+  for (const char* sql : {"SELECT * FROM t", "committed", "begin_x", ""}) {
+    EXPECT_FALSE(IsTransactionControl(sql)) << sql;
+  }
 }
 
 TEST(ParserTest, TrailingSemicolonAllowed) {
