@@ -46,12 +46,13 @@ void RunPoint(const char* label, middleware::ReplicaMode mode,
   auto options = bench::BaseLoadOptions(load, 40);
   auto m = bench::RunOnCluster(cluster, workload, options);
   cluster.Quiesce();
-  auto stats = cluster.AggregateStats();
+  auto counters = cluster.DumpMetrics().counters;
+  const uint64_t starts = counters["mw.holes.starts"];
+  const uint64_t delayed = counters["mw.holes.delayed_starts"];
   const double delayed_pct =
-      stats.holes.starts == 0
-          ? 0.0
-          : 100.0 * static_cast<double>(stats.holes.delayed_starts) /
-                static_cast<double>(stats.holes.starts);
+      starts == 0 ? 0.0
+                  : 100.0 * static_cast<double>(delayed) /
+                        static_cast<double>(starts);
   bench::PrintTableRow({label, std::to_string(applier_threads),
                         Fmt(load, 0), Fmt(m.update_ms.Mean()),
                         Fmt(m.achieved_tps), Fmt(delayed_pct, 2)});

@@ -47,12 +47,13 @@ int main(int argc, char** argv) {
       options.duration = std::chrono::milliseconds(6000);
     }
     auto m = bench::RunOnCluster(cluster, tpcw, options);
-    auto stats = cluster.AggregateStats();
+    auto counters = cluster.DumpMetrics().counters;
+    const uint64_t global_val_aborts = counters["mw.global_val_aborts"];
     bench::PrintTableRow(
         {Fmt(load, 0), std::to_string(m.committed),
          std::to_string(m.aborted), Fmt(100.0 * m.abort_rate(), 3),
-         std::to_string(stats.local_val_aborts),
-         std::to_string(stats.global_val_aborts)});
+         std::to_string(counters["mw.local_val_aborts"]),
+         std::to_string(global_val_aborts)});
     cluster.Quiesce();
     const std::string point = "tpcw@" + Fmt(load, 0);
     report.AddScalar(point + ".tps", m.achieved_tps, "tps",
@@ -61,7 +62,7 @@ int main(int argc, char** argv) {
     report.AddScalar(point + ".abort_pct", 100.0 * m.abort_rate(), "%",
                      bench::Direction::kLowerIsBetter);
     report.AddScalar(point + ".global_val_aborts",
-                     static_cast<double>(stats.global_val_aborts), "txns",
+                     static_cast<double>(global_val_aborts), "txns",
                      bench::Direction::kInfo);
   }
   report.AttachClusterMetrics(cluster.DumpMetrics());

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "bench/report.h"
+#include "obs/json.h"
 
 namespace {
 
@@ -144,13 +145,18 @@ int main(int argc, char** argv) {
   }
 
   // Merge the validated artifacts into one suite file for upload.
-  std::string merged = "{\"schema_version\":1,\"suite\":\"" + suite + "\"";
-  merged += ",\"git_sha\":\"" + sirep::bench::ReadGitSha() + "\"";
-  merged += ",\"host\":\"" + sirep::bench::HostFingerprint() + "\"";
+  using sirep::obs::json::AppendString;
+  std::string merged = "{\"schema_version\":1,\"suite\":";
+  AppendString(&merged, suite);
+  merged += ",\"git_sha\":";
+  AppendString(&merged, sirep::bench::ReadGitSha());
+  merged += ",\"host\":";
+  AppendString(&merged, sirep::bench::HostFingerprint());
   merged += ",\"benches\":{";
   for (size_t i = 0; i < artifacts.size(); ++i) {
     if (i > 0) merged.push_back(',');
-    merged += "\"" + artifacts[i].first + "\":" + artifacts[i].second;
+    AppendString(&merged, artifacts[i].first);
+    merged += ":" + artifacts[i].second;
   }
   merged += "}}";
   const fs::path suite_path = out_dir / "BENCH_SUITE.json";

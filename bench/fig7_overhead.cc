@@ -83,14 +83,9 @@ void RunReplicatedSeries(const std::vector<double>& loads,
               cluster::Cluster::FormatCommitBreakdown(cluster.DumpMetrics())
                   .c_str());
   // The flagship config also feeds the artifact's cluster/contention
-  // sections, via the same /metrics.json endpoints monitoring scrapes.
+  // sections.
   if (mode == middleware::ReplicaMode::kSrcaRep) {
-    if (cluster.StartMetricsEndpoints().ok()) {
-      report.AttachClusterScrape(cluster);
-      cluster.StopMetricsEndpoints();
-    } else {
-      report.AttachClusterMetrics(cluster.DumpMetrics());
-    }
+    report.AttachClusterMetrics(cluster.DumpMetrics());
   }
 }
 

@@ -38,7 +38,7 @@ struct PointResult {
 };
 
 PointResult RunPoint(size_t n, size_t rf, std::chrono::milliseconds window,
-                     bench::BenchReport* scrape_into) {
+                     bench::BenchReport* report_into) {
   PointResult result;
   cluster::ClusterOptions copt;
   copt.num_replicas = n;
@@ -125,15 +125,9 @@ PointResult RunPoint(size_t n, size_t rf, std::chrono::milliseconds window,
           .count();
   cluster.Quiesce();
   // The flagship configuration also feeds the artifact's cluster and
-  // contention sections, scraped over the same /metrics.json endpoints
-  // monitoring would hit.
-  if (scrape_into != nullptr) {
-    if (cluster.StartMetricsEndpoints().ok()) {
-      scrape_into->AttachClusterScrape(cluster);
-      cluster.StopMetricsEndpoints();
-    } else {
-      scrape_into->AttachClusterMetrics(cluster.DumpMetrics());
-    }
+  // contention sections.
+  if (report_into != nullptr) {
+    report_into->AttachClusterMetrics(cluster.DumpMetrics());
   }
   for (const SampleStats& s : commit_ms) result.commit_ms.Merge(s);
   result.tps = static_cast<double>(committed.load()) / secs;
@@ -158,7 +152,7 @@ int main(int argc, char** argv) {
   for (size_t rf : {size_t{1}, size_t{2}, size_t{0}}) {
     for (size_t n : sweep) {
       const std::string rf_label = rf == 0 ? "full" : std::to_string(rf);
-      // Scrape the widest rf=1 cluster (the scale-out headline config).
+      // Attach the widest rf=1 cluster (the scale-out headline config).
       const bool flagship = rf == 1 && n == sweep.back();
       const PointResult r =
           RunPoint(n, rf, window, flagship ? &report : nullptr);

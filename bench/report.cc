@@ -1,12 +1,8 @@
 #include "bench/report.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
-#include <cctype>
-#include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -16,326 +12,23 @@
 #include <thread>
 #include <utility>
 
-#include "cluster/cluster.h"
+#include "obs/json.h"
 #include "obs/profiler.h"
 
 namespace sirep::bench {
 
 namespace {
 
-// ---- JSON writing (same conventions as obs::MetricsSnapshot::ToJson) ----
-
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      *out += buf;
-    } else {
-      out->push_back(c);
-    }
-  }
-  out->push_back('"');
-}
-
-void AppendDouble(std::string* out, double v) {
-  char buf[40];
-  // %.17g round-trips every finite double.
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  *out += buf;
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  *out += buf;
-}
-
-// ---- JSON parsing ----
-//
-// A small recursive-descent parser over a value tree. BenchReport
-// artifacts embed whole sub-documents (the cluster metrics snapshot,
-// the profiler dump) whose schemas belong to other components, so each
-// parsed value also carries its raw source span — the embedded
-// sections are re-extracted verbatim instead of being re-modeled here.
-
-struct JsonValue {
-  enum class Type { kNull, kBool, kNumber, kString, kObject, kArray };
-  Type type = Type::kNull;
-  bool boolean = false;
-  double number = 0;
-  std::string str;
-  std::vector<std::pair<std::string, JsonValue>> object;
-  std::vector<JsonValue> array;
-  std::string raw;  ///< exact source text of this value
-
-  const JsonValue* Find(std::string_view key) const {
-    if (type != Type::kObject) return nullptr;
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-  double NumberOr(double fallback) const {
-    return type == Type::kNumber ? number : fallback;
-  }
-  std::string StringOr(std::string fallback) const {
-    return type == Type::kString ? str : std::move(fallback);
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
-
-  Result<JsonValue> Parse() {
-    JsonValue value;
-    SIREP_RETURN_IF_ERROR(ParseValue(&value));
-    SkipWs();
-    if (pos_ != text_.size()) {
-      return Status::InvalidArgument("trailing data after JSON value");
-    }
-    return value;
-  }
-
- private:
-  void SkipWs() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  Status ParseValue(JsonValue* out) {
-    SkipWs();
-    if (pos_ >= text_.size()) {
-      return Status::InvalidArgument("unexpected end of JSON");
-    }
-    const size_t begin = pos_;
-    const char c = text_[pos_];
-    Status status;
-    switch (c) {
-      case '{':
-        status = ParseObject(out);
-        break;
-      case '[':
-        status = ParseArray(out);
-        break;
-      case '"':
-        out->type = JsonValue::Type::kString;
-        status = ParseString(&out->str);
-        break;
-      case 't':
-      case 'f':
-        status = ParseLiteral(c == 't' ? "true" : "false");
-        out->type = JsonValue::Type::kBool;
-        out->boolean = (c == 't');
-        break;
-      case 'n':
-        status = ParseLiteral("null");
-        out->type = JsonValue::Type::kNull;
-        break;
-      default:
-        status = ParseNumber(out);
-        break;
-    }
-    if (!status.ok()) return status;
-    out->raw = std::string(text_.substr(begin, pos_ - begin));
-    return Status::OK();
-  }
-
-  Status ParseLiteral(std::string_view literal) {
-    if (text_.substr(pos_, literal.size()) != literal) {
-      return Status::InvalidArgument("malformed JSON literal");
-    }
-    pos_ += literal.size();
-    return Status::OK();
-  }
-
-  Status ParseNumber(JsonValue* out) {
-    const size_t begin = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) {
-      ++pos_;
-    }
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == begin) return Status::InvalidArgument("malformed JSON number");
-    out->type = JsonValue::Type::kNumber;
-    out->number = std::strtod(std::string(text_.substr(begin, pos_ - begin)).c_str(),
-                              nullptr);
-    return Status::OK();
-  }
-
-  Status ParseString(std::string* out) {
-    ++pos_;  // opening quote
-    out->clear();
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= text_.size()) {
-          return Status::InvalidArgument("truncated JSON escape");
-        }
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"': out->push_back('"'); break;
-          case '\\': out->push_back('\\'); break;
-          case '/': out->push_back('/'); break;
-          case 'n': out->push_back('\n'); break;
-          case 't': out->push_back('\t'); break;
-          case 'r': out->push_back('\r'); break;
-          case 'b': out->push_back('\b'); break;
-          case 'f': out->push_back('\f'); break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) {
-              return Status::InvalidArgument("truncated \\u escape");
-            }
-            const unsigned code = static_cast<unsigned>(std::strtoul(
-                std::string(text_.substr(pos_, 4)).c_str(), nullptr, 16));
-            pos_ += 4;
-            // Artifacts only escape control characters (< 0x20); emit
-            // the low byte and let anything exotic degrade gracefully.
-            out->push_back(static_cast<char>(code & 0xff));
-            break;
-          }
-          default:
-            return Status::InvalidArgument("unknown JSON escape");
-        }
-      } else {
-        out->push_back(c);
-      }
-    }
-    if (pos_ >= text_.size()) {
-      return Status::InvalidArgument("unterminated JSON string");
-    }
-    ++pos_;  // closing quote
-    return Status::OK();
-  }
-
-  Status ParseObject(JsonValue* out) {
-    out->type = JsonValue::Type::kObject;
-    ++pos_;  // '{'
-    SkipWs();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return Status::OK();
-    }
-    for (;;) {
-      SkipWs();
-      if (pos_ >= text_.size() || text_[pos_] != '"') {
-        return Status::InvalidArgument("expected JSON object key");
-      }
-      std::string key;
-      SIREP_RETURN_IF_ERROR(ParseString(&key));
-      SkipWs();
-      if (pos_ >= text_.size() || text_[pos_] != ':') {
-        return Status::InvalidArgument("expected ':' in JSON object");
-      }
-      ++pos_;
-      JsonValue value;
-      SIREP_RETURN_IF_ERROR(ParseValue(&value));
-      out->object.emplace_back(std::move(key), std::move(value));
-      SkipWs();
-      if (pos_ >= text_.size()) {
-        return Status::InvalidArgument("unterminated JSON object");
-      }
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == '}') {
-        ++pos_;
-        return Status::OK();
-      }
-      return Status::InvalidArgument("expected ',' or '}' in JSON object");
-    }
-  }
-
-  Status ParseArray(JsonValue* out) {
-    out->type = JsonValue::Type::kArray;
-    ++pos_;  // '['
-    SkipWs();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return Status::OK();
-    }
-    for (;;) {
-      JsonValue value;
-      SIREP_RETURN_IF_ERROR(ParseValue(&value));
-      out->array.push_back(std::move(value));
-      SkipWs();
-      if (pos_ >= text_.size()) {
-        return Status::InvalidArgument("unterminated JSON array");
-      }
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == ']') {
-        ++pos_;
-        return Status::OK();
-      }
-      return Status::InvalidArgument("expected ',' or ']' in JSON array");
-    }
-  }
-
-  std::string_view text_;
-  size_t pos_ = 0;
-};
+using obs::json::AppendDouble;
+using obs::json::AppendString;
+using obs::json::AppendU64;
+using JsonValue = obs::json::Value;
 
 Result<Direction> DirectionFromName(std::string_view name) {
   if (name == "higher_is_better") return Direction::kHigherIsBetter;
   if (name == "lower_is_better") return Direction::kLowerIsBetter;
   if (name == "info") return Direction::kInfo;
   return Status::InvalidArgument("unknown metric direction");
-}
-
-// ---- loopback HTTP scrape (what `curl` sends; see metrics_http.cc) ----
-
-/// GET `path` from 127.0.0.1:`port`; empty on any failure. Returns the
-/// body only (headers stripped).
-std::string HttpGetBody(uint16_t port, const std::string& path) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    ::close(fd);
-    return "";
-  }
-  const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
-  size_t sent = 0;
-  while (sent < request.size()) {
-    const ssize_t n =
-        ::send(fd, request.data() + sent, request.size() - sent, 0);
-    if (n <= 0) {
-      ::close(fd);
-      return "";
-    }
-    sent += static_cast<size_t>(n);
-  }
-  std::string response;
-  char buf[4096];
-  for (;;) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) break;
-    response.append(buf, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  if (response.rfind("HTTP/1.0 200", 0) != 0) return "";
-  const size_t body = response.find("\r\n\r\n");
-  if (body == std::string::npos) return "";
-  return response.substr(body + 4);
 }
 
 }  // namespace
@@ -466,36 +159,6 @@ void BenchReport::AttachClusterMetrics(const obs::MetricsSnapshot& snapshot) {
   }
 }
 
-void BenchReport::AttachClusterScrape(cluster::Cluster& cluster) {
-  const std::vector<uint16_t> ports = cluster.MetricsPorts();
-  obs::MetricsSnapshot scraped;
-  bool scrape_ok = !ports.empty();
-  for (const uint16_t port : ports) {
-    const std::string body = HttpGetBody(port, "/metrics.json");
-    auto parsed = obs::MetricsSnapshot::FromJson(body);
-    if (body.empty() || !parsed.ok()) {
-      scrape_ok = false;
-      break;
-    }
-    scraped.Merge(std::move(parsed).value());
-  }
-  obs::MetricsSnapshot merged = cluster.DumpMetrics();
-  if (scrape_ok) {
-    // The endpoints serve each replica's middleware registry; keep the
-    // scraped copies of those and the locally-dumped storage / engine /
-    // gcs metrics — merging both copies of "mw.*" would double-count.
-    std::erase_if(merged.counters,
-                  [](const auto& kv) { return kv.first.rfind("mw.", 0) == 0; });
-    std::erase_if(merged.gauges,
-                  [](const auto& kv) { return kv.first.rfind("mw.", 0) == 0; });
-    std::erase_if(merged.histograms,
-                  [](const auto& kv) { return kv.first.rfind("mw.", 0) == 0; });
-    merged.Merge(scraped);
-  }
-  SetKnob("metrics_source", scrape_ok ? "http" : "local");
-  AttachClusterMetrics(merged);
-}
-
 void BenchReport::AttachProfile() {
   profile_json_ = obs::Profiler::Global().SnapshotJson();
 }
@@ -508,15 +171,15 @@ std::string BenchReport::ToJson() const {
   std::string out = "{\"schema_version\":";
   AppendU64(&out, kBenchSchemaVersion);
   out += ",\"name\":";
-  AppendJsonString(&out, name_);
+  AppendString(&out, name_);
   out += ",\"meta\":{\"git_sha\":";
-  AppendJsonString(&out, git_sha_);
+  AppendString(&out, git_sha_);
   out += ",\"build_type\":";
-  AppendJsonString(&out, build_type_);
+  AppendString(&out, build_type_);
   out += ",\"transport\":";
-  AppendJsonString(&out, transport_);
+  AppendString(&out, transport_);
   out += ",\"host\":";
-  AppendJsonString(&out, host_);
+  AppendString(&out, host_);
   out += ",\"seed\":";
   AppendU64(&out, seed_);
   out += ",\"fast_mode\":";
@@ -528,22 +191,22 @@ std::string BenchReport::ToJson() const {
   for (const auto& [key, value] : knobs_) {
     if (!first) out.push_back(',');
     first = false;
-    AppendJsonString(&out, key);
+    AppendString(&out, key);
     out.push_back(':');
-    AppendJsonString(&out, value);
+    AppendString(&out, value);
   }
   out += "}},\"metrics\":{";
   first = true;
   for (const auto& [metric, m] : scalars_) {
     if (!first) out.push_back(',');
     first = false;
-    AppendJsonString(&out, metric);
+    AppendString(&out, metric);
     out += ":{\"value\":";
     AppendDouble(&out, m.value);
     out += ",\"unit\":";
-    AppendJsonString(&out, m.unit);
+    AppendString(&out, m.unit);
     out += ",\"direction\":";
-    AppendJsonString(&out, std::string(DirectionName(m.direction)));
+    AppendString(&out, DirectionName(m.direction));
     if (m.tolerance >= 0) {
       out += ",\"tolerance\":";
       AppendDouble(&out, m.tolerance);
@@ -555,7 +218,7 @@ std::string BenchReport::ToJson() const {
   for (const auto& [metric, p] : percentiles_) {
     if (!first) out.push_back(',');
     first = false;
-    AppendJsonString(&out, metric);
+    AppendString(&out, metric);
     out += ":{\"count\":";
     AppendU64(&out, p.count);
     out += ",\"mean\":";
@@ -567,7 +230,7 @@ std::string BenchReport::ToJson() const {
     out += ",\"p99\":";
     AppendDouble(&out, p.p99);
     out += ",\"unit\":";
-    AppendJsonString(&out, p.unit);
+    AppendString(&out, p.unit);
     out.push_back('}');
   }
   out += "},\"contention\":{";
@@ -575,7 +238,7 @@ std::string BenchReport::ToJson() const {
   for (const auto& [lock, row] : contention_) {
     if (!first) out.push_back(',');
     first = false;
-    AppendJsonString(&out, lock);
+    AppendString(&out, lock);
     out += ":{\"acquires\":";
     AppendU64(&out, row.acquires);
     out += ",\"contended\":";
@@ -617,8 +280,7 @@ Result<std::string> BenchReport::WriteJsonFile() const {
 }
 
 Result<BenchReport> BenchReport::FromJson(const std::string& json) {
-  JsonParser parser(json);
-  Result<JsonValue> parsed = parser.Parse();
+  Result<JsonValue> parsed = obs::json::Parse(json);
   SIREP_RETURN_IF_ERROR(parsed.status());
   const JsonValue& root = parsed.value();
   if (root.type != JsonValue::Type::kObject) {
@@ -736,10 +398,10 @@ Result<BenchReport> BenchReport::FromJson(const std::string& json) {
   }
 
   if (const JsonValue* cluster = root.Find("cluster")) {
-    report.cluster_json_ = cluster->raw;
+    report.cluster_json_ = std::string(cluster->raw);
   }
   if (const JsonValue* profile = root.Find("profile")) {
-    report.profile_json_ = profile->raw;
+    report.profile_json_ = std::string(profile->raw);
   }
   return report;
 }

@@ -10,10 +10,6 @@
 #include "common/status.h"
 #include "obs/metrics.h"
 
-namespace sirep::cluster {
-class Cluster;
-}
-
 namespace sirep::bench {
 
 /// Machine-readable bench telemetry (ISSUE 10). Every bench builds a
@@ -92,14 +88,6 @@ class BenchReport {
   /// Embeds `snapshot` as the "cluster" section and derives the
   /// "contention" section from its "mw.lock.*" metrics.
   void AttachClusterMetrics(const obs::MetricsSnapshot& snapshot);
-
-  /// Scrapes every replica's /metrics.json endpoint (exercising the
-  /// same exposition path monitoring uses), merges the per-replica
-  /// registries with the non-middleware metrics from DumpMetrics(), and
-  /// attaches the result. Falls back to DumpMetrics() alone when no
-  /// endpoint is up or a scrape fails; meta knob "metrics_source"
-  /// records which path ran ("http" or "local").
-  void AttachClusterScrape(cluster::Cluster& cluster);
 
   /// Embeds the global sampling profiler's snapshot as the "profile"
   /// section (see obs::Profiler).

@@ -131,8 +131,7 @@ Cluster::RecoverIncarnation(engine::Database* db, uint64_t from_tid,
         continue;
       }
     }
-    recovered = incarnation->Recover(from_tid, std::chrono::milliseconds(0),
-                                     allow_partial);
+    recovered = incarnation->Recover(from_tid, allow_partial);
     if (recovered.ok()) return incarnation;
     if (!RecoveryRetryable(recovered)) break;
     // Retryable: a live incarnation re-enters Recover() directly (its
@@ -377,25 +376,6 @@ std::vector<uint16_t> Cluster::MetricsPorts() const {
 void Cluster::StopMetricsEndpoints() {
   for (auto& server : metrics_servers_) server->Stop();
   metrics_servers_.clear();
-}
-
-middleware::SrcaRepReplica::Stats Cluster::AggregateStats() const {
-  middleware::SrcaRepReplica::Stats total;
-  std::shared_lock<std::shared_mutex> lock(replicas_mu_);
-  for (const auto& replica : replicas_) {
-    auto s = replica->stats();
-    total.committed += s.committed;
-    total.empty_ws_commits += s.empty_ws_commits;
-    total.local_val_aborts += s.local_val_aborts;
-    total.global_val_aborts += s.global_val_aborts;
-    total.remote_discards += s.remote_discards;
-    total.apply_retries += s.apply_retries;
-    total.holes.starts += s.holes.starts;
-    total.holes.delayed_starts += s.holes.delayed_starts;
-    total.holes.commits += s.holes.commits;
-    total.holes.delayed_commits += s.holes.delayed_commits;
-  }
-  return total;
 }
 
 void Cluster::Quiesce() {

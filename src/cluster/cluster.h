@@ -132,9 +132,6 @@ class Cluster : public client::ReplicaDirectory {
     return partition_map_;
   }
 
-  /// Sum of per-replica stats (for benches).
-  middleware::SrcaRepReplica::Stats AggregateStats() const;
-
   /// Merged metrics snapshot across the whole deployment: every
   /// middleware replica's registry ("mw.*"), every storage engine's
   /// ("storage.*", "engine.*"), and the GCS group's ("gcs.*"). Same-name

@@ -76,21 +76,4 @@ std::string SampleStats::Summary() const {
   return os.str();
 }
 
-obs::HistogramSnapshot SampleStats::ToHistogram(
-    const std::vector<double>& bounds) const {
-  obs::HistogramSnapshot snap;
-  snap.bounds = bounds;
-  snap.buckets.assign(bounds.size() + 1, 0);
-  for (double v : samples_) {
-    const size_t idx = static_cast<size_t>(
-        std::lower_bound(bounds.begin(), bounds.end(), v) - bounds.begin());
-    ++snap.buckets[idx];
-  }
-  snap.count = samples_.size();
-  snap.sum = sum_;
-  snap.min = Min();
-  snap.max = Max();
-  return snap;
-}
-
 }  // namespace sirep

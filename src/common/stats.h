@@ -5,8 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.h"
-
 namespace sirep {
 
 /// Collects scalar samples (typically response times in milliseconds) and
@@ -36,11 +34,6 @@ class SampleStats {
   bool ConfidentWithin(double fraction) const;
 
   std::string Summary() const;
-
-  /// Bridges the raw samples into the metrics world: a fixed-bucket
-  /// histogram snapshot with the given upper bounds, mergeable into a
-  /// MetricsSnapshot alongside registry-sourced histograms.
-  obs::HistogramSnapshot ToHistogram(const std::vector<double>& bounds) const;
 
  private:
   // Kept unsorted; percentile sorts a copy. Sample counts here are small

@@ -39,16 +39,22 @@ namespace sirep::middleware {
 /// With `enabled == false` the tracker implements SRCA-Opt: it keeps the
 /// statistics (so the holes-frequency experiment can run on both modes)
 /// but never blocks or gates, giving up 1-copy-SI as §4.3.2 describes.
+///
+/// Its instruments live in `registry`: the counters "mw.holes.starts",
+/// ".delayed_starts" (starts that found holes), ".commits" and
+/// ".delayed_commits" (remote dispatches the gate deferred), the
+/// "mw.begin.hole_wait_us" histogram of blocked starts, and the
+/// "mw.lock.holes" contention family of the tracker mutex.
 class HoleTracker {
  public:
-  explicit HoleTracker(bool enabled) : enabled_(enabled) {}
-
-  struct Stats {
-    uint64_t starts = 0;
-    uint64_t delayed_starts = 0;  ///< starts that found holes
-    uint64_t commits = 0;
-    uint64_t delayed_commits = 0;  ///< remote dispatches the gate deferred
-  };
+  HoleTracker(bool enabled, obs::MetricsRegistry* registry)
+      : enabled_(enabled),
+        c_starts_(registry->GetCounter("mw.holes.starts")),
+        c_delayed_starts_(registry->GetCounter("mw.holes.delayed_starts")),
+        c_commits_(registry->GetCounter("mw.holes.commits")),
+        c_delayed_commits_(registry->GetCounter("mw.holes.delayed_commits")),
+        wait_hist_(registry->GetLatencyHistogram("mw.begin.hole_wait_us")),
+        lock_stats_(obs::LockStats::FromRegistry(registry, "mw.lock.holes")) {}
 
   /// Registers a transaction that passed global validation at this
   /// replica (it *will* commit here, creating a potential hole boundary).
@@ -64,17 +70,15 @@ class HoleTracker {
   auto RunStart(Fn&& begin_fn) {
     bool waited = false;
     auto lock = obs::AcquireProfiled(mu_, lock_stats_);
-    ++stats_.starts;
+    c_starts_->Increment();
     if (HasHolesLocked() && !cancelled_) {
-      ++stats_.delayed_starts;
+      c_delayed_starts_->Increment();
       if (enabled_) {
         ++waiting_starts_;
         const uint64_t wait_start = obs::MonotonicNanos();
         cv_.wait(lock, [&] { return cancelled_ || !HasHolesLocked(); });
-        if (wait_hist_ != nullptr) {
-          wait_hist_->Observe(
-              obs::NanosToUs(obs::MonotonicNanos() - wait_start));
-        }
+        wait_hist_->Observe(
+            obs::NanosToUs(obs::MonotonicNanos() - wait_start));
         --waiting_starts_;
         waited = true;
       }
@@ -98,12 +102,9 @@ class HoleTracker {
            !WouldCreateNewHoleLocked(tid);
   }
 
-  /// Statistics: a remote dispatch was deferred by the gate (call once
-  /// per transaction).
-  void CountDeferredCommit() {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.delayed_commits;
-  }
+  /// Statistics: `n` remote dispatches were deferred by the gate (count
+  /// each transaction once per deferral).
+  void CountDeferredCommits(size_t n) { c_delayed_commits_->Add(n); }
 
   /// Runs `commit_fn` (the database commit) and marks `tid` committed,
   /// atomically with the hole bookkeeping. No gating happens here — the
@@ -111,7 +112,7 @@ class HoleTracker {
   template <typename Fn>
   auto RecordCommit(uint64_t tid, Fn&& commit_fn) {
     auto lock = obs::AcquireProfiled(mu_, lock_stats_);
-    ++stats_.commits;
+    c_commits_->Increment();
     auto result = commit_fn();
     outstanding_.erase(tid);
     if (tid > max_committed_) max_committed_ = tid;
@@ -128,18 +129,6 @@ class HoleTracker {
     std::lock_guard<std::mutex> lock(mu_);
     change_listener_ = std::move(listener);
   }
-
-  /// Observes the duration of every blocked RunStart (microseconds) into
-  /// `hist`. Set once at replica construction, before any transaction.
-  void SetWaitHistogram(obs::Histogram* hist) {
-    std::lock_guard<std::mutex> lock(mu_);
-    wait_hist_ = hist;
-  }
-
-  /// Contention accounting for the tracker mutex on its hottest entry
-  /// points (RunStart / GateOpen / RecordCommit). Set once at replica
-  /// construction, before any transaction.
-  void SetLockStats(const obs::LockStats& stats) { lock_stats_ = stats; }
 
   /// Permanently releases all waiters and opens all gates: the replica
   /// crashed or is shutting down, so no start may block on commits that
@@ -201,11 +190,6 @@ class HoleTracker {
     return *outstanding_.begin() - 1;
   }
 
-  Stats stats() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return stats_;
-  }
-
   bool enabled() const { return enabled_; }
 
  private:
@@ -231,16 +215,21 @@ class HoleTracker {
   }
 
   const bool enabled_;
+  obs::Counter* const c_starts_;
+  obs::Counter* const c_delayed_starts_;
+  obs::Counter* const c_commits_;
+  obs::Counter* const c_delayed_commits_;
+  obs::Histogram* const wait_hist_;
+  /// Contention accounting for the tracker mutex on its hottest entry
+  /// points (RunStart / GateOpen / RecordCommit).
+  const obs::LockStats lock_stats_;
   std::function<void()> change_listener_;
-  obs::Histogram* wait_hist_ = nullptr;
-  obs::LockStats lock_stats_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::set<uint64_t> outstanding_;
   uint64_t max_committed_ = 0;
   int waiting_starts_ = 0;
   bool cancelled_ = false;
-  Stats stats_;
 };
 
 }  // namespace sirep::middleware

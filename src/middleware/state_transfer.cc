@@ -1,0 +1,903 @@
+#include "middleware/state_transfer.h"
+
+#include <algorithm>
+#include <chrono>
+
+#include "common/failpoint.h"
+#include "common/logging.h"
+
+namespace sirep::middleware {
+
+namespace {
+
+/// Base deadline for a whole Recover() run; the effective deadline grows
+/// with the bytes received (kRecoveryMinBytesPerMs).
+constexpr std::chrono::milliseconds kRecoveryTimeout{30000};
+
+/// Attempts (initial + retries across donors and re-anchors) before
+/// Recover() gives up with a retryable error.
+constexpr size_t kRecoveryMaxAttempts = 8;
+
+/// Deadline-scaling floor: the effective recovery deadline grows by the
+/// time the received bytes would take at this (very conservative) rate,
+/// so a transfer is never killed merely for being large.
+constexpr uint64_t kRecoveryMinBytesPerMs = 512;
+
+/// Donor silence longer than this counts as a donor fault: the
+/// recoverer abandons the transfer and re-requests from the next donor,
+/// resuming at its cursor.
+constexpr std::chrono::milliseconds kRecoveryChunkTimeout{2000};
+
+}  // namespace
+
+/// Bounded chunk queue between the donor's streamer thread and the
+/// recoverer. Like the request it rides the in-process stash, so it
+/// works on every transport (all replicas share the process).
+struct StateTransfer::Channel {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::deque<RecoveryChunk> chunks;
+  size_t capacity = 4;     ///< producer backpressure bound
+  bool closed = false;     ///< donor finished, refused, or died
+  bool abandoned = false;  ///< recoverer moved on; streamer must quit
+
+  void Close() {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      closed = true;
+    }
+    cv.notify_all();
+  }
+
+  /// Reports `status` to the recoverer and closes the stream. The error
+  /// chunk bypasses the capacity bound (at most one extra entry) so a
+  /// failure is always reported.
+  void Fail(uint64_t transfer_id, Status status) {
+    RecoveryChunk chunk;
+    chunk.status = std::move(status);
+    chunk.transfer_id = transfer_id;
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      chunks.push_back(std::move(chunk));
+      closed = true;
+    }
+    cv.notify_all();
+  }
+};
+
+/// The recovery marker's payload.
+struct StateTransfer::Request {
+  gcs::MemberId requester = gcs::kInvalidMember;
+  gcs::MemberId donor = gcs::kInvalidMember;
+  uint64_t from_tid = 0;
+  uint64_t transfer_id = 0;
+  /// Partitions the requester needs rows for (its held mask; 0 = all).
+  /// A donor that holds none of them refuses; one that holds a subset
+  /// serves it only when `allow_partial` (whole-group-outage
+  /// bookkeeping recovery — the requester keeps its own rows).
+  uint64_t needed_mask = 0;
+  bool allow_partial = false;
+  RecoveryCursor cursor;
+  std::shared_ptr<Channel> channel;
+};
+
+/// Donor-side donation plan, read at the marker; a streamer thread
+/// materializes it into chunks off the delivery thread (the dump
+/// transaction pins the marker-consistent MVCC snapshot, so lazy table
+/// scans still observe marker state).
+struct StateTransfer::DonorPlan {
+  uint64_t transfer_id = 0;
+  TransferMeta meta;
+  std::vector<WsLogEntry> log_suffix;
+  std::vector<std::string> tables;  ///< tables still to dump
+  storage::TransactionPtr dump_txn;
+  std::shared_ptr<Channel> channel;
+};
+
+StateTransfer::StateTransfer(StateTransferHost* host, gcs::Group* group,
+                             const ReplicaOptions& options,
+                             obs::MetricsRegistry* registry,
+                             obs::FlightRecorder* flight)
+    : host_(host),
+      group_(group),
+      options_(options),
+      flight_(flight),
+      live_(!options.start_recovering),
+      c_chunks_sent_(registry->GetCounter("mw.recovery.chunks_sent")),
+      c_bytes_sent_(registry->GetCounter("mw.recovery.bytes_sent")),
+      c_chunks_received_(registry->GetCounter("mw.recovery.chunks_received")),
+      c_bytes_received_(registry->GetCounter("mw.recovery.bytes_received")),
+      c_retries_(registry->GetCounter("mw.recovery.retries")),
+      c_donor_switches_(registry->GetCounter("mw.recovery.donor_switches")),
+      c_buffer_spills_(registry->GetCounter("mw.recovery.buffer_spills")),
+      g_buffered_msgs_(registry->GetGauge("mw.recovery.buffered_msgs")) {}
+
+StateTransfer::~StateTransfer() { Stop(); }
+
+bool StateTransfer::Buffer(const gcs::Message& message) {
+  std::lock_guard<std::mutex> lock(buffer_mu_);
+  if (live_.load(std::memory_order_relaxed)) return false;
+  // Before our own recovery marker the donor's stream covers the
+  // message; after it, we replay it ourselves once caught up.
+  if (!fence_seen_) return true;
+  buffered_.push_back(message);
+  const size_t depth = buffered_.size();
+  g_buffered_msgs_->Set(static_cast<int64_t>(depth));
+  if (spill_enabled_ && depth >= buffer_hwm_) {
+    // Backpressure: instead of growing without bound under heavy live
+    // traffic, drop the buffer and the fence wholesale. The recoverer
+    // observes buffer_spilled_ and re-anchors at a fresh marker whose
+    // donation covers everything dropped here — nothing is lost, only
+    // the transfer tail is repeated. Each spill doubles the allowance
+    // for the next attempt: under sustained delivery pressure a fixed
+    // mark could spill every re-anchor forever, so the bound escalates
+    // until one transfer outruns the live stream (memory stays bounded
+    // — the mark at most doubles per attempt, and attempts are capped).
+    buffered_.clear();
+    fence_seen_ = false;
+    buffer_spilled_ = true;
+    buffer_hwm_ *= 2;
+    c_buffer_spills_->Increment();
+    g_buffered_msgs_->Set(0);
+    flight_->Record(obs::FlightEventType::kQueueHighWater, host_->member_id(),
+                    depth, buffer_hwm_, "mw.recovery.buffer");
+    flight_->Record(obs::FlightEventType::kRecovery, host_->member_id(),
+                    current_transfer_id_, depth, "buffer_spill");
+    buffer_cv_.notify_all();
+  }
+  return true;
+}
+
+void StateTransfer::OnMarker(const gcs::Message& message) {
+  const auto* req = message.As<Request>();
+  if (req->requester == host_->member_id()) {
+    // Our own marker: everything delivered from here on is ours to
+    // replay; everything before is covered by the donor's stream. Only
+    // the current attempt's marker arms the fence — a marker from an
+    // abandoned attempt delivered late must not, or pre-marker messages
+    // of the live attempt would be double-validated after adoption.
+    std::lock_guard<std::mutex> lock(buffer_mu_);
+    if (req->transfer_id == current_transfer_id_) {
+      fence_seen_ = true;
+      buffer_cv_.notify_all();
+    }
+    return;
+  }
+  if (req->donor == host_->member_id() && req->channel != nullptr) {
+    Donate(*req);
+  }
+}
+
+void StateTransfer::Donate(const Request& req) {
+  Channel& channel = *req.channel;
+  if (!host_->IsRunning() || !live()) {
+    // A replica that is itself recovering (or shutting down) has stale
+    // state and must not donate.
+    channel.Fail(req.transfer_id,
+                 Status::Unavailable("chosen donor is not live"));
+    return;
+  }
+  if (options_.ws_log_capacity == 0) {
+    channel.Fail(req.transfer_id,
+                 Status::NotSupported("this replica keeps no writeset log"));
+    return;
+  }
+  auto plan = std::make_shared<DonorPlan>();
+  plan->transfer_id = req.transfer_id;
+  plan->channel = req.channel;
+  TransferMeta& meta = plan->meta;
+  // Partial replication: a donor can only re-seed rows it holds. When it
+  // does not cover everything the requester needs, it refuses — unless
+  // the requester explicitly accepts a partial (bookkeeping-only)
+  // donation, which cluster::Cluster only authorizes for the
+  // longest-prefix member of a whole-down group (its own rows are
+  // already complete for the unserved partitions).
+  const cluster::PartitionMap* const pmap = options_.partition_map.get();
+  if (pmap != nullptr && pmap->partial()) {
+    const uint64_t donor_held = pmap->HeldMask(options_.partition_slot);
+    const uint64_t needed =
+        req.needed_mask != 0
+            ? req.needed_mask
+            : cluster::PartitionMap::FullMask(pmap->num_partitions());
+    if ((needed & ~donor_held) != 0 && !req.allow_partial) {
+      channel.Fail(req.transfer_id,
+                   Status::Unavailable("chosen donor does not hold the "
+                                       "requester's partitions"));
+      return;
+    }
+    meta.served_mask = donor_held & needed;
+  }
+
+  // Snapshot the donation plan exactly at the marker point of the total
+  // order (we are on the delivery thread, so every earlier message has
+  // been fully validated).
+  Status refused;
+  host_->ReadValidationState([&](const ValidationView& state) {
+    meta.lastvalidated = state.lastvalidated;
+    meta.ws_window = state.ws_index.Snapshot();
+    // Oldest tid the log still holds; an empty one holds nothing up to
+    // lastvalidated. (A bootstrapped replica has lastvalidated > 0 with
+    // an empty log, so an empty log must not count as reaching
+    // everything, or the requester would silently skip the suffix and
+    // diverge.)
+    const uint64_t log_front = state.log.empty() ? state.lastvalidated + 1
+                                                 : state.log.front().tid;
+    // The tid floor our log must reach back to. While the requester has
+    // a full copy in flight we must keep serving that copy's base: its
+    // finished tables are consistent only against that base, whoever
+    // dumped them.
+    const RecoveryCursor& cursor = req.cursor;
+    const uint64_t floor = cursor.full_copy_started
+                               ? cursor.full_copy_base
+                               : std::max(req.from_tid, cursor.applied_tid);
+    uint64_t log_floor = floor;
+    if (floor + 1 >= log_front) {
+      // Incremental catch-up from the log suffix alone, or the previous
+      // donor's copy resumed: same base, remaining tables; idempotent
+      // full-row replay of (base, now] reconciles whatever the earlier
+      // snapshot and ours disagree on.
+      meta.full_copy = cursor.full_copy_started;
+      meta.full_copy_base = cursor.full_copy_base;
+    } else if (state.stable_prefix + 1 < log_front) {
+      refused = Status::Internal(
+          "writeset log smaller than the commit pipeline; increase "
+          "ws_log_capacity");
+      return;
+    } else {
+      // The log no longer reaches back to the requester's floor: fall
+      // back to a fresh full-state transfer (the paper's "complete
+      // database copy", done online at the marker). The copy includes
+      // every commit up to our stable prefix; the log tail covers the
+      // validated-but-uncommitted remainder (idempotent to re-apply).
+      meta.full_copy = true;
+      meta.full_copy_restart = cursor.full_copy_started;
+      meta.full_copy_base = state.stable_prefix;
+      log_floor = state.stable_prefix;
+    }
+    for (const auto& entry : state.log) {
+      if (entry.tid > log_floor) plan->log_suffix.push_back(entry);
+    }
+    if (meta.full_copy) {
+      std::set<std::string> done;
+      if (!meta.full_copy_restart) {
+        done.insert(cursor.tables_done.begin(), cursor.tables_done.end());
+      }
+      for (const auto& table : host_->db()->engine().TableNames()) {
+        if (done.count(table) == 0) plan->tables.push_back(table);
+      }
+      plan->dump_txn = host_->db()->Begin();
+    }
+  });
+  if (!refused.ok()) {
+    channel.Fail(req.transfer_id, std::move(refused));
+    return;
+  }
+  flight_->Record(obs::FlightEventType::kRecovery, host_->member_id(),
+                  plan->transfer_id, req.requester, "donate");
+  std::lock_guard<std::mutex> lock(streamers_mu_);
+  if (stopped_) {
+    if (plan->dump_txn != nullptr) host_->db()->Abort(plan->dump_txn);
+    channel.Fail(req.transfer_id, Status::Unavailable("donor shutting down"));
+    return;
+  }
+  streamers_.emplace_back([this, plan] { Stream(std::move(plan)); });
+}
+
+void StateTransfer::Stream(std::shared_ptr<DonorPlan> plan) {
+  Channel& channel = *plan->channel;
+  engine::Database* const db = host_->db();
+  // Abort the dump snapshot whichever way this thread exits.
+  struct DumpGuard {
+    engine::Database* db;
+    storage::TransactionPtr txn;
+    ~DumpGuard() {
+      if (txn != nullptr) db->Abort(txn);
+    }
+  } dump_guard{db, plan->dump_txn};
+
+  bool silent_stop = false;
+  // Pushes one chunk, honoring the queue bound and the recoverer's
+  // abandonment; returning false stops the stream.
+  const auto send = [&](RecoveryChunk chunk) -> bool {
+    // "mw.recovery.stall" stretches the inter-chunk gap (delay-only
+    // hook); "mw.recovery.chunk_drop" loses this chunk and everything
+    // after it *without* closing the channel, so the recoverer must
+    // detect the stall through its per-chunk deadline.
+    SIREP_FAILPOINT_HIT("mw.recovery.stall");
+    if (SIREP_FAILPOINT_HIT("mw.recovery.chunk_drop").fired) {
+      silent_stop = true;
+      return false;
+    }
+    chunk.transfer_id = plan->transfer_id;
+    const size_t bytes = chunk.approx_bytes;
+    {
+      std::unique_lock<std::mutex> lock(channel.mu);
+      while (channel.chunks.size() >= channel.capacity && !channel.abandoned) {
+        if (!host_->IsRunning()) return false;
+        channel.cv.wait_for(lock, std::chrono::milliseconds(50));
+      }
+      if (channel.abandoned) return false;
+      channel.chunks.push_back(std::move(chunk));
+    }
+    channel.cv.notify_all();
+    c_chunks_sent_->Increment();
+    c_bytes_sent_->Add(bytes);
+    // Crash *after* the chunk is out: the recoverer observes a genuine
+    // partial transfer and must fail over to another donor.
+    if (SIREP_FAILPOINT_HIT("mw.recovery.donor_crash_mid_transfer").fired) {
+      channel.Close();
+      host_->Crash();
+      silent_stop = true;  // channel already closed
+      return false;
+    }
+    return true;
+  };
+
+  const uint64_t served_mask = plan->meta.served_mask;
+  RecoveryChunk meta;
+  meta.approx_bytes = 64 + plan->meta.ws_window.size() * 128;
+  meta.meta = std::move(plan->meta);
+  bool ok = send(std::move(meta));
+  // Table dumps (full copy), one table at a time: streamer memory is
+  // bounded by the largest table, not the whole database.
+  const size_t chunk_rows = options_.recovery_chunk_rows;
+  const cluster::PartitionMap* const pmap = options_.partition_map.get();
+  for (size_t t = 0; ok && t < plan->tables.size(); ++t) {
+    const std::string& table = plan->tables[t];
+    storage::MvccTable* mvcc = db->engine().GetTable(table);
+    if (mvcc == nullptr) continue;
+    const sql::Schema schema = mvcc->schema();
+    std::vector<sql::Row> rows;
+    // Partial donation: dump only the rows of the served partitions.
+    // The donor's rows for other partitions are stale non-held copies
+    // and must never be presented as authoritative.
+    const bool filter_rows = served_mask != ~uint64_t{0} && pmap != nullptr;
+    Status scan = db->engine().Scan(
+        plan->dump_txn, table, [&](const sql::Key& key, const sql::Row& row) {
+          if (filter_rows &&
+              ((served_mask >> pmap->PartitionOf({table, key})) & 1) == 0) {
+            return;
+          }
+          rows.push_back(row);
+        });
+    if (!scan.ok()) {
+      channel.Fail(plan->transfer_id, std::move(scan));
+      return;
+    }
+    size_t offset = 0;
+    do {
+      const size_t n = std::min(chunk_rows, rows.size() - offset);
+      RecoveryChunk chunk;
+      chunk.table = table;
+      chunk.schema = schema;
+      chunk.table_begin = offset == 0;
+      chunk.table_complete = offset + n == rows.size();
+      chunk.rows.assign(rows.begin() + static_cast<long>(offset),
+                        rows.begin() + static_cast<long>(offset + n));
+      chunk.approx_bytes = 32 + chunk.rows.size() * 64;
+      offset += n;
+      ok = send(std::move(chunk));
+    } while (ok && offset < rows.size());
+  }
+  // Log suffix.
+  const auto& log = plan->log_suffix;
+  for (size_t offset = 0; ok && offset < log.size(); offset += chunk_rows) {
+    const size_t n = std::min(chunk_rows, log.size() - offset);
+    RecoveryChunk chunk;
+    chunk.log.assign(log.begin() + static_cast<long>(offset),
+                     log.begin() + static_cast<long>(offset + n));
+    chunk.approx_bytes = chunk.log.size() * 160;
+    ok = send(std::move(chunk));
+  }
+  if (ok) {
+    RecoveryChunk fin;
+    fin.final_chunk = true;
+    send(std::move(fin));
+  }
+  if (!silent_stop) channel.Close();
+}
+
+Status StateTransfer::ReplayLogEntry(const WsLogEntry& entry) {
+  engine::Database* const db = host_->db();
+  if (!entry.ddl.empty()) {
+    // Replicated DDL at this position. AlreadyExists is fine (a
+    // restarted replica's schema survived the crash, or an earlier
+    // donor's chunks already shipped it).
+    auto r = db->ExecuteAutoCommit(entry.ddl);
+    if (!r.ok() && r.status().code() != StatusCode::kAlreadyExists) {
+      return Status::Internal("recovery DDL replay failed: " +
+                              r.status().ToString());
+    }
+    return Status::OK();
+  }
+  // A null writeset on a non-DDL entry is a header-only certification
+  // the donor itself never held rows for: replaying it is pure
+  // bookkeeping (the outcome record below), exactly as it was at every
+  // non-holder when the message was live.
+  std::shared_ptr<const storage::WriteSet> to_apply = entry.ws;
+  const cluster::PartitionMap* const pmap = options_.partition_map.get();
+  if (to_apply != nullptr && pmap != nullptr && pmap->partial() &&
+      entry.partition_mask != 0) {
+    // Replay only our held sub-writeset, mirroring the live apply
+    // decision — a full-payload entry in a donor's log may span
+    // partitions this replica does not hold.
+    const uint64_t held = pmap->HeldMask(options_.partition_slot);
+    if ((entry.partition_mask & held) == 0) {
+      to_apply = nullptr;
+    } else if ((entry.partition_mask & ~held) != 0) {
+      auto filtered = std::make_shared<storage::WriteSet>();
+      for (const auto& we : to_apply->entries()) {
+        if ((held >> pmap->PartitionOf(we.tuple)) & 1) {
+          filtered->Record(we.tuple, we.op, we.after);
+        }
+      }
+      to_apply = filtered->empty() ? nullptr : std::move(filtered);
+    }
+  }
+  while (to_apply != nullptr) {
+    auto txn = db->Begin();
+    Status st = db->ApplyWriteSet(txn, *to_apply);
+    if (st.ok()) st = db->Commit(txn);
+    if (st.ok()) break;
+    db->Abort(txn);
+    if (!st.IsTransactionFailure()) {
+      return Status::Internal("recovery replay failed at tid " +
+                              std::to_string(entry.tid) + ": " +
+                              st.ToString());
+    }
+  }
+  host_->MarkLocallyCommitted(entry.gid);
+  return Status::OK();
+}
+
+Status StateTransfer::ApplyChunk(const RecoveryChunk& chunk,
+                                 RecoveryProgress* progress) {
+  RecoveryCursor& cursor = progress->cursor;
+  if (chunk.meta.has_value()) {
+    const TransferMeta& meta = *chunk.meta;
+    if (meta.full_copy) {
+      if (meta.full_copy_restart ||
+          (cursor.full_copy_started &&
+           cursor.full_copy_base != meta.full_copy_base)) {
+        // This donor could not resume the previous copy: its dump is
+        // taken at a new base and overwrites every row, so tables and
+        // log entries transferred against the old base are discarded,
+        // and every entry after the new base must be replayed again —
+        // those already applied here included, since the dump may roll
+        // their writes back. No other undo is needed: the new dump plus
+        // the delete-sweep overwrites the rows themselves.
+        cursor.tables_done.clear();
+        progress->adopted_log.clear();
+        cursor.applied_tid = std::min(cursor.applied_tid, meta.full_copy_base);
+      }
+      cursor.full_copy_started = true;
+      cursor.full_copy_base = meta.full_copy_base;
+    }
+    progress->meta = meta;
+    progress->table_active = false;
+    return Status::OK();
+  }
+  if (chunk.final_chunk) return Status::OK();
+
+  engine::Database* const db = host_->db();
+  if (!chunk.table.empty()) {
+    // Full-copy table rows: overwrite every dumped row; at
+    // table_complete delete everything local the donor no longer has.
+    storage::MvccTable* table = db->engine().GetTable(chunk.table);
+    if (chunk.table_begin) {
+      if (table == nullptr) {
+        // The table was created via replicated DDL we never saw: create
+        // it from the shipped schema.
+        SIREP_RETURN_IF_ERROR(
+            db->engine().CreateTable(chunk.table, chunk.schema));
+        table = db->engine().GetTable(chunk.table);
+      }
+      progress->table_active = true;
+      progress->table = chunk.table;
+      progress->leftover_keys.clear();
+      auto view_txn = db->Begin();
+      Status scan = db->engine().Scan(
+          view_txn, chunk.table, [&](const sql::Key& key, const sql::Row&) {
+            progress->leftover_keys.insert(key);
+          });
+      db->Abort(view_txn);
+      if (!scan.ok()) return scan;
+    }
+    if (table == nullptr || !progress->table_active ||
+        progress->table != chunk.table) {
+      return Status::Internal("recovery table chunk out of order for '" +
+                              chunk.table + "'");
+    }
+    storage::WriteSet sync;
+    for (const auto& row : chunk.rows) {
+      const sql::Key key = table->schema().KeyOf(row);
+      progress->leftover_keys.erase(key);
+      sync.Record({chunk.table, key}, storage::WriteOp::kUpdate, row);
+    }
+    if (chunk.table_complete) {
+      // Delete-sweep, restricted to the partitions this donation served:
+      // local rows of unserved partitions were deliberately absent from
+      // the dump, and non-held rows (kept stale by design — the
+      // misroute-abort guard depends on them existing) must survive
+      // every recovery untouched.
+      const cluster::PartitionMap* const pmap = options_.partition_map.get();
+      const uint64_t served = progress->meta.has_value()
+                                  ? progress->meta->served_mask
+                                  : ~uint64_t{0};
+      for (const auto& key : progress->leftover_keys) {
+        if (served != ~uint64_t{0} &&
+            (pmap == nullptr ||  // cannot attribute: keep the row
+             ((served >> pmap->PartitionOf({chunk.table, key})) & 1) == 0)) {
+          continue;
+        }
+        sync.Record({chunk.table, key}, storage::WriteOp::kDelete, {});
+      }
+    }
+    if (!sync.empty()) {
+      auto txn = db->Begin();
+      Status st = db->ApplyWriteSet(txn, sync);
+      if (st.ok()) st = db->Commit(txn);
+      if (!st.ok()) {
+        db->Abort(txn);
+        return Status::Internal("full-copy import failed for table '" +
+                                chunk.table + "': " + st.ToString());
+      }
+    }
+    if (chunk.table_complete) {
+      progress->table_active = false;
+      progress->leftover_keys.clear();
+      cursor.tables_done.push_back(chunk.table);
+    }
+    return Status::OK();
+  }
+
+  // Log-suffix entries: apply the ones we have not applied yet (nobody
+  // else touches this DB — no clients, no appliers — and re-applying
+  // writesets a previous incarnation committed is idempotent), record
+  // all of them for adoption.
+  for (const auto& entry : chunk.log) {
+    if (entry.tid > cursor.applied_tid) {
+      SIREP_RETURN_IF_ERROR(ReplayLogEntry(entry));
+      cursor.applied_tid = entry.tid;
+    }
+    progress->adopted_log[entry.tid] = entry;
+  }
+  return Status::OK();
+}
+
+Status StateTransfer::Recover(uint64_t from_tid, bool allow_partial) {
+  const auto stopped = [&] {
+    return Status::Unavailable("replica crashed or shut down");
+  };
+  if (!host_->IsRunning()) return stopped();
+  {
+    std::lock_guard<std::mutex> lock(buffer_mu_);
+    if (live_.load(std::memory_order_relaxed)) {
+      return Status::InvalidArgument(
+          "Recover() requires start_recovering = true");
+    }
+    buffer_hwm_ = options_.recovery_buffer_high_water;
+  }
+  const gcs::MemberId self = host_->member_id();
+
+  using Clock = std::chrono::steady_clock;
+  const auto start = Clock::now();
+  uint64_t total_bytes = 0;
+  // The effective deadline stretches with the bytes received: a
+  // transfer still making progress is never killed for being large.
+  const auto deadline = [&] {
+    return start + kRecoveryTimeout +
+           std::chrono::milliseconds(total_bytes / kRecoveryMinBytesPerMs);
+  };
+
+  RecoveryProgress progress;
+  progress.cursor.applied_tid = from_tid;
+
+  // Deterministic per-replica jitter for the retry backoff (xorshift;
+  // recovery runs on one thread, no shared RNG needed).
+  uint64_t jitter_state = 0x9e3779b97f4a7c15ull ^
+                          (static_cast<uint64_t>(self) << 32) ^
+                          (from_tid + 1);
+  const auto next_jitter = [&](uint64_t bound_ms) -> uint64_t {
+    jitter_state ^= jitter_state << 13;
+    jitter_state ^= jitter_state >> 7;
+    jitter_state ^= jitter_state << 17;
+    return bound_ms == 0 ? 0 : jitter_state % bound_ms;
+  };
+
+  Status last_error = Status::Unavailable("no donor available for recovery");
+  size_t donor_idx = 0;
+  std::chrono::milliseconds backoff(5);
+  gcs::MemberId prev_donor = gcs::kInvalidMember;
+  bool prev_donor_started = false;
+
+  for (size_t attempt = 0; attempt < kRecoveryMaxAttempts; ++attempt) {
+    if (!host_->IsRunning()) return stopped();
+    if (attempt > 0) {
+      c_retries_->Increment();
+      std::this_thread::sleep_for(
+          backoff + std::chrono::milliseconds(next_jitter(
+                        static_cast<uint64_t>(backoff.count()))));
+      backoff = std::min(backoff * 2, std::chrono::milliseconds(200));
+      if (Clock::now() > deadline()) {
+        return Status::TimedOut(
+            "recovery deadline exceeded after " + std::to_string(attempt) +
+            " attempts; last error: " + last_error.ToString());
+      }
+    }
+
+    // Donor election: rotate over the other live members of the
+    // current view; the index only advances on a donor fault, so a
+    // buffer-spill re-anchor keeps its (healthy) donor. Under partial
+    // replication, members covering our held partitions (our group
+    // peers) come first; non-covering members are candidates only when
+    // the caller authorized a partial (bookkeeping-only) donation.
+    const cluster::PartitionMap* const pmap = options_.partition_map.get();
+    const uint64_t needed_mask =
+        (pmap != nullptr && pmap->partial())
+            ? pmap->HeldMask(options_.partition_slot)
+            : 0;
+    std::vector<uint32_t> covering;
+    if (needed_mask != 0) covering = pmap->CoveringMembers(needed_mask);
+    std::vector<gcs::MemberId> candidates;
+    std::vector<gcs::MemberId> partial_donors;
+    for (gcs::MemberId member : group_->CurrentView().members) {
+      if (member == self || !group_->IsAlive(member)) continue;
+      if (needed_mask == 0 ||
+          std::find(covering.begin(), covering.end(), member) !=
+              covering.end()) {
+        candidates.push_back(member);
+      } else if (allow_partial) {
+        partial_donors.push_back(member);
+      }
+    }
+    candidates.insert(candidates.end(), partial_donors.begin(),
+                      partial_donors.end());
+    if (candidates.empty()) {
+      last_error = Status::Unavailable(
+          needed_mask != 0 ? "no live donor covers this replica's partitions"
+                           : "no donor available for recovery");
+      continue;
+    }
+    const gcs::MemberId donor = candidates[donor_idx % candidates.size()];
+    const uint64_t transfer_id =
+        (static_cast<uint64_t>(self) + 1) << 32 |
+        (transfer_seq_.fetch_add(1, std::memory_order_relaxed) + 1);
+
+    // Arm the fence for this attempt only: marker, buffer, and spill
+    // state of any abandoned attempt are dead from here on. The
+    // high-water mark is NOT reset — spills escalate it across attempts
+    // (see Buffer()) so re-anchoring converges under sustained load.
+    {
+      std::lock_guard<std::mutex> lock(buffer_mu_);
+      fence_seen_ = false;
+      buffered_.clear();
+      buffer_spilled_ = false;
+      spill_enabled_ = true;
+      current_transfer_id_ = transfer_id;
+      g_buffered_msgs_->Set(0);
+    }
+
+    auto channel = std::make_shared<Channel>();
+    auto request = std::make_shared<Request>();
+    request->requester = self;
+    request->donor = donor;
+    request->from_tid = from_tid;
+    request->transfer_id = transfer_id;
+    request->needed_mask = needed_mask;
+    request->allow_partial = allow_partial;
+    request->cursor = progress.cursor;
+    request->channel = channel;
+    SIREP_RETURN_IF_ERROR(
+        group_->Multicast(self, kRecoveryRequestType, std::move(request)));
+    const bool switched = prev_donor != gcs::kInvalidMember &&
+                          donor != prev_donor && prev_donor_started;
+    if (switched) c_donor_switches_->Increment();
+    flight_->Record(obs::FlightEventType::kRecovery, self, transfer_id, donor,
+                    switched ? "donor_switch" : "request");
+    prev_donor = donor;
+    prev_donor_started = false;
+
+    bool donor_fault = false;
+    bool transfer_done = false;
+    bool re_anchor = false;
+    auto last_chunk_time = Clock::now();
+    while (!transfer_done && !donor_fault && !re_anchor) {
+      RecoveryChunk chunk;
+      bool got = false;
+      bool closed = false;
+      {
+        std::unique_lock<std::mutex> lock(channel->mu);
+        channel->cv.wait_for(lock, std::chrono::milliseconds(25), [&] {
+          return !channel->chunks.empty() || channel->closed;
+        });
+        if (!channel->chunks.empty()) {
+          chunk = std::move(channel->chunks.front());
+          channel->chunks.pop_front();
+          got = true;
+        } else {
+          closed = channel->closed;
+        }
+      }
+      if (got) channel->cv.notify_all();  // free a producer slot
+      if (!got) {
+        if (!host_->IsRunning()) return stopped();
+        const auto now = Clock::now();
+        if (closed) {
+          last_error = Status::Unavailable("donor closed mid-transfer");
+          donor_fault = true;
+        } else if (!group_->IsAlive(donor)) {
+          // View-change fast path: no need to wait out the chunk
+          // deadline when the group already expelled the donor.
+          last_error = Status::Unavailable("donor crashed mid-transfer");
+          donor_fault = true;
+        } else if (now - last_chunk_time > kRecoveryChunkTimeout) {
+          last_error = Status::TimedOut("donor stalled mid-transfer");
+          donor_fault = true;
+        } else if (now > deadline()) {
+          return Status::TimedOut("recovery deadline exceeded");
+        }
+        continue;
+      }
+      last_chunk_time = Clock::now();
+      if (chunk.transfer_id != transfer_id) continue;  // stale attempt
+      if (!chunk.status.ok()) {
+        last_error = chunk.status;
+        const StatusCode code = chunk.status.code();
+        if (code != StatusCode::kUnavailable &&
+            code != StatusCode::kNotSupported &&
+            code != StatusCode::kTimedOut) {
+          return chunk.status;  // hard error: config or replay failure
+        }
+        donor_fault = true;
+        continue;
+      }
+      prev_donor_started = true;
+      total_bytes += chunk.approx_bytes;
+      c_chunks_received_->Increment();
+      c_bytes_received_->Add(static_cast<uint64_t>(chunk.approx_bytes));
+      SIREP_RETURN_IF_ERROR(ApplyChunk(chunk, &progress));
+      // A buffer spill invalidated this marker: re-anchor at a fresh
+      // one. The cursor keeps everything already applied, so the retry
+      // transfers only the tail.
+      {
+        std::lock_guard<std::mutex> lock(buffer_mu_);
+        if (buffer_spilled_) {
+          last_error =
+              Status::Unavailable("recovery buffer spilled; re-anchoring");
+          re_anchor = true;
+          continue;
+        }
+      }
+      if (chunk.final_chunk) {
+        if (!progress.meta.has_value()) {
+          last_error = Status::Unavailable("donor stream missing meta");
+          donor_fault = true;
+          continue;
+        }
+        transfer_done = true;
+      }
+    }
+    if (!transfer_done) {
+      // Tell a still-running streamer to quit, then rotate donors on a
+      // fault (a re-anchor keeps the same, healthy donor).
+      {
+        std::lock_guard<std::mutex> lock(channel->mu);
+        channel->abandoned = true;
+      }
+      channel->cv.notify_all();
+      if (donor_fault) ++donor_idx;
+      continue;
+    }
+
+    // Final chunk received. Wait for our own marker: the donor
+    // snapshotted at its delivery of the request, and our delivery
+    // thread may still be catching up to that position in the total
+    // order — adopting before the fence is armed would double-validate
+    // the pre-marker messages it is about to buffer. Then atomically
+    // confirm no spill raced the transfer tail and disable further
+    // spills for the drain.
+    bool fence_ok = false;
+    {
+      std::unique_lock<std::mutex> lock(buffer_mu_);
+      buffer_cv_.wait_until(lock, deadline(), [&] {
+        return fence_seen_ || buffer_spilled_ || !host_->IsRunning();
+      });
+      if (buffer_spilled_) {
+        last_error =
+            Status::Unavailable("recovery buffer spilled; re-anchoring");
+      } else if (fence_seen_) {
+        spill_enabled_ = false;
+        fence_ok = true;
+      }
+    }
+    if (!host_->IsRunning()) return stopped();
+    if (!fence_ok) {
+      if (Clock::now() > deadline()) {
+        return Status::TimedOut("recovery marker never delivered");
+      }
+      continue;  // spilled: re-anchor with the same donor
+    }
+
+    const TransferMeta& meta = *progress.meta;
+    SIREP_ILOG << "replica " << self << " recovered via transfer "
+               << transfer_id << ": " << progress.adopted_log.size()
+               << " log entries, " << progress.cursor.tables_done.size()
+               << " tables copied, resuming validation at tid "
+               << meta.lastvalidated;
+
+    // Phase 2: adopt the donor's validation state so our future
+    // decisions match every other replica's, and the committed prefix
+    // so a later restart of *this* replica recovers incrementally
+    // instead of forcing a full copy.
+    std::vector<WsLogEntry> log;
+    log.reserve(progress.adopted_log.size());
+    for (auto& [tid, entry] : progress.adopted_log) {
+      log.push_back(std::move(entry));
+    }
+    host_->AdoptValidationState(meta.lastvalidated, meta.ws_window,
+                                std::move(log));
+    flight_->Record(obs::FlightEventType::kRecovery, self, transfer_id,
+                    meta.lastvalidated, "cutover");
+
+    // Phase 3: drain the buffered post-marker messages through normal
+    // validation. First a few passes without blocking delivery (bulk
+    // of the backlog); then a final pass holding buffer_mu_, during
+    // which the delivery thread briefly blocks — that makes the flip
+    // to live atomic and bounds the drain even under heavy concurrent
+    // traffic.
+    for (int pass = 0; pass < 16; ++pass) {
+      std::vector<gcs::Message> batch;
+      {
+        std::lock_guard<std::mutex> lock(buffer_mu_);
+        if (buffered_.size() < 64) break;
+        batch.swap(buffered_);
+      }
+      for (const auto& message : batch) host_->ProcessDelivery(message);
+    }
+    {
+      std::lock_guard<std::mutex> lock(buffer_mu_);
+      while (!buffered_.empty()) {
+        std::vector<gcs::Message> batch;
+        batch.swap(buffered_);
+        // Intentionally processed under buffer_mu_: new deliveries wait.
+        for (const auto& message : batch) host_->ProcessDelivery(message);
+      }
+      live_.store(true, std::memory_order_release);
+      g_buffered_msgs_->Set(0);
+    }
+    // Live now: publish the slot binding so senders may start shipping
+    // us header-only frames for partitions we do not hold.
+    if (options_.partition_map != nullptr) {
+      options_.partition_map->BindSlot(options_.partition_slot, self);
+    }
+    flight_->Record(obs::FlightEventType::kRecovery, self, transfer_id,
+                    meta.lastvalidated, "complete");
+    SIREP_ILOG << "replica " << self << " recovery complete";
+    return Status::OK();
+  }
+  // Attempts exhausted: by construction last_error is retryable
+  // (kUnavailable or kTimedOut) — the caller can back off and re-enter.
+  return last_error;
+}
+
+void StateTransfer::Interrupt() {
+  // Without buffer_mu_: a crash can strike inside Recover()'s final
+  // drain, which redelivers while holding it.
+  buffer_cv_.notify_all();
+}
+
+void StateTransfer::Stop() {
+  std::vector<std::thread> streamers;
+  {
+    std::lock_guard<std::mutex> lock(streamers_mu_);
+    stopped_ = true;
+    streamers.swap(streamers_);
+  }
+  Interrupt();
+  for (auto& streamer : streamers) {
+    if (streamer.joinable()) streamer.join();
+  }
+}
+
+}  // namespace sirep::middleware

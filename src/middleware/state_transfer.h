@@ -1,0 +1,284 @@
+#ifndef SIREP_MIDDLEWARE_STATE_TRANSFER_H_
+#define SIREP_MIDDLEWARE_STATE_TRANSFER_H_
+
+#include <atomic>
+#include <condition_variable>
+#include <cstdint>
+#include <deque>
+#include <functional>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <optional>
+#include <set>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "common/status.h"
+#include "engine/database.h"
+#include "gcs/group.h"
+#include "middleware/global_txn_id.h"
+#include "middleware/replica_options.h"
+#include "middleware/sharded_ws_index.h"
+#include "obs/flight_recorder.h"
+#include "obs/metrics.h"
+
+namespace sirep::middleware {
+
+/// One validated writeset (or DDL statement) of a replica's writeset
+/// log — what online recovery ships (paper §5.4: "the middleware
+/// probably has to log writesets").
+struct WsLogEntry {
+  uint64_t tid = 0;
+  GlobalTxnId gid;
+  /// Null for DDL entries *and* for header-only entries a partial
+  /// replica validated without holding the payload's partitions.
+  std::shared_ptr<const storage::WriteSet> ws;
+  std::string ddl;  ///< set for DDL entries
+  /// Per-tuple certification digests and the partition mask (partial
+  /// replication). Populated for every writeset entry so a donated log
+  /// reproduces identical validation state at the recoverer even when
+  /// ws is null.
+  std::vector<uint64_t> digests;
+  uint64_t partition_mask = 0;
+};
+
+/// A replica's Fig. 4 validation state as a donor reads it at its marker.
+struct ValidationView {
+  uint64_t lastvalidated = 0;
+  uint64_t stable_prefix = 0;  ///< every validated tid <= it committed here
+  const ShardedWsIndex& ws_index;
+  const std::deque<WsLogEntry>& log;  ///< ascending tids, oldest trimmed
+};
+
+/// Everything state transfer needs from the replica it runs in (the
+/// `engine_api` idiom: one narrow virtual seam, so a test can drive the
+/// module with a fake replica instead of a cluster).
+class StateTransferHost {
+ public:
+  virtual ~StateTransferHost() = default;
+
+  virtual gcs::MemberId member_id() const = 0;
+  /// False once the replica crashed or began shutting down.
+  virtual bool IsRunning() const = 0;
+  virtual engine::Database* db() const = 0;
+  /// Donor fault injection ("mw.recovery.donor_crash_mid_transfer").
+  virtual void Crash() = 0;
+
+  /// Donor side, on the delivery thread at the marker: runs `read` with
+  /// the validation state held still, so a donation plan and the log
+  /// suffix it copies describe one position of the total order.
+  virtual void ReadValidationState(
+      const std::function<void(const ValidationView&)>& read) = 0;
+  /// Recoverer side: replaces the validation state with the donor's and
+  /// marks every tid <= `lastvalidated` committed here.
+  virtual void AdoptValidationState(uint64_t lastvalidated,
+                                    const std::vector<WsWindowEntry>& window,
+                                    std::vector<WsLogEntry> log) = 0;
+  /// A replayed log entry's transaction is committed here.
+  virtual void MarkLocallyCommitted(const GlobalTxnId& gid) = 0;
+  /// Hands back one buffered post-marker message for normal processing.
+  virtual void ProcessDelivery(const gcs::Message& message) = 0;
+};
+
+/// Resume point of a chunked state transfer, multicast back to the
+/// group when the recoverer re-requests after a donor fault so the
+/// next donor continues instead of restarting. Covers both transfer
+/// phases: `applied_tid` for log replay, `tables_done` +
+/// `full_copy_base` for an in-progress full copy. Resume granularity
+/// for the copy is a whole table — row positions within a table are
+/// donor-snapshot-specific and not comparable across donors, finished
+/// tables are (idempotent full-row writesets reconcile the rest).
+struct RecoveryCursor {
+  uint64_t applied_tid = 0;  ///< every log tid <= this is applied here
+  bool full_copy_started = false;
+  uint64_t full_copy_base = 0;  ///< stable prefix of the copy's donor
+  std::vector<std::string> tables_done;  ///< fully received + swept
+};
+
+/// What a donation opens with: the donor's validation state at the
+/// marker, and the shape of what follows.
+struct TransferMeta {
+  uint64_t lastvalidated = 0;
+  std::vector<WsWindowEntry> ws_window;
+  /// Partitions whose rows this donation actually carries (~0 when the
+  /// donor covers everything the requester asked for). Rows outside it
+  /// come from log bookkeeping only; the requester must not delete-sweep
+  /// them.
+  uint64_t served_mask = ~0ull;
+  bool full_copy = false;  ///< table dumps follow before the log
+  /// The cursor's partial copy is unusable (this donor's log does not
+  /// reach its base): the recoverer starts the copy over.
+  bool full_copy_restart = false;
+  uint64_t full_copy_base = 0;
+};
+
+/// One bounded unit of the recovery stream, tagged with the transfer
+/// id so a chunk from an abandoned attempt is discarded instead of
+/// corrupting the next one. At most one section (meta / table rows /
+/// log entries) is populated per chunk.
+struct RecoveryChunk {
+  Status status;  ///< non-OK chunk aborts this donation
+  uint64_t transfer_id = 0;
+  bool final_chunk = false;  ///< transfer complete after this chunk
+
+  std::optional<TransferMeta> meta;  ///< first chunk of every donation
+
+  // Table-rows section (full copy only).
+  std::string table;
+  sql::Schema schema;
+  bool table_begin = false;     ///< first chunk of this table
+  bool table_complete = false;  ///< last chunk: run the delete-sweep
+  std::vector<sql::Row> rows;
+
+  // Log-suffix section.
+  std::vector<WsLogEntry> log;
+
+  size_t approx_bytes = 0;  ///< payload estimate (metrics + deadline)
+};
+
+/// Recoverer-side transfer state surviving donor switches.
+struct RecoveryProgress {
+  RecoveryCursor cursor;
+  std::optional<TransferMeta> meta;  ///< from the current donor
+  /// Log entries received so far, keyed by tid (identical across
+  /// donors by the total order, so accumulating over switches is
+  /// safe); becomes the adopted writeset log.
+  std::map<uint64_t, WsLogEntry> adopted_log;
+  // Import state of the table currently streaming in.
+  bool table_active = false;
+  std::string table;
+  std::set<sql::Key> leftover_keys;  ///< local keys the dump lacks so far
+};
+
+/// Message type of the recovery marker multicast in total order.
+inline constexpr char kRecoveryRequestType[] = "recovery_request";
+
+/// Online state transfer (extension; paper §5.4 / conclusion): a
+/// replica that starts recovering buffers its deliveries, multicasts a
+/// marker, and catches up from a donor's chunked stream while the rest
+/// of the cluster keeps committing; a live replica donates when a
+/// marker names it. See DESIGN.md §7.8.
+class StateTransfer {
+ public:
+  /// `host` outlives this object. Starts buffering when
+  /// `options.start_recovering`, live otherwise.
+  StateTransfer(StateTransferHost* host, gcs::Group* group,
+                const ReplicaOptions& options,
+                obs::MetricsRegistry* registry, obs::FlightRecorder* flight);
+  ~StateTransfer();
+
+  StateTransfer(const StateTransfer&) = delete;
+  StateTransfer& operator=(const StateTransfer&) = delete;
+
+  /// False from construction with `start_recovering` until Recover()
+  /// succeeds.
+  bool live() const { return live_.load(std::memory_order_acquire); }
+
+  /// Delivery thread, for every writeset and DDL message: true when the
+  /// message was taken because this replica is still recovering — it is
+  /// buffered past our marker, or dropped before it, where the donor's
+  /// stream covers it.
+  bool Buffer(const gcs::Message& message);
+
+  /// Delivery thread, for every kRecoveryRequestType message: arms the
+  /// fence at our own marker, or donates when the marker names us.
+  void OnMarker(const gcs::Message& message);
+
+  /// Catches this replica up while the rest of the cluster keeps
+  /// committing:
+  ///  1. multicasts a recovery marker in total order;
+  ///  2. the chosen donor snapshots its validation state exactly at the
+  ///     marker and *streams* the payload (full-copy table dumps and/or
+  ///     the writeset-log suffix after `from_tid`) in bounded chunks;
+  ///  3. this replica applies chunks as they arrive, adopts the
+  ///     validation state at the final chunk, drains the messages
+  ///     buffered past the marker, and goes live.
+  /// Resumable across donor faults (the re-request carries the cursor).
+  /// Fails with a retryable status (kUnavailable / kTimedOut) within a
+  /// deadline that scales with the bytes received — never hangs.
+  /// `from_tid` and `allow_partial` as in SrcaRepReplica::Recover().
+  Status Recover(uint64_t from_tid, bool allow_partial);
+
+  /// One step of Recover(): applies a received chunk (meta adoption,
+  /// table rows as idempotent upserts + delete-sweep, log-suffix replay)
+  /// and advances `progress`.
+  Status ApplyChunk(const RecoveryChunk& chunk, RecoveryProgress* progress);
+
+  /// The host crashed: release a Recover() waiting on its fence.
+  void Interrupt();
+  /// The host is shutting down: release waiters, refuse further
+  /// donations and join the donor streamer threads. Idempotent.
+  void Stop();
+
+ private:
+  struct Channel;
+  struct Request;
+  struct DonorPlan;
+
+  /// Donor side of a marker that names this replica.
+  void Donate(const Request& request);
+  /// Donor streamer-thread body: materializes `plan` into bounded
+  /// chunks on the channel, honoring backpressure, abandonment, and the
+  /// mw.recovery.* failpoints.
+  void Stream(std::shared_ptr<DonorPlan> plan);
+  /// Replays one donated log entry (writeset or DDL) into the local
+  /// database; idempotent against what any previous incarnation or
+  /// donor already applied.
+  Status ReplayLogEntry(const WsLogEntry& entry);
+
+  StateTransferHost* const host_;
+  gcs::Group* const group_;
+  const ReplicaOptions& options_;
+  obs::FlightRecorder* const flight_;
+
+  std::atomic<bool> live_;
+
+  // Recovery buffering: while not live, delivered writesets after the
+  // marker are queued here and replayed by Recover()'s thread; the flip
+  // to live happens under buffer_mu_ once the buffer drains. The fence
+  // only arms for the marker of the *current* transfer attempt
+  // (current_transfer_id_) — a marker from an abandoned attempt
+  // delivered late must not re-arm it, or pre-marker messages of the
+  // live attempt would be double-validated after adoption. When the
+  // buffer crosses the high-water mark while spills are enabled, it is
+  // dropped wholesale (fence cleared, buffer_spilled_ set) and the
+  // recoverer re-anchors the transfer at a fresh marker.
+  std::mutex buffer_mu_;
+  std::condition_variable buffer_cv_;
+  bool fence_seen_ = false;
+  uint64_t current_transfer_id_ = 0;
+  bool buffer_spilled_ = false;
+  bool spill_enabled_ = true;
+  /// Effective high-water mark of buffered_. Seeded from
+  /// options().recovery_buffer_high_water at each Recover() entry and
+  /// doubled on every spill, so re-anchoring converges even when live
+  /// deliveries outpace the transfer (escalating backpressure).
+  size_t buffer_hwm_ = 1;
+  std::vector<gcs::Message> buffered_;
+
+  /// Transfer-id generator (unique per member via the member-id bits).
+  std::atomic<uint64_t> transfer_seq_{0};
+
+  // "mw.recovery.*": donor side (chunks/bytes sent), recoverer side
+  // (chunks/bytes received, retries, donor switches, buffer spills,
+  // live buffered-message depth).
+  obs::Counter* const c_chunks_sent_;
+  obs::Counter* const c_bytes_sent_;
+  obs::Counter* const c_chunks_received_;
+  obs::Counter* const c_bytes_received_;
+  obs::Counter* const c_retries_;
+  obs::Counter* const c_donor_switches_;
+  obs::Counter* const c_buffer_spills_;
+  obs::Gauge* const g_buffered_msgs_;
+
+  /// Donor streamer threads, joined by Stop().
+  std::mutex streamers_mu_;
+  bool stopped_ = false;
+  std::vector<std::thread> streamers_;
+};
+
+}  // namespace sirep::middleware
+
+#endif  // SIREP_MIDDLEWARE_STATE_TRANSFER_H_

@@ -4,12 +4,10 @@
 #include <cassert>
 #include <cctype>
 #include <chrono>
-#include <cinttypes>
 #include <cmath>
-#include <cstdio>
-#include <cstring>
-#include <sstream>
 #include <thread>
+
+#include "obs/json.h"
 
 namespace sirep::obs {
 
@@ -200,41 +198,9 @@ void MetricsSnapshot::Merge(const MetricsSnapshot& other) {
 
 namespace {
 
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      *out += buf;
-    } else {
-      out->push_back(c);
-    }
-  }
-  out->push_back('"');
-}
-
-void AppendDouble(std::string* out, double v) {
-  char buf[40];
-  // %.17g round-trips every finite double.
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  *out += buf;
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  *out += buf;
-}
-
-void AppendI64(std::string* out, int64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRId64, v);
-  *out += buf;
-}
+using json::AppendDouble;
+using json::AppendI64;
+using json::AppendU64;
 
 /// Prometheus metric names allow [a-zA-Z_:][a-zA-Z0-9_:]*.
 std::string PromName(const std::string& name) {
@@ -258,7 +224,7 @@ std::string MetricsSnapshot::ToJson() const {
   for (const auto& [name, value] : counters) {
     if (!first) out.push_back(',');
     first = false;
-    AppendJsonString(&out, name);
+    json::AppendString(&out, name);
     out.push_back(':');
     AppendU64(&out, value);
   }
@@ -267,7 +233,7 @@ std::string MetricsSnapshot::ToJson() const {
   for (const auto& [name, value] : gauges) {
     if (!first) out.push_back(',');
     first = false;
-    AppendJsonString(&out, name);
+    json::AppendString(&out, name);
     out.push_back(':');
     AppendI64(&out, value);
   }
@@ -276,7 +242,7 @@ std::string MetricsSnapshot::ToJson() const {
   for (const auto& [name, hist] : histograms) {
     if (!first) out.push_back(',');
     first = false;
-    AppendJsonString(&out, name);
+    json::AppendString(&out, name);
     out += ":{\"bounds\":[";
     for (size_t i = 0; i < hist.bounds.size(); ++i) {
       if (i > 0) out.push_back(',');
@@ -339,174 +305,66 @@ std::string MetricsSnapshot::ToPrometheusText() const {
   return out;
 }
 
-// ---- minimal JSON parser (exactly the subset ToJson emits) ----
-
 namespace {
 
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  bool error() const { return error_; }
-  const std::string& message() const { return message_; }
-
-  void SkipWs() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    SkipWs();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    Fail(std::string("expected '") + c + "'");
-    return false;
-  }
-
-  bool Peek(char c) {
-    SkipWs();
-    return pos_ < text_.size() && text_[pos_] == c;
-  }
-
-  std::string ParseString() {
-    SkipWs();
-    std::string out;
-    if (!Consume('"')) return out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\' && pos_ < text_.size()) {
-        char esc = text_[pos_++];
-        if (esc == 'u' && pos_ + 4 <= text_.size()) {
-          // ToJson only emits \u00XX for control chars.
-          out.push_back(static_cast<char>(
-              std::strtol(text_.substr(pos_, 4).c_str(), nullptr, 16)));
-          pos_ += 4;
+bool ParseHistogram(const json::Value& v, HistogramSnapshot* hist) {
+  using Type = json::Value::Type;
+  if (v.type != Type::kObject) return false;
+  for (const auto& [field, f] : v.object) {
+    if (field == "bounds" || field == "buckets") {
+      if (f.type != Type::kArray) return false;
+      for (const json::Value& e : f.array) {
+        if (field == "buckets") {
+          if (!e.AsU64(&hist->buckets.emplace_back())) return false;
+        } else if (e.type == Type::kNumber) {
+          hist->bounds.push_back(e.number);
         } else {
-          out.push_back(esc);
+          return false;
         }
-      } else {
-        out.push_back(c);
       }
+    } else if (field == "count") {
+      if (!f.AsU64(&hist->count)) return false;
+    } else if (f.type != Type::kNumber) {
+      return false;
+    } else if (field == "sum") {
+      hist->sum = f.number;
+    } else if (field == "min") {
+      hist->min = f.number;
+    } else if (field == "max") {
+      hist->max = f.number;
+    } else {
+      return false;
     }
-    Consume('"');
-    return out;
   }
-
-  double ParseNumber() {
-    SkipWs();
-    const char* start = text_.c_str() + pos_;
-    char* end = nullptr;
-    double v = std::strtod(start, &end);
-    if (end == start) {
-      Fail("expected number");
-      return 0;
-    }
-    pos_ += static_cast<size_t>(end - start);
-    return v;
-  }
-
-  void Fail(std::string message) {
-    if (!error_) {
-      error_ = true;
-      message_ = std::move(message) + " at offset " + std::to_string(pos_);
-    }
-    pos_ = text_.size();
-  }
-
- private:
-  const std::string& text_;
-  size_t pos_ = 0;
-  bool error_ = false;
-  std::string message_;
-};
-
-/// Parses `{"key": <number>, ...}` with ParseValue applied per entry.
-template <typename Fn>
-void ParseObject(JsonParser& p, const Fn& on_entry) {
-  if (!p.Consume('{')) return;
-  if (p.Peek('}')) {
-    p.Consume('}');
-    return;
-  }
-  while (!p.error()) {
-    std::string key = p.ParseString();
-    p.Consume(':');
-    on_entry(key);
-    if (p.Peek(',')) {
-      p.Consume(',');
-      continue;
-    }
-    p.Consume('}');
-    break;
-  }
-}
-
-template <typename Fn>
-void ParseArray(JsonParser& p, const Fn& on_element) {
-  if (!p.Consume('[')) return;
-  if (p.Peek(']')) {
-    p.Consume(']');
-    return;
-  }
-  while (!p.error()) {
-    on_element(p.ParseNumber());
-    if (p.Peek(',')) {
-      p.Consume(',');
-      continue;
-    }
-    p.Consume(']');
-    break;
-  }
+  return true;
 }
 
 }  // namespace
 
-Result<MetricsSnapshot> MetricsSnapshot::FromJson(const std::string& json) {
+Result<MetricsSnapshot> MetricsSnapshot::FromJson(const std::string& text) {
+  auto parsed = json::Parse(text);
+  SIREP_RETURN_IF_ERROR(parsed.status());
+  const auto bad = [](const std::string& what) {
+    return Status::InvalidArgument("bad metrics JSON: " + what);
+  };
+  const json::Value& root = parsed.value();
+  if (root.type != json::Value::Type::kObject) return bad("not an object");
   MetricsSnapshot snap;
-  JsonParser p(json);
-  ParseObject(p, [&](const std::string& section) {
-    if (section == "counters") {
-      ParseObject(p, [&](const std::string& name) {
-        snap.counters[name] = static_cast<uint64_t>(p.ParseNumber());
-      });
-    } else if (section == "gauges") {
-      ParseObject(p, [&](const std::string& name) {
-        snap.gauges[name] = static_cast<int64_t>(p.ParseNumber());
-      });
-    } else if (section == "histograms") {
-      ParseObject(p, [&](const std::string& name) {
-        HistogramSnapshot hist;
-        ParseObject(p, [&](const std::string& field) {
-          if (field == "bounds") {
-            ParseArray(p, [&](double v) { hist.bounds.push_back(v); });
-          } else if (field == "buckets") {
-            ParseArray(p, [&](double v) {
-              hist.buckets.push_back(static_cast<uint64_t>(v));
-            });
-          } else if (field == "count") {
-            hist.count = static_cast<uint64_t>(p.ParseNumber());
-          } else if (field == "sum") {
-            hist.sum = p.ParseNumber();
-          } else if (field == "min") {
-            hist.min = p.ParseNumber();
-          } else if (field == "max") {
-            hist.max = p.ParseNumber();
-          } else {
-            p.Fail("unknown histogram field '" + field + "'");
-          }
-        });
-        snap.histograms[name] = std::move(hist);
-      });
-    } else {
-      p.Fail("unknown section '" + section + "'");
+  for (const auto& [section, entries] : root.object) {
+    if (section != "counters" && section != "gauges" &&
+        section != "histograms") {
+      return bad("unknown section '" + section + "'");
     }
-  });
-  if (p.error()) {
-    return Status::InvalidArgument("bad metrics JSON: " + p.message());
+    if (entries.type != json::Value::Type::kObject) {
+      return bad("section '" + section + "' is not an object");
+    }
+    for (const auto& [name, v] : entries.object) {
+      const bool ok = section == "counters" ? v.AsU64(&snap.counters[name])
+                      : section == "gauges"
+                          ? v.AsI64(&snap.gauges[name])
+                          : ParseHistogram(v, &snap.histograms[name]);
+      if (!ok) return bad(section + " entry '" + name + "'");
+    }
   }
   return snap;
 }

@@ -1,7 +1,6 @@
 #include "obs/profiler.h"
 
-#include <cinttypes>
-#include <cstdio>
+#include "obs/json.h"
 
 namespace sirep::obs {
 
@@ -110,22 +109,18 @@ std::string Profiler::SnapshotJson() const {
   const Snapshot snap = GetSnapshot();
   std::string out = "{\"sampling\":";
   out += snap.sampling ? "true" : "false";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), ",\"interval_us\":%" PRIu64,
-                snap.interval_us);
-  out += buf;
-  std::snprintf(buf, sizeof(buf), ",\"ticks\":%" PRIu64, snap.ticks);
-  out += buf;
+  out += ",\"interval_us\":";
+  json::AppendU64(&out, snap.interval_us);
+  out += ",\"ticks\":";
+  json::AppendU64(&out, snap.ticks);
   out += ",\"sections\":{";
   bool first = true;
   for (const auto& [name, count] : snap.sections) {
     if (!first) out.push_back(',');
     first = false;
-    out.push_back('"');
-    out += name;  // section names are identifier-like literals
-    out += "\":";
-    std::snprintf(buf, sizeof(buf), "%" PRIu64, count);
-    out += buf;
+    json::AppendString(&out, name);
+    out.push_back(':');
+    json::AppendU64(&out, count);
   }
   out += "}}";
   return out;

@@ -461,13 +461,4 @@ Timestamp StorageEngine::OldestActiveSnapshot() const {
   return *active_snapshots_.begin();
 }
 
-EngineStats StorageEngine::stats() const {
-  EngineStats out;
-  out.commits = c_commits_->Value();
-  out.aborts = c_aborts_->Value();
-  out.ww_conflicts = c_ww_conflicts_->Value();
-  out.deadlocks = c_deadlocks_->Value();
-  return out;
-}
-
 }  // namespace sirep::storage

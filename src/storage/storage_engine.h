@@ -46,16 +46,6 @@ class Transaction {
 
 using TransactionPtr = std::shared_ptr<Transaction>;
 
-/// Legacy aggregate view of the engine's counters; the values now live
-/// in metrics() under the "storage." prefix and this struct is populated
-/// from them (kept so existing tests and benches compile).
-struct EngineStats {
-  uint64_t commits = 0;
-  uint64_t aborts = 0;
-  uint64_t ww_conflicts = 0;  // first-updater-wins version-check failures
-  uint64_t deadlocks = 0;
-};
-
 /// A single database replica's storage engine: multi-version tables with
 /// **snapshot isolation** implemented the way PostgreSQL implements it
 /// (paper §4): writers take tuple locks during execution and run a version
@@ -163,7 +153,6 @@ class StorageEngine {
   // ---- introspection ----
 
   Timestamp last_committed() const;
-  EngineStats stats() const;
   LockManager& lock_manager() { return locks_; }
 
   /// This engine's metrics registry: "storage.*" counters plus the WAL

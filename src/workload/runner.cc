@@ -1,6 +1,5 @@
 #include "workload/runner.h"
 
-#include <cmath>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -132,30 +131,6 @@ LoadMetrics RunLoad(WorkloadGenerator& generator,
   total.achieved_tps =
       measured_s > 0 ? static_cast<double>(total.committed) / measured_s : 0;
   return total;
-}
-
-const std::vector<double>& ResponseBucketsMs() {
-  static const std::vector<double>* const buckets = [] {
-    auto* b = new std::vector<double>;
-    for (int i = -2; i < 14; ++i) b->push_back(std::ldexp(1.0, i));
-    return b;
-  }();
-  return *buckets;
-}
-
-obs::MetricsSnapshot LoadMetrics::ToMetricsSnapshot() const {
-  obs::MetricsSnapshot snap;
-  snap.counters["workload.attempted"] = attempted;
-  snap.counters["workload.committed"] = committed;
-  snap.counters["workload.aborted"] = aborted;
-  snap.counters["workload.lost"] = lost;
-  snap.gauges["workload.achieved_tps_milli"] =
-      static_cast<int64_t>(achieved_tps * 1000.0);
-  snap.histograms["workload.update_ms"] =
-      update_ms.ToHistogram(ResponseBucketsMs());
-  snap.histograms["workload.readonly_ms"] =
-      readonly_ms.ToHistogram(ResponseBucketsMs());
-  return snap;
 }
 
 }  // namespace sirep::workload

@@ -86,16 +86,7 @@ struct LoadMetrics {
                           : static_cast<double>(aborted) /
                                 static_cast<double>(attempted);
   }
-
-  /// Exports the run's results in the unified metrics form ("workload.*"
-  /// counters + millisecond response-time histograms), mergeable with a
-  /// cluster's registry snapshots into one report.
-  obs::MetricsSnapshot ToMetricsSnapshot() const;
 };
-
-/// Exponential bucket bounds for millisecond response times: 0.25 ms ..
-/// ~8.4 s.
-const std::vector<double>& ResponseBucketsMs();
 
 /// Open-loop load generator in the paper's style (§6): `clients` threads,
 /// each submitting statements back-to-back within a transaction and

@@ -25,7 +25,7 @@ BenchReport MakeReport() {
   BenchReport report("unit_bench");
   report.SetSeed(42);
   report.SetKnob("replicas", uint64_t{5});
-  report.SetKnob("metrics_source", "local");
+  report.SetKnob("workload", "update_intensive");
   report.AddScalar("series@100.tps", 123.5, "tps",
                    Direction::kHigherIsBetter);
   report.AddScalar("series@100.update_ms", 17.25, "ms",
@@ -63,7 +63,7 @@ TEST(BenchReportTest, JsonRoundTripPreservesEverySection) {
   EXPECT_EQ(r.name(), "unit_bench");
   EXPECT_EQ(r.seed(), 42u);
   EXPECT_EQ(r.knobs().at("replicas"), "5");
-  EXPECT_EQ(r.knobs().at("metrics_source"), "local");
+  EXPECT_EQ(r.knobs().at("workload"), "update_intensive");
 
   ASSERT_EQ(r.scalars().size(), 3u);
   const ScalarMetric& tps = r.scalars().at("series@100.tps");
@@ -103,6 +103,16 @@ TEST(BenchReportTest, FromJsonRejectsGarbageAndWrongSchema) {
   EXPECT_FALSE(BenchReport::FromJson("{\"name\":\"x\"}").ok());  // no version
   EXPECT_FALSE(
       BenchReport::FromJson("{\"schema_version\":999,\"name\":\"x\"}").ok());
+  // A malformed "value" must not read as a number: a baseline value of 0
+  // gates nothing in CompareReports.
+  const auto with_value = [](const std::string& v) {
+    return "{\"schema_version\":1,\"name\":\"x\",\"metrics\":{\"m\":"
+           "{\"value\":" + v + ",\"direction\":\"lower_is_better\"}}}";
+  };
+  ASSERT_TRUE(BenchReport::FromJson(with_value("2")).ok());
+  for (const char* v : {"-", "e", ".", "1-2", "+1", "01", "1.", ".5"}) {
+    EXPECT_FALSE(BenchReport::FromJson(with_value(v)).ok()) << v;
+  }
 }
 
 TEST(BenchReportTest, PercentileBridgeMatchesHistogram) {

@@ -289,8 +289,15 @@ TEST(ToCommitQueueTest, RemoveUnknownTidIsNoop) {
 
 // ---- HoleTracker ----
 
+/// One of the tracker's "mw.holes.*" counters.
+uint64_t HoleCounter(const obs::MetricsRegistry& registry,
+                     const std::string& name) {
+  return registry.Snapshot().counters.at("mw.holes." + name);
+}
+
 TEST(HoleTrackerTest, NoHolesInOrderCommits) {
-  HoleTracker holes(/*enabled=*/true);
+  obs::MetricsRegistry registry;
+  HoleTracker holes(/*enabled=*/true, &registry);
   holes.NoteValidated(1);
   holes.NoteValidated(2);
   EXPECT_FALSE(holes.HasHoles());
@@ -302,7 +309,8 @@ TEST(HoleTrackerTest, NoHolesInOrderCommits) {
 }
 
 TEST(HoleTrackerTest, OutOfOrderCommitCreatesHole) {
-  HoleTracker holes(true);
+  obs::MetricsRegistry registry;
+  HoleTracker holes(true, &registry);
   holes.NoteValidated(1);
   holes.NoteValidated(2);
   // tid 2 commits first (local transactions may do that).
@@ -315,7 +323,8 @@ TEST(HoleTrackerTest, OutOfOrderCommitCreatesHole) {
 }
 
 TEST(HoleTrackerTest, StartWaitsForHoleToClose) {
-  HoleTracker holes(true);
+  obs::MetricsRegistry registry;
+  HoleTracker holes(true, &registry);
   holes.NoteValidated(1);
   holes.NoteValidated(2);
   holes.RecordCommit(2, [] { return 0; });  // hole over tid 1
@@ -333,13 +342,13 @@ TEST(HoleTrackerTest, StartWaitsForHoleToClose) {
   holes.RecordCommit(1, [] { return 0; });  // closes the hole
   starter.join();
   EXPECT_TRUE(started.load());
-  auto stats = holes.stats();
-  EXPECT_EQ(stats.starts, 1u);
-  EXPECT_EQ(stats.delayed_starts, 1u);
+  EXPECT_EQ(HoleCounter(registry, "starts"), 1u);
+  EXPECT_EQ(HoleCounter(registry, "delayed_starts"), 1u);
 }
 
 TEST(HoleTrackerTest, GateClosesForHoleCreatorsWhileStartsWait) {
-  HoleTracker holes(true);
+  obs::MetricsRegistry registry;
+  HoleTracker holes(true, &registry);
   holes.NoteValidated(1);
   holes.NoteValidated(2);
   holes.NoteValidated(3);
@@ -373,7 +382,8 @@ TEST(HoleTrackerTest, GateClosesForHoleCreatorsWhileStartsWait) {
 }
 
 TEST(HoleTrackerTest, ChangeListenerFires) {
-  HoleTracker holes(true);
+  obs::MetricsRegistry registry;
+  HoleTracker holes(true, &registry);
   std::atomic<int> changes{0};
   holes.SetChangeListener([&] { changes.fetch_add(1); });
   holes.NoteValidated(1);
@@ -385,7 +395,8 @@ TEST(HoleTrackerTest, ChangeListenerFires) {
 }
 
 TEST(HoleTrackerTest, DisabledModeNeverBlocksOrGatesButCounts) {
-  HoleTracker holes(/*enabled=*/false);  // SRCA-Opt
+  obs::MetricsRegistry registry;
+  HoleTracker holes(/*enabled=*/false, &registry);  // SRCA-Opt
   holes.NoteValidated(1);
   holes.NoteValidated(2);
   holes.RecordCommit(2, [] { return 0; });
@@ -400,11 +411,12 @@ TEST(HoleTrackerTest, DisabledModeNeverBlocksOrGatesButCounts) {
     return 0;
   });
   EXPECT_TRUE(started.load());
-  EXPECT_EQ(holes.stats().delayed_starts, 1u);
+  EXPECT_EQ(HoleCounter(registry, "delayed_starts"), 1u);
 }
 
 TEST(HoleTrackerTest, DiscardUnblocks) {
-  HoleTracker holes(true);
+  obs::MetricsRegistry registry;
+  HoleTracker holes(true, &registry);
   holes.NoteValidated(1);
   holes.NoteValidated(2);
   holes.RecordCommit(2, [] { return 0; });
@@ -423,10 +435,10 @@ TEST(HoleTrackerTest, DiscardUnblocks) {
 }
 
 TEST(HoleTrackerTest, DeferredCommitStatistic) {
-  HoleTracker holes(true);
-  holes.CountDeferredCommit();
-  holes.CountDeferredCommit();
-  EXPECT_EQ(holes.stats().delayed_commits, 2u);
+  obs::MetricsRegistry registry;
+  HoleTracker holes(true, &registry);
+  holes.CountDeferredCommits(2);
+  EXPECT_EQ(HoleCounter(registry, "delayed_commits"), 2u);
 }
 
 // ---- TableLockManager ----

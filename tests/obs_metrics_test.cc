@@ -206,6 +206,18 @@ TEST(SnapshotTest, FromJsonRejectsGarbage) {
   EXPECT_FALSE(MetricsSnapshot::FromJson("not json").ok());
   EXPECT_FALSE(MetricsSnapshot::FromJson("{\"counters\":").ok());
   EXPECT_FALSE(MetricsSnapshot::FromJson("").ok());
+  // Trailing data after a complete document.
+  const std::string doc = "{\"counters\":{\"mw.c\":1}}";
+  ASSERT_TRUE(MetricsSnapshot::FromJson(doc).ok());
+  EXPECT_FALSE(MetricsSnapshot::FromJson(doc + "}").ok());
+  EXPECT_FALSE(MetricsSnapshot::FromJson(doc + " trailing garbage").ok());
+  // A counter is an unsigned integer: no sign, fraction or exponent.
+  for (const char* v : {"-1", "1.5", "1e3", "18446744073709551616"}) {
+    EXPECT_FALSE(MetricsSnapshot::FromJson(
+                     std::string("{\"counters\":{\"mw.c\":") + v + "}}")
+                     .ok())
+        << v;
+  }
 }
 
 TEST(SnapshotTest, PrometheusTextContainsSeries) {

@@ -215,8 +215,6 @@ TEST(RecoveryTest, NoEligibleDonorReturnsRetryable) {
   cluster.CrashReplica(0);
   middleware::ReplicaOptions ropt = test::VariantOptions().replica;
   ropt.start_recovering = true;
-  ropt.recovery_max_attempts = 3;
-  ropt.recovery_timeout = std::chrono::milliseconds(500);
   middleware::SrcaRepReplica joiner(cluster.db(0), &cluster.group(), ropt);
   ASSERT_TRUE(joiner.Start().ok());
   const auto start = std::chrono::steady_clock::now();

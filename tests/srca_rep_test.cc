@@ -40,6 +40,10 @@ std::unique_ptr<Cluster> MakeCluster(size_t n,
   return cluster;
 }
 
+uint64_t Counter(const SrcaRepReplica& mw, const std::string& name) {
+  return mw.metrics().Snapshot().counters.at(name);
+}
+
 int64_t ReadAt(Cluster& cluster, size_t replica, int64_t k) {
   auto r = cluster.db(replica)->ExecuteAutoCommit(
       "SELECT v FROM kv WHERE k = ?", {Value::Int(k)});
@@ -81,7 +85,7 @@ TEST(SrcaRepTest, ReadOnlyNeverMulticast) {
 
   cluster->Quiesce();
   EXPECT_EQ(cluster->group().messages_delivered(), delivered_before);
-  EXPECT_EQ(mw->stats().empty_ws_commits, 1u);
+  EXPECT_EQ(Counter(*mw, "mw.empty_ws_commits"), 1u);
 }
 
 TEST(SrcaRepTest, ConcurrentConflictOneAborts) {
@@ -156,7 +160,7 @@ TEST(SrcaRepTest, LocalValidationAbortsAgainstQueuedRemote) {
   // queued remote writeset and aborts it.
   Status st = m1->CommitTxn(blocker);
   EXPECT_EQ(st.code(), StatusCode::kConflict);
-  EXPECT_GE(m1->stats().local_val_aborts, 1u);
+  EXPECT_GE(Counter(*m1, "mw.local_val_aborts"), 1u);
 
   cluster->Quiesce();
   EXPECT_EQ(ReadAt(*cluster, 1, 9), 1);  // the remote apply went through
@@ -239,8 +243,8 @@ TEST(SrcaRepTest, ManyClientsConvergeAcrossReplicas) {
           << "replica " << r << " key " << k;
     }
   }
-  auto stats = cluster->AggregateStats();
-  EXPECT_EQ(stats.committed, static_cast<uint64_t>(committed.load()) * 3);
+  EXPECT_EQ(cluster->DumpMetrics().counters.at("mw.committed"),
+            static_cast<uint64_t>(committed.load()) * 3);
 }
 
 TEST(SrcaRepTest, SrcaOptModeAlsoConverges) {
@@ -280,8 +284,8 @@ TEST(SrcaRepTest, SrcaOptModeAlsoConverges) {
     }
   }
   // SRCA-Opt never blocks starts.
-  auto stats = cluster->AggregateStats();
-  EXPECT_EQ(stats.holes.commits, stats.holes.commits);  // smoke
+  EXPECT_EQ(cluster->DumpMetrics().Percentiles("mw.begin.hole_wait_us").count,
+            0u);
 }
 
 TEST(SrcaRepTest, RollbackDiscardsWrites) {
@@ -324,11 +328,9 @@ TEST(SrcaRepTest, StatsAccounting) {
     ASSERT_TRUE(mw->CommitTxn(handle).ok());
   }
   cluster->Quiesce();
-  auto s0 = cluster->replica(0)->stats();
-  auto s1 = cluster->replica(1)->stats();
-  EXPECT_EQ(s0.committed, 5u);   // local commits
-  EXPECT_EQ(s1.committed, 5u);   // remote applies
-  EXPECT_EQ(s0.holes.starts, 5u);
+  EXPECT_EQ(Counter(*cluster->replica(0), "mw.committed"), 5u);  // local
+  EXPECT_EQ(Counter(*cluster->replica(1), "mw.committed"), 5u);  // remote
+  EXPECT_EQ(Counter(*cluster->replica(0), "mw.holes.starts"), 5u);
 }
 
 }  // namespace

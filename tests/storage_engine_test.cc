@@ -76,7 +76,8 @@ TEST_F(StorageEngineTest, FirstUpdaterWins) {
   Status st = engine_.Update(t2, "t", R(1, 222));
   EXPECT_EQ(st.code(), StatusCode::kConflict);
   EXPECT_EQ(t2->state(), TxnState::kAborted);
-  EXPECT_GE(engine_.stats().ww_conflicts, 1u);
+  EXPECT_GE(engine_.metrics().Snapshot().counters.at("storage.ww_conflicts"),
+            1u);
 }
 
 TEST_F(StorageEngineTest, BlockedWriterAbortsWhenHolderCommits) {
