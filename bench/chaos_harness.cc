@@ -123,9 +123,8 @@ bool ParseOptions(int argc, char** argv, HarnessOptions* opt) {
     }
   }
   if (opt->join_under_load && opt->rf != 0) {
-    // AddReplica joiners sit outside the founding partition layout and
-    // have no covering donor under partial replication (documented
-    // PartitionMap limitation) — refuse the combination up front.
+    // Cluster::AddReplica is refused under partial replication (a new
+    // replica would belong to no holder group).
     std::fprintf(stderr, "--join-under-load is incompatible with --rf\n");
     return false;
   }
@@ -140,10 +139,12 @@ bool ParseOptions(int argc, char** argv, HarnessOptions* opt) {
 long long RunTraffic(Cluster& cluster, uint64_t seed, int clients,
                      std::chrono::milliseconds duration) {
   // Under partial replication each burst honors the routing contract:
-  // pick a partition group, pin the connection to one of its holder
-  // slots, and touch only that group's keys. (Driver fail-over can
-  // still land a retry on a non-holder — the middleware's misroute
-  // guard aborts it unacknowledged, which is safe for the invariants.)
+  // pick a partition group, pin the connection to the current member
+  // id of one of its holder slots, and touch only that group's keys.
+  // Driver fail-over stays inside the group. (If the pinned member is
+  // down at connect time the driver picks any replica; the misroute
+  // guard then aborts the burst unacknowledged, which is safe for the
+  // invariants.)
   const auto map = cluster.partition_map();
   const bool partial = map != nullptr && map->partial();
   std::vector<std::vector<int64_t>> group_keys;
@@ -174,8 +175,10 @@ long long RunTraffic(Cluster& cluster, uint64_t seed, int clients,
           do {
             group = prng.Uniform(group_keys.size());
           } while (group_keys[group].empty());
-          copt.pinned_replica = static_cast<int>(
-              group_slots[group][prng.Uniform(group_slots[group].size())]);
+          const size_t slot =
+              group_slots[group][prng.Uniform(group_slots[group].size())];
+          copt.pinned_replica =
+              static_cast<int>(cluster.replica(slot)->member_id());
         }
         auto conn = cluster.Connect(copt);
         if (!conn.ok()) {
@@ -229,11 +232,12 @@ bool RestartWithRetry(Cluster& cluster, size_t index, uint64_t seed,
     attempts.push_back(last);
     if (sweep_on_outage) {
       // A cascading schedule (e.g. donor-crash failpoints felling every
-      // recovery donor) can leave the whole cluster down, and a total
-      // outage has a mandatory cold-start order: only the replica with
-      // the longest stable prefix may seed the new epoch. Sweeping the
-      // *other* dead replicas lets whichever one that is come up, after
-      // which `index` recovers from it normally. Only enabled at call
+      // recovery donor) can leave the whole cluster (under partial
+      // replication: a whole holder group) down, and such an outage has
+      // a mandatory cold-start order: only the replica with the group's
+      // longest stable prefix may seed it. Sweeping the *other* dead
+      // replicas lets whichever one that is come up, after which
+      // `index` recovers from it normally. Only enabled at call
       // sites where no medic thread is restarting replicas in parallel
       // (concurrent restarts of the same index are not supported).
       for (size_t r = 0; r < cluster.size(); ++r) {
@@ -261,25 +265,18 @@ bool RestartWithRetry(Cluster& cluster, size_t index, uint64_t seed,
 
 /// Partial-replication invariants, judged per key against its holder
 /// set: every holder of a key agrees on its value (exactly-once apply
-/// within the group), non-holder copies never ran ahead of the holders
-/// (they stay at the seeded value by design — a non-holder that
-/// *applied* something would be the misroute-safety bug), and the sum
-/// over one authoritative copy per key accounts for every acknowledged
-/// commit.
+/// within the group), non-holder copies stay at the seeded value (a
+/// non-holder that applied something would be the misroute-safety bug),
+/// and the sum over one authoritative copy per key accounts for every
+/// acknowledged commit.
 ///
-/// The sum check carries a bounded slack: `indoubt` commits were
-/// acknowledged through the driver's crash-time inquiry, which under
-/// partial replication attests cluster-wide *certification* (every
-/// replica records the outcome, holders or not) but not *durability* of
-/// the row images — if a fault schedule kills all rf holders of a group
-/// before any of them applied a just-certified writeset, that payload
-/// is gone beyond recovery (the fault budget of rf is exceeded; see
-/// DESIGN.md §7.9). So: every normally-acknowledged commit must be
-/// present exactly, and the total may fall short by at most the
-/// in-doubt count. A shortfall beyond it, or any excess, is a real
-/// exactly-once violation.
+/// No acknowledged commit may be missing. The sum may exceed the
+/// acknowledged count by at most `unknown`: commits whose outcome the
+/// driver reported as unknown (every replica of the holder group that
+/// could tell was down), which may or may not have committed. Anything
+/// else is a real exactly-once violation.
 int CheckInvariantsPartial(Cluster& cluster, const cluster::PartitionMap& map,
-                           long long committed, long long indoubt) {
+                           long long committed, long long unknown) {
   int violations = 0;
   long long total = 0;
   const size_t slots = std::min(cluster.size(), map.num_slots());
@@ -320,17 +317,16 @@ int CheckInvariantsPartial(Cluster& cluster, const cluster::PartitionMap& map,
       total += authoritative;
     }
   }
-  if (total > committed || total < committed - indoubt) {
+  if (total < committed || total > committed + unknown) {
     std::fprintf(stderr,
                  "VIOLATION: authoritative sum(v)=%lld, drivers "
-                 "acknowledged %lld commits (%lld in-doubt)\n",
-                 total, committed, indoubt);
+                 "acknowledged %lld commits (%lld of unknown outcome)\n",
+                 total, committed, unknown);
     ++violations;
   } else if (total != committed) {
     std::printf(
-        "note: %lld of %lld acknowledged commits lost to whole-group "
-        "holder outages (within the %lld in-doubt budget)\n",
-        committed - total, committed, indoubt);
+        "note: %lld of %lld commits of unknown outcome did commit\n",
+        total - committed, unknown);
   }
   return violations;
 }
@@ -339,10 +335,10 @@ int CheckInvariants(Cluster& cluster, long long committed) {
   if (const auto& map = cluster.partition_map();
       map != nullptr && map->partial()) {
     auto snap = obs::MetricsRegistry::Default().Snapshot();
-    const auto it = snap.counters.find("client.indoubt_committed");
-    const long long indoubt =
+    const auto it = snap.counters.find("client.indoubt_unknown");
+    const long long unknown =
         it == snap.counters.end() ? 0 : static_cast<long long>(it->second);
-    return CheckInvariantsPartial(cluster, *map, committed, indoubt);
+    return CheckInvariantsPartial(cluster, *map, committed, unknown);
   }
   int violations = 0;
   for (size_t r = 0; r < cluster.size(); ++r) {

@@ -4,9 +4,9 @@
 // Under full replication every replica applies every writeset, so write
 // capacity is pinned at a single machine's apply bandwidth no matter
 // how many replicas join — the classic update-everywhere wall. With the
-// partition map at rf < n, a writeset is applied only by its partition
-// group's rf holders while everyone else certifies against the digest
-// header (no apply work), so aggregate write throughput grows ~n/rf.
+// partition map at rf < n, each holder group of rf replicas runs its own
+// total order and a writeset never leaves its group (no work at all
+// elsewhere), so aggregate write throughput grows ~n/rf.
 //
 // Clients honor the routing contract: each is pinned to one replica and
 // writes only keys whose partition group that replica holds (disjoint

@@ -23,6 +23,7 @@ struct DriverCounters {
   obs::Counter* failovers;
   obs::Counter* indoubt_resolutions;
   obs::Counter* indoubt_committed;
+  obs::Counter* indoubt_unknown;
   obs::Counter* txn_lost;
 
   static DriverCounters& Get() {
@@ -32,6 +33,7 @@ struct DriverCounters {
                                 r->GetCounter("client.failovers"),
                                 r->GetCounter("client.indoubt_resolutions"),
                                 r->GetCounter("client.indoubt_committed"),
+                                r->GetCounter("client.indoubt_unknown"),
                                 r->GetCounter("client.txn_lost")};
     }();
     return *c;
@@ -52,7 +54,8 @@ Connection::~Connection() {
   }
 }
 
-Status Connection::ConnectToReplica(gcs::MemberId exclude) {
+Status Connection::ConnectToReplica(
+    const std::vector<gcs::MemberId>& exclude) {
   const auto deadline =
       std::chrono::steady_clock::now() + options_.connect_deadline;
   auto backoff = std::max(options_.connect_backoff,
@@ -77,12 +80,16 @@ Status Connection::ConnectToReplica(gcs::MemberId exclude) {
   }
 }
 
-Status Connection::TryConnect(gcs::MemberId exclude) {
+Status Connection::TryConnect(const std::vector<gcs::MemberId>& exclude) {
   auto replicas = directory_->Discover();
   std::vector<SrcaRepReplica*> candidates;
   for (auto* r : replicas) {
     if (r == nullptr || !r->IsAlive()) continue;
-    if (exclude != gcs::kInvalidMember && r->member_id() == exclude) continue;
+    if (group_ != nullptr && r->group() != group_) continue;
+    if (std::find(exclude.begin(), exclude.end(), r->member_id()) !=
+        exclude.end()) {
+      continue;
+    }
     candidates.push_back(r);
   }
   if (options_.pinned_replica >= 0) {
@@ -113,25 +120,31 @@ Status Connection::TryConnect(gcs::MemberId exclude) {
   }
   const bool is_failover = replica_ != nullptr && chosen != replica_;
   replica_ = chosen;
+  if (group_ == nullptr) group_ = chosen->group();
   if (is_failover) {
     ++failovers_;
     DriverCounters::Get().failovers->Increment();
     // Session consistency: make sure our last committed update is already
     // applied at the new replica before running anything there.
     if (last_update_gid_.valid()) {
-      replica_->InquireOutcome(last_update_gid_, exclude);
+      replica_->InquireOutcome(
+          last_update_gid_,
+          exclude.empty() ? gcs::kInvalidMember : exclude.front());
     }
   }
   return Status::OK();
 }
 
+Status Connection::FailOver() {
+  if (replica_ == nullptr) return ConnectToReplica({});
+  return ConnectToReplica({replica_->member_id()});
+}
+
 Status Connection::EnsureTxn() {
   if (replica_ == nullptr || !replica_->IsAlive()) {
-    const gcs::MemberId crashed =
-        replica_ != nullptr ? replica_->member_id() : gcs::kInvalidMember;
     const bool had_txn = txn_.valid();
     txn_ = {};
-    SIREP_RETURN_IF_ERROR(ConnectToReplica(crashed));
+    SIREP_RETURN_IF_ERROR(FailOver());
     if (had_txn) {
       // Paper §5.4 case 2: the transaction existed only at the crashed
       // replica; it is lost, but the connection survives.
@@ -192,9 +205,8 @@ Result<engine::QueryResult> Connection::Execute(
     if (result.status().code() == StatusCode::kUnavailable) {
       // Crash mid-transaction: the transaction is lost (case 2). Keep the
       // connection usable by failing over now.
-      const gcs::MemberId crashed = replica_->member_id();
       txn_ = {};
-      Status reconnect = ConnectToReplica(crashed);
+      Status reconnect = FailOver();
       if (!reconnect.ok()) return reconnect;
       return Status::TransactionLost(
           "replica crashed mid-transaction; restart the transaction");
@@ -246,28 +258,42 @@ Status Connection::CommitInternal() {
   }
 
   // Crash during commit (paper §5.4 case 3): resolve the in-doubt
-  // transaction at another replica using the global transaction id.
+  // transaction at the other replicas of the group, using the global
+  // transaction id. Only the group's replicas ever see its writesets;
+  // ask each until one can tell.
   const gcs::MemberId crashed = replica_->member_id();
-  replica_ = nullptr;
+  std::vector<gcs::MemberId> asked = {crashed};
+  SrcaRepReplica* undecided = nullptr;  // last replica that could not tell
   DriverCounters::Get().indoubt_resolutions->Increment();
-  SIREP_RETURN_IF_ERROR(ConnectToReplica(crashed));
-  const TxnOutcome outcome = replica_->InquireOutcome(txn.gid, crashed);
-  switch (outcome) {
-    case TxnOutcome::kCommitted:
-      // 3b: the writeset survived (uniform reliable delivery) and the
-      // transaction committed — fail-over is fully transparent.
-      last_update_gid_ = txn.gid;
-      DriverCounters::Get().indoubt_committed->Increment();
-      return Status::OK();
-    case TxnOutcome::kAborted:
-    case TxnOutcome::kUnknown:
-      // 3a: the writeset never made it out; same exception as a crash
-      // before the commit request.
-      DriverCounters::Get().txn_lost->Increment();
-      return Status::TransactionLost(
-          "replica crashed during commit; transaction did not commit");
+  while (true) {
+    replica_ = nullptr;
+    if (!ConnectToReplica(asked).ok()) break;
+    switch (replica_->InquireOutcome(txn.gid, crashed)) {
+      case TxnOutcome::kCommitted:
+        // 3b: the writeset survived (uniform reliable delivery) and the
+        // transaction committed — fail-over is fully transparent.
+        last_update_gid_ = txn.gid;
+        DriverCounters::Get().indoubt_committed->Increment();
+        return Status::OK();
+      case TxnOutcome::kAborted:
+      case TxnOutcome::kLost:
+        // 3a: the writeset never made it out; same exception as a crash
+        // before the commit request.
+        DriverCounters::Get().txn_lost->Increment();
+        return Status::TransactionLost(
+            "replica crashed during commit; transaction did not commit");
+      case TxnOutcome::kUnknown:
+        undecided = replica_;
+        asked.push_back(replica_->member_id());
+        break;
+    }
   }
-  return Status::Internal("unreachable");
+  replica_ = undecided;
+  DriverCounters::Get().indoubt_unknown->Increment();
+  return Status::Unavailable(
+      "replica crashed during commit of " + txn.gid.ToString() +
+      " and no replica of its group can tell the outcome; it may or may "
+      "not have committed");
 }
 
 Status Connection::Rollback() {
@@ -280,9 +306,7 @@ Status Connection::Rollback() {
 
 Status Connection::EnsureConnected() {
   if (replica_ != nullptr && replica_->IsAlive()) return Status::OK();
-  const gcs::MemberId crashed =
-      replica_ != nullptr ? replica_->member_id() : gcs::kInvalidMember;
-  return ConnectToReplica(crashed);
+  return FailOver();
 }
 
 Result<std::unique_ptr<Connection>> Driver::Connect(

@@ -37,7 +37,8 @@ struct ConnectionOptions {
   /// Seed for the replica choice (reproducible tests).
   uint64_t seed = 1;
   /// If >= 0, prefer this member id while it is alive (tests / sticky
-  /// routing); fail-over still moves to a survivor when it crashes.
+  /// routing); fail-over still moves to a survivor of its group when it
+  /// crashes.
   int pinned_replica = -1;
   /// Discovery/fail-over deadline: ConnectToReplica retries discovery
   /// with bounded exponential backoff until a live replica answers or
@@ -59,13 +60,22 @@ struct ConnectionOptions {
 /// statements are also accepted. A statement that fails rolls back the
 /// transaction it implicitly started.
 ///
+/// The first replica a connection reaches fixes its group (the replica's
+/// gcs::Group: the whole cluster under full replication, one holder
+/// group under partial replication); fail-over and every inquiry stay
+/// inside it.
+///
 /// Error contract on replica crash:
 ///  * no transaction active: fail-over is fully transparent;
 ///  * mid-transaction (commit not yet requested): kTransactionLost — the
 ///    transaction never left its replica; restart it;
-///  * crash during Commit(): the driver inquires at another replica and
-///    returns the true outcome — OK if the writeset survived (uniform
-///    delivery), kTransactionLost otherwise.
+///  * crash during Commit(): the driver inquires at the other replicas of
+///    the group and returns the true outcome — OK if the writeset
+///    survived (uniform delivery), kTransactionLost if it never entered
+///    the total order, and kUnavailable ("outcome unknown") when no
+///    replica of the group can tell — all down, or only incarnations that
+///    never saw the crashed replica. The transaction may then have
+///    committed or not.
 class Connection {
  public:
   Connection(ReplicaDirectory* directory, ConnectionOptions options);
@@ -96,16 +106,20 @@ class Connection {
   uint64_t failover_count() const { return failovers_; }
 
  private:
-  /// (Re)connects to a live replica, excluding `exclude` (or pass
-  /// kInvalidMember), retrying discovery with bounded exponential
+  /// (Re)connects to a live replica of this connection's group, other
+  /// than the members in `exclude` (the first of which, if any, is the
+  /// crashed replica), retrying discovery with bounded exponential
   /// backoff until options_.connect_deadline. After fail-over, waits
   /// until this client's last committed update transaction is visible
   /// at the new replica (session consistency / read-your-writes).
   /// The "client.connect" failpoint injects failed discovery attempts.
-  Status ConnectToReplica(gcs::MemberId exclude);
+  Status ConnectToReplica(const std::vector<gcs::MemberId>& exclude);
 
   /// One discovery + selection attempt (no retries).
-  Status TryConnect(gcs::MemberId exclude);
+  Status TryConnect(const std::vector<gcs::MemberId>& exclude);
+
+  /// ConnectToReplica away from the current replica after its crash.
+  Status FailOver();
 
   /// Ensures a transaction is open (JDBC implicit begin).
   Status EnsureTxn();
@@ -118,6 +132,8 @@ class Connection {
   Prng prng_;
 
   middleware::SrcaRepReplica* replica_ = nullptr;
+  /// The group of the first replica this connection reached.
+  const gcs::Group* group_ = nullptr;
   middleware::SrcaRepReplica::TxnHandle txn_;
   bool autocommit_;
   uint64_t failovers_ = 0;

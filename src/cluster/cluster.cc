@@ -12,10 +12,15 @@
 
 namespace sirep::cluster {
 
-Cluster::Cluster(ClusterOptions options)
-    : options_(options),
-      group_(std::make_unique<gcs::Group>(options.gcs)),
-      driver_(this) {
+namespace {
+
+/// Size of each holder group's member-id range: group g's members get
+/// ids g * kMemberIdsPerGroup, counting up per join (restarts included).
+constexpr gcs::MemberId kMemberIdsPerGroup = 1u << 16;
+
+}  // namespace
+
+Cluster::Cluster(ClusterOptions options) : options_(options), driver_(this) {
   // One shared partition map for the whole deployment (slot i =
   // replica i); none at all under full replication.
   if (options_.partitions != 0 || options_.replication_factor != 0) {
@@ -25,6 +30,12 @@ Cluster::Cluster(ClusterOptions options)
         options_.replication_factor);
   }
   options_.replica.partition_map = partition_map_;
+  const size_t num_groups =
+      partition_map_ != nullptr ? partition_map_->num_groups() : 1;
+  for (size_t g = 0; g < num_groups; ++g) {
+    groups_.push_back(std::make_unique<gcs::Group>(
+        options_.gcs, static_cast<gcs::MemberId>(g) * kMemberIdsPerGroup));
+  }
   nodes_.reserve(options_.num_replicas);
   replicas_.reserve(options_.num_replicas);
   for (size_t i = 0; i < options_.num_replicas; ++i) {
@@ -34,14 +45,14 @@ Cluster::Cluster(ClusterOptions options)
     middleware::ReplicaOptions ropt = options_.replica;
     ropt.partition_slot = i;
     replicas_.push_back(std::make_unique<middleware::SrcaRepReplica>(
-        nodes_.back()->db(), group_.get(), ropt));
+        nodes_.back()->db(), &group(GroupOf(i)), ropt));
   }
 }
 
 Cluster::~Cluster() {
   StopMetricsEndpoints();
   for (auto& replica : replicas_) replica->Shutdown();
-  group_->Shutdown();
+  for (auto& group : groups_) group->Shutdown();
 }
 
 Status Cluster::Start() {
@@ -99,7 +110,7 @@ bool RecoveryRetryable(const Status& status) {
 
 Result<std::unique_ptr<middleware::SrcaRepReplica>>
 Cluster::RecoverIncarnation(engine::Database* db, uint64_t from_tid,
-                            size_t slot, bool allow_partial) {
+                            size_t slot) {
   const RecoveryRetryPolicy& policy = options_.recovery_retry;
   const auto deadline = std::chrono::steady_clock::now() + policy.deadline;
   std::chrono::milliseconds backoff = policy.initial_backoff;
@@ -121,7 +132,7 @@ Cluster::RecoverIncarnation(engine::Database* db, uint64_t from_tid,
       // incarnation has already detached from the group, so destroying
       // it is safe — it was never published to clients.
       incarnation = std::make_unique<middleware::SrcaRepReplica>(
-          db, group_.get(), ropt);
+          db, &group(GroupOf(slot)), ropt);
       Status started = incarnation->Start();
       if (!started.ok()) {
         recovered = started;
@@ -131,7 +142,7 @@ Cluster::RecoverIncarnation(engine::Database* db, uint64_t from_tid,
         continue;
       }
     }
-    recovered = incarnation->Recover(from_tid, allow_partial);
+    recovered = incarnation->Recover(from_tid);
     if (recovered.ok()) return incarnation;
     if (!RecoveryRetryable(recovered)) break;
     // Retryable: a live incarnation re-enters Recover() directly (its
@@ -165,19 +176,23 @@ Status Cluster::RestartReplica(size_t index) {
   // transactions of the dead incarnation roll back implicitly.
   nodes_[index]->db()->engine().SimulateRestart();
 
-  // Full-cluster outage: online recovery needs a live donor, and there
+  // Whole-group outage (under full replication, the whole cluster):
+  // online recovery needs a live donor in the replica's group, and there
   // is none. Commits apply in delivery order and an acknowledgement
-  // follows the delegate's local commit, so the replica holding the
-  // longest stable prefix contains every acknowledged commit — it alone
-  // may cold-start as the new epoch's seed; everyone else keeps failing
-  // with a retryable status until it is up, then recovers from it.
+  // follows the delegate's local commit, so the group member holding the
+  // longest stable prefix contains every acknowledged commit of the
+  // group — it alone may cold-start as the group's new seed; everyone
+  // else keeps failing with a retryable status until it is up, then
+  // recovers from it.
+  const size_t g = GroupOf(index);
   bool any_alive = false;
   uint64_t max_prefix = 0;
   {
     std::shared_lock<std::shared_mutex> lock(replicas_mu_);
-    for (const auto& replica : replicas_) {
-      if (replica->IsAlive()) any_alive = true;
-      max_prefix = std::max(max_prefix, replica->StableCommitPrefix());
+    for (size_t i = 0; i < replicas_.size(); ++i) {
+      if (GroupOf(i) != g) continue;
+      if (replicas_[i]->IsAlive()) any_alive = true;
+      max_prefix = std::max(max_prefix, replicas_[i]->StableCommitPrefix());
     }
   }
   if (!any_alive && from_tid >= max_prefix) {
@@ -187,7 +202,7 @@ Status Cluster::RestartReplica(size_t index) {
     ropt.bootstrap_prefix = from_tid;  // 0 (nothing ever committed) is
                                        // simply a normal live start
     auto seed = std::make_unique<middleware::SrcaRepReplica>(
-        nodes_[index]->db(), group_.get(), ropt);
+        nodes_[index]->db(), &group(g), ropt);
     Status started = seed->Start();
     if (!started.ok()) {
       seed->Crash();
@@ -200,52 +215,13 @@ Status Cluster::RestartReplica(size_t index) {
   }
   if (!any_alive) {
     return Status::Unavailable(
-        "cluster is down and replica " + std::to_string(index) +
-        " does not hold the longest stable prefix; cold-start the "
-        "longest-prefix replica first");
-  }
-
-  // Partial replication, whole-group outage: somebody is alive, but
-  // nobody alive covers this replica's partitions (its group peers are
-  // all down — live peers always cover, their held masks are
-  // identical). Rows for those partitions exist nowhere live, so the
-  // group member with the longest stable prefix restarts first,
-  // keeping its own rows and taking only bookkeeping (validation
-  // state + log) from a non-covering donor; while the group is down the
-  // misroute guard aborts every new transaction touching its
-  // partitions, so that member's rows are complete. Everyone else waits
-  // (retryable) until it is up and recovers from it normally.
-  bool allow_partial = false;
-  if (partition_map_ != nullptr && partition_map_->partial()) {
-    const uint64_t needed = partition_map_->HeldMask(index);
-    bool covering_alive = false;
-    uint64_t group_max_prefix = 0;
-    {
-      std::shared_lock<std::shared_mutex> lock(replicas_mu_);
-      for (size_t i = 0; i < replicas_.size(); ++i) {
-        if (i != index && replicas_[i]->IsAlive() &&
-            (needed & ~partition_map_->HeldMask(i)) == 0) {
-          covering_alive = true;
-        }
-        if (partition_map_->HeldMask(i) == needed) {
-          group_max_prefix = std::max(group_max_prefix,
-                                      replicas_[i]->StableCommitPrefix());
-        }
-      }
-    }
-    if (!covering_alive) {
-      if (from_tid < group_max_prefix) {
-        return Status::Unavailable(
-            "partition group of replica " + std::to_string(index) +
-            " is down and this replica does not hold its longest stable "
-            "prefix; restart the longest-prefix group member first");
-      }
-      allow_partial = true;
-    }
+        "every replica of replica " + std::to_string(index) +
+        "'s group is down and it does not hold the group's longest stable "
+        "prefix; cold-start the longest-prefix replica first");
   }
 
   auto incarnation =
-      RecoverIncarnation(nodes_[index]->db(), from_tid, index, allow_partial);
+      RecoverIncarnation(nodes_[index]->db(), from_tid, index);
   if (!incarnation.ok()) return incarnation.status();
   {
     // Park (don't destroy) the dead incarnation: clients may still hold
@@ -259,9 +235,12 @@ Status Cluster::RestartReplica(size_t index) {
 
 Result<size_t> Cluster::AddReplica(
     const std::function<Status(engine::Database*)>& schema_loader) {
-  // A joiner beyond the founding slot range holds the full partition
-  // mask (see PartitionMap::HeldMask): it receives full payloads,
-  // recovers from any donor, and never gets stripped.
+  // Like a cross-group transaction, a replica outside the partition
+  // layout has no holder group to join.
+  if (partition_map_ != nullptr && partition_map_->partial()) {
+    return Status::InvalidArgument(
+        "AddReplica is not supported under partial replication");
+  }
   const size_t slot = size();
   auto node = std::make_unique<ReplicaNode>(
       "replica" + std::to_string(slot), options_.workers_per_replica,
@@ -284,7 +263,8 @@ size_t Cluster::VacuumAll() {
 }
 
 obs::MetricsSnapshot Cluster::DumpMetrics() const {
-  obs::MetricsSnapshot merged = group_->metrics().Snapshot();
+  obs::MetricsSnapshot merged;
+  for (const auto& group : groups_) merged.Merge(group->metrics().Snapshot());
   std::shared_lock<std::shared_mutex> lock(replicas_mu_);
   for (const auto& replica : replicas_) {
     merged.Merge(replica->metrics().Snapshot());
@@ -379,7 +359,7 @@ void Cluster::StopMetricsEndpoints() {
 }
 
 void Cluster::Quiesce() {
-  group_->WaitForQuiescence();
+  for (auto& group : groups_) group->WaitForQuiescence();
   // Then wait for every live replica's tocommit queue to drain (remote
   // applies are asynchronous after delivery). The group is quiescent, so
   // no new deliveries can refill a queue once it empties — waiting on

@@ -44,8 +44,9 @@ struct ClusterOptions {
   RecoveryRetryPolicy recovery_retry;
   /// Partial replication (see cluster::PartitionMap): the keyspace is
   /// hash-partitioned into `partitions` partitions, each owned by a
-  /// disjoint group of `replication_factor` replicas. 0/0 (the default)
-  /// keeps full replication; a non-zero rf with 0 partitions uses 16.
+  /// disjoint holder group of `replication_factor` replicas, and each
+  /// holder group runs its own gcs::Group. 0/0 (the default) keeps full
+  /// replication; a non-zero rf with 0 partitions uses 16.
   /// replication_factor >= num_replicas also degenerates to full
   /// replication.
   size_t partitions = 0;
@@ -53,9 +54,14 @@ struct ClusterOptions {
 };
 
 /// Wires up a full SI-Rep deployment in one process (paper Fig. 3c): N
-/// (database, middleware) pairs over one group, plus replica discovery
-/// for the JDBC-like driver. Also the fault-injection surface: crash any
-/// replica and watch clients fail over.
+/// (database, middleware) pairs, plus replica discovery for the
+/// JDBC-like driver. Full replication runs all N over one gcs::Group
+/// (member ids 0..N-1). Partial replication runs one gcs::Group per
+/// PartitionMap holder group: each group is a complete SRCA-Rep
+/// deployment of its own (total order, tids, validation and recovery),
+/// and draws its member ids from a disjoint range, so ids stay unique
+/// cluster-wide. Also the fault-injection surface: crash any replica and
+/// watch clients fail over.
 class Cluster : public client::ReplicaDirectory {
  public:
   explicit Cluster(ClusterOptions options = {});
@@ -64,7 +70,7 @@ class Cluster : public client::ReplicaDirectory {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  /// Joins every middleware replica to the group. Call once, first.
+  /// Joins every middleware replica to its group. Call once, first.
   Status Start();
 
   // ---- schema / data loading (bypasses replication, like restoring the
@@ -97,14 +103,18 @@ class Cluster : public client::ReplicaDirectory {
 
   /// Restarts a previously crashed replica over its surviving database
   /// (simulating a node reboot with its disk intact): a fresh middleware
-  /// incarnation joins the group and catches up from the old
+  /// incarnation joins the replica's group and catches up from the old
   /// incarnation's stable commit prefix while the rest of the cluster
-  /// keeps processing transactions.
+  /// keeps processing transactions. If the whole group is down, only
+  /// the group member with the longest stable prefix may restart (it
+  /// cold-starts the group); the others get kUnavailable until it is up.
   Status RestartReplica(size_t index);
 
   /// Adds a brand-new replica while the cluster runs: `schema_loader`
   /// creates the (empty) schema — writesets address tuples by table name
   /// — and recovery replays the full writeset log. Returns its index.
+  /// kInvalidArgument under partial replication: a new replica would
+  /// belong to no holder group.
   Result<size_t> AddReplica(
       const std::function<Status(engine::Database*)>& schema_loader);
 
@@ -124,7 +134,9 @@ class Cluster : public client::ReplicaDirectory {
     std::shared_lock<std::shared_mutex> lock(replicas_mu_);
     return replicas_[index].get();
   }
-  gcs::Group& group() { return *group_; }
+  /// The gcs::Group of holder group `g` (see PartitionMap::GroupOfSlot);
+  /// full replication has only group 0.
+  gcs::Group& group(size_t g = 0) { return *groups_[g]; }
   /// The shared partition map (null under full replication). One object
   /// for the whole cluster — it models the deployment's partition
   ///-assignment config service.
@@ -134,7 +146,7 @@ class Cluster : public client::ReplicaDirectory {
 
   /// Merged metrics snapshot across the whole deployment: every
   /// middleware replica's registry ("mw.*"), every storage engine's
-  /// ("storage.*", "engine.*"), and the GCS group's ("gcs.*"). Same-name
+  /// ("storage.*", "engine.*"), and every GCS group's ("gcs.*"). Same-name
   /// metrics from different replicas add up (histograms bucket-wise).
   obs::MetricsSnapshot DumpMetrics() const;
 
@@ -183,13 +195,19 @@ class Cluster : public client::ReplicaDirectory {
   /// rebuilding the incarnation if it died; hard failures and deadline
   /// exhaustion return the last status with the incarnation crashed.
   Result<std::unique_ptr<middleware::SrcaRepReplica>> RecoverIncarnation(
-      engine::Database* db, uint64_t from_tid, size_t slot,
-      bool allow_partial = false);
+      engine::Database* db, uint64_t from_tid, size_t slot);
+
+  /// Holder group of replica slot `index` (0 under full replication).
+  size_t GroupOf(size_t index) const {
+    return partition_map_ != nullptr ? partition_map_->GroupOfSlot(index)
+                                     : 0;
+  }
 
   ClusterOptions options_;
-  std::unique_ptr<gcs::Group> group_;
   /// Shared by every replica's ReplicaOptions (slot i = replica i).
   std::shared_ptr<PartitionMap> partition_map_;
+  /// One per holder group (GroupOf).
+  std::vector<std::unique_ptr<gcs::Group>> groups_;
   /// Guards nodes_/replicas_ against concurrent structural changes:
   /// RestartReplica swaps a replica slot and AddReplica appends while
   /// client threads run Discover() and tests poke accessors. Readers

@@ -83,7 +83,8 @@ class Group::MemberSink : public FrameSink {
   GroupListener* listener_;
 };
 
-Group::Group(GroupOptions options) : options_(options) {
+Group::Group(GroupOptions options, MemberId first_member)
+    : options_(options) {
   h_multicast_us_ = registry_.GetLatencyHistogram("gcs.multicast_us");
   c_delivered_ = registry_.GetCounter("gcs.messages_delivered");
   c_frames_ = registry_.GetCounter("gcs.frames_sent");
@@ -93,6 +94,7 @@ Group::Group(GroupOptions options) : options_(options) {
   transport_options.registry = &registry_;
   transport_options.tcp_send_timeout = options_.tcp_send_timeout;
   transport_options.tcp_connect_deadline = options_.tcp_connect_deadline;
+  transport_options.first_member = first_member;
   transport_ = options_.transport == TransportKind::kTcp
                    ? MakeTcpSequencerTransport(transport_options)
                    : MakeInProcessTransport(transport_options);
@@ -174,7 +176,7 @@ Group::Staged Group::Stage(MemberId sender, std::string type,
 
 Status Group::Multicast(MemberId sender, std::string type,
                         std::shared_ptr<const void> payload,
-                        obs::TraceContext trace, MulticastRoute route) {
+                        obs::TraceContext trace) {
   if (shutdown_.load(std::memory_order_acquire)) {
     return Status::Unavailable("group is shut down");
   }
@@ -184,8 +186,6 @@ Status Group::Multicast(MemberId sender, std::string type,
   SIREP_FAILPOINT("gcs.send");
   if (!batching_) {
     Staged staged = Stage(sender, std::move(type), std::move(payload), trace);
-    const bool routed =
-        route.strip_members != 0 && route.header_payload != nullptr;
     Frame frame;
     frame.sender = sender;
     frame.message_count = 1;
@@ -197,27 +197,7 @@ Status Group::Multicast(MemberId sender, std::string type,
                               staged.entry.trace,
                               std::move(staged.wire_payload)});
       EncodeWireFrame(wire, &frame.encoded);
-      // Routed sends additionally encode the header-only twin; stashed
-      // payloads (no codec) cannot be routed and fall back to full
-      // delivery everywhere.
-      std::string header_bytes;
-      if (routed && wire.entries[0].stash_id == 0 &&
-          EncodeWithCodec(wire.entries[0].type, route.header_payload.get(),
-                          &header_bytes)) {
-        WireFrame header_wire;
-        header_wire.sender = sender;
-        header_wire.header_variant = true;
-        header_wire.entries.push_back(
-            {wire.entries[0].type, /*stash_id=*/0, staged.entry.enqueue_ns,
-             staged.entry.trace, std::move(header_bytes)});
-        EncodeWireFrame(header_wire, &frame.encoded_header);
-        frame.strip_members = route.strip_members;
-      }
     } else {
-      if (routed) {
-        staged.entry.header_payload = std::move(route.header_payload);
-        frame.strip_members = route.strip_members;
-      }
       frame.entries.push_back(std::move(staged.entry));
     }
     // Count the frame before the transport sees it: once a recipient
@@ -350,19 +330,6 @@ std::shared_ptr<const void> Group::ResolvePayload(const std::string& type,
     return nullptr;
   }
   return decoded.value();
-}
-
-bool Group::EncodeWithCodec(const std::string& type, const void* payload,
-                            std::string* out) {
-  std::optional<PayloadCodec> codec;
-  {
-    std::lock_guard<std::mutex> lock(codec_mu_);
-    auto it = codecs_.find(type);
-    if (it != codecs_.end()) codec = it->second;
-  }
-  if (!codec.has_value()) return false;
-  codec->encode(payload, out);
-  return true;
 }
 
 View Group::CurrentView() const { return transport_->CurrentView(); }

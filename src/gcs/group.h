@@ -42,19 +42,6 @@ struct Message {
   }
 };
 
-/// Per-multicast payload routing (partial replication). Members named
-/// in `strip_members` (a bitmask over ids < 64) receive `header_payload`
-/// — the lightweight header-only twin of the full message — in the same
-/// total-order slot everyone else receives the full payload. Routing is
-/// best-effort bandwidth optimization, never a correctness gate: the
-/// default-constructed route (strip_members == 0), a null
-/// header_payload, a stash-backed payload, or an enabled batching path
-/// all degrade to full-payload delivery for every member.
-struct MulticastRoute {
-  uint64_t strip_members = 0;
-  std::shared_ptr<const void> header_payload;
-};
-
 /// Callbacks invoked on the member's dedicated delivery thread, in total
 /// order. Implementations must not block indefinitely (they may take
 /// locks, enqueue work, etc.).
@@ -125,7 +112,9 @@ struct GroupOptions {
 /// order.
 class Group {
  public:
-  explicit Group(GroupOptions options = {});
+  /// `first_member` is the id of the first member to join; later joins
+  /// count up from it (see TransportOptions::first_member).
+  explicit Group(GroupOptions options = {}, MemberId first_member = 0);
   ~Group();
 
   Group(const Group&) = delete;
@@ -147,13 +136,10 @@ class Group {
   /// Multicasts to all members in total order. Returns kUnavailable if
   /// the sender has crashed or the group is shut down. With batching
   /// enabled, OK means the message is accepted into the sender's pending
-  /// batch (flushed by count/bytes/window). `route` optionally names
-  /// members that receive the header-only twin instead of the full
-  /// payload (see MulticastRoute); batching ignores it (batched frames
-  /// always carry full payloads).
+  /// batch (flushed by count/bytes/window).
   Status Multicast(MemberId sender, std::string type,
                    std::shared_ptr<const void> payload,
-                   obs::TraceContext trace = {}, MulticastRoute route = {});
+                   obs::TraceContext trace = {});
 
   /// Registers the wire codec for a payload type (idempotent; later
   /// registrations win). Byte-shipping transports use it to serialize
@@ -219,11 +205,6 @@ class Group {
   std::shared_ptr<const void> ResolvePayload(const std::string& type,
                                              uint64_t stash_id,
                                              const std::string& bytes);
-
-  /// Encodes `payload` with `type`'s registered codec into `out`.
-  /// Returns false (out untouched) when no codec is registered.
-  bool EncodeWithCodec(const std::string& type, const void* payload,
-                       std::string* out);
 
   GroupOptions options_;
   bool batching_ = false;

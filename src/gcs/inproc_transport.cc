@@ -22,7 +22,7 @@ namespace {
 class InProcessTransport : public Transport {
  public:
   explicit InProcessTransport(const TransportOptions& options)
-      : options_(options) {
+      : options_(options), next_member_(options.first_member) {
     if (options_.registry != nullptr) {
       h_delivery_lag_us_ =
           options_.registry->GetLatencyHistogram("gcs.delivery_lag_us");
@@ -94,27 +94,11 @@ class InProcessTransport : public Transport {
         std::chrono::steady_clock::now() + options_.multicast_delay;
     // Enqueue to every live member under the same lock that assigned the
     // sequence numbers: this is what makes the order total and the
-    // delivery uniform. Members named in strip_members get the same
-    // slot with each entry's payload swapped for its header-only twin
-    // (partial replication): identical order, lighter body.
+    // delivery uniform.
     for (const auto& [id, member] : members_) {
       if (member->crashed.load(std::memory_order_acquire)) continue;
       pending_count_.fetch_add(1, std::memory_order_relaxed);
-      const bool stripped = id <= 63 &&
-                            ((event.frame.strip_members >> id) & 1) != 0;
-      bool pushed;
-      if (stripped) {
-        Event header_event = event;
-        for (auto& entry : header_event.frame.entries) {
-          if (entry.header_payload != nullptr) {
-            entry.payload = entry.header_payload;
-          }
-        }
-        pushed = member->queue.Push(std::move(header_event));
-      } else {
-        pushed = member->queue.Push(event);
-      }
-      if (!pushed) {
+      if (!member->queue.Push(event)) {
         pending_count_.fetch_sub(1, std::memory_order_relaxed);
       }
     }
@@ -240,7 +224,7 @@ class InProcessTransport : public Transport {
 
   mutable std::mutex mu_;
   std::unordered_map<MemberId, std::unique_ptr<Member>> members_;
-  MemberId next_member_ = 0;
+  MemberId next_member_;
   uint64_t next_seqno_ = 0;
   uint64_t view_id_ = 0;
   bool shutdown_ = false;

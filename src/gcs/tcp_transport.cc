@@ -12,13 +12,7 @@
 // Wire records (all little-endian, `u32 length` prefix over the body):
 //
 //   member -> sequencer
-//     kSend   u32 message_count, string frame,     multicast request
-//             u64 strip_members,
-//             string header_frame                  header-only variant
-//                                                  delivered to members
-//                                                  named in strip_members
-//                                                  (partial replication);
-//                                                  empty when unrouted
+//     kSend   u32 message_count, string frame      multicast request
 //     kAck    u64 stream_index                     "I buffered record i"
 //     kCrash  (empty)                              crash marker; sent
 //                                                  after the member's
@@ -90,7 +84,8 @@ class TcpSequencerTransport : public Transport {
 
  public:
   explicit TcpSequencerTransport(const TransportOptions& options)
-      : send_timeout_(options.tcp_send_timeout),
+      : seq_next_member_(options.first_member),
+        send_timeout_(options.tcp_send_timeout),
         connect_deadline_(options.tcp_connect_deadline) {
     if (options.registry != nullptr) {
       h_delivery_lag_us_ =
@@ -279,8 +274,6 @@ class TcpSequencerTransport : public Transport {
     std::string body(1, static_cast<char>(kSend));
     sql::EncodeU32(frame.message_count, &body);
     sql::EncodeString(frame.encoded, &body);
-    sql::EncodeU64(frame.strip_members, &body);
-    sql::EncodeString(frame.encoded_header, &body);
     sends_submitted_.fetch_add(1, std::memory_order_acq_rel);
     std::lock_guard<std::mutex> lock(ep->send_mu);
     if (ep->crashed.load(std::memory_order_acquire) ||
@@ -491,13 +484,8 @@ class TcpSequencerTransport : public Transport {
       case kSend: {
         uint32_t count = 0;
         std::string frame;
-        uint64_t strip = 0;
-        std::string header_frame;
         if (!sql::DecodeU32(body, &pos, &count).ok() ||
-            !sql::DecodeString(body, &pos, &frame).ok() ||
-            !sql::DecodeU64(body, &pos, &strip).ok() ||
-            !sql::DecodeString(body, &pos, &header_frame).ok() ||
-            count == 0) {
+            !sql::DecodeString(body, &pos, &frame).ok() || count == 0) {
           SIREP_ELOG << "GCS/tcp: malformed kSend from member " << id;
           *gone = true;
           return;
@@ -506,17 +494,7 @@ class TcpSequencerTransport : public Transport {
         last_index_.store(idx, std::memory_order_release);
         const uint64_t base = seq_next_seqno_ + 1;
         seq_next_seqno_ += count;
-        const std::string data = MakeDataRecord(idx, base, count, frame);
-        if (strip != 0 && !header_frame.empty()) {
-          // Routed multicast: stripped members get the header-only twin
-          // in the SAME stream slot — identical index, base seqno, ack
-          // and stability bookkeeping, lighter body.
-          BroadcastRoutedLocked(
-              idx, data, MakeDataRecord(idx, base, count, header_frame),
-              strip);
-        } else {
-          BroadcastLocked(idx, data);
-        }
+        BroadcastLocked(idx, MakeDataRecord(idx, base, count, frame));
         sends_sequenced_.fetch_add(1, std::memory_order_acq_rel);
         NotifyQuiescence();
         break;
@@ -559,25 +537,12 @@ class TcpSequencerTransport : public Transport {
   /// change) instead of wedging every future broadcast behind its full
   /// buffer. Caller holds seq_mu_.
   void BroadcastLocked(uint64_t idx, const std::string& body) {
-    BroadcastRoutedLocked(idx, body, body, /*strip=*/0);
-  }
-
-  /// BroadcastLocked with payload routing: members named in `strip`
-  /// (ids < 64) receive `header_body`, everyone else `full_body`. Both
-  /// are encodings of the same stream slot, so acks, the stable
-  /// watermark and view synchrony see exactly one record either way.
-  /// Caller holds seq_mu_.
-  void BroadcastRoutedLocked(uint64_t idx, const std::string& full_body,
-                             const std::string& header_body, uint64_t strip) {
     PendingRecord pending;
     for (const auto& [mid, mfd] : seq_live_) pending.waiting.push_back(mid);
     seq_pending_[idx] = std::move(pending);
     std::vector<MemberId> dead;
     for (const auto& [mid, mfd] : seq_live_) {
-      const bool stripped = mid <= 63 && ((strip >> mid) & 1) != 0;
-      if (!WriteRecord(mfd, stripped ? header_body : full_body)) {
-        dead.push_back(mid);
-      }
+      if (!WriteRecord(mfd, body)) dead.push_back(mid);
     }
     if (seq_live_.empty()) AdvanceStableLocked();
     ExpelLocked(dead);
@@ -901,7 +866,7 @@ class TcpSequencerTransport : public Transport {
   /// Sequencer state. std::map keeps view member lists sorted for free.
   mutable std::mutex seq_mu_;
   std::map<MemberId, int> seq_live_;  // member -> fd
-  MemberId seq_next_member_ = 0;
+  MemberId seq_next_member_;
   uint64_t seq_next_index_ = 0;
   uint64_t seq_next_seqno_ = 0;
   uint64_t seq_stable_ = 0;

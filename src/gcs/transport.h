@@ -40,11 +40,6 @@ enum class TransportKind {
 struct FrameEntry {
   std::string type;
   std::shared_ptr<const void> payload;
-  /// Partial replication: the lightweight header-only twin of `payload`
-  /// (digests instead of row images). Members named in the frame's
-  /// `strip_members` mask receive this pointer as their payload instead;
-  /// null when the multicast carries no alternate variant.
-  std::shared_ptr<const void> header_payload;
   /// Non-zero when the payload has no wire codec and rides the Group's
   /// in-process stash instead of the encoded frame (see group.h).
   uint64_t stash_id = 0;
@@ -63,24 +58,11 @@ struct FrameEntry {
 /// Exactly one representation is populated: `entries` for transports
 /// with needs_encoding() == false, `encoded` (a gcs/wire.h frame) for
 /// transports that ship bytes.
-///
-/// **Payload routing (partial replication).** `strip_members` is a
-/// bitmask over member ids < 64: members whose bit is set receive the
-/// header-only variant (`FrameEntry::header_payload` on the pointer
-/// path, `encoded_header` on the byte path) in the SAME total-order
-/// slot; everyone else — including members with ids >= 64 and members
-/// unknown to the sender — receives the full payload. Stripping never
-/// changes ordering, acks, or view synchrony: the sequencer/queues
-/// still treat this as one frame occupying one slot range.
 struct Frame {
   MemberId sender = kInvalidMember;
   uint32_t message_count = 0;
   std::vector<FrameEntry> entries;
   std::string encoded;
-  /// Alternate wire-v3 encoding delivered to `strip_members`; empty when
-  /// the frame has no header variant.
-  std::string encoded_header;
-  uint64_t strip_members = 0;
 };
 
 /// Receives one member's totally ordered event stream. Callbacks run on
@@ -110,6 +92,11 @@ struct TransportOptions {
   /// handshake, retried with bounded exponential backoff (a flapping or
   /// briefly unreachable sequencer degrades join latency, not liveness).
   std::chrono::milliseconds tcp_connect_deadline{2000};
+  /// Id of the first member; later joins count up from it. A cluster
+  /// running several groups gives each a disjoint id range, so member
+  /// ids (and the global transaction ids built from them) stay unique
+  /// cluster-wide.
+  MemberId first_member = 0;
 };
 
 /// The dissemination seam behind gcs::Group: assigns the global sequence

@@ -6,17 +6,14 @@ namespace sirep::gcs {
 
 namespace {
 /// Smallest possible encoded entry: empty type string (4), stash_id (8),
-/// enqueue_ns (8), empty payload string (4); version >= 2 adds the
-/// trace context (8 + 4 + 8 + 8).
-constexpr size_t kMinEntryBytesV1 = 24;
-constexpr size_t kMinEntryBytesV2 = kMinEntryBytesV1 + 28;
+/// enqueue_ns (8), trace context (8 + 4 + 8 + 8), empty payload (4).
+constexpr size_t kMinEntryBytes = 52;
 }  // namespace
 
 void EncodeWireFrame(const WireFrame& frame, std::string* out) {
   sql::EncodeU32(kWireMagic, out);
   out->push_back(static_cast<char>(kWireVersion));
-  out->push_back(
-      static_cast<char>(frame.header_variant ? kWireFlagHeaderOnly : 0));
+  out->push_back(0);  // flags
   sql::EncodeU32(frame.sender, out);
   sql::EncodeU32(static_cast<uint32_t>(frame.entries.size()), out);
   for (const auto& entry : frame.entries) {
@@ -42,23 +39,18 @@ Status DecodeWireFrame(const std::string& in, WireFrame* out) {
     return Status::InvalidArgument("truncated frame header");
   }
   const uint8_t version = static_cast<uint8_t>(in[pos++]);
-  if (version < 1 || version > kWireVersion) {
+  if (version != kWireVersion) {
     return Status::InvalidArgument("unsupported frame version " +
                                    std::to_string(version));
   }
-  const uint8_t flags = static_cast<uint8_t>(in[pos++]);
-  const uint8_t known_flags = version >= 3 ? kWireFlagHeaderOnly : 0;
-  if ((flags & ~known_flags) != 0) {
+  if (in[pos++] != 0) {
     return Status::InvalidArgument("unsupported frame flags");
   }
-  out->header_variant = (flags & kWireFlagHeaderOnly) != 0;
   uint32_t sender = 0;
   SIREP_RETURN_IF_ERROR(sql::DecodeU32(in, &pos, &sender));
   uint32_t count = 0;
   SIREP_RETURN_IF_ERROR(sql::DecodeU32(in, &pos, &count));
-  const size_t min_entry_bytes =
-      version >= 2 ? kMinEntryBytesV2 : kMinEntryBytesV1;
-  if (static_cast<size_t>(count) * min_entry_bytes > in.size() - pos) {
+  if (static_cast<size_t>(count) * kMinEntryBytes > in.size() - pos) {
     return Status::InvalidArgument("frame entry count exceeds frame size");
   }
   out->sender = sender;
@@ -69,15 +61,13 @@ Status DecodeWireFrame(const std::string& in, WireFrame* out) {
     SIREP_RETURN_IF_ERROR(sql::DecodeString(in, &pos, &entry.type));
     SIREP_RETURN_IF_ERROR(sql::DecodeU64(in, &pos, &entry.stash_id));
     SIREP_RETURN_IF_ERROR(sql::DecodeU64(in, &pos, &entry.enqueue_ns));
-    if (version >= 2) {
-      SIREP_RETURN_IF_ERROR(sql::DecodeU64(in, &pos, &entry.trace.trace_id));
-      SIREP_RETURN_IF_ERROR(
-          sql::DecodeU32(in, &pos, &entry.trace.origin_replica));
-      SIREP_RETURN_IF_ERROR(
-          sql::DecodeU64(in, &pos, &entry.trace.origin_mono_ns));
-      SIREP_RETURN_IF_ERROR(
-          sql::DecodeU64(in, &pos, &entry.trace.origin_wall_ns));
-    }
+    SIREP_RETURN_IF_ERROR(sql::DecodeU64(in, &pos, &entry.trace.trace_id));
+    SIREP_RETURN_IF_ERROR(
+        sql::DecodeU32(in, &pos, &entry.trace.origin_replica));
+    SIREP_RETURN_IF_ERROR(
+        sql::DecodeU64(in, &pos, &entry.trace.origin_mono_ns));
+    SIREP_RETURN_IF_ERROR(
+        sql::DecodeU64(in, &pos, &entry.trace.origin_wall_ns));
     SIREP_RETURN_IF_ERROR(sql::DecodeString(in, &pos, &entry.payload));
     out->entries.push_back(std::move(entry));
   }

@@ -17,10 +17,7 @@ namespace sirep::gcs {
 ///
 ///   u32     magic      "SIRW" (0x57524953)
 ///   u8      version    kWireVersion
-///   u8      flags      bit 0 (version >= 3): header-only variant — the
-///                      entry payloads carry digest headers, not row
-///                      images (partial replication); other bits
-///                      reserved, must be 0
+///   u8      flags      reserved, must be 0
 ///   u32     sender     MemberId of the multicasting member
 ///   u32     count      number of entries
 ///   entry*  count times:
@@ -29,28 +26,19 @@ namespace sirep::gcs {
 ///                        lives in the sender process' stash (types
 ///                        without a registered wire codec)
 ///     u64     enqueue_ns Multicast() timestamp (latency accounting)
-///     -- version >= 2 only (distributed trace context) --
 ///     u64     trace_id        0 = no context
 ///     u32     trace_origin    originating replica's MemberId
 ///     u64     trace_mono_ns   origin MonotonicNanos() at multicast
 ///     u64     trace_wall_ns   origin wall clock at multicast
-///     -- all versions --
 ///     string  payload    codec-encoded message body (empty if stashed)
 ///
-/// Version 2 added the per-entry TraceContext; version 3 claimed flags
-/// bit 0 for the header-only frame variant that partial replication
-/// ships to non-holder members. Encoders always write the current
-/// version; decoders still accept version-1/2 frames, whose entries
-/// decode with an empty (trace_id == 0) context and flags == 0.
-///
-/// Decoders fail with kInvalidArgument on truncation, bad magic, an
-/// unknown version, or a count that cannot fit the remaining bytes —
-/// never by reading out of bounds.
+/// Every member runs the same binary, so there is one version: decoders
+/// accept kWireVersion only. They fail with kInvalidArgument on
+/// truncation, bad magic, any other version, non-zero flags, or a count
+/// that cannot fit the remaining bytes — never by reading out of bounds.
 
 constexpr uint32_t kWireMagic = 0x57524953;  // "SIRW"
 constexpr uint8_t kWireVersion = 3;
-/// Frame flags (version >= 3).
-constexpr uint8_t kWireFlagHeaderOnly = 0x01;
 
 struct WireEntry {
   std::string type;
@@ -63,10 +51,6 @@ struct WireEntry {
 struct WireFrame {
   MemberId sender = kInvalidMember;
   std::vector<WireEntry> entries;
-  /// True when this is the header-only variant of a routed multicast
-  /// (flags bit 0). Informational: the entry payloads self-describe
-  /// (WriteSetMessage v3 carries its own header_only flag).
-  bool header_variant = false;
 };
 
 void EncodeWireFrame(const WireFrame& frame, std::string* out);

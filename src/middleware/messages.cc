@@ -6,17 +6,15 @@ namespace sirep::middleware {
 
 namespace {
 
-Status DecodeHeader(const std::string& in, size_t* pos, GlobalTxnId* gid,
-                    uint8_t* version_out) {
+Status DecodeHeader(const std::string& in, size_t* pos, GlobalTxnId* gid) {
   if (*pos >= in.size()) {
     return Status::InvalidArgument("truncated message: missing version");
   }
   const uint8_t version = static_cast<uint8_t>(in[(*pos)++]);
-  if (version < 1 || version > kMessageWireVersion) {
+  if (version != kMessageWireVersion) {
     return Status::InvalidArgument("unsupported message version " +
                                    std::to_string(version));
   }
-  *version_out = version;
   SIREP_RETURN_IF_ERROR(sql::DecodeU32(in, pos, &gid->replica));
   SIREP_RETURN_IF_ERROR(sql::DecodeU64(in, pos, &gid->seq));
   return Status::OK();
@@ -33,67 +31,18 @@ void EncodeWriteSetMessage(const WriteSetMessage& msg, std::string* out) {
   sql::EncodeU32(msg.trace.origin_replica, out);
   sql::EncodeU64(msg.trace.origin_mono_ns, out);
   sql::EncodeU64(msg.trace.origin_wall_ns, out);
-  sql::EncodeU64(msg.epoch, out);
-  sql::EncodeU64(msg.partition_mask, out);
-  out->push_back(static_cast<char>(msg.header_only ? 1 : 0));
-  if (msg.header_only) {
-    sql::EncodeU32(static_cast<uint32_t>(msg.digests.size()), out);
-    for (const uint64_t digest : msg.digests) sql::EncodeU64(digest, out);
-    return;
-  }
   static const storage::WriteSet kEmpty;
   storage::EncodeWriteSet(msg.ws != nullptr ? *msg.ws : kEmpty, out);
 }
 
 Status DecodeWriteSetMessage(const std::string& in, WriteSetMessage* out) {
   size_t pos = 0;
-  uint8_t version = 0;
-  SIREP_RETURN_IF_ERROR(DecodeHeader(in, &pos, &out->gid, &version));
+  SIREP_RETURN_IF_ERROR(DecodeHeader(in, &pos, &out->gid));
   SIREP_RETURN_IF_ERROR(sql::DecodeU64(in, &pos, &out->cert));
-  out->trace = obs::TraceContext{};
-  if (version >= 2) {
-    SIREP_RETURN_IF_ERROR(sql::DecodeU64(in, &pos, &out->trace.trace_id));
-    SIREP_RETURN_IF_ERROR(
-        sql::DecodeU32(in, &pos, &out->trace.origin_replica));
-    SIREP_RETURN_IF_ERROR(
-        sql::DecodeU64(in, &pos, &out->trace.origin_mono_ns));
-    SIREP_RETURN_IF_ERROR(
-        sql::DecodeU64(in, &pos, &out->trace.origin_wall_ns));
-  }
-  out->epoch = 0;
-  out->partition_mask = 0;
-  out->header_only = false;
-  out->digests.clear();
-  if (version >= 3) {
-    SIREP_RETURN_IF_ERROR(sql::DecodeU64(in, &pos, &out->epoch));
-    SIREP_RETURN_IF_ERROR(sql::DecodeU64(in, &pos, &out->partition_mask));
-    if (pos >= in.size()) {
-      return Status::InvalidArgument("truncated message: missing flags");
-    }
-    const uint8_t flags = static_cast<uint8_t>(in[pos++]);
-    if ((flags & ~uint8_t{1}) != 0) {
-      return Status::InvalidArgument("unsupported writeset message flags");
-    }
-    out->header_only = (flags & 1) != 0;
-  }
-  if (out->header_only) {
-    uint32_t count = 0;
-    SIREP_RETURN_IF_ERROR(sql::DecodeU32(in, &pos, &count));
-    if (static_cast<size_t>(count) * 8 > in.size() - pos) {
-      return Status::InvalidArgument("digest count exceeds message size");
-    }
-    out->digests.reserve(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      uint64_t digest = 0;
-      SIREP_RETURN_IF_ERROR(sql::DecodeU64(in, &pos, &digest));
-      out->digests.push_back(digest);
-    }
-    out->ws = nullptr;
-    if (pos != in.size()) {
-      return Status::InvalidArgument("trailing bytes after writeset message");
-    }
-    return Status::OK();
-  }
+  SIREP_RETURN_IF_ERROR(sql::DecodeU64(in, &pos, &out->trace.trace_id));
+  SIREP_RETURN_IF_ERROR(sql::DecodeU32(in, &pos, &out->trace.origin_replica));
+  SIREP_RETURN_IF_ERROR(sql::DecodeU64(in, &pos, &out->trace.origin_mono_ns));
+  SIREP_RETURN_IF_ERROR(sql::DecodeU64(in, &pos, &out->trace.origin_wall_ns));
   auto ws = std::make_shared<storage::WriteSet>();
   SIREP_RETURN_IF_ERROR(storage::DecodeWriteSet(in, &pos, ws.get()));
   if (pos != in.size()) {
@@ -112,8 +61,7 @@ void EncodeDdlMessage(const DdlMessage& msg, std::string* out) {
 
 Status DecodeDdlMessage(const std::string& in, DdlMessage* out) {
   size_t pos = 0;
-  uint8_t version = 0;
-  SIREP_RETURN_IF_ERROR(DecodeHeader(in, &pos, &out->gid, &version));
+  SIREP_RETURN_IF_ERROR(DecodeHeader(in, &pos, &out->gid));
   SIREP_RETURN_IF_ERROR(sql::DecodeString(in, &pos, &out->sql));
   if (pos != in.size()) {
     return Status::InvalidArgument("trailing bytes after ddl message");

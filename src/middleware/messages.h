@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 #include "gcs/group.h"
@@ -29,22 +28,8 @@ struct WriteSetMessage {
   std::shared_ptr<const storage::WriteSet> ws;
   /// Distributed trace context of the originating transaction, so every
   /// replica can record its validate/apply/commit spans under the
-  /// origin's trace id. Empty (trace_id == 0) when decoded from a
-  /// version-1 message.
+  /// origin's trace id (trace_id == 0 when the origin did not trace).
   obs::TraceContext trace;
-  /// Partition-map epoch the sender tagged the message under (0 when the
-  /// sender ran without a partition map / decoded from version <= 2).
-  uint64_t epoch = 0;
-  /// Bitmask of the partitions the writeset touches; 0 means "untagged"
-  /// and is treated as full-replication semantics everywhere.
-  uint64_t partition_mask = 0;
-  /// True for the lightweight header variant shipped to non-holders: no
-  /// row images, only `digests` — enough to reach the identical conflict
-  /// verdict and advance the hole tracker, never enough to apply.
-  bool header_only = false;
-  /// Per-tuple FNV-1a digests in writeset order (present only on the
-  /// header variant; holders recompute them from `ws`).
-  std::vector<uint64_t> digests;
 };
 
 /// Message type tag for replicated DDL.
@@ -68,28 +53,17 @@ struct DdlMessage {
 ///   u32  gid.replica
 ///   u64  gid.seq
 ///   u64  cert
-///   -- version >= 2 only (distributed trace context) --
 ///   u64  trace.trace_id        0 = no context
 ///   u32  trace.origin_replica
 ///   u64  trace.origin_mono_ns
 ///   u64  trace.origin_wall_ns
-///   -- version >= 3 only (partial replication routing) --
-///   u64  epoch            partition-map epoch (0 = untagged)
-///   u64  partition_mask   touched partitions (0 = untagged)
-///   u8   flags            bit 0: header_only
-///   -- version >= 3, header_only variant --
-///   u32  digest_count
-///   u64  digest[i]        per-tuple FNV-1a digests, writeset order
-///   -- full variant (all versions) --
 ///   ...  writeset  (storage::EncodeWriteSet)
 ///
 /// DdlMessage: u8 version, u32 gid.replica, u64 gid.seq, string sql.
 ///
-/// Version 2 added the writeset TraceContext; version 3 added the
-/// partition routing tag and the header-only digest variant. Encoders
-/// always write the current version; decoders accept versions 1 and 2,
-/// whose writesets decode with an empty context / untagged mask.
-inline constexpr uint8_t kMessageWireVersion = 3;
+/// Every replica runs the same binary, so there is one version:
+/// decoders reject any other (versions 1-3 had other layouts).
+inline constexpr uint8_t kMessageWireVersion = 4;
 
 void EncodeWriteSetMessage(const WriteSetMessage& msg, std::string* out);
 Status DecodeWriteSetMessage(const std::string& in, WriteSetMessage* out);

@@ -51,13 +51,7 @@ SrcaRepReplica::SrcaRepReplica(engine::Database* db, gcs::Group* group,
   g_ws_list_size_ = registry_.GetGauge("mw.wslist.size");
   g_holes_outstanding_ = registry_.GetGauge("mw.holes.outstanding");
   g_clock_offset_ns_ = registry_.GetGauge("mw.clock.offset_estimate_ns");
-  c_partial_header_commits_ =
-      registry_.GetCounter("mw.partial.header_commits");
-  c_partial_filtered_applies_ =
-      registry_.GetCounter("mw.partial.filtered_applies");
   c_partial_misroutes_ = registry_.GetCounter("mw.partial.misroutes");
-  c_partial_stripped_sends_ =
-      registry_.GetCounter("mw.partial.stripped_sends");
   g_partial_held_ = registry_.GetGauge("mw.partial.held_partitions");
   if (options_.partition_map != nullptr) {
     g_partial_held_->Set(std::popcount(
@@ -107,13 +101,6 @@ Status SrcaRepReplica::Start() {
   // kInvalidMember, which is benign — nothing in the stream can carry
   // our id before we have multicast anything.
   member_id_.store(id, std::memory_order_release);
-  // Publish our slot binding only when starting live: senders strip
-  // payloads from bound members, and a recovering incarnation must keep
-  // receiving full payloads while it buffers (Recover() binds at the
-  // end of a successful catch-up).
-  if (options_.partition_map != nullptr && !options_.start_recovering) {
-    options_.partition_map->BindSlot(options_.partition_slot, id);
-  }
   return Status::OK();
 }
 
@@ -153,6 +140,16 @@ Result<engine::QueryResult> SrcaRepReplica::Execute(
   const auto kind = parsed.value()->kind;
   if (kind == sql::StatementKind::kCreateTable ||
       kind == sql::StatementKind::kCreateIndex) {
+    // Under partial replication the total order is per holder group, so
+    // a schema change would reach one group only: like a cross-group
+    // transaction, it is refused (load the schema at every replica
+    // instead, e.g. Cluster::ExecuteEverywhere).
+    if (options_.partition_map != nullptr &&
+        options_.partition_map->partial()) {
+      return Status::InvalidArgument(
+          "runtime DDL spans every holder group; load the schema at every "
+          "replica instead");
+    }
     SIREP_RETURN_IF_ERROR(ReplicateDdl(sql));
     return engine::QueryResult{};
   }
@@ -279,19 +276,15 @@ Status SrcaRepReplica::CommitTxn(const TxnHandle& txn, bool* had_writes) {
     return st;
   }
 
-  // Partial replication: tag the writeset with its partition mask (and
-  // compute the per-tuple digests the header-only twin will carry). A
-  // transaction that wrote a partition this replica does not hold was
-  // misrouted by the client — abort it *before* dissemination. The abort
-  // is always safe (nothing was multicast, nothing applied); committing
-  // would be unsound, since no holder of those partitions executed the
-  // reads and this replica's rows for them are stale.
+  // Partial replication: a transaction that wrote a partition this
+  // replica does not hold was misrouted by the client (or spans holder
+  // groups) — abort it *before* dissemination. The abort is always safe
+  // (nothing was multicast, nothing applied); committing would be
+  // unsound, since this replica's rows for those partitions are stale
+  // and its holder group's total order is not theirs.
   const cluster::PartitionMap* const pmap = options_.partition_map.get();
-  uint64_t partition_mask = 0;
-  std::vector<uint64_t> digests;
   if (pmap != nullptr && pmap->partial()) {
-    partition_mask = pmap->MaskOf(*ws, &digests);
-    if (!pmap->HoldsAll(options_.partition_slot, partition_mask)) {
+    if (!pmap->HoldsAll(options_.partition_slot, pmap->MaskOf(*ws))) {
       db_->Abort(txn.db_txn);
       RecordOutcome(txn.gid, /*committed=*/false);
       c_partial_misroutes_->Increment();
@@ -356,43 +349,10 @@ Status SrcaRepReplica::CommitTxn(const TxnHandle& txn, bool* had_writes) {
     trace->SetContext(ctx);
     trace->Begin(obs::Stage::kMulticast);
   }
-  WriteSetMessage full;
-  full.gid = txn.gid;
-  full.cert = cert;
-  full.ws = ws;
-  full.trace = ctx;
-  if (pmap != nullptr) {
-    full.epoch = pmap->epoch();
-    full.partition_mask = partition_mask;
-  }
-  auto payload = std::make_shared<const WriteSetMessage>(std::move(full));
-  // Route: members holding none of the touched partitions get the
-  // header-only twin (digests, no rows). Best-effort — an empty strip
-  // set, batching, or an unbound member all degrade to full payloads.
-  gcs::MulticastRoute route;
-  if (pmap != nullptr && pmap->partial() && partition_mask != 0) {
-    uint64_t strip = pmap->StripMembers(partition_mask);
-    // Never strip ourselves: the origin must see its own full payload.
-    if (member_id() <= cluster::PartitionMap::kMaxStrippableMember) {
-      strip &= ~(uint64_t{1} << member_id());
-    }
-    if (strip != 0) {
-      WriteSetMessage header;
-      header.gid = txn.gid;
-      header.cert = cert;
-      header.trace = ctx;
-      header.epoch = pmap->epoch();
-      header.partition_mask = partition_mask;
-      header.header_only = true;
-      header.digests = digests;
-      route.strip_members = strip;
-      route.header_payload =
-          std::make_shared<const WriteSetMessage>(std::move(header));
-      c_partial_stripped_sends_->Increment();
-    }
-  }
-  Status mc = group_->Multicast(member_id(), kWriteSetMessageType, payload,
-                                ctx, std::move(route));
+  auto payload = std::make_shared<const WriteSetMessage>(
+      WriteSetMessage{txn.gid, cert, ws, ctx});
+  Status mc =
+      group_->Multicast(member_id(), kWriteSetMessageType, payload, ctx);
   if (!mc.ok()) {
     {
       std::lock_guard<std::mutex> plock(pending_mu_);
@@ -530,51 +490,9 @@ void SrcaRepReplica::ProcessWriteSet(const gcs::Message& message) {
                                : 0);
   }
 
-  // Partial replication: decide up front whether this replica applies
-  // the writeset or only certifies it. The decision keys on the
-  // partition mask against our held set — not on payload presence:
-  // batching (and epoch-conservative senders) may deliver full payloads
-  // to non-holders, and those must still take the bookkeeping path so
-  // non-held rows stay untouched (the misroute-abort safety argument
-  // depends on them being stale, never deleted, never updated).
-  const cluster::PartitionMap* const pmap = options_.partition_map.get();
-  const bool have_payload = msg->ws != nullptr;
-  bool holds_any = true;
-  bool holds_all = true;
-  uint64_t held_mask = ~uint64_t{0};
-  if (pmap != nullptr && pmap->partial() && msg->partition_mask != 0 &&
-      msg->epoch == pmap->epoch()) {
-    // An epoch-mismatched mask was computed under a different layout and
-    // is not trusted: the defaults above mean full-payload semantics
-    // (apply whatever rows arrived). Extra rows at a "non-holder" are
-    // harmless — exactly the stale copies non-held rows are allowed to
-    // be; skipping an apply we actually hold would be the unsafe
-    // direction.
-    held_mask = pmap->HeldMask(options_.partition_slot);
-    holds_any = (msg->partition_mask & held_mask) != 0;
-    holds_all = (msg->partition_mask & ~held_mask) == 0;
-  }
-  if (!have_payload && holds_any && pmap != nullptr &&
-      msg->epoch == pmap->epoch()) {
-    // We hold a partition of this writeset but the sender stripped our
-    // payload: the shared routing directory and our held mask disagree,
-    // which only a mid-flight Resize() race can produce. We can certify
-    // but not apply — continuing would silently diverge this replica's
-    // rows from its co-holders', so crash instead (recovery re-seeds
-    // us; non-holders advanced past this message unharmed).
-    SIREP_ELOG << "replica " << member_id()
-               << " received header-only writeset " << msg->gid.ToString()
-               << " for held partitions (mask " << msg->partition_mask
-               << ", held " << held_mask << "); crashing self";
-    Crash();
-    return;
-  }
-  const bool apply_here = have_payload && holds_any;
-
   bool conflict;
   uint64_t tid = 0;
   storage::TupleId conflict_key;
-  uint64_t conflict_digest = 0;
   size_t ws_list_size = 0;
   {
     // Step II: global validation, in delivery order (the total order makes
@@ -589,30 +507,16 @@ void SrcaRepReplica::ProcessWriteSet(const gcs::Message& message) {
                  << " (cert " << msg->cert << " < min retained "
                  << ws_index_.MinRetainedTid() << ")";
       conflict = true;
-    } else if (have_payload) {
-      conflict = ws_index_.ConflictsAfter(msg->cert, *msg->ws, &conflict_key);
     } else {
-      // Header-only variant: the digest probe is decision-equivalent to
-      // the tuple probe (the index keys on digests either way), so
-      // holders and non-holders reach the same verdict.
-      conflict = ws_index_.ConflictsAfterDigests(msg->cert, msg->digests,
-                                                 &conflict_digest);
+      conflict = ws_index_.ConflictsAfter(msg->cert, *msg->ws, &conflict_key);
     }
     if (!conflict) {
       tid = ++lastvalidated_tid_;
-      // Every replica appends the digests of every validated message —
-      // windows, MinRetainedTid and future verdicts stay identical
-      // cluster-wide whether or not the rows are here.
-      std::vector<uint64_t> digests = have_payload
-                                          ? ShardedWsIndex::DigestsOf(*msg->ws)
-                                          : msg->digests;
-      ws_index_.AppendDigests(tid, digests, msg->ws);
+      ws_index_.Append(tid, msg->ws);
       WsLogEntry log_entry;
       log_entry.tid = tid;
       log_entry.gid = msg->gid;
-      log_entry.ws = msg->ws;  // null for header-only entries
-      log_entry.digests = std::move(digests);
-      log_entry.partition_mask = msg->partition_mask;
+      log_entry.ws = msg->ws;
       AppendToLogLocked(std::move(log_entry));
       holes_.NoteValidated(tid);
       if (rtrace != nullptr) {
@@ -622,40 +526,16 @@ void SrcaRepReplica::ProcessWriteSet(const gcs::Message& message) {
         rtrace->Add(obs::Stage::kGlobalValidate,
                     obs::MonotonicNanos() - arrival_ns);
       }
-      if (is_local || apply_here) {
-        ToCommitEntry entry;
-        entry.tid = tid;
-        entry.gid = msg->gid;
-        entry.local = is_local;
-        entry.ws = msg->ws;
-        if (!is_local && !holds_all) {
-          // Partially held (a cross-group writeset from a full-mask
-          // origin): apply only the sub-writeset that lands in our
-          // partitions. The rest belongs to other groups and must stay
-          // untouched here.
-          auto filtered = std::make_shared<storage::WriteSet>();
-          for (const auto& we : msg->ws->entries()) {
-            const uint64_t digest =
-                cluster::PartitionMap::TupleDigest(we.tuple);
-            const size_t partition = pmap->PartitionOfDigest(digest);
-            if ((held_mask >> partition) & 1) {
-              filtered->Record(we.tuple, we.op, we.after);
-            }
-          }
-          entry.ws = std::move(filtered);
-          c_partial_filtered_applies_->Increment();
-        }
-        // Local entries are committed by the waiting client thread.
-        entry.dispatched = is_local;
-        entry.delivered_ns = arrival_ns;
-        entry.trace = rtrace;
-        tocommit_queue_.Append(std::move(entry));
-      } else {
-        // Non-holder: certification done, nothing to apply. Commit the
-        // tid slot instantly (mirrors ProcessDdl) so the hole tracker
-        // and stable prefix advance exactly as at holders.
-        holes_.RecordCommit(tid, [] { return 0; });
-      }
+      ToCommitEntry entry;
+      entry.tid = tid;
+      entry.gid = msg->gid;
+      entry.local = is_local;
+      entry.ws = msg->ws;
+      // Local entries are committed by the waiting client thread.
+      entry.dispatched = is_local;
+      entry.delivered_ns = arrival_ns;
+      entry.trace = rtrace;
+      tocommit_queue_.Append(std::move(entry));
     }
     ws_list_size = ws_index_.size();
   }
@@ -679,11 +559,8 @@ void SrcaRepReplica::ProcessWriteSet(const gcs::Message& message) {
   if (conflict) {
     flight_.Record(obs::FlightEventType::kValidation, member_id(),
                    msg->gid.seq, msg->gid.replica,
-                   !conflict_key.table.empty()
-                       ? conflict_key.ToString()
-                       : conflict_digest != 0
-                             ? "digest " + std::to_string(conflict_digest)
-                             : "cert window underrun");
+                   !conflict_key.table.empty() ? conflict_key.ToString()
+                                               : "cert window underrun");
   }
 
   RecordOutcome(msg->gid, /*committed=*/!conflict);
@@ -729,8 +606,8 @@ void SrcaRepReplica::ProcessWriteSet(const gcs::Message& message) {
     // else: the client gave up (crash path) — nothing to do.
   } else {
     if (rtrace == nullptr) {
-      // Untraced remote writeset (v1 wire, or an untracing origin): its
-      // validation cost goes straight into the stage histogram.
+      // Untraced remote writeset (an untracing origin): its validation
+      // cost goes straight into the stage histogram.
       stage_hists_.stage[static_cast<int>(obs::Stage::kGlobalValidate)]
           ->Observe(obs::NanosToUs(validate_ns));
     }
@@ -743,16 +620,8 @@ void SrcaRepReplica::ProcessWriteSet(const gcs::Message& message) {
         rtrace->Add(obs::Stage::kGlobalValidate, validate_ns);
         rtrace->Flush(stage_hists_);
       }
-    } else if (apply_here) {
-      ScheduleAppliers();
     } else {
-      // Non-holder bookkeeping commit: the tid slot was closed under
-      // wsmutex_ (which already re-ran the dispatch scan via the hole
-      // listener); finish the outcome record so fail-over inquiries
-      // terminate here too.
-      MarkLocallyCommitted(msg->gid);
-      c_partial_header_commits_->Increment();
-      if (rtrace != nullptr) rtrace->Flush(stage_hists_);
+      ScheduleAppliers();
     }
   }
 }
@@ -920,7 +789,19 @@ TxnOutcome SrcaRepReplica::InquireOutcome(const GlobalTxnId& gid,
     return view_.view_id != 0 && !view_.Contains(crashed_origin);
   });
   auto it = outcomes_.find(gid);
-  if (it == outcomes_.end()) return TxnOutcome::kUnknown;
+  if (it == outcomes_.end()) {
+    // The origin left the view without its writeset reaching us, so by
+    // uniform delivery it reached no one — unless this incarnation never
+    // installed a view containing the origin while live (a cold-start
+    // seed, or an incarnation that recovered after the crash): then the
+    // writeset may have been delivered before we processed deliveries
+    // ourselves, and we cannot tell.
+    const bool running =
+        !shutdown_.load(std::memory_order_acquire) && IsAlive();
+    return running && viewed_members_.count(crashed_origin) != 0
+               ? TxnOutcome::kLost
+               : TxnOutcome::kUnknown;
+  }
   if (!it->second.committed) return TxnOutcome::kAborted;
   // Wait for the writeset to be committed *here* so the client sees its
   // own writes after fail-over.
@@ -937,6 +818,11 @@ void SrcaRepReplica::OnViewChange(const gcs::View& view) {
   {
     std::lock_guard<std::mutex> lock(outcomes_mu_);
     view_ = view;
+    // While recovering, the donor covers the messages before our marker,
+    // so only views installed live vouch for a member's writesets.
+    if (state_transfer_.live()) {
+      viewed_members_.insert(view.members.begin(), view.members.end());
+    }
     expelled = member_id() != gcs::kInvalidMember && view.view_id != 0 &&
                !view.Contains(member_id());
     outcomes_cv_.notify_all();
@@ -964,12 +850,6 @@ void SrcaRepReplica::Crash() {
   }
   flight_.Record(obs::FlightEventType::kCrash, member_id(), 0, 0,
                  "middleware crash");
-  // Retract the routing binding first: a dead member must not keep
-  // influencing strip sets or covering-donor election.
-  if (options_.partition_map != nullptr &&
-      member_id() != gcs::kInvalidMember) {
-    options_.partition_map->UnbindMember(member_id());
-  }
   group_->Crash(member_id());
   // Release clients blocked waiting for holes to close — those commits
   // will never happen now — and quiescence waiters watching our queue,
@@ -1013,10 +893,6 @@ void SrcaRepReplica::Shutdown() {
   if (!shutdown_.compare_exchange_strong(expected, true,
                                          std::memory_order_acq_rel)) {
     return;
-  }
-  if (options_.partition_map != nullptr &&
-      member_id() != gcs::kInvalidMember) {
-    options_.partition_map->UnbindMember(member_id());
   }
   holes_.SetChangeListener(nullptr);
   holes_.Cancel();

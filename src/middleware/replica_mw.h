@@ -31,8 +31,17 @@
 
 namespace sirep::middleware {
 
-/// Validation/commit outcome of a transaction as known at this replica.
-enum class TxnOutcome { kUnknown, kCommitted, kAborted };
+/// Validation/commit outcome of a transaction as known at this replica
+/// (SrcaRepReplica::InquireOutcome).
+enum class TxnOutcome {
+  /// This replica cannot tell: it never installed a view containing the
+  /// origin while live, or it crashed or shut down while waiting.
+  kUnknown,
+  kCommitted,
+  kAborted,
+  /// The origin crashed before its writeset entered the total order.
+  kLost,
+};
 
 /// One SI-Rep middleware replica M^k (paper Fig. 3c / Fig. 4): runs in
 /// front of exactly one database replica, executes local transactions
@@ -69,6 +78,9 @@ class SrcaRepReplica final : public gcs::GroupListener,
   gcs::MemberId member_id() const override {
     return member_id_.load(std::memory_order_acquire);
   }
+  /// The group this replica joins: under partial replication its holder
+  /// group's, shared only with the replicas holding the same partitions.
+  const gcs::Group* group() const { return group_; }
   engine::Database* db() const override { return db_; }
   /// The options this replica runs with: the constructor's, with the
   /// size knobs floored at 1.
@@ -110,9 +122,12 @@ class SrcaRepReplica final : public gcs::GroupListener,
   /// Looks up the outcome of `gid`. If the outcome is not yet known, waits
   /// until either the writeset message arrives or the current view no
   /// longer contains `crashed_origin` — by uniform reliable delivery, one
-  /// of the two must happen. When the outcome is kCommitted, additionally
-  /// waits until the writeset is committed at *this* replica so the
-  /// inquiring client will read its own writes here.
+  /// of the two must happen. The latter means kLost, or kUnknown if this
+  /// incarnation never installed a view containing `crashed_origin`
+  /// while live (before that, recovery covered the deliveries).
+  /// When the outcome is kCommitted, additionally waits until the
+  /// writeset is committed at *this* replica so the inquiring client
+  /// will read its own writes here.
   TxnOutcome InquireOutcome(const GlobalTxnId& gid,
                             gcs::MemberId crashed_origin);
 
@@ -144,15 +159,10 @@ class SrcaRepReplica final : public gcs::GroupListener,
   /// restarting replica (StableCommitPrefix() of its previous
   /// incarnation), or 0 for a brand-new node whose schema has been
   /// created. Requires the replica to have been constructed with
-  /// `start_recovering = true`. `allow_partial` (partial replication,
-  /// whole-group outage): accept a donor that holds none/some of this
-  /// replica's partitions — it serves bookkeeping (validation state +
-  /// log) while this replica keeps its own rows for the unserved
-  /// partitions. Only safe when this replica holds the longest stable
-  /// prefix of its partition group, which the caller
-  /// (cluster::Cluster::RestartReplica) establishes.
-  Status Recover(uint64_t from_tid, bool allow_partial = false) {
-    return state_transfer_.Recover(from_tid, allow_partial);
+  /// `start_recovering = true`. Donors are the other live members of
+  /// this replica's group.
+  Status Recover(uint64_t from_tid) {
+    return state_transfer_.Recover(from_tid);
   }
 
   /// Durable prefix a restarted incarnation can recover from: every
@@ -300,15 +310,10 @@ class SrcaRepReplica final : public gcs::GroupListener,
   obs::Gauge* g_ws_list_size_ = nullptr;
   obs::Gauge* g_holes_outstanding_ = nullptr;
   obs::Gauge* g_clock_offset_ns_ = nullptr;
-  // Partial replication ("mw.partial.*"): header-only certifications
-  // committed without a payload, sub-writeset applies at partially-held
-  // replicas, commit attempts rejected because this replica holds none
-  // of the writeset's partitions, payloads the GCS stripped on our
-  // behalf, and the number of partitions this replica holds.
-  obs::Counter* c_partial_header_commits_ = nullptr;
-  obs::Counter* c_partial_filtered_applies_ = nullptr;
+  // Partial replication ("mw.partial.*"): commit attempts refused
+  // because this replica does not hold every partition the writeset
+  // touches, and the number of partitions this replica holds.
   obs::Counter* c_partial_misroutes_ = nullptr;
-  obs::Counter* c_partial_stripped_sends_ = nullptr;
   obs::Gauge* g_partial_held_ = nullptr;
 
   // Fig. 4 state. wsmutex_ protects lastvalidated_tid_ and ws_index_,
@@ -357,6 +362,10 @@ class SrcaRepReplica final : public gcs::GroupListener,
   std::condition_variable outcomes_cv_;
   std::unordered_map<GlobalTxnId, OutcomeEntry, GlobalTxnIdHash> outcomes_;
   gcs::View view_;
+  /// Every member of every view this incarnation installed while live
+  /// (guarded by outcomes_mu_): InquireOutcome may call a writeset lost
+  /// only if its origin is among them.
+  std::unordered_set<gcs::MemberId> viewed_members_;
 
   /// Per-replica black box (see flight_recorder()).
   obs::FlightRecorder flight_{1024};

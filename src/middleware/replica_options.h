@@ -59,9 +59,9 @@ struct ReplicaOptions {
   /// Partial replication (null = full replication everywhere). All
   /// replicas of a cluster share one map (it models the cluster's
   /// partition-assignment config); `partition_slot` is this replica's
-  /// stable slot in it, which determines the partitions it holds. A
-  /// replica holding a partition applies its writesets; non-holders
-  /// certify against writeset digests alone and keep only bookkeeping.
+  /// stable slot in it, which determines the partitions it holds and so
+  /// its holder group. The replica refuses to commit writesets outside
+  /// its partitions, and runtime DDL.
   std::shared_ptr<cluster::PartitionMap> partition_map;
   size_t partition_slot = 0;
 };

@@ -17,11 +17,9 @@
 namespace sirep::middleware {
 
 /// One retained certification-window entry: the validation tid, the
-/// per-tuple digests (always present — they are what certification
-/// actually keys on), and the row images (null when this replica only
-/// ever saw the header-only variant of the message). Recovery snapshots
-/// ship these verbatim so the recovering replica's verdicts match the
-/// donor's bit for bit.
+/// writeset, and its per-tuple digests (what certification keys on).
+/// Recovery snapshots ship these verbatim so the recovering replica's
+/// verdicts match the donor's bit for bit.
 struct WsWindowEntry {
   uint64_t tid = 0;
   std::shared_ptr<const storage::WriteSet> ws;
@@ -41,15 +39,12 @@ struct WsWindowEntry {
 /// WsWindowEntry drives pruning, MinRetainedTid() and recovery
 /// snapshots, exactly mirroring WsList's sliding window.
 ///
-/// **Why digests, not tuples.** Under partial replication a non-holder
-/// receives only the 64-bit FNV-1a digest of each written tuple
-/// (cluster::PartitionMap::TupleDigest), never the tuple itself. Keying
-/// the index on digests lets holders (which hash their full tuples) and
-/// non-holders (which replay shipped digests) run the *same* probe over
-/// the *same* keys — the cluster-wide verdict identity that 1-copy-SI
-/// certification requires. A digest collision between distinct tuples
-/// can only manufacture a conflict that is not there, i.e. a spurious
-/// abort — always safe under SI, and vanishingly rare at 64 bits.
+/// **Why digests, not tuples.** The index keys on the 64-bit FNV-1a
+/// digest of each written tuple (cluster::PartitionMap::TupleDigest): a
+/// fixed-size hash key, computed the same way at every replica. A
+/// digest collision between distinct tuples can only manufacture a
+/// conflict that is not there, i.e. a spurious abort — always safe
+/// under SI, and vanishingly rare at 64 bits.
 ///
 /// Decision-equivalence with WsList (relied on by recovery and by the
 /// cross-replica determinism argument): for any append sequence and any
@@ -73,46 +68,13 @@ class ShardedWsIndex {
   ShardedWsIndex(const ShardedWsIndex&) = delete;
   ShardedWsIndex& operator=(const ShardedWsIndex&) = delete;
 
-  static std::vector<uint64_t> DigestsOf(const storage::WriteSet& ws) {
+  void Append(uint64_t tid, std::shared_ptr<const storage::WriteSet> ws) {
     std::vector<uint64_t> digests;
-    digests.reserve(ws.entries().size());
-    for (const auto& we : ws.entries()) {
+    digests.reserve(ws->entries().size());
+    for (const auto& we : ws->entries()) {
       digests.push_back(cluster::PartitionMap::TupleDigest(we.tuple));
     }
-    return digests;
-  }
-
-  void Append(uint64_t tid, std::shared_ptr<const storage::WriteSet> ws) {
-    std::vector<uint64_t> digests = DigestsOf(*ws);
-    AppendDigests(tid, std::move(digests), std::move(ws));
-  }
-
-  /// The header-only form: every replica — holder or not — appends the
-  /// digests of every validated message, so windows, MinRetainedTid and
-  /// verdicts stay identical cluster-wide. `ws` may be null.
-  void AppendDigests(uint64_t tid, std::vector<uint64_t> digests,
-                     std::shared_ptr<const storage::WriteSet> ws) {
-    for (const uint64_t digest : digests) {
-      Shard& shard = ShardFor(digest);
-      auto lock = obs::AcquireProfiled(shard.mu, lock_stats_);
-      shard.last_writer[digest] = tid;
-    }
-    window_.push_back(WsWindowEntry{tid, std::move(ws), std::move(digests)});
-    while (window_.size() > max_entries_) {
-      const WsWindowEntry& evicted = window_.front();
-      for (const uint64_t digest : evicted.digests) {
-        Shard& shard = ShardFor(digest);
-        std::lock_guard<std::mutex> lock(shard.mu);
-        auto it = shard.last_writer.find(digest);
-        // Only drop the map entry if no younger writeset in the window
-        // overwrote it; a stale smaller tid can never be present because
-        // appends are tid-monotone.
-        if (it != shard.last_writer.end() && it->second == evicted.tid) {
-          shard.last_writer.erase(it);
-        }
-      }
-      window_.pop_front();
-    }
+    AppendEntry(WsWindowEntry{tid, std::move(ws), std::move(digests)});
   }
 
   /// True iff some validated Tj with tid > cert conflicts with `ws`.
@@ -124,20 +86,6 @@ class ShardedWsIndex {
       if (LastWriterAfter(cluster::PartitionMap::TupleDigest(we.tuple),
                           cert)) {
         if (first_conflict != nullptr) *first_conflict = we.tuple;
-        return true;
-      }
-    }
-    return false;
-  }
-
-  /// The non-holder probe: identical verdict from digests alone.
-  /// `first_conflict`, if non-null, receives the conflicting digest.
-  bool ConflictsAfterDigests(uint64_t cert,
-                             const std::vector<uint64_t>& digests,
-                             uint64_t* first_conflict = nullptr) const {
-    for (const uint64_t digest : digests) {
-      if (LastWriterAfter(digest, cert)) {
-        if (first_conflict != nullptr) *first_conflict = digest;
         return true;
       }
     }
@@ -183,9 +131,7 @@ class ShardedWsIndex {
       std::lock_guard<std::mutex> lock(shard.mu);
       shard.last_writer.clear();
     }
-    for (const auto& entry : snapshot) {
-      AppendDigests(entry.tid, entry.digests, entry.ws);
-    }
+    for (const auto& entry : snapshot) AppendEntry(entry);
   }
 
  private:
@@ -193,6 +139,30 @@ class ShardedWsIndex {
     mutable std::mutex mu;
     std::unordered_map<uint64_t, uint64_t> last_writer;
   };
+
+  void AppendEntry(WsWindowEntry entry) {
+    for (const uint64_t digest : entry.digests) {
+      Shard& shard = ShardFor(digest);
+      auto lock = obs::AcquireProfiled(shard.mu, lock_stats_);
+      shard.last_writer[digest] = entry.tid;
+    }
+    window_.push_back(std::move(entry));
+    while (window_.size() > max_entries_) {
+      const WsWindowEntry& evicted = window_.front();
+      for (const uint64_t digest : evicted.digests) {
+        Shard& shard = ShardFor(digest);
+        std::lock_guard<std::mutex> lock(shard.mu);
+        auto it = shard.last_writer.find(digest);
+        // Only drop the map entry if no younger writeset in the window
+        // overwrote it; a stale smaller tid can never be present because
+        // appends are tid-monotone.
+        if (it != shard.last_writer.end() && it->second == evicted.tid) {
+          shard.last_writer.erase(it);
+        }
+      }
+      window_.pop_front();
+    }
+  }
 
   bool LastWriterAfter(uint64_t digest, uint64_t cert) const {
     const Shard& shard = ShardFor(digest);

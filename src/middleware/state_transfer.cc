@@ -71,12 +71,6 @@ struct StateTransfer::Request {
   gcs::MemberId donor = gcs::kInvalidMember;
   uint64_t from_tid = 0;
   uint64_t transfer_id = 0;
-  /// Partitions the requester needs rows for (its held mask; 0 = all).
-  /// A donor that holds none of them refuses; one that holds a subset
-  /// serves it only when `allow_partial` (whole-group-outage
-  /// bookkeeping recovery — the requester keeps its own rows).
-  uint64_t needed_mask = 0;
-  bool allow_partial = false;
   RecoveryCursor cursor;
   std::shared_ptr<Channel> channel;
 };
@@ -186,27 +180,6 @@ void StateTransfer::Donate(const Request& req) {
   plan->transfer_id = req.transfer_id;
   plan->channel = req.channel;
   TransferMeta& meta = plan->meta;
-  // Partial replication: a donor can only re-seed rows it holds. When it
-  // does not cover everything the requester needs, it refuses — unless
-  // the requester explicitly accepts a partial (bookkeeping-only)
-  // donation, which cluster::Cluster only authorizes for the
-  // longest-prefix member of a whole-down group (its own rows are
-  // already complete for the unserved partitions).
-  const cluster::PartitionMap* const pmap = options_.partition_map.get();
-  if (pmap != nullptr && pmap->partial()) {
-    const uint64_t donor_held = pmap->HeldMask(options_.partition_slot);
-    const uint64_t needed =
-        req.needed_mask != 0
-            ? req.needed_mask
-            : cluster::PartitionMap::FullMask(pmap->num_partitions());
-    if ((needed & ~donor_held) != 0 && !req.allow_partial) {
-      channel.Fail(req.transfer_id,
-                   Status::Unavailable("chosen donor does not hold the "
-                                       "requester's partitions"));
-      return;
-    }
-    meta.served_mask = donor_held & needed;
-  }
 
   // Snapshot the donation plan exactly at the marker point of the total
   // order (we are on the delivery thread, so every earlier message has
@@ -333,7 +306,6 @@ void StateTransfer::Stream(std::shared_ptr<DonorPlan> plan) {
     return true;
   };
 
-  const uint64_t served_mask = plan->meta.served_mask;
   RecoveryChunk meta;
   meta.approx_bytes = 64 + plan->meta.ws_window.size() * 128;
   meta.meta = std::move(plan->meta);
@@ -341,25 +313,15 @@ void StateTransfer::Stream(std::shared_ptr<DonorPlan> plan) {
   // Table dumps (full copy), one table at a time: streamer memory is
   // bounded by the largest table, not the whole database.
   const size_t chunk_rows = options_.recovery_chunk_rows;
-  const cluster::PartitionMap* const pmap = options_.partition_map.get();
   for (size_t t = 0; ok && t < plan->tables.size(); ++t) {
     const std::string& table = plan->tables[t];
     storage::MvccTable* mvcc = db->engine().GetTable(table);
     if (mvcc == nullptr) continue;
     const sql::Schema schema = mvcc->schema();
     std::vector<sql::Row> rows;
-    // Partial donation: dump only the rows of the served partitions.
-    // The donor's rows for other partitions are stale non-held copies
-    // and must never be presented as authoritative.
-    const bool filter_rows = served_mask != ~uint64_t{0} && pmap != nullptr;
     Status scan = db->engine().Scan(
-        plan->dump_txn, table, [&](const sql::Key& key, const sql::Row& row) {
-          if (filter_rows &&
-              ((served_mask >> pmap->PartitionOf({table, key})) & 1) == 0) {
-            return;
-          }
-          rows.push_back(row);
-        });
+        plan->dump_txn, table,
+        [&](const sql::Key&, const sql::Row& row) { rows.push_back(row); });
     if (!scan.ok()) {
       channel.Fail(plan->transfer_id, std::move(scan));
       return;
@@ -410,33 +372,9 @@ Status StateTransfer::ReplayLogEntry(const WsLogEntry& entry) {
     }
     return Status::OK();
   }
-  // A null writeset on a non-DDL entry is a header-only certification
-  // the donor itself never held rows for: replaying it is pure
-  // bookkeeping (the outcome record below), exactly as it was at every
-  // non-holder when the message was live.
-  std::shared_ptr<const storage::WriteSet> to_apply = entry.ws;
-  const cluster::PartitionMap* const pmap = options_.partition_map.get();
-  if (to_apply != nullptr && pmap != nullptr && pmap->partial() &&
-      entry.partition_mask != 0) {
-    // Replay only our held sub-writeset, mirroring the live apply
-    // decision — a full-payload entry in a donor's log may span
-    // partitions this replica does not hold.
-    const uint64_t held = pmap->HeldMask(options_.partition_slot);
-    if ((entry.partition_mask & held) == 0) {
-      to_apply = nullptr;
-    } else if ((entry.partition_mask & ~held) != 0) {
-      auto filtered = std::make_shared<storage::WriteSet>();
-      for (const auto& we : to_apply->entries()) {
-        if ((held >> pmap->PartitionOf(we.tuple)) & 1) {
-          filtered->Record(we.tuple, we.op, we.after);
-        }
-      }
-      to_apply = filtered->empty() ? nullptr : std::move(filtered);
-    }
-  }
-  while (to_apply != nullptr) {
+  while (true) {
     auto txn = db->Begin();
-    Status st = db->ApplyWriteSet(txn, *to_apply);
+    Status st = db->ApplyWriteSet(txn, *entry.ws);
     if (st.ok()) st = db->Commit(txn);
     if (st.ok()) break;
     db->Abort(txn);
@@ -515,21 +453,7 @@ Status StateTransfer::ApplyChunk(const RecoveryChunk& chunk,
       sync.Record({chunk.table, key}, storage::WriteOp::kUpdate, row);
     }
     if (chunk.table_complete) {
-      // Delete-sweep, restricted to the partitions this donation served:
-      // local rows of unserved partitions were deliberately absent from
-      // the dump, and non-held rows (kept stale by design — the
-      // misroute-abort guard depends on them existing) must survive
-      // every recovery untouched.
-      const cluster::PartitionMap* const pmap = options_.partition_map.get();
-      const uint64_t served = progress->meta.has_value()
-                                  ? progress->meta->served_mask
-                                  : ~uint64_t{0};
       for (const auto& key : progress->leftover_keys) {
-        if (served != ~uint64_t{0} &&
-            (pmap == nullptr ||  // cannot attribute: keep the row
-             ((served >> pmap->PartitionOf({chunk.table, key})) & 1) == 0)) {
-          continue;
-        }
         sync.Record({chunk.table, key}, storage::WriteOp::kDelete, {});
       }
     }
@@ -565,7 +489,7 @@ Status StateTransfer::ApplyChunk(const RecoveryChunk& chunk,
   return Status::OK();
 }
 
-Status StateTransfer::Recover(uint64_t from_tid, bool allow_partial) {
+Status StateTransfer::Recover(uint64_t from_tid) {
   const auto stopped = [&] {
     return Status::Unavailable("replica crashed or shut down");
   };
@@ -627,36 +551,18 @@ Status StateTransfer::Recover(uint64_t from_tid, bool allow_partial) {
     }
 
     // Donor election: rotate over the other live members of the
-    // current view; the index only advances on a donor fault, so a
-    // buffer-spill re-anchor keeps its (healthy) donor. Under partial
-    // replication, members covering our held partitions (our group
-    // peers) come first; non-covering members are candidates only when
-    // the caller authorized a partial (bookkeeping-only) donation.
-    const cluster::PartitionMap* const pmap = options_.partition_map.get();
-    const uint64_t needed_mask =
-        (pmap != nullptr && pmap->partial())
-            ? pmap->HeldMask(options_.partition_slot)
-            : 0;
-    std::vector<uint32_t> covering;
-    if (needed_mask != 0) covering = pmap->CoveringMembers(needed_mask);
+    // current view — under partial replication exactly our holder-group
+    // peers, since each group is its own gcs::Group. The index only
+    // advances on a donor fault, so a buffer-spill re-anchor keeps its
+    // (healthy) donor.
     std::vector<gcs::MemberId> candidates;
-    std::vector<gcs::MemberId> partial_donors;
     for (gcs::MemberId member : group_->CurrentView().members) {
-      if (member == self || !group_->IsAlive(member)) continue;
-      if (needed_mask == 0 ||
-          std::find(covering.begin(), covering.end(), member) !=
-              covering.end()) {
+      if (member != self && group_->IsAlive(member)) {
         candidates.push_back(member);
-      } else if (allow_partial) {
-        partial_donors.push_back(member);
       }
     }
-    candidates.insert(candidates.end(), partial_donors.begin(),
-                      partial_donors.end());
     if (candidates.empty()) {
-      last_error = Status::Unavailable(
-          needed_mask != 0 ? "no live donor covers this replica's partitions"
-                           : "no donor available for recovery");
+      last_error = Status::Unavailable("no donor available for recovery");
       continue;
     }
     const gcs::MemberId donor = candidates[donor_idx % candidates.size()];
@@ -684,8 +590,6 @@ Status StateTransfer::Recover(uint64_t from_tid, bool allow_partial) {
     request->donor = donor;
     request->from_tid = from_tid;
     request->transfer_id = transfer_id;
-    request->needed_mask = needed_mask;
-    request->allow_partial = allow_partial;
     request->cursor = progress.cursor;
     request->channel = channel;
     SIREP_RETURN_IF_ERROR(
@@ -865,11 +769,6 @@ Status StateTransfer::Recover(uint64_t from_tid, bool allow_partial) {
       }
       live_.store(true, std::memory_order_release);
       g_buffered_msgs_->Set(0);
-    }
-    // Live now: publish the slot binding so senders may start shipping
-    // us header-only frames for partitions we do not hold.
-    if (options_.partition_map != nullptr) {
-      options_.partition_map->BindSlot(options_.partition_slot, self);
     }
     flight_->Record(obs::FlightEventType::kRecovery, self, transfer_id,
                     meta.lastvalidated, "complete");

@@ -32,16 +32,8 @@ namespace sirep::middleware {
 struct WsLogEntry {
   uint64_t tid = 0;
   GlobalTxnId gid;
-  /// Null for DDL entries *and* for header-only entries a partial
-  /// replica validated without holding the payload's partitions.
-  std::shared_ptr<const storage::WriteSet> ws;
+  std::shared_ptr<const storage::WriteSet> ws;  ///< null for DDL entries
   std::string ddl;  ///< set for DDL entries
-  /// Per-tuple certification digests and the partition mask (partial
-  /// replication). Populated for every writeset entry so a donated log
-  /// reproduces identical validation state at the recoverer even when
-  /// ws is null.
-  std::vector<uint64_t> digests;
-  uint64_t partition_mask = 0;
 };
 
 /// A replica's Fig. 4 validation state as a donor reads it at its marker.
@@ -102,11 +94,6 @@ struct RecoveryCursor {
 struct TransferMeta {
   uint64_t lastvalidated = 0;
   std::vector<WsWindowEntry> ws_window;
-  /// Partitions whose rows this donation actually carries (~0 when the
-  /// donor covers everything the requester asked for). Rows outside it
-  /// come from log bookkeeping only; the requester must not delete-sweep
-  /// them.
-  uint64_t served_mask = ~0ull;
   bool full_copy = false;  ///< table dumps follow before the log
   /// The cursor's partial copy is unusable (this donor's log does not
   /// reach its base): the recoverer starts the copy over.
@@ -198,8 +185,8 @@ class StateTransfer {
   /// Resumable across donor faults (the re-request carries the cursor).
   /// Fails with a retryable status (kUnavailable / kTimedOut) within a
   /// deadline that scales with the bytes received — never hangs.
-  /// `from_tid` and `allow_partial` as in SrcaRepReplica::Recover().
-  Status Recover(uint64_t from_tid, bool allow_partial);
+  /// `from_tid` as in SrcaRepReplica::Recover().
+  Status Recover(uint64_t from_tid);
 
   /// One step of Recover(): applies a received chunk (meta adoption,
   /// table rows as idempotent upserts + delete-sweep, log-suffix replay)

@@ -180,7 +180,7 @@ TEST(FailoverTest, InDoubtCommitResolvedAsLost) {
 
   auto outcome =
       cluster->replica(1)->InquireOutcome(handle.gid, m0->member_id());
-  EXPECT_EQ(outcome, middleware::TxnOutcome::kUnknown);
+  EXPECT_EQ(outcome, middleware::TxnOutcome::kLost);
   auto check = cluster->db(1)->ExecuteAutoCommit(
       "SELECT v FROM kv WHERE k = 5");
   EXPECT_EQ(check.value().rows[0][0].AsInt(), 0);

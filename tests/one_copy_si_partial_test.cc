@@ -1,34 +1,38 @@
-// 1-copy-SI under partial replication (partition-mapped writeset
-// routing). The cluster is 4 replicas, 8 partitions, replication factor
-// 2 — two disjoint holder groups: slots {0,1} and {2,3}. Clients obey
-// the routing contract (transactions execute at a holder of every
-// partition they write; the middleware aborts misroutes), and the
-// 1-copy-SI observables are asserted against the replicas that hold the
-// data:
+// 1-copy-SI under partial replication. The cluster is 4 replicas, 8
+// partitions, replication factor 2 — two disjoint holder groups, slots
+// {0,1} and {2,3}, each running its own total order. Clients obey the
+// routing contract (transactions execute at a holder of every partition
+// they write; the middleware aborts misroutes), and the 1-copy-SI
+// observables are asserted against the replicas that hold the data:
 //
-//  * the snapshot staircase holds per group while every transaction is
-//    certified cluster-wide (non-holders advance the same validation
-//    state from digest headers alone);
+//  * the snapshot staircase holds per group, and each group validates
+//    only its own transactions;
 //  * cross-partition transactions *within* a group commit normally and
 //    read their own writes;
 //  * misrouted transactions abort before dissemination, leaving every
 //    replica untouched;
 //  * a holder crashing mid-commit of a cross-partition transaction
 //    loses nothing: the group peer commits it, and the crashed holder
-//    recovers its partitions from that peer.
+//    recovers its partitions from that peer;
+//  * a whole-group outage mid-commit is reported as "outcome unknown",
+//    never acknowledged, and the group cold-starts on its own;
+//  * cross-group operations (AddReplica, runtime DDL) are refused.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cluster/cluster.h"
 #include "common/failpoint.h"
+#include "obs/metrics.h"
 #include "test_variant.h"
 
 namespace sirep {
@@ -96,6 +100,14 @@ Status Commit1(middleware::SrcaRepReplica* mw, const std::string& sql) {
   return mw->CommitTxn(handle);
 }
 
+/// A driver counter from the process-default registry (0 if never
+/// registered).
+uint64_t DriverCounter(const std::string& name) {
+  const auto snap = obs::MetricsRegistry::Default().Snapshot();
+  const auto it = snap.counters.find(name);
+  return it == snap.counters.end() ? 0 : it->second;
+}
+
 int64_t ReadV(engine::Database* db, int64_t k) {
   auto r = db->ExecuteAutoCommit("SELECT v FROM pair WHERE k = " +
                                  std::to_string(k));
@@ -144,6 +156,37 @@ class OneCopySiPartialTest : public ::testing::Test {
     }
   }
 };
+
+TEST_F(OneCopySiPartialTest, EachHolderGroupRunsItsOwnGroup) {
+  auto cluster = MakePartialCluster();
+  // Group peers share one gcs::Group and the two groups do not; member
+  // ids stay unique cluster-wide, since clients pin and fail over by
+  // member id.
+  std::set<gcs::MemberId> ids;
+  std::vector<gcs::MemberId> members[2];
+  for (size_t r = 0; r < kReplicas; ++r) {
+    const size_t g = r / kRf;
+    EXPECT_EQ(cluster->replica(r)->group(), &cluster->group(g))
+        << "replica " << r;
+    ids.insert(cluster->replica(r)->member_id());
+    members[g].push_back(cluster->replica(r)->member_id());
+  }
+  EXPECT_EQ(ids.size(), kReplicas);
+  for (size_t g = 0; g < 2; ++g) {
+    EXPECT_EQ(cluster->group(g).CurrentView().members, members[g])
+        << "group " << g;
+  }
+
+  // A restarted replica rejoins its own group under a fresh id.
+  cluster->CrashReplica(2);
+  ASSERT_TRUE(cluster->RestartReplica(2).ok());
+  const gcs::MemberId restarted = cluster->replica(2)->member_id();
+  EXPECT_EQ(ids.count(restarted), 0u);
+  EXPECT_EQ(cluster->group(1).CurrentView().members,
+            (std::vector<gcs::MemberId>{cluster->replica(3)->member_id(),
+                                        restarted}));
+  EXPECT_EQ(cluster->group(0).CurrentView().members, members[0]);
+}
 
 TEST_F(OneCopySiPartialTest, RoutedStaircaseHoldsPerGroup) {
   auto cluster = MakePartialCluster();
@@ -218,19 +261,22 @@ TEST_F(OneCopySiPartialTest, RoutedStaircaseHoldsPerGroup) {
     }
   }
 
-  // Every replica certified every transaction: identical validation
-  // prefixes, drained queues, and the partial-path counters prove the
-  // header-only route was actually exercised.
-  const uint64_t prefix = cluster->replica(0)->StableCommitPrefix();
-  EXPECT_GT(prefix, 0u);
-  for (size_t r = 1; r < kReplicas; ++r) {
-    EXPECT_EQ(cluster->replica(r)->StableCommitPrefix(), prefix)
-        << "replica " << r;
-    EXPECT_EQ(cluster->replica(r)->PendingQueueSize(), 0u) << "replica " << r;
+  // Each group ran its own total order: both peers validated exactly the
+  // group's own commits (one tid per increment of x or y) and none of
+  // the other group's, and drained their queues.
+  for (size_t g = 0; g < 2; ++g) {
+    const size_t s0 = FirstSlotOfGroup(g);
+    const int64_t commits =
+        ReadV(cluster->db(s0), x[g]) + ReadV(cluster->db(s0), y[g]);
+    for (size_t r = s0; r < s0 + kRf; ++r) {
+      EXPECT_EQ(cluster->replica(r)->StableCommitPrefix(),
+                static_cast<uint64_t>(commits))
+          << "replica " << r;
+      EXPECT_EQ(cluster->replica(r)->PendingQueueSize(), 0u)
+          << "replica " << r;
+    }
   }
   const obs::MetricsSnapshot snap = cluster->DumpMetrics();
-  EXPECT_GT(snap.counters.at("mw.partial.stripped_sends"), 0u);
-  EXPECT_GT(snap.counters.at("mw.partial.header_commits"), 0u);
   EXPECT_EQ(snap.counters.at("mw.partial.misroutes"), 0u);
 }
 
@@ -272,9 +318,10 @@ TEST_F(OneCopySiPartialTest, CrossPartitionWithinGroupReadsYourWrites) {
   cluster->Quiesce();
   EXPECT_EQ(ReadV(cluster->db(1), k1), 7);
   EXPECT_EQ(ReadV(cluster->db(1), k2), 8);
-  // Group 1 certified it from the digest header; it never applied.
+  // Group 1 never saw it.
   EXPECT_EQ(ReadV(cluster->db(2), k1), 0);
   EXPECT_EQ(ReadV(cluster->db(3), k2), 0);
+  EXPECT_EQ(cluster->replica(2)->StableCommitPrefix(), 0u);
 }
 
 TEST_F(OneCopySiPartialTest, MisroutedTransactionsAbortBeforeDissemination) {
@@ -357,10 +404,11 @@ TEST_F(OneCopySiPartialTest, HolderCrashDuringCrossPartitionCommit) {
   cluster->Quiesce();
   EXPECT_EQ(ReadV(cluster->db(1), k1), 41);
   EXPECT_EQ(ReadV(cluster->db(1), k2), 42);
-  // Non-holders certified it (validation prefix advanced) but did not
-  // apply it.
+  // The other group never saw it: its rows and its total order are
+  // untouched.
   EXPECT_EQ(ReadV(cluster->db(2), k1), 0);
-  EXPECT_GT(cluster->replica(2)->StableCommitPrefix(), 0u);
+  EXPECT_EQ(cluster->replica(2)->StableCommitPrefix(), 0u);
+  EXPECT_EQ(cluster->replica(3)->StableCommitPrefix(), 0u);
 
   // The crashed holder restarts and recovers its partitions — the only
   // covering donor is its group peer. Afterwards it serves reads and
@@ -375,6 +423,121 @@ TEST_F(OneCopySiPartialTest, HolderCrashDuringCrossPartitionCommit) {
                   .ok());
   cluster->Quiesce();
   EXPECT_EQ(ReadV(cluster->db(1), k1), 42);
+}
+
+TEST_F(OneCopySiPartialTest, WholeGroupOutageNeverAcksALostCommit) {
+  auto cluster = MakePartialCluster();
+  const PartitionMap& map = *cluster->partition_map();
+  const int64_t k = FindKeyInGroup(map, "pair", /*group=*/0, /*from=*/0);
+  const int64_t other = FindKeyInGroup(map, "pair", /*group=*/1, /*from=*/0);
+  Seed(*cluster, {k, other});
+
+  // Group 0 is slots {0, 1}. Slot 1 is down; slot 0 then dies right
+  // after multicasting, so its writeset reaches no live member of its
+  // group. Only group 0's replicas could know the outcome, and none is
+  // up: the driver must answer "outcome unknown", never "committed".
+  cluster->CrashReplica(1);
+  const gcs::MemberId origin = cluster->replica(0)->member_id();
+  client::ConnectionOptions copt;
+  copt.pinned_replica = static_cast<int>(origin);
+  copt.connect_deadline = std::chrono::milliseconds(50);
+  auto connected = cluster->Connect(copt);
+  ASSERT_TRUE(connected.ok()) << connected.status();
+  auto conn = std::move(connected).value();
+  ASSERT_EQ(conn->replica(), cluster->replica(0));
+  conn->SetAutoCommit(false);
+  ASSERT_TRUE(
+      conn->Execute("UPDATE pair SET v = 5 WHERE k = " + std::to_string(k))
+          .ok());
+  const uint64_t unknown_before = DriverCounter("client.indoubt_unknown");
+  Status st;
+  {
+    failpoint::ScopedFailpoint crash("mw.commit.crash.after_multicast",
+                                     "crash*1");
+    // Hold slot 0's delivery thread in validation so the crash always
+    // lands before slot 0 could deliver (and commit) its own writeset.
+    failpoint::ScopedFailpoint stall("mw.validate", "delay(100ms)");
+    st = conn->Commit();
+    EXPECT_EQ(failpoint::Fires("mw.commit.crash.after_multicast"), 1u);
+  }
+  EXPECT_EQ(st.code(), StatusCode::kUnavailable) << st;
+  EXPECT_EQ(DriverCounter("client.indoubt_unknown"), unknown_before + 1);
+
+  // The group cold-starts on its own: slot 0 holds the longest stable
+  // prefix and seeds it. The seed never installed a view containing the
+  // crashed origin, so it cannot tell the in-doubt outcome either: it
+  // must answer kUnknown, not kLost. (The connection's transaction was
+  // the first one slot 0 ever began: sequence number 1.)
+  ASSERT_TRUE(cluster->RestartReplica(0).ok());
+  EXPECT_EQ(cluster->replica(0)->InquireOutcome(
+                middleware::GlobalTxnId{origin, 1}, origin),
+            middleware::TxnOutcome::kUnknown);
+  ASSERT_TRUE(cluster->RestartReplica(1).ok());
+  cluster->Quiesce();
+
+  // Group 0's replicas agree; group 1 never took a step.
+  EXPECT_EQ(ReadV(cluster->db(0), k), ReadV(cluster->db(1), k));
+  EXPECT_EQ(cluster->replica(0)->StableCommitPrefix(),
+            cluster->replica(1)->StableCommitPrefix());
+  for (size_t r = 2; r < kReplicas; ++r) {
+    EXPECT_EQ(cluster->replica(r)->StableCommitPrefix(), 0u)
+        << "replica " << r;
+    EXPECT_EQ(ReadV(cluster->db(r), k), 0) << "replica " << r;
+  }
+  // The group serves routed commits again.
+  EXPECT_TRUE(Commit1(cluster->replica(1), "UPDATE pair SET v = v + 1 "
+                                           "WHERE k = " +
+                                               std::to_string(k))
+                  .ok());
+  cluster->Quiesce();
+  EXPECT_EQ(ReadV(cluster->db(0), k), ReadV(cluster->db(1), k));
+}
+
+TEST_F(OneCopySiPartialTest, AddReplicaAndRuntimeDdlAreRefused) {
+  auto cluster = MakePartialCluster();
+  const PartitionMap& map = *cluster->partition_map();
+  const int64_t k = FindKeyInGroup(map, "pair", /*group=*/0, /*from=*/0);
+  Seed(*cluster, {k});
+
+  // A new replica would belong to no holder group.
+  auto added = cluster->AddReplica([](engine::Database* db) {
+    return db
+        ->ExecuteAutoCommit("CREATE TABLE pair (k INT, v INT, PRIMARY KEY (k))")
+        .status();
+  });
+  EXPECT_EQ(added.status().code(), StatusCode::kInvalidArgument)
+      << added.status();
+  EXPECT_EQ(cluster->size(), kReplicas);
+
+  // Runtime DDL would reach one group's total order only: refused at
+  // the middleware and through the driver.
+  auto txn = cluster->replica(0)->BeginTxn();
+  ASSERT_TRUE(txn.ok());
+  auto handle = std::move(txn).value();
+  EXPECT_EQ(cluster->replica(0)
+                ->Execute(handle, "CREATE TABLE extra (k INT, PRIMARY KEY (k))")
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(cluster->replica(0)->RollbackTxn(handle).ok());
+  auto conn = cluster->Connect();
+  ASSERT_TRUE(conn.ok()) << conn.status();
+  EXPECT_EQ(conn.value()->Execute("CREATE INDEX pair_v ON pair (v)")
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+
+  // Every replica is unchanged and keeps committing.
+  cluster->Quiesce();
+  for (size_t r = 0; r < kReplicas; ++r) {
+    EXPECT_EQ(cluster->db(r)->engine().GetTable("extra"), nullptr)
+        << "replica " << r;
+    EXPECT_EQ(cluster->replica(r)->StableCommitPrefix(), 0u)
+        << "replica " << r;
+  }
+  EXPECT_TRUE(Commit1(cluster->replica(0),
+                      "UPDATE pair SET v = 1 WHERE k = " + std::to_string(k))
+                  .ok());
 }
 
 }  // namespace

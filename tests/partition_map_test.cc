@@ -1,12 +1,10 @@
 // Unit suite for cluster::PartitionMap: deterministic tuple hashing,
-// the contiguous-group holder model, payload-strip / covering-donor
-// directory queries, epoch bumps on Resize, and how ClusterOptions
-// select the map.
+// the contiguous-group holder model, writeset partition masks, and how
+// ClusterOptions select the map.
 
 #include "cluster/partition_map.h"
 
 #include <memory>
-#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -28,8 +26,8 @@ storage::TupleId Tuple(const std::string& table, int64_t key) {
 TEST(PartitionMapTest, TupleDigestIsDeterministicAndSeparatorSensitive) {
   const storage::TupleId a = Tuple("accounts", 7);
   // Same logical tuple, fresh objects: digests must be bit-identical —
-  // this is the property that lets non-holders certify against shipped
-  // digests and reach the same verdicts as holders hashing full tuples.
+  // every replica must map a tuple to the same partition and validation
+  // index key.
   EXPECT_EQ(PartitionMap::TupleDigest(a),
             PartitionMap::TupleDigest(Tuple("accounts", 7)));
   EXPECT_NE(PartitionMap::TupleDigest(a),
@@ -62,7 +60,6 @@ TEST(PartitionMapTest, DegenerateConfigsAreFullReplication) {
     for (size_t slot = 0; slot < 4; ++slot) {
       EXPECT_EQ(map.HeldMask(slot), PartitionMap::FullMask(16));
     }
-    EXPECT_EQ(map.StripMembers(0x3), 0u);
   }
 }
 
@@ -92,8 +89,6 @@ TEST(PartitionMapTest, GroupModelPartitionsSlotsDisjointly) {
     EXPECT_TRUE(map.Holds(holder_slot, p)) << "partition " << p;
     EXPECT_FALSE(map.Holds(other_slot, p)) << "partition " << p;
   }
-  // Slots beyond the founding layout hold everything.
-  EXPECT_EQ(map.HeldMask(7), PartitionMap::FullMask(16));
 }
 
 TEST(PartitionMapTest, MaskOfMatchesPerTupleDigests) {
@@ -103,72 +98,20 @@ TEST(PartitionMapTest, MaskOfMatchesPerTupleDigests) {
   for (int64_t k = 0; k < 20; ++k) {
     ws->Record(Tuple("t", k), storage::WriteOp::kUpdate, sql::Row{});
   }
-  std::vector<uint64_t> digests;
-  const uint64_t mask = map.MaskOf(*ws, &digests);
-  ASSERT_EQ(digests.size(), 20u);
+  const uint64_t mask = map.MaskOf(*ws);
   uint64_t rebuilt = 0;
-  for (size_t i = 0; i < digests.size(); ++i) {
-    EXPECT_EQ(digests[i],
-              PartitionMap::TupleDigest(ws->entries()[i].tuple));
-    rebuilt |= uint64_t{1} << map.PartitionOfDigest(digests[i]);
+  for (const auto& entry : ws->entries()) {
+    const size_t partition = map.PartitionOf(entry.tuple);
+    EXPECT_EQ(partition, PartitionMap::TupleDigest(entry.tuple) % 8);
+    rebuilt |= uint64_t{1} << partition;
   }
   EXPECT_EQ(mask, rebuilt);
   EXPECT_NE(mask, 0u);
-  // HoldsAll/HoldsAny agree with the mask algebra.
+  // HoldsAll agrees with the mask algebra.
   for (size_t slot = 0; slot < 4; ++slot) {
     EXPECT_EQ(map.HoldsAll(slot, mask),
               (mask & ~map.HeldMask(slot)) == 0);
-    EXPECT_EQ(map.HoldsAny(slot, mask),
-              (mask & map.HeldMask(slot)) != 0);
   }
-}
-
-TEST(PartitionMapTest, ResizeBumpsEpochAndRemapsPartitions) {
-  PartitionMap map(/*num_slots=*/4, /*num_partitions=*/16,
-                   /*replication_factor=*/2);
-  const uint64_t epoch0 = map.epoch();
-  EXPECT_EQ(epoch0, 1u);
-  map.Resize(32);
-  EXPECT_EQ(map.epoch(), epoch0 + 1);
-  EXPECT_EQ(map.num_partitions(), 32u);
-  map.Resize(200);  // clamped to the 64-partition mask width
-  EXPECT_EQ(map.epoch(), epoch0 + 2);
-  EXPECT_EQ(map.num_partitions(), PartitionMap::kMaxPartitions);
-}
-
-TEST(PartitionMapTest, DirectoryStripsOnlyBoundNonHolders) {
-  PartitionMap map(/*num_slots=*/4, /*num_partitions=*/16,
-                   /*replication_factor=*/2);
-  const uint64_t group0 = map.HeldMask(0);
-  // Nobody bound yet: unknown members default to full payloads.
-  EXPECT_EQ(map.StripMembers(group0), 0u);
-  map.BindSlot(0, /*member=*/10);
-  map.BindSlot(1, /*member=*/11);
-  map.BindSlot(2, /*member=*/12);
-  // Slot 3 stays unbound (a joiner mid-recovery): never stripped.
-  EXPECT_EQ(map.StripMembers(group0), uint64_t{1} << 12);
-  // A cross-group mask overlaps every group: nobody can be stripped.
-  EXPECT_EQ(map.StripMembers(PartitionMap::FullMask(16)), 0u);
-  // An empty mask strips nobody (empty writesets go everywhere).
-  EXPECT_EQ(map.StripMembers(0), 0u);
-  // Member ids beyond the mask width are never strippable.
-  map.BindSlot(3, /*member=*/77);
-  EXPECT_EQ(map.StripMembers(group0),
-            (uint64_t{1} << 12));
-
-  // Covering donors for group 0's mask are exactly group 0's bound
-  // members; rebinding a slot to a new incarnation replaces the old.
-  std::set<uint32_t> covering;
-  for (uint32_t m : map.CoveringMembers(group0)) covering.insert(m);
-  EXPECT_EQ(covering, (std::set<uint32_t>{10, 11}));
-  map.UnbindMember(11);
-  covering.clear();
-  for (uint32_t m : map.CoveringMembers(group0)) covering.insert(m);
-  EXPECT_EQ(covering, (std::set<uint32_t>{10}));
-  map.BindSlot(1, /*member=*/21);  // restarted incarnation, new id
-  EXPECT_EQ(map.SlotOfMember(21), std::optional<size_t>{1});
-  EXPECT_EQ(map.MemberOfSlot(1), std::optional<uint32_t>{21});
-  EXPECT_EQ(map.SlotOfMember(11), std::nullopt);
 }
 
 TEST(PartitionMapTest, ClusterOptionsSelectTheMap) {

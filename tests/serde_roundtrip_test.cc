@@ -13,7 +13,6 @@
 #include "gcs/wire.h"
 #include "middleware/messages.h"
 #include "obs/trace.h"
-#include "sql/serde.h"
 #include "sql/value.h"
 #include "storage/write_set.h"
 
@@ -222,6 +221,34 @@ TEST(MessageSerdeTest, WriteSetMessageTruncationAndTrailingBytesFail) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(MessageSerdeTest, RejectsAnyOtherVersion) {
+  // One wire version: the previous layout (and anything else) is refused
+  // instead of misparsed.
+  WriteSetMessage msg;
+  msg.gid = GlobalTxnId{2, 7};
+  msg.ws = std::make_shared<const WriteSet>(SampleWriteSet());
+  std::string ws_encoded;
+  middleware::EncodeWriteSetMessage(msg, &ws_encoded);
+  DdlMessage ddl;
+  ddl.sql = "CREATE TABLE t (id INT PRIMARY KEY)";
+  std::string ddl_encoded;
+  middleware::EncodeDdlMessage(ddl, &ddl_encoded);
+  for (const int version : {0, 1, 2, 3, 0xEE}) {
+    std::string bad = ws_encoded;
+    bad[0] = static_cast<char>(version);
+    WriteSetMessage decoded;
+    EXPECT_EQ(middleware::DecodeWriteSetMessage(bad, &decoded).code(),
+              StatusCode::kInvalidArgument)
+        << "version " << version;
+    bad = ddl_encoded;
+    bad[0] = static_cast<char>(version);
+    DdlMessage decoded_ddl;
+    EXPECT_EQ(middleware::DecodeDdlMessage(bad, &decoded_ddl).code(),
+              StatusCode::kInvalidArgument)
+        << "version " << version;
+  }
+}
+
 TEST(MessageSerdeTest, DdlMessageRoundTrips) {
   DdlMessage msg;
   msg.gid = GlobalTxnId{9, 1000};
@@ -249,7 +276,7 @@ TEST(MessageSerdeTest, DdlMessageTruncationFails) {
   }
 }
 
-// --- TraceContext propagation (wire version 2) -------------------------
+// --- TraceContext propagation ------------------------------------------
 
 obs::TraceContext SampleTrace() {
   obs::TraceContext ctx;
@@ -284,26 +311,6 @@ TEST(MessageSerdeTest, WriteSetMessageWithoutTraceStaysEmpty) {
   decoded.trace = SampleTrace();  // prove decode resets the context
   ASSERT_TRUE(middleware::DecodeWriteSetMessage(encoded, &decoded).ok());
   EXPECT_FALSE(decoded.trace.valid());
-}
-
-TEST(MessageSerdeTest, Version1WriteSetMessageDecodesWithEmptyTrace) {
-  // Hand-build the version-1 layout (no trace fields): a frame from a
-  // replica running the previous wire format must keep decoding.
-  std::string v1;
-  v1.push_back(1);
-  sql::EncodeU32(3, &v1);   // gid.replica
-  sql::EncodeU64(41, &v1);  // gid.seq
-  sql::EncodeU64(17, &v1);  // cert
-  storage::EncodeWriteSet(SampleWriteSet(), &v1);
-
-  WriteSetMessage decoded;
-  decoded.trace = SampleTrace();
-  ASSERT_TRUE(middleware::DecodeWriteSetMessage(v1, &decoded).ok());
-  EXPECT_EQ(decoded.gid, (GlobalTxnId{3, 41}));
-  EXPECT_EQ(decoded.cert, 17u);
-  EXPECT_FALSE(decoded.trace.valid());
-  ASSERT_NE(decoded.ws, nullptr);
-  ExpectWriteSetsEqual(SampleWriteSet(), *decoded.ws);
 }
 
 // --- GCS batch frames --------------------------------------------------
@@ -384,30 +391,6 @@ TEST(WireFrameTest, EntryTraceContextRoundTrips) {
   EXPECT_FALSE(decoded.entries[2].trace.valid());
 }
 
-TEST(WireFrameTest, Version1FrameDecodesWithEmptyTrace) {
-  // Hand-build a version-1 frame (entries carry no trace fields).
-  std::string v1;
-  sql::EncodeU32(gcs::kWireMagic, &v1);
-  v1.push_back(1);  // version
-  v1.push_back(0);  // flags
-  sql::EncodeU32(7, &v1);  // sender
-  sql::EncodeU32(1, &v1);  // entry count
-  sql::EncodeString("writeset", &v1);
-  sql::EncodeU64(42, &v1);      // stash_id
-  sql::EncodeU64(123456, &v1);  // enqueue_ns
-  sql::EncodeString("payload-bytes", &v1);
-
-  gcs::WireFrame decoded;
-  ASSERT_TRUE(gcs::DecodeWireFrame(v1, &decoded).ok());
-  EXPECT_EQ(decoded.sender, 7u);
-  ASSERT_EQ(decoded.entries.size(), 1u);
-  EXPECT_EQ(decoded.entries[0].type, "writeset");
-  EXPECT_EQ(decoded.entries[0].stash_id, 42u);
-  EXPECT_EQ(decoded.entries[0].enqueue_ns, 123456u);
-  EXPECT_FALSE(decoded.entries[0].trace.valid());
-  EXPECT_EQ(decoded.entries[0].payload, "payload-bytes");
-}
-
 TEST(WireFrameTest, RejectsCorruptHeader) {
   std::string good;
   gcs::EncodeWireFrame(SampleFrame(), &good);
@@ -426,20 +409,12 @@ TEST(WireFrameTest, RejectsCorruptHeader) {
     EXPECT_EQ(gcs::DecodeWireFrame(bad, &decoded).code(),
               StatusCode::kInvalidArgument);
   }
-  {  // reserved flags must be zero (offset 5; bit 0 is claimed by
-     // version 3 as the header-only variant, so probe the next bit)
+  {  // reserved flags must be zero (offset 5)
     std::string bad = good;
-    bad[5] = 0x02;
+    bad[5] = 0x01;
     gcs::WireFrame decoded;
     EXPECT_EQ(gcs::DecodeWireFrame(bad, &decoded).code(),
               StatusCode::kInvalidArgument);
-  }
-  {  // flags bit 0 is valid on version-3 frames: header-only variant
-    std::string variant = good;
-    variant[5] = 0x01;
-    gcs::WireFrame decoded;
-    ASSERT_TRUE(gcs::DecodeWireFrame(variant, &decoded).ok());
-    EXPECT_TRUE(decoded.header_variant);
   }
   {  // entry count larger than the buffer can hold (offsets 10..13)
     std::string bad = good;

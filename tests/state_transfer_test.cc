@@ -166,39 +166,5 @@ TEST_F(StateTransferTest, LogEntriesAtOrBelowAppliedTidAreAdoptedOnly) {
   EXPECT_EQ(progress.adopted_log.begin()->first, 9u);
 }
 
-TEST_F(StateTransferTest, PartialDonationSweepKeepsUnservedPartitions) {
-  options_.partition_map = std::make_shared<cluster::PartitionMap>(
-      /*num_slots=*/2, /*num_partitions=*/4, /*replication_factor=*/1);
-  const auto partition = [&](int64_t k) {
-    return options_.partition_map->PartitionOf({"t", host_.Key(k)});
-  };
-  for (int64_t k = 0; k < 16; ++k) host_.Put(k, 0);
-
-  // The donation serves row 0's partition only, and its dump lacks row
-  // 0 itself (the donor deleted it).
-  const size_t served = partition(0);
-  TransferMeta meta;
-  meta.served_mask = uint64_t{1} << served;
-  meta.full_copy = true;
-  std::vector<std::pair<int64_t, int64_t>> rows;
-  size_t unserved = 0;
-  for (int64_t k = 1; k < 16; ++k) {
-    if (partition(k) == served) {
-      rows.emplace_back(k, 7);
-    } else {
-      ++unserved;
-    }
-  }
-  ASSERT_GT(unserved, 0u);
-  RecoveryProgress progress;
-  ASSERT_TRUE(transfer_.ApplyChunk(Meta(meta), &progress).ok());
-  ASSERT_TRUE(transfer_.ApplyChunk(Dump(rows), &progress).ok());
-
-  EXPECT_EQ(host_.Get(0), -1);  // served and absent from the dump: swept
-  for (int64_t k = 1; k < 16; ++k) {
-    EXPECT_EQ(host_.Get(k), partition(k) == served ? 7 : 0) << "row " << k;
-  }
-}
-
 }  // namespace
 }  // namespace sirep::middleware
