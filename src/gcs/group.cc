@@ -5,6 +5,7 @@
 
 #include "common/failpoint.h"
 #include "common/logging.h"
+#include "common/thread_name.h"
 #include "gcs/wire.h"
 
 namespace sirep::gcs {
@@ -23,8 +24,9 @@ bool View::Contains(MemberId m) const {
 
 /// Per-member frame-to-message adapter: decodes wire frames (codec or
 /// stash), fans entries out to the listener as Messages with their
-/// per-entry seqnos, and records delivery metrics. Runs on the member's
-/// transport delivery thread, so everything here stays in total order.
+/// per-entry seqnos, and records delivery metrics. Runs on whichever
+/// thread the transport delivers the member's events on, one event at a
+/// time, so everything here stays in total order.
 class Group::MemberSink : public FrameSink {
  public:
   MemberSink(Group* group, GroupListener* listener)
@@ -102,6 +104,7 @@ Group::Group(GroupOptions options, MemberId first_member)
   batching_ = options_.batch_max_count > 1;
   if (batching_) {
     flusher_thread_ = std::thread([this] { FlusherLoop(); });
+    NameThread(flusher_thread_, "gcs-flush");
   }
 }
 
@@ -204,6 +207,10 @@ Status Group::Multicast(MemberId sender, std::string type,
     // observes a delivery from this frame, frames_sent() must already
     // include it.
     frames_sent_.fetch_add(1, std::memory_order_relaxed);
+    // This thread holds no GCS lock, so the transport may run the
+    // sender's own deliveries on it (never so from a batch flush, which
+    // holds batch_mu_ or runs on the flusher thread).
+    frame.sender_delivers = true;
     const Status status = transport_->Multicast(std::move(frame));
     if (status.ok()) {
       c_frames_->Increment();

@@ -55,6 +55,7 @@
 #include "common/failpoint.h"
 #include "common/logging.h"
 #include "common/sync.h"
+#include "common/thread_name.h"
 #include "gcs/socket_util.h"
 #include "gcs/transport.h"
 #include "sql/serde.h"
@@ -146,6 +147,8 @@ class TcpSequencerTransport : public Transport {
     }
     ep->rx_thread = std::thread([this, ep] { ReceiveLoop(ep); });
     ep->delivery_thread = std::thread([this, ep] { DeliveryLoop(ep); });
+    NameThread(ep->rx_thread, "rx/" + std::to_string(id));
+    NameThread(ep->delivery_thread, "dlv/" + std::to_string(id));
     // Balanced by AcceptMember: reading the welcome only proves the
     // sequencer accepted us, not that it has broadcast the join view yet,
     // and WaitForQuiescence() must cover that view.
@@ -392,6 +395,7 @@ class TcpSequencerTransport : public Transport {
     ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
     port_ = ntohs(addr.sin_port);
     sequencer_thread_ = std::thread([this] { SequencerLoop(); });
+    NameThread(sequencer_thread_, "gcs-seq");
   }
 
   void SequencerLoop() {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/thread_name.h"
 #include "obs/profiler.h"
 
 namespace sirep::middleware {
@@ -16,6 +17,7 @@ ApplyPipeline::ApplyPipeline(size_t width, ApplyFn apply,
   workers_.reserve(width);
   for (size_t i = 0; i < width; ++i) {
     workers_.emplace_back([this] { Loop(); });
+    NameThread(workers_.back(), "apply/" + std::to_string(i));
   }
 }
 

@@ -8,6 +8,7 @@
 #include <cstring>
 
 #include "common/logging.h"
+#include "common/thread_name.h"
 #include "gcs/socket_util.h"
 
 namespace sirep::middleware {
@@ -96,6 +97,7 @@ Status MetricsHttpServer::Start(uint16_t port) {
   port_ = ntohs(bound.sin_port);
   running_.store(true, std::memory_order_release);
   accept_thread_ = std::thread([this] { AcceptLoop(); });
+  NameThread(accept_thread_, "metrics-http");
   SIREP_DLOG << "metrics server listening on 127.0.0.1:" << port_;
   return Status::OK();
 }

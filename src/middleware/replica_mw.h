@@ -223,7 +223,8 @@ class SrcaRepReplica final : public gcs::GroupListener,
     return active_txns_.size() + tocommit_queue_.size();
   }
 
-  // ---- GroupListener (GCS delivery thread) ----
+  // ---- GroupListener (delivery thread, or a committing client thread
+  // delivering its own writeset; see gcs::GroupListener) ----
   void OnDeliver(const gcs::Message& message) override;
   void OnViewChange(const gcs::View& view) override;
 
@@ -286,8 +287,8 @@ class SrcaRepReplica final : public gcs::GroupListener,
   gcs::Group* const group_;
   const ReplicaOptions options_;
   // Atomic: written once by Start() after Join() returns, but read by
-  // the delivery thread (OnFrame/OnViewChange) from the moment Join()
-  // spawns it.
+  // the delivery callbacks (OnDeliver/OnViewChange) from the moment
+  // Join() spawns the delivery thread.
   std::atomic<gcs::MemberId> member_id_{gcs::kInvalidMember};
 
   std::atomic<bool> crashed_{false};

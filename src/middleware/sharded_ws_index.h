@@ -54,8 +54,8 @@ struct WsWindowEntry {
 /// MinRetainedTid.
 ///
 /// Threading: appends and window pruning are serialized by the caller
-/// (the replica's wsmutex / single delivery thread, as in the paper's
-/// pseudo-code). The per-shard mutexes make concurrent read-only probes
+/// (the replica's wsmutex, taken in delivery order by the member's baton
+/// holder, as in the paper's pseudo-code). The per-shard mutexes make concurrent read-only probes
 /// (and the per-shard size gauges) safe against an in-flight append, and
 /// are the hook for concurrent certification of non-overlapping
 /// writesets: two probes over disjoint shards proceed fully in parallel.

@@ -3,6 +3,7 @@
 #include <atomic>
 
 #include "common/logging.h"
+#include "common/thread_name.h"
 
 namespace sirep::middleware {
 
@@ -16,6 +17,7 @@ SrcaMiddleware::SrcaMiddleware(std::vector<engine::Database*> replicas)
   }
   for (size_t i = 0; i < replicas_.size(); ++i) {
     replicas_[i]->committer = std::thread([this, i] { CommitterLoop(i); });
+    NameThread(replicas_[i]->committer, "srca-commit/" + std::to_string(i));
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include "common/failpoint.h"
 #include "common/logging.h"
+#include "common/thread_name.h"
 
 namespace sirep::middleware {
 
@@ -182,8 +183,8 @@ void StateTransfer::Donate(const Request& req) {
   TransferMeta& meta = plan->meta;
 
   // Snapshot the donation plan exactly at the marker point of the total
-  // order (we are on the delivery thread, so every earlier message has
-  // been fully validated).
+  // order (we are in the marker's delivery callback, and callbacks run in
+  // order, so every earlier message has been fully validated).
   Status refused;
   host_->ReadValidationState([&](const ValidationView& state) {
     meta.lastvalidated = state.lastvalidated;
@@ -254,6 +255,8 @@ void StateTransfer::Donate(const Request& req) {
     return;
   }
   streamers_.emplace_back([this, plan] { Stream(std::move(plan)); });
+  NameThread(streamers_.back(),
+             "donor/" + std::to_string(host_->member_id()));
 }
 
 void StateTransfer::Stream(std::shared_ptr<DonorPlan> plan) {

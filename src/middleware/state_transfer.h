@@ -58,7 +58,7 @@ class StateTransferHost {
   /// Donor fault injection ("mw.recovery.donor_crash_mid_transfer").
   virtual void Crash() = 0;
 
-  /// Donor side, on the delivery thread at the marker: runs `read` with
+  /// Donor side, in the delivery callback of the marker: runs `read` with
   /// the validation state held still, so a donation plan and the log
   /// suffix it copies describe one position of the total order.
   virtual void ReadValidationState(
@@ -163,13 +163,13 @@ class StateTransfer {
   /// succeeds.
   bool live() const { return live_.load(std::memory_order_acquire); }
 
-  /// Delivery thread, for every writeset and DDL message: true when the
+  /// Delivery callback, for every writeset and DDL message: true when the
   /// message was taken because this replica is still recovering — it is
   /// buffered past our marker, or dropped before it, where the donor's
   /// stream covers it.
   bool Buffer(const gcs::Message& message);
 
-  /// Delivery thread, for every kRecoveryRequestType message: arms the
+  /// Delivery callback, for every kRecoveryRequestType message: arms the
   /// fence at our own marker, or donates when the marker names us.
   void OnMarker(const gcs::Message& message);
 

@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "common/thread_name.h"
 
 namespace sirep::middleware {
 
@@ -14,6 +15,7 @@ constexpr char kWriteSetType[] = "tl_writeset";
 TableLockReplica::TableLockReplica(engine::Database* db, gcs::Group* group)
     : db_(db), group_(group) {
   applier_ = std::thread([this] { ApplierLoop(); });
+  NameThread(applier_, "tl-apply");
 }
 
 TableLockReplica::~TableLockReplica() { Shutdown(); }
@@ -133,9 +135,10 @@ void TableLockReplica::OnDeliver(const gcs::Message& message) {
     auto& slot = pending_[msg->req_id];
     if (slot == nullptr) slot = std::make_shared<PendingRequest>();
     slot->request = *msg;
-    // Enqueue the table locks *on the delivery thread*: every replica
-    // enqueues in the same (total) order, which is what makes the
-    // table-lock schedule identical everywhere and deadlock-free.
+    // Enqueue the table locks *in the delivery callback*, not on the
+    // submitting thread: every replica enqueues in the same (total)
+    // order, which is what makes the table-lock schedule identical
+    // everywhere and deadlock-free.
     slot->ticket =
         locks_.Request(msg->txn->tables, TableLockMode::kExclusive);
     slot->delivered = true;

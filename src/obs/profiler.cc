@@ -1,5 +1,6 @@
 #include "obs/profiler.h"
 
+#include "common/thread_name.h"
 #include "obs/json.h"
 
 namespace sirep::obs {
@@ -72,6 +73,7 @@ void Profiler::StartSampling(std::chrono::microseconds interval) {
   if (interval.count() > 0) interval_ = interval;
   running_.store(true, std::memory_order_release);
   sampler_ = std::thread([this] { SamplerLoop(); });
+  NameThread(sampler_, "prof-sampler");
 }
 
 void Profiler::StopSampling() {

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "common/thread_name.h"
 
 namespace sirep::workload {
 
@@ -123,6 +124,7 @@ LoadMetrics RunLoad(WorkloadGenerator& generator,
       total.aborted += local.aborted;
       total.lost += local.lost;
     });
+    NameThread(threads.back(), "client/" + std::to_string(c));
   }
   for (auto& t : threads) t.join();
 

@@ -6,6 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <filesystem>
+#include <fstream>
+#include <set>
+#include <string>
 #include <thread>
 
 #include "sql/parser.h"
@@ -188,6 +192,28 @@ TEST(ClusterTest, DumpMetricsSumsReplicaCounters) {
   cluster.Quiesce();
   // One local commit at replica 0 plus its remote apply at replica 1.
   EXPECT_EQ(cluster.DumpMetrics().counters.at("mw.committed"), 2u);
+}
+
+TEST(ClusterTest, ThreadsAreNamedByRole) {
+  // Every thread the stack starts carries its role in its name, so the
+  // per-thread CPU in /proc/self/task/*/stat can be attributed to it.
+  ClusterOptions options;
+  options.num_replicas = 3;
+  Cluster cluster(options);
+  ASSERT_TRUE(cluster.Start().ok());
+  std::multiset<std::string> names;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    std::ifstream comm(task.path() / "comm");
+    std::string name;
+    if (std::getline(comm, name)) names.insert(name);
+  }
+  for (int member = 0; member < 3; ++member) {
+    EXPECT_EQ(names.count("dlv/" + std::to_string(member)), 1u)
+        << "no delivery thread for member " << member;
+  }
+  // One pool of appliers per replica.
+  EXPECT_EQ(names.count("apply/0"), 3u);
 }
 
 }  // namespace

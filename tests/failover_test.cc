@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <functional>
+#include <string>
 #include <thread>
 
 #include "cluster/cluster.h"
@@ -37,6 +39,14 @@ std::unique_ptr<Cluster> MakeCluster(size_t n) {
                     .ok());
   }
   return cluster;
+}
+
+/// A driver counter from the process-default registry (0 if never
+/// registered).
+uint64_t DriverCounter(const std::string& name) {
+  const auto snap = obs::MetricsRegistry::Default().Snapshot();
+  const auto it = snap.counters.find(name);
+  return it == snap.counters.end() ? 0 : it->second;
 }
 
 std::unique_ptr<Connection> ConnectTo(Cluster& cluster, int replica) {
@@ -342,6 +352,75 @@ TEST_F(FailpointFailoverTest, InjectedCrashBeforeLocalCommitCommits) {
     auto check =
         cluster->db(r)->ExecuteAutoCommit("SELECT v FROM kv WHERE k = 8");
     EXPECT_EQ(check.value().rows[0][0].AsInt(), 33) << "replica " << r;
+  }
+}
+
+/// Runs `commit` on a thread, holds it just before the local commit with
+/// a delay failpoint (a delay never fires), and crashes replica 0 there.
+Status CommitWhileReplica0Crashes(Cluster& cluster,
+                                  const std::function<Status()>& commit) {
+  failpoint::ScopedFailpoint fp("mw.commit.crash.before_local_commit",
+                                "delay(200ms)*1");
+  Status st;
+  std::thread committer([&] { st = commit(); });
+  while (failpoint::Hits("mw.commit.crash.before_local_commit") < 1) {
+    std::this_thread::yield();
+  }
+  cluster.CrashReplica(0);
+  committer.join();
+  return st;
+}
+
+int64_t ReadV(Cluster& cluster, size_t replica, int k) {
+  return cluster.db(replica)
+      ->ExecuteAutoCommit("SELECT v FROM kv WHERE k = " + std::to_string(k))
+      .value()
+      .rows[0][0]
+      .AsInt();
+}
+
+TEST_F(FailpointFailoverTest, CrashAfterValidationNeverCommitsLocally) {
+  // The replica crashes after global validation decided the commit but
+  // before the local commit: it must neither commit nor acknowledge.
+  // Survivors commit the writeset (uniform delivery); the dead replica's
+  // database never shows it.
+  auto cluster = MakeCluster(3);
+  middleware::SrcaRepReplica* m0 = cluster->replica(0);
+  auto handle = std::move(m0->BeginTxn()).value();
+  ASSERT_TRUE(m0->Execute(handle, "UPDATE kv SET v = 35 WHERE k = 1").ok());
+
+  const Status st = CommitWhileReplica0Crashes(
+      *cluster, [&] { return m0->CommitTxn(handle); });
+  EXPECT_EQ(st.code(), StatusCode::kUnavailable) << st;
+  EXPECT_EQ(ReadV(*cluster, 0, 1), 0);
+  cluster->Quiesce();
+  for (size_t r = 1; r < 3; ++r) {
+    EXPECT_EQ(ReadV(*cluster, r, 1), 35) << "replica " << r;
+  }
+}
+
+TEST_F(FailpointFailoverTest, CrashAfterValidationResolvedThroughDriver) {
+  // The same crash under a client::Connection: the replica reports
+  // kUnavailable instead of acknowledging, and the driver's in-doubt
+  // inquiry at a survivor turns it into a transparent OK.
+  auto cluster = MakeCluster(3);
+  client::ConnectionOptions copt;
+  copt.pinned_replica = 0;
+  auto conn = std::move(cluster->Connect(copt)).value();
+  conn->SetAutoCommit(false);
+  ASSERT_TRUE(conn->Execute("UPDATE kv SET v = 36 WHERE k = 2").ok());
+
+  const uint64_t resolutions_before =
+      DriverCounter("client.indoubt_resolutions");
+  const Status st =
+      CommitWhileReplica0Crashes(*cluster, [&] { return conn->Commit(); });
+  EXPECT_TRUE(st.ok()) << st;
+  EXPECT_EQ(DriverCounter("client.indoubt_resolutions"),
+            resolutions_before + 1);
+  EXPECT_EQ(ReadV(*cluster, 0, 2), 0);
+  cluster->Quiesce();
+  for (size_t r = 1; r < 3; ++r) {
+    EXPECT_EQ(ReadV(*cluster, r, 2), 36) << "replica " << r;
   }
 }
 
