@@ -126,58 +126,41 @@ std::shared_ptr<const middleware::WriteSetMessage> SampleWriteSetMessage() {
   return msg;
 }
 
-/// Writeset batching sweep (ISSUE 2): one sender multicasts kWritesets
-/// writeset messages as fast as it can; the group coalesces them into
-/// frames of up to `batch` messages. Reported cost is wall time from
-/// first multicast to full delivery everywhere, divided by the number of
-/// writesets — the per-writeset share of the multicast machinery (frame
-/// headers, sequencer round-trips, acks). It should fall monotonically
-/// as the batch size grows.
-void MeasureBatchSweep(gcs::TransportKind kind, const char* label,
-                       const char* key, bench::BenchReport& report) {
-  std::printf("Writeset batching sweep, %s transport "
-              "(1 sender, 3 members, 4-row writesets):\n", label);
+/// Multicast throughput: one sender multicasts kWritesets writeset
+/// messages as fast as it can to 3 members. Reported cost is wall time
+/// from first multicast to full delivery everywhere, divided by the
+/// number of writesets — the per-writeset share of the multicast
+/// machinery (frame header, sequencer round-trip, acks, delivery).
+void MeasureMulticastThroughput(gcs::TransportKind kind, const char* label,
+                                const char* key, bench::BenchReport& report) {
   const int kWritesets = 4096;
   auto payload = SampleWriteSetMessage();
-  for (size_t batch : {1, 8, 32, 128}) {
-    gcs::GroupOptions options;
-    options.transport = kind;
-    options.batch_max_count = batch;
-    options.batch_max_bytes = 1 << 20;  // flush on count, not bytes
-    gcs::Group group(options);
-    middleware::RegisterMessageCodecs(&group);
-    std::atomic<uint64_t> delivered{0};
-    LatencyListener a(&delivered), b(&delivered), c(&delivered);
-    const auto sender = group.Join(&a);
-    group.Join(&b);
-    group.Join(&c);
-    group.WaitForQuiescence();
+  gcs::GroupOptions options;
+  options.transport = kind;
+  gcs::Group group(options);
+  middleware::RegisterMessageCodecs(&group);
+  std::atomic<uint64_t> delivered{0};
+  LatencyListener a(&delivered), b(&delivered), c(&delivered);
+  const auto sender = group.Join(&a);
+  group.Join(&b);
+  group.Join(&c);
+  group.WaitForQuiescence();
 
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < kWritesets; ++i) {
-      if (!group
-               .Multicast(sender, middleware::kWriteSetMessageType, payload)
-               .ok()) {
-        std::printf("  multicast failed at %d\n", i);
-        return;
-      }
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < kWritesets; ++i) {
+    if (!group.Multicast(sender, middleware::kWriteSetMessageType, payload)
+             .ok()) {
+      std::printf("  multicast failed at %d\n", i);
+      return;
     }
-    group.WaitForQuiescence();
-    const double us = std::chrono::duration<double, std::micro>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-    const uint64_t frames = group.frames_sent();
-    std::printf("  batch %3zu: %6.2f us/writeset, %5llu frames "
-                "(%5.1f writesets/frame)\n",
-                batch, us / kWritesets,
-                static_cast<unsigned long long>(frames),
-                static_cast<double>(kWritesets) / frames);
-    report.AddScalar("batch." + std::string(key) + "@" +
-                         std::to_string(batch) + ".us_per_ws",
-                     us / kWritesets, "us",
-                     bench::Direction::kLowerIsBetter);
   }
-  std::printf("\n");
+  group.WaitForQuiescence();
+  const double us = std::chrono::duration<double, std::micro>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+  std::printf("  %-13s: %6.2f us/writeset\n", label, us / kWritesets);
+  report.AddScalar("multicast." + std::string(key) + ".us_per_ws",
+                   us / kWritesets, "us", bench::Direction::kLowerIsBetter);
 }
 
 /// Remote-apply pipeline sweep: the pure worker-pool mechanics, no GCS.
@@ -329,9 +312,13 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
 
-  MeasureBatchSweep(gcs::TransportKind::kTcp, "TCP sequencer", "tcp", report);
-  MeasureBatchSweep(gcs::TransportKind::kInProcess, "in-process", "inproc",
-                    report);
+  std::printf("Multicast throughput (1 sender, 3 members, 4,096 4-row "
+              "writesets):\n");
+  MeasureMulticastThroughput(gcs::TransportKind::kTcp, "TCP sequencer",
+                             "tcp", report);
+  MeasureMulticastThroughput(gcs::TransportKind::kInProcess, "in-process",
+                             "inproc", report);
+  std::printf("\n");
 
   MeasureApplyPipelineSweep(report);
   MeasureWalGroupCommit(report);

@@ -15,6 +15,9 @@ using middleware::TxnOutcome;
 
 namespace {
 
+/// First discovery retry backoff; doubles per attempt up to 100 ms.
+constexpr std::chrono::milliseconds kConnectBackoff{1};
+
 /// Driver-side fault/retry/failover counters, in the process-global
 /// registry (connections are per-client and short-lived; a per-object
 /// registry would fragment the numbers the chaos harness wants).
@@ -58,8 +61,7 @@ Status Connection::ConnectToReplica(
     const std::vector<gcs::MemberId>& exclude) {
   const auto deadline =
       std::chrono::steady_clock::now() + options_.connect_deadline;
-  auto backoff = std::max(options_.connect_backoff,
-                          std::chrono::milliseconds(1));
+  auto backoff = kConnectBackoff;
   while (true) {
     Status st = Status::Unavailable("injected discovery failure");
     if (!failpoint::AnyArmed() ||

@@ -41,13 +41,11 @@ struct ConnectionOptions {
   /// crashes.
   int pinned_replica = -1;
   /// Discovery/fail-over deadline: ConnectToReplica retries discovery
-  /// with bounded exponential backoff until a live replica answers or
-  /// this budget runs out (a restarting cluster costs latency, not an
-  /// immediate kUnavailable). Zero disables retries (single attempt).
+  /// with exponential backoff (1 ms, doubling, capped at 100 ms) until a
+  /// live replica answers or this budget runs out (a restarting cluster
+  /// costs latency, not an immediate kUnavailable). Zero disables
+  /// retries (single attempt).
   std::chrono::milliseconds connect_deadline{2000};
-  /// Initial discovery retry backoff; doubles per attempt, capped at
-  /// 100 ms.
-  std::chrono::milliseconds connect_backoff{1};
 };
 
 /// A JDBC-like connection. The replication middleware is completely

@@ -106,31 +106,37 @@ bool RecoveryRetryable(const Status& status) {
          status.code() == StatusCode::kTimedOut;
 }
 
+/// RecoverIncarnation's retry policy: attempts, the exponential backoff
+/// between them, and an overall cap (backoff sleeps included).
+constexpr size_t kRecoveryAttempts = 5;
+constexpr std::chrono::milliseconds kRecoveryInitialBackoff{10};
+constexpr std::chrono::milliseconds kRecoveryMaxBackoff{400};
+constexpr std::chrono::milliseconds kRecoveryDeadline{60000};
+
 }  // namespace
 
 Result<std::unique_ptr<middleware::SrcaRepReplica>>
 Cluster::RecoverIncarnation(engine::Database* db, uint64_t from_tid,
                             size_t slot) {
-  const RecoveryRetryPolicy& policy = options_.recovery_retry;
-  const auto deadline = std::chrono::steady_clock::now() + policy.deadline;
-  std::chrono::milliseconds backoff = policy.initial_backoff;
+  const auto deadline = std::chrono::steady_clock::now() + kRecoveryDeadline;
+  std::chrono::milliseconds backoff = kRecoveryInitialBackoff;
   middleware::ReplicaOptions ropt = options_.replica;
   ropt.start_recovering = true;
   ropt.partition_slot = slot;
 
   std::unique_ptr<middleware::SrcaRepReplica> incarnation;
   Status recovered = Status::Unavailable("recovery never attempted");
-  for (size_t attempt = 0; attempt < policy.max_attempts; ++attempt) {
+  for (size_t attempt = 0; attempt < kRecoveryAttempts; ++attempt) {
     if (attempt > 0) {
       std::this_thread::sleep_for(backoff);
-      backoff = std::min(backoff * 2, policy.max_backoff);
+      backoff = std::min(backoff * 2, kRecoveryMaxBackoff);
       if (std::chrono::steady_clock::now() > deadline) break;
     }
     if (incarnation == nullptr || !incarnation->IsAlive()) {
       // First attempt, or the joining incarnation crashed mid-recovery
-      // (e.g. expelled by a view change): rebuild it. A crashed
-      // incarnation has already detached from the group, so destroying
-      // it is safe — it was never published to clients.
+      // (e.g. expelled by a view change): rebuild it. Destroying the
+      // crashed one is safe: it was never published to clients, and its
+      // destructor waits out a callback still unwinding its self-crash.
       incarnation = std::make_unique<middleware::SrcaRepReplica>(
           db, &group(GroupOf(slot)), ropt);
       Status started = incarnation->Start();

@@ -1,7 +1,6 @@
 #ifndef SIREP_CLUSTER_CLUSTER_H_
 #define SIREP_CLUSTER_CLUSTER_H_
 
-#include <chrono>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -20,19 +19,6 @@
 
 namespace sirep::cluster {
 
-/// How RestartReplica/AddReplica retry a failed online recovery.
-/// Recover() itself already fails over across donors; this outer loop
-/// covers the cases it cannot — every donor momentarily dead, the
-/// joining incarnation expelled mid-recovery — by rebuilding the
-/// incarnation and re-entering with exponential backoff.
-struct RecoveryRetryPolicy {
-  size_t max_attempts = 5;
-  std::chrono::milliseconds initial_backoff{10};
-  std::chrono::milliseconds max_backoff{400};
-  /// Overall cap across all attempts (backoff sleeps included).
-  std::chrono::milliseconds deadline{60000};
-};
-
 struct ClusterOptions {
   size_t num_replicas = 3;
   middleware::ReplicaOptions replica;
@@ -41,7 +27,6 @@ struct ClusterOptions {
   size_t workers_per_replica = 4;
   /// All-zero by default: no service-time emulation.
   CostModel cost;
-  RecoveryRetryPolicy recovery_retry;
   /// Partial replication (see cluster::PartitionMap): the keyspace is
   /// hash-partitioned into `partitions` partitions, each owned by a
   /// disjoint holder group of `replication_factor` replicas, and each
@@ -190,10 +175,12 @@ class Cluster : public client::ReplicaDirectory {
 
  private:
   /// Builds a recovering middleware incarnation over `db` and drives
-  /// Recover(from_tid) to success under options_.recovery_retry:
-  /// retryable failures (kUnavailable/kTimedOut) back off and re-enter,
-  /// rebuilding the incarnation if it died; hard failures and deadline
-  /// exhaustion return the last status with the incarnation crashed.
+  /// Recover(from_tid) to success, retrying what Recover() cannot fail
+  /// over itself (every donor momentarily dead, the incarnation expelled
+  /// mid-recovery): retryable failures (kUnavailable/kTimedOut) back off
+  /// exponentially and re-enter, rebuilding the incarnation if it died;
+  /// hard failures and attempt or deadline exhaustion return the last
+  /// status with the incarnation crashed.
   Result<std::unique_ptr<middleware::SrcaRepReplica>> RecoverIncarnation(
       engine::Database* db, uint64_t from_tid, size_t slot);
 

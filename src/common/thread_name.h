@@ -8,7 +8,7 @@
 
 namespace sirep {
 
-/// Names `thread` after its role ("dlv/3", "apply/0", "gcs-flush", ...),
+/// Names `thread` after its role ("dlv/3", "apply/0", "gcs-seq", ...),
 /// so the per-thread entries in /proc/<pid>/task/*/{comm,stat} can be
 /// attributed to a role. Called by the creator right after starting the
 /// thread, so the name is in place before the creator returns. Linux

@@ -3,14 +3,12 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -44,12 +42,12 @@ struct Message {
 
 /// A member's delivery callbacks. They run in total order, one at a
 /// time, and never under a GCS lock, so a callback may itself multicast.
-/// They run on the member's delivery thread or — in-process, without
-/// batching, while the member is the only live one — on the thread
-/// multicasting from that member, which then delivers its own frame.
-/// Implementations must not block indefinitely (they may take locks,
-/// enqueue work, etc.), and must not take a lock that the member's own
-/// Multicast() callers hold while multicasting.
+/// They run on the member's delivery thread or — in-process, while the
+/// member is the only live one — on the thread multicasting from that
+/// member, which then delivers its own frame. Implementations must not
+/// block indefinitely (they may take locks, enqueue work, etc.), and
+/// must not take a lock that the member's own Multicast() or Crash()
+/// callers hold while calling.
 class GroupListener {
  public:
   virtual ~GroupListener() = default;
@@ -77,20 +75,6 @@ struct GroupOptions {
 
   /// Which dissemination backend to run on.
   TransportKind transport = TransportKind::kInProcess;
-
-  /// Writeset batching: messages a sender multicasts within the window
-  /// are coalesced into one transport frame (one sequencer round-trip,
-  /// one wire header) and unpacked in order at delivery. <= 1 disables
-  /// batching and every message is its own frame.
-  size_t batch_max_count = 1;
-  /// Flush the pending batch once its payload bytes exceed this.
-  size_t batch_max_bytes = 1 << 16;
-  /// Flush the pending batch this long after its first message.
-  std::chrono::microseconds batch_window{200};
-
-  /// TCP transport deadlines (see TransportOptions); ignored in-process.
-  std::chrono::milliseconds tcp_send_timeout{2000};
-  std::chrono::milliseconds tcp_connect_deadline{2000};
 };
 
 /// Group communication endpoint providing the guarantees SI-Rep needs
@@ -98,13 +82,10 @@ struct GroupOptions {
 ///
 ///  * **Total order**: all members deliver all messages in one global
 ///    order (sequencer-based).
-///  * **Uniform reliable delivery**: once a message is multicast, a
-///    subsequent crash of the sender (or of any member) cannot
-///    un-deliver it at survivors, and every survivor delivers it
-///    *before* the crash notification (view change). With batching
-///    enabled the boundary is the frame flush: messages still waiting
-///    in the sender's batch when it crashes die with it, exactly like
-///    messages a real process fails to hand to its GCS daemon.
+///  * **Uniform reliable delivery**: once Multicast() has accepted a
+///    message, a subsequent crash of the sender (or of any member)
+///    cannot un-deliver it at survivors, and every survivor delivers it
+///    *before* the crash notification (view change).
 ///  * **View synchrony**: membership changes are delivered as views,
 ///    totally ordered with messages.
 ///
@@ -112,9 +93,10 @@ struct GroupOptions {
 /// business (gcs/transport.h): the in-process backend or the TCP
 /// sequencer backend, selected by GroupOptions::transport. Group itself
 /// handles everything above the frame: payload encode/decode (codecs +
-/// stash), batching, metrics, and listener fan-out. Each member has a
-/// delivery thread; listener callbacks run there, or on a lone member's
-/// own multicasting thread (see GroupListener), strictly in order.
+/// stash), metrics, and listener fan-out. Each message is one frame and
+/// one slot of the total order. Each member has a delivery thread;
+/// listener callbacks run there, or on a lone member's own multicasting
+/// thread (see GroupListener), strictly in order.
 class Group {
  public:
   /// `first_member` is the id of the first member to join; later joins
@@ -130,21 +112,23 @@ class Group {
   MemberId Join(GroupListener* listener);
 
   /// Simulates a crash: the member stops receiving anything, its future
-  /// multicasts are rejected, its un-flushed batch (if any) is dropped,
-  /// and survivors get a view change ordered after every frame multicast
-  /// before the crash.
+  /// multicasts are rejected, and survivors get a view change ordered
+  /// after every message multicast before the crash. Called anywhere but
+  /// inside one of the member's own callbacks, returns only once no
+  /// callback of the member is running and none will start — also when
+  /// the member had crashed already (its own callback may have crashed
+  /// it and still be unwinding), so the caller may then destroy its
+  /// listener. A callback that crashes its own member does not wait.
   void Crash(MemberId member);
 
   /// True if the member has not crashed (and the group is running).
   bool IsAlive(MemberId member) const;
 
   /// Multicasts to all members in total order. Returns kUnavailable if
-  /// the sender has crashed or the group is shut down. With batching
-  /// enabled, OK means the message is accepted into the sender's pending
-  /// batch (flushed by count/bytes/window). In-process and without
-  /// batching, when the sender is the only live member and idle, the
-  /// call runs the sender's own callback for this message before it
-  /// returns.
+  /// the sender has crashed or the group is shut down. In-process, when
+  /// the sender is the only live member and idle and the caller is not
+  /// inside a callback, the call runs the sender's own callback for this
+  /// message before it returns.
   Status Multicast(MemberId sender, std::string type,
                    std::shared_ptr<const void> payload,
                    obs::TraceContext trace = {});
@@ -156,69 +140,41 @@ class Group {
 
   View CurrentView() const;
 
-  /// Blocks until every multicast message (including pending batches,
-  /// which are flushed first) has been delivered everywhere (test
-  /// helper).
+  /// Blocks until every multicast message has been delivered everywhere
+  /// (test helper).
   void WaitForQuiescence();
 
   /// Stops delivery threads. Pending events are dropped. Returns only
   /// after every callback in progress, on any thread, has returned.
   void Shutdown();
 
-  uint64_t messages_delivered() const {
-    return delivered_count_.load(std::memory_order_relaxed);
-  }
-
-  /// Transport frames multicast so far (== messages sent when batching
-  /// is off; fewer when batches coalesce).
-  uint64_t frames_sent() const {
-    return frames_sent_.load(std::memory_order_relaxed);
-  }
+  /// Messages delivered so far, summed over members
+  /// ("gcs.messages_delivered").
+  uint64_t messages_delivered() const { return c_delivered_->Value(); }
 
   /// This group's metrics registry: multicast latency (enqueue to
   /// delivery, "gcs.multicast_us"), scheduler lag past the emulated
   /// network delay ("gcs.delivery_lag_us"), the undelivered-event
   /// backlog gauge ("gcs.queue_depth"), delivered-message and sent-frame
-  /// counters ("gcs.messages_delivered", "gcs.frames_sent"), and, on the
-  /// in-process transport, the frames delivered on their sender's own
-  /// thread ("gcs.sender_deliveries").
+  /// counters ("gcs.messages_delivered", "gcs.frames_sent": one frame
+  /// per accepted multicast), and, on the in-process transport, the
+  /// frames delivered on their sender's own thread
+  /// ("gcs.sender_deliveries").
   obs::MetricsRegistry& metrics() { return registry_; }
   const obs::MetricsRegistry& metrics() const { return registry_; }
 
  private:
   class MemberSink;
 
-  /// One message staged in a sender's pending batch.
-  struct Staged {
-    FrameEntry entry;
-    std::string wire_payload;  ///< codec output (needs_encoding only)
-    size_t bytes = 0;
-  };
-
-  struct Batch {
-    std::vector<Staged> staged;
-    size_t bytes = 0;
-    std::chrono::steady_clock::time_point deadline;
-  };
-
-  /// Builds and multicasts the frame for `batch`. Caller holds batch_mu_.
-  void FlushBatchLocked(MemberId sender, Batch* batch);
-  void FlushAll();
-  void FlusherLoop();
-
-  /// Encodes `payload` into a Staged entry, stashing it if `type` has no
-  /// codec and the transport needs bytes.
-  Staged Stage(MemberId sender, std::string type,
-               std::shared_ptr<const void> payload,
-               const obs::TraceContext& trace);
+  /// Encodes `frame`'s entry into `frame->encoded` for byte-shipping
+  /// transports: the codec's bytes, or, for a type without a codec, a
+  /// handle to the payload parked in the stash.
+  void EncodeFrame(Frame* frame);
 
   /// Delivery-side payload reconstruction (codec decode or stash fetch).
   std::shared_ptr<const void> ResolvePayload(const std::string& type,
                                              uint64_t stash_id,
                                              const std::string& bytes);
-
-  GroupOptions options_;
-  bool batching_ = false;
 
   obs::MetricsRegistry registry_;
   std::unique_ptr<Transport> transport_;
@@ -235,14 +191,6 @@ class Group {
   std::deque<uint64_t> stash_order_;
   uint64_t next_stash_id_ = 0;
 
-  std::mutex batch_mu_;
-  std::unordered_map<MemberId, Batch> batches_;
-  std::condition_variable batch_cv_;
-  std::thread flusher_thread_;
-  bool flusher_stop_ = false;
-
-  std::atomic<uint64_t> delivered_count_{0};
-  std::atomic<uint64_t> frames_sent_{0};
   std::atomic<bool> shutdown_{false};
 
   obs::Histogram* h_multicast_us_ = nullptr;

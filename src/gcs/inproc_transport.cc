@@ -7,11 +7,12 @@
 // Each member's deliveries are run by whichever thread holds that
 // member's *baton*: one event at a time, in queue (= total) order, with
 // no transport lock held. Usually the member's delivery thread holds it.
-// A sender multicasting an unbatched frame while its member is alone in
-// the group and idle (no event queued or being delivered) claims that
-// member's baton and delivers its frame on its own thread, so a local
-// commit needs neither a delivery-thread wake-up nor a client wake-up.
-// Anything queued behind that frame goes back to the delivery thread.
+// A sender multicasting while its member is alone in the group and idle
+// (no event queued or being delivered) claims that member's baton and
+// delivers its frame on its own thread, so a local commit needs neither
+// a delivery-thread wake-up nor a client wake-up. Anything queued
+// behind that frame goes back to the delivery thread. Crash() waits for
+// the baton to go free, which is how it knows no callback is running.
 //
 // Only a lone member takes this path. With other members, a sender that
 // delivers its own frame waits for no delivery thread, so nothing paces
@@ -41,12 +42,15 @@ namespace sirep::gcs {
 
 namespace {
 
-/// True while the calling thread runs a listener callback. Such a thread
-/// never claims a baton, so callbacks never nest: a callback that
-/// multicasts leaves its own frame to the queue.
-thread_local bool t_in_callback = false;
-
 class InProcessTransport : public Transport {
+  struct Member;  // defined in the private section below
+
+  /// The member whose callback the calling thread is running, if any.
+  /// Such a thread never claims a baton, so callbacks never nest (a
+  /// callback that multicasts leaves its own frame to the queue), and a
+  /// callback that crashes its own member does not wait for itself.
+  static inline thread_local const Member* t_delivering = nullptr;
+
  public:
   explicit InProcessTransport(const TransportOptions& options)
       : options_(options), next_member_(options.first_member) {
@@ -78,21 +82,29 @@ class InProcessTransport : public Transport {
   }
 
   void Crash(MemberId member_id) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = members_.find(member_id);
-    if (it == members_.end() ||
-        it->second->crashed.load(std::memory_order_acquire)) {
-      return;
+    Member* member = nullptr;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      auto it = members_.find(member_id);
+      if (it == members_.end()) return;
+      member = it->second.get();
+      if (!member->crashed.exchange(true, std::memory_order_acq_rel)) {
+        // Stop delivery to the crashed member. Its queue may still hold
+        // frames; they are dropped (the process is gone). Uniformity is
+        // about *surviving* members, whose queues already hold everything
+        // multicast before this point — and the view change below is
+        // enqueued after them.
+        member->Close();
+        SIREP_ILOG << "GCS: member " << member_id << " crashed";
+        EnqueueViewLocked();
+      }
     }
-    it->second->crashed.store(true, std::memory_order_release);
-    // Stop delivery to the crashed member. Its queue may still hold
-    // frames; they are dropped (the process is gone). Uniformity is about
-    // *surviving* members, whose queues already hold everything multicast
-    // before this point — and the view change below is enqueued after
-    // them.
-    it->second->Close();
-    SIREP_ILOG << "GCS: member " << member_id << " crashed";
-    EnqueueViewLocked();
+    if (t_delivering == member) return;
+    // Whoever holds the baton drops every event it has not started, so
+    // once the baton is free no callback runs or will start. Members are
+    // never erased, so `member` outlives the wait.
+    std::unique_lock<std::mutex> lock(member->mu);
+    member->cv.wait(lock, [&] { return !member->baton; });
   }
 
   bool IsAlive(MemberId member) const override {
@@ -123,13 +135,12 @@ class InProcessTransport : public Transport {
       Member* const sender = it->second.get();
       // Checked under mu_, which every enqueue and every join holds:
       // nothing can be queued ahead of this frame.
-      const bool claim = frame.sender_delivers && !t_in_callback &&
+      const bool claim = t_delivering == nullptr &&
                          pending_count_.load(std::memory_order_acquire) == 0 &&
                          AloneLocked(*sender);
       Event event;
       event.kind = Event::Kind::kFrame;
-      event.base_seqno = next_seqno_ + 1;
-      next_seqno_ += frame.message_count;
+      event.seqno = ++next_seqno_;
       event.frame = std::move(frame);
       event.deliver_at =
           std::chrono::steady_clock::now() + options_.multicast_delay;
@@ -145,7 +156,7 @@ class InProcessTransport : public Transport {
         pending_count_.fetch_add(1, std::memory_order_relaxed);
         member->Push(event);
       }
-      own_seqno = event.base_seqno;
+      own_seqno = event.seqno;
       pending_count_.fetch_add(1, std::memory_order_relaxed);
       if (sender->Push(std::move(event), claim)) self = sender;
     }
@@ -195,7 +206,7 @@ class InProcessTransport : public Transport {
  private:
   struct Event {
     enum class Kind { kFrame, kView } kind = Kind::kFrame;
-    uint64_t base_seqno = 0;
+    uint64_t seqno = 0;
     Frame frame;
     View view;
     std::chrono::steady_clock::time_point deliver_at;
@@ -209,7 +220,9 @@ class InProcessTransport : public Transport {
 
     /// Guards queue, closed and baton; never held across a callback.
     std::mutex mu;
-    /// The delivery thread waits here for queued events and a free baton.
+    /// The delivery thread waits here for queued events and a free
+    /// baton; Crash() callers wait here, once the member is closed, for
+    /// the baton to go free.
     std::condition_variable cv;
     std::deque<Event> queue;
     bool closed = false;
@@ -241,7 +254,7 @@ class InProcessTransport : public Transport {
     void Close() {
       std::lock_guard<std::mutex> lock(mu);
       closed = true;
-      cv.notify_one();
+      cv.notify_all();
     }
   };
 
@@ -286,7 +299,7 @@ class InProcessTransport : public Transport {
       // time, whichever thread delivers. The queue is FIFO and the delay
       // constant, so order is preserved.
       std::this_thread::sleep_until(event.deliver_at);
-      t_in_callback = true;
+      t_delivering = self;
       if (event.kind == Event::Kind::kFrame) {
         if (h_delivery_lag_us_ != nullptr) {
           // Lag past the emulated network delay = scheduling + backlog.
@@ -296,11 +309,11 @@ class InProcessTransport : public Transport {
                   std::chrono::steady_clock::now() - event.deliver_at)
                   .count());
         }
-        self->sink->OnFrame(event.base_seqno, event.frame);
+        self->sink->OnFrame(event.seqno, event.frame);
       } else {
         self->sink->OnViewChange(event.view);
       }
-      t_in_callback = false;
+      t_delivering = nullptr;
     }
     return live;
   }
@@ -325,8 +338,7 @@ class InProcessTransport : public Transport {
     std::unique_lock<std::mutex> lock(self->mu);
     Event event = std::move(self->queue.front());
     self->queue.pop_front();
-    assert(event.kind == Event::Kind::kFrame &&
-           event.base_seqno == own_seqno);
+    assert(event.kind == Event::Kind::kFrame && event.seqno == own_seqno);
     lock.unlock();
     if (Deliver(self, event) && c_sender_deliveries_ != nullptr) {
       c_sender_deliveries_->Increment();
@@ -335,7 +347,7 @@ class InProcessTransport : public Transport {
     // Notify under the lock: once the baton is free, Shutdown may join
     // the delivery thread and destroy the member.
     self->baton = false;
-    if (self->closed || !self->queue.empty()) self->cv.notify_one();
+    if (self->closed || !self->queue.empty()) self->cv.notify_all();
     Settle();
   }
 
@@ -356,6 +368,7 @@ class InProcessTransport : public Transport {
         self->baton = !self->queue.empty();
         Settle();
       }
+      if (self->closed) self->cv.notify_all();  // Crash() waiters
     }
   }
 

@@ -12,7 +12,7 @@
 // Wire records (all little-endian, `u32 length` prefix over the body):
 //
 //   member -> sequencer
-//     kSend   u32 message_count, string frame      multicast request
+//     kSend   string frame                         multicast request
 //     kAck    u64 stream_index                     "I buffered record i"
 //     kCrash  (empty)                              crash marker; sent
 //                                                  after the member's
@@ -22,8 +22,8 @@
 //                                                  before the view change
 //   sequencer -> member
 //     kWelcome u32 member_id
-//     kData    u64 stream_index, u64 base_seqno,
-//              u32 message_count, string frame
+//     kData    u64 stream_index, u64 seqno,        one seqno per frame
+//              string frame
 //     kStable  u64 stream_index                    deliver up to here
 //     kView    u64 stream_index, u64 view_id,
 //              u32 n, n x u32 members
@@ -80,14 +80,25 @@ using net::RecordBuffer;
 using net::WriteRecord;
 using net::kRecvPollPeriod;
 
+/// A blocking socket send that makes no progress for this long means the
+/// peer is hung: the sequencer expels it (view change) instead of
+/// wedging every broadcast behind its full buffer.
+constexpr std::chrono::milliseconds kSendTimeout{2000};
+/// Total budget for AddMember's connect + welcome handshake, retried
+/// with bounded exponential backoff (a flapping or briefly unreachable
+/// sequencer degrades join latency, not liveness).
+constexpr std::chrono::milliseconds kConnectDeadline{2000};
+
 class TcpSequencerTransport : public Transport {
   struct Endpoint;  // defined in the private section below
 
+  /// The endpoint whose delivery thread this is, if any: a callback
+  /// that crashes its own member does not wait for itself.
+  static inline thread_local const Endpoint* t_delivering = nullptr;
+
  public:
   explicit TcpSequencerTransport(const TransportOptions& options)
-      : seq_next_member_(options.first_member),
-        send_timeout_(options.tcp_send_timeout),
-        connect_deadline_(options.tcp_connect_deadline) {
+      : seq_next_member_(options.first_member) {
     if (options.registry != nullptr) {
       h_delivery_lag_us_ =
           options.registry->GetLatencyHistogram("gcs.delivery_lag_us");
@@ -110,10 +121,10 @@ class TcpSequencerTransport : public Transport {
       return kInvalidMember;
     }
     // Connect + welcome handshake, retried with bounded exponential
-    // backoff until connect_deadline_: a sequencer that is briefly
+    // backoff until kConnectDeadline: a sequencer that is briefly
     // unreachable or drops the connection mid-handshake (e.g. the
     // "gcs.tcp.accept" failpoint) costs join latency, not the join.
-    const auto deadline = std::chrono::steady_clock::now() + connect_deadline_;
+    const auto deadline = std::chrono::steady_clock::now() + kConnectDeadline;
     auto backoff = std::chrono::milliseconds(1);
     auto endpoint = std::make_unique<Endpoint>();
     while (true) {
@@ -172,7 +183,7 @@ class TcpSequencerTransport : public Transport {
     }
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0) return false;
-    ConfigureSocket(fd, send_timeout_);
+    ConfigureSocket(fd, kSendTimeout);
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -211,13 +222,13 @@ class TcpSequencerTransport : public Transport {
 
   void Crash(MemberId member) override {
     Endpoint* ep = FindEndpoint(member);
-    if (ep == nullptr || ep->crashed.exchange(true)) return;
-    SIREP_ILOG << "GCS/tcp: member " << member << " crashed";
-    // Balanced by RemoveMemberLocked; WaitForQuiescence() holds out until
-    // the sequencer has processed the marker (and thus broadcast the
-    // resulting view change).
-    crashes_submitted_.fetch_add(1, std::memory_order_acq_rel);
-    {
+    if (ep == nullptr) return;
+    if (!ep->crashed.exchange(true)) {
+      SIREP_ILOG << "GCS/tcp: member " << member << " crashed";
+      // Balanced by RemoveMemberLocked; WaitForQuiescence() holds out
+      // until the sequencer has processed the marker (and thus broadcast
+      // the resulting view change).
+      crashes_submitted_.fetch_add(1, std::memory_order_acq_rel);
       // The marker is written after any in-flight Multicast() completes
       // its kSend (same mutex), so on the sequencer's stream every
       // pre-crash message precedes the crash — and therefore precedes
@@ -227,6 +238,12 @@ class TcpSequencerTransport : public Transport {
       WriteRecord(ep->fd, body);
       ::shutdown(ep->fd, SHUT_WR);
     }
+    if (t_delivering == ep) return;
+    // The delivery thread starts no callback once it sees `crashed`
+    // (BeginCallback), so waiting out the one in progress is enough; its
+    // threads are joined only at Shutdown().
+    std::unique_lock<std::mutex> lock(ep->callback_mu);
+    ep->callback_cv.wait(lock, [&] { return !ep->in_callback; });
   }
 
   bool IsAlive(MemberId member) const override {
@@ -275,7 +292,6 @@ class TcpSequencerTransport : public Transport {
       return Status::Unavailable("injected connection reset");
     }
     std::string body(1, static_cast<char>(kSend));
-    sql::EncodeU32(frame.message_count, &body);
     sql::EncodeString(frame.encoded, &body);
     sends_submitted_.fetch_add(1, std::memory_order_acq_rel);
     std::lock_guard<std::mutex> lock(ep->send_mu);
@@ -342,7 +358,7 @@ class TcpSequencerTransport : public Transport {
     enum class Kind { kFrame, kView, kStableMark, kDisconnect } kind =
         Kind::kFrame;
     uint64_t stream_index = 0;
-    uint64_t base_seqno = 0;  // kFrame
+    uint64_t seqno = 0;       // kFrame
     Frame frame;              // kFrame
     View view;                // kView
     uint64_t stable = 0;      // kStableMark
@@ -366,6 +382,11 @@ class TcpSequencerTransport : public Transport {
     std::thread delivery_thread;
     /// Highest stream index this member has delivered (quiescence).
     std::atomic<uint64_t> delivered_index{0};
+    /// Set while the delivery thread runs a callback; Crash() waits on
+    /// callback_cv for it to clear.
+    std::mutex callback_mu;
+    std::condition_variable callback_cv;
+    bool in_callback = false;
   };
 
   /// Sequencer-side per-broadcast ack bookkeeping.
@@ -430,7 +451,7 @@ class TcpSequencerTransport : public Transport {
       ::close(fd);
       return;
     }
-    ConfigureSocket(fd, send_timeout_);
+    ConfigureSocket(fd, kSendTimeout);
     std::lock_guard<std::mutex> lock(seq_mu_);
     const MemberId id = seq_next_member_++;
     std::string welcome(1, static_cast<char>(kWelcome));
@@ -486,19 +507,15 @@ class TcpSequencerTransport : public Transport {
     size_t pos = 1;
     switch (op) {
       case kSend: {
-        uint32_t count = 0;
         std::string frame;
-        if (!sql::DecodeU32(body, &pos, &count).ok() ||
-            !sql::DecodeString(body, &pos, &frame).ok() || count == 0) {
+        if (!sql::DecodeString(body, &pos, &frame).ok()) {
           SIREP_ELOG << "GCS/tcp: malformed kSend from member " << id;
           *gone = true;
           return;
         }
         const uint64_t idx = ++seq_next_index_;
         last_index_.store(idx, std::memory_order_release);
-        const uint64_t base = seq_next_seqno_ + 1;
-        seq_next_seqno_ += count;
-        BroadcastLocked(idx, MakeDataRecord(idx, base, count, frame));
+        BroadcastLocked(idx, MakeDataRecord(idx, ++seq_next_seqno_, frame));
         sends_sequenced_.fetch_add(1, std::memory_order_acq_rel);
         NotifyQuiescence();
         break;
@@ -525,12 +542,11 @@ class TcpSequencerTransport : public Transport {
     }
   }
 
-  static std::string MakeDataRecord(uint64_t idx, uint64_t base,
-                                    uint32_t count, const std::string& frame) {
+  static std::string MakeDataRecord(uint64_t idx, uint64_t seqno,
+                                    const std::string& frame) {
     std::string data(1, static_cast<char>(kData));
     sql::EncodeU64(idx, &data);
-    sql::EncodeU64(base, &data);
-    sql::EncodeU32(count, &data);
+    sql::EncodeU64(seqno, &data);
     sql::EncodeString(frame, &data);
     return data;
   }
@@ -659,15 +675,12 @@ class TcpSequencerTransport : public Transport {
       switch (op) {
         case kData: {
           record.kind = RxRecord::Kind::kFrame;
-          uint32_t count = 0;
           if (!sql::DecodeU64(body, &pos, &record.stream_index).ok() ||
-              !sql::DecodeU64(body, &pos, &record.base_seqno).ok() ||
-              !sql::DecodeU32(body, &pos, &count).ok() ||
+              !sql::DecodeU64(body, &pos, &record.seqno).ok() ||
               !sql::DecodeString(body, &pos, &record.frame.encoded).ok()) {
             SIREP_ELOG << "GCS/tcp: malformed kData at member " << ep->id;
             continue;
           }
-          record.frame.message_count = count;
           record.rx_ns = obs::MonotonicNanos();
           // "gcs.tcp.recv" delays the ack (stalls the stable watermark —
           // a slow consumer); "gcs.tcp.recv.dup" re-enqueues the frame
@@ -740,6 +753,7 @@ class TcpSequencerTransport : public Transport {
   /// are dropped by the last-delivered index; a kDisconnect from the rx
   /// thread becomes a synthetic self-excluding view change.
   void DeliveryLoop(Endpoint* ep) {
+    t_delivering = ep;
     std::deque<RxRecord> buffered;
     uint64_t stable = 0;
     uint64_t last_delivered = 0;
@@ -770,7 +784,7 @@ class TcpSequencerTransport : public Transport {
           continue;
         }
         last_delivered = front.stream_index;
-        if (!ep->crashed.load(std::memory_order_acquire)) {
+        if (BeginCallback(ep)) {
           if (front.kind == RxRecord::Kind::kFrame) {
             if (h_delivery_lag_us_ != nullptr) {
               // Socket receive -> stable delivery: the ack-stability
@@ -781,11 +795,12 @@ class TcpSequencerTransport : public Transport {
                                                     obs::MonotonicNanos() -
                                                     front.rx_ns));
             }
-            ep->sink->OnFrame(front.base_seqno, front.frame);
+            ep->sink->OnFrame(front.seqno, front.frame);
           } else {
             last_view = front.view;
             ep->sink->OnViewChange(front.view);
           }
+          EndCallback(ep);
         }
         ep->delivered_index.store(front.stream_index,
                                   std::memory_order_release);
@@ -801,7 +816,7 @@ class TcpSequencerTransport : public Transport {
   /// group has moved on from must not keep serving clients as a
   /// zombie). Runs on the delivery thread, in stream order.
   void SelfExpel(Endpoint* ep, const View& last_view) {
-    if (ep->crashed.exchange(true)) {
+    if (!BeginCallback(ep, /*crash=*/true)) {
       NotifyQuiescence();
       return;  // lost a race with Crash()/Shutdown(): nothing to report
     }
@@ -814,7 +829,25 @@ class TcpSequencerTransport : public Transport {
       if (m != ep->id) synthetic.members.push_back(m);
     }
     ep->sink->OnViewChange(synthetic);
+    EndCallback(ep);
     NotifyQuiescence();
+  }
+
+  /// Marks a callback of `ep` in progress unless the member crashed;
+  /// with `crash`, also marks it crashed. Under callback_mu, so a
+  /// Crash() that then finds no callback in progress knows none will
+  /// start.
+  static bool BeginCallback(Endpoint* ep, bool crash = false) {
+    std::lock_guard<std::mutex> lock(ep->callback_mu);
+    if (crash ? ep->crashed.exchange(true) : ep->crashed.load()) return false;
+    ep->in_callback = true;
+    return true;
+  }
+
+  static void EndCallback(Endpoint* ep) {
+    std::lock_guard<std::mutex> lock(ep->callback_mu);
+    ep->in_callback = false;
+    ep->callback_cv.notify_all();
   }
 
   // ---------------------------------------------------------------- //
@@ -890,9 +923,6 @@ class TcpSequencerTransport : public Transport {
   std::atomic<uint64_t> joins_processed_{0};
   std::mutex quiesce_mu_;
   std::condition_variable quiesce_cv_;
-
-  const std::chrono::milliseconds send_timeout_;
-  const std::chrono::milliseconds connect_deadline_;
 
   obs::Histogram* h_delivery_lag_us_ = nullptr;
   obs::Gauge* g_queue_depth_ = nullptr;

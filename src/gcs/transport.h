@@ -35,14 +35,11 @@ enum class TransportKind {
   kTcp,
 };
 
-/// One application message inside a multicast frame, in the pointer
-/// representation used by transports that do not serialize.
+/// One application message in the pointer representation used by
+/// transports that do not serialize.
 struct FrameEntry {
   std::string type;
   std::shared_ptr<const void> payload;
-  /// Non-zero when the payload has no wire codec and rides the Group's
-  /// in-process stash instead of the encoded frame (see group.h).
-  uint64_t stash_id = 0;
   /// MonotonicNanos at Multicast() time, for end-to-end latency metrics.
   uint64_t enqueue_ns = 0;
   /// Distributed trace context of the originating transaction (empty
@@ -53,36 +50,26 @@ struct FrameEntry {
   obs::TraceContext trace;
 };
 
-/// A multicast unit occupying `message_count` consecutive slots of the
-/// total order (writeset batching packs several messages per frame).
-/// Exactly one representation is populated: `entries` for transports
-/// with needs_encoding() == false, `encoded` (a gcs/wire.h frame) for
-/// transports that ship bytes.
+/// A multicast unit: one message, occupying one slot of the total
+/// order. Exactly one representation is populated: `entry` for
+/// transports with needs_encoding() == false, `encoded` (a gcs/wire.h
+/// frame) for transports that ship bytes.
 struct Frame {
   MemberId sender = kInvalidMember;
-  uint32_t message_count = 0;
-  std::vector<FrameEntry> entries;
+  FrameEntry entry;
   std::string encoded;
-  /// Set by Group on unbatched frames, which are multicast on the
-  /// sender's own thread: the transport may then run the sender's
-  /// delivery of this frame on that thread (the in-process transport
-  /// does when the sender is the only live member and idle; the TCP
-  /// transport ignores it). Frames flushed from a batch never set it.
-  bool sender_delivers = false;
 };
 
 /// Receives one member's totally ordered event stream. Callbacks run in
 /// total order, one at a time, and never under a transport or Group
 /// lock, so a callback may itself multicast. They run on the member's
 /// delivery thread or, on the in-process transport, on a thread that is
-/// multicasting an unbatched frame from that member while it is the
-/// only live member (see Frame::sender_delivers).
+/// multicasting from that member while it is the only live member.
 class FrameSink {
  public:
   virtual ~FrameSink() = default;
-  /// `base_seqno` is the first total-order slot of the frame; entry i
-  /// has seqno base_seqno + i.
-  virtual void OnFrame(uint64_t base_seqno, const Frame& frame) = 0;
+  /// `seqno` is the frame's slot in the total order (1-based).
+  virtual void OnFrame(uint64_t seqno, const Frame& frame) = 0;
   virtual void OnViewChange(const View& view) = 0;
 };
 
@@ -95,14 +82,6 @@ struct TransportOptions {
   /// ("gcs.delivery_lag_us", "gcs.queue_depth", and in-process
   /// "gcs.sender_deliveries"). May be null.
   obs::MetricsRegistry* registry = nullptr;
-  /// TCP backend: a blocking socket send that makes no progress for this
-  /// long means the peer is hung — the sequencer expels it (view change)
-  /// instead of wedging every broadcast behind its full buffer.
-  std::chrono::milliseconds tcp_send_timeout{2000};
-  /// TCP backend: total budget for AddMember's connect + welcome
-  /// handshake, retried with bounded exponential backoff (a flapping or
-  /// briefly unreachable sequencer degrades join latency, not liveness).
-  std::chrono::milliseconds tcp_connect_deadline{2000};
   /// Id of the first member; later joins count up from it. A cluster
   /// running several groups gives each a disjoint id range, so member
   /// ids (and the global transaction ids built from them) stay unique
@@ -114,13 +93,13 @@ struct TransportOptions {
 /// numbers and delivers frames + views to every member's sink with the
 /// paper's §5.2 guarantees (total order, uniform reliable delivery,
 /// view synchrony). Group handles everything above the frame: payload
-/// encode/decode, batching, metrics, listener fan-out.
+/// encode/decode, metrics, listener fan-out.
 class Transport {
  public:
   virtual ~Transport() = default;
 
   /// True if Multicast() requires Frame::encoded (wire bytes); false if
-  /// the transport passes Frame::entries pointers through unserialized.
+  /// the transport passes Frame::entry pointers through unserialized.
   virtual bool needs_encoding() const = 0;
 
   /// Adds a member; its first delivered event is the view containing it.
@@ -129,7 +108,9 @@ class Transport {
 
   /// Simulates the member's crash: no further deliveries to it, its
   /// future multicasts fail, survivors get an ordered view change after
-  /// every frame multicast before the crash.
+  /// every frame multicast before the crash. Unless the caller is inside
+  /// one of the member's own callbacks, returns only once no callback of
+  /// the member is running, also when it had crashed already.
   virtual void Crash(MemberId member) = 0;
 
   virtual bool IsAlive(MemberId member) const = 0;

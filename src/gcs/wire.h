@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 #include "gcs/transport.h"
@@ -12,45 +11,40 @@
 namespace sirep::gcs {
 
 /// Multicast frame wire format, built on the sql/serde.h primitives
-/// (little-endian, length-prefixed). One frame carries a batch of
-/// application messages that share one total-order slot range:
+/// (little-endian, length-prefixed). One frame carries one application
+/// message, which occupies one slot of the total order:
 ///
 ///   u32     magic      "SIRW" (0x57524953)
 ///   u8      version    kWireVersion
 ///   u8      flags      reserved, must be 0
 ///   u32     sender     MemberId of the multicasting member
-///   u32     count      number of entries
-///   entry*  count times:
-///     string  type       application tag ("writeset", "ddl", ...)
-///     u64     stash_id   0 = payload bytes follow; non-zero = payload
-///                        lives in the sender process' stash (types
-///                        without a registered wire codec)
-///     u64     enqueue_ns Multicast() timestamp (latency accounting)
-///     u64     trace_id        0 = no context
-///     u32     trace_origin    originating replica's MemberId
-///     u64     trace_mono_ns   origin MonotonicNanos() at multicast
-///     u64     trace_wall_ns   origin wall clock at multicast
-///     string  payload    codec-encoded message body (empty if stashed)
+///   string  type       application tag ("writeset", "ddl", ...)
+///   u64     stash_id   0 = payload bytes follow; non-zero = payload
+///                      lives in the sender process' stash (types
+///                      without a registered wire codec)
+///   u64     enqueue_ns Multicast() timestamp (latency accounting)
+///   u64     trace_id        0 = no context
+///   u32     trace_origin    originating replica's MemberId
+///   u64     trace_mono_ns   origin MonotonicNanos() at multicast
+///   u64     trace_wall_ns   origin wall clock at multicast
+///   string  payload    codec-encoded message body (empty if stashed)
 ///
 /// Every member runs the same binary, so there is one version: decoders
 /// accept kWireVersion only. They fail with kInvalidArgument on
-/// truncation, bad magic, any other version, non-zero flags, or a count
-/// that cannot fit the remaining bytes — never by reading out of bounds.
+/// truncation, bad magic, any other version, non-zero flags, a length
+/// that overruns the frame, or trailing bytes — never by reading out of
+/// bounds.
 
 constexpr uint32_t kWireMagic = 0x57524953;  // "SIRW"
-constexpr uint8_t kWireVersion = 3;
+constexpr uint8_t kWireVersion = 4;
 
-struct WireEntry {
+struct WireFrame {
+  MemberId sender = kInvalidMember;
   std::string type;
   uint64_t stash_id = 0;
   uint64_t enqueue_ns = 0;
   obs::TraceContext trace;
   std::string payload;
-};
-
-struct WireFrame {
-  MemberId sender = kInvalidMember;
-  std::vector<WireEntry> entries;
 };
 
 void EncodeWireFrame(const WireFrame& frame, std::string* out);

@@ -67,7 +67,13 @@ SrcaRepReplica::SrcaRepReplica(engine::Database* db, gcs::Group* group,
       obs::LockStats::FromRegistry(&registry_, "mw.lock.wsindex"));
 }
 
-SrcaRepReplica::~SrcaRepReplica() { Shutdown(); }
+SrcaRepReplica::~SrcaRepReplica() {
+  // Leave the group before the members die, and wait out any callback
+  // still running: one may have crashed this replica (a self-expulsion)
+  // and still be unwinding on the delivery thread.
+  if (member_id() != gcs::kInvalidMember) group_->Crash(member_id());
+  Shutdown();
+}
 
 Status SrcaRepReplica::Start() {
   // Byte-shipping transports (TCP sequencer) need these to serialize our
@@ -599,9 +605,9 @@ void SrcaRepReplica::ProcessWriteSet(const gcs::Message& message) {
         // and only resumes after pending->cv signals done.
         pending->trace->EndAt(obs::Stage::kMulticast, arrival_ns);
         pending->trace->Add(obs::Stage::kGlobalValidate, validate_ns);
-        // Sequencer/batching wait: group enqueue at the origin until
-        // total-order delivery back at the origin (same clock, so no
-        // skew correction needed).
+        // Sequencer wait: group enqueue at the origin until total-order
+        // delivery back at the origin (same clock, so no skew
+        // correction needed).
         if (message.enqueue_ns != 0 && arrival_ns > message.enqueue_ns) {
           pending->trace->Add(obs::Stage::kSequencerQueue,
                               arrival_ns - message.enqueue_ns);

@@ -67,6 +67,8 @@ class SrcaRepReplica final : public gcs::GroupListener,
 
   SrcaRepReplica(engine::Database* db, gcs::Group* group,
                  ReplicaOptions options = {});
+  /// Leaves the group (gcs::Group::Crash) and waits for any callback
+  /// still running on it; the group must outlive the replica.
   ~SrcaRepReplica() override;
 
   SrcaRepReplica(const SrcaRepReplica&) = delete;

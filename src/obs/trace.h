@@ -21,7 +21,7 @@ namespace sirep::obs {
 /// multicast writeset, so the replicated leg (the one SI-Rep adds over
 /// a standalone database) is visible in the Fig. 7 breakdown.
 ///   kSequencerQueue   multicast enqueue -> delivery at the origin
-///                     replica (batch wait + sequencer round-trip).
+///                     replica (sequencer round-trip).
 ///   kDeliverySkew     how much later a *remote* replica saw the
 ///                     writeset than the estimated fastest delivery
 ///                     (local arrival minus origin send, minus the
@@ -107,8 +107,8 @@ struct StageHistograms {
 /// session thread up to multicast, the thread that delivers the writeset
 /// back to its origin between delivery and validation outcome, then the
 /// client thread again. Sometimes those are one thread: on the
-/// in-process GCS without batching, a client whose replica is alone in
-/// its group delivers its own writeset. When the GCS delivery thread
+/// in-process GCS, a client whose replica is alone in its group
+/// delivers its own writeset. When the GCS delivery thread
 /// does it instead, the handoffs are ordered by the group queue and the
 /// middleware's pending-commit mutex and condition variable, so plain
 /// (non-atomic) fields are race-free either way.

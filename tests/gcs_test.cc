@@ -215,6 +215,36 @@ class ThreadRecordingListener : public GroupListener {
   std::vector<uint64_t> lag_ns_;
 };
 
+/// Crashes its own member from inside OnViewChange once a second member
+/// joins, the way a replica crashes itself on a self-expulsion view, and
+/// then lingers in that callback for 50 ms.
+class SelfCrashingListener : public GroupListener {
+ public:
+  explicit SelfCrashingListener(Group* group) : group_(group) {}
+
+  void set_self(MemberId self) { self_.store(self); }
+  void OnDeliver(const Message&) override {}
+  void OnViewChange(const View& view) override {
+    const MemberId self = self_.load();
+    if (view.members.size() < 2 || self == kInvalidMember || crashed_.load()) {
+      return;
+    }
+    group_->Crash(self);  // must not wait for this very callback
+    crashed_.store(true);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    returned_.store(true);
+  }
+
+  bool crashed() const { return crashed_.load(); }
+  bool returned() const { return returned_.load(); }
+
+ private:
+  Group* group_;
+  std::atomic<MemberId> self_{kInvalidMember};
+  std::atomic<bool> crashed_{false};
+  std::atomic<bool> returned_{false};
+};
+
 uint64_t CounterValue(const Group& group, const std::string& name) {
   const obs::MetricsSnapshot snap = group.metrics().Snapshot();
   const auto it = snap.counters.find(name);
@@ -282,17 +312,19 @@ TEST_P(TransportGcsTest, TotalOrderUnderConcurrentSenders) {
   for (auto& t : senders) t.join();
   group.WaitForQuiescence();
 
-  // Every member saw every message, in exactly the same (seqno) order —
-  // and seqnos are strictly increasing.
+  // Every member saw every message, in exactly the same (seqno) order.
+  // Each message is one frame and takes one slot, so the seqnos are
+  // exactly 1..N and the group sent one frame per accepted multicast.
   const auto reference = listeners[0]->seqnos();
   ASSERT_EQ(reference.size(),
             static_cast<size_t>(kMembers) * kPerSender);
-  for (size_t i = 1; i < reference.size(); ++i) {
-    EXPECT_LT(reference[i - 1], reference[i]);
+  for (size_t i = 0; i < reference.size(); ++i) {
+    EXPECT_EQ(reference[i], i + 1);
   }
   for (int i = 1; i < kMembers; ++i) {
     EXPECT_EQ(listeners[i]->seqnos(), reference) << "member " << i;
   }
+  EXPECT_EQ(CounterValue(group, "gcs.frames_sent"), reference.size());
 }
 
 TEST_P(TransportGcsTest, SendersReceiveTheirOwnMessages) {
@@ -406,105 +438,6 @@ TEST_P(TransportGcsTest, RegisteredCodecRoundTripsPayloads) {
   auto payloads = b.payloads();
   ASSERT_EQ(payloads.size(), 1u);
   EXPECT_EQ(*static_cast<const int*>(payloads[0].get()), 1234);
-}
-
-// --- Batching ---------------------------------------------------------
-
-TEST_P(TransportGcsTest, BatchingCoalescesFramesAndPreservesOrder) {
-  GroupOptions options = Options();
-  options.batch_max_count = 8;
-  options.batch_window = std::chrono::microseconds(1000000);  // count-driven
-  Group group(options);
-  group.RegisterCodec("int", IntCodec());
-  RecordingListener a, b;
-  const MemberId ma = group.Join(&a);
-  group.Join(&b);
-
-  constexpr int kMessages = 32;
-  for (int i = 0; i < kMessages; ++i) {
-    ASSERT_TRUE(group.Multicast(ma, "int", Payload(i)).ok());
-  }
-  group.WaitForQuiescence();
-
-  // 32 messages at batch size 8 = exactly 4 frames (the window is too
-  // long to fire, so every flush is count-driven).
-  EXPECT_EQ(group.frames_sent(), 4u);
-  EXPECT_EQ(group.messages_delivered(), 2u * kMessages);
-
-  // Unpacked in order with consecutive per-message seqnos, and the
-  // payload values arrive in send order.
-  const auto seqnos = a.seqnos();
-  const auto payloads = a.payloads();
-  ASSERT_EQ(seqnos.size(), static_cast<size_t>(kMessages));
-  for (size_t i = 1; i < seqnos.size(); ++i) {
-    EXPECT_EQ(seqnos[i], seqnos[i - 1] + 1);
-  }
-  for (int i = 0; i < kMessages; ++i) {
-    EXPECT_EQ(*static_cast<const int*>(payloads[i].get()), i);
-  }
-  EXPECT_EQ(b.seqnos(), seqnos);
-}
-
-TEST_P(TransportGcsTest, BatchWindowFlushesWithoutQuiesce) {
-  GroupOptions options = Options();
-  // Never count-driven; the window is generous so that all three sends
-  // land in one batch even under sanitizer slowdown.
-  options.batch_max_count = 1000;
-  options.batch_window = std::chrono::microseconds(50000);
-  Group group(options);
-  group.RegisterCodec("int", IntCodec());
-  RecordingListener a;
-  const MemberId ma = group.Join(&a);
-
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(group.Multicast(ma, "int", Payload(i)).ok());
-  }
-  // No WaitForQuiescence (which force-flushes): the window timer alone
-  // must push the batch out.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (group.messages_delivered() < 3 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(group.messages_delivered(), 3u);
-  EXPECT_EQ(group.frames_sent(), 1u);
-  // Everything already arrived; this quiesce only synchronizes with the
-  // delivery thread before the stack listener goes out of scope.
-  group.WaitForQuiescence();
-}
-
-TEST_P(TransportGcsTest, BatchingKeepsTotalOrderAcrossSenders) {
-  GroupOptions options = Options();
-  options.batch_max_count = 4;
-  Group group(options);
-  group.RegisterCodec("int", IntCodec());
-  RecordingListener a, b;
-  const MemberId ma = group.Join(&a);
-  const MemberId mb = group.Join(&b);
-
-  constexpr int kPerSender = 20;
-  std::thread ta([&] {
-    for (int i = 0; i < kPerSender; ++i) {
-      ASSERT_TRUE(group.Multicast(ma, "int", Payload(i)).ok());
-    }
-  });
-  std::thread tb([&] {
-    for (int i = 0; i < kPerSender; ++i) {
-      ASSERT_TRUE(group.Multicast(mb, "int", Payload(100 + i)).ok());
-    }
-  });
-  ta.join();
-  tb.join();
-  group.WaitForQuiescence();
-
-  const auto reference = a.seqnos();
-  ASSERT_EQ(reference.size(), static_cast<size_t>(2 * kPerSender));
-  for (size_t i = 1; i < reference.size(); ++i) {
-    EXPECT_LT(reference[i - 1], reference[i]);
-  }
-  EXPECT_EQ(b.seqnos(), reference);
-  EXPECT_LE(group.frames_sent(), static_cast<uint64_t>(2 * kPerSender));
 }
 
 // --- Delivery contract under concurrent senders (the per-member baton) --
@@ -673,6 +606,45 @@ TEST_P(TransportGcsTest, ShutdownWaitsForCallbackInProgress) {
   }
 }
 
+TEST_P(TransportGcsTest, CrashWaitsForCallbackInProgress) {
+  // Crash(m) called outside m's callbacks returns only once m's callback
+  // in progress has returned, so the caller may then destroy m's
+  // listener. b's message reaches a on a's delivery thread on both
+  // transports, and a's callback stalls there.
+  Group group(Options());
+  ThreadRecordingListener a(std::chrono::milliseconds(100));
+  RecordingListener b;
+  const MemberId ma = group.Join(&a);
+  const MemberId mb = group.Join(&b);
+  group.WaitForQuiescence();
+  ASSERT_TRUE(group.Multicast(mb, "m", Payload(1)).ok());
+  while (!a.entered()) std::this_thread::yield();
+  group.Crash(ma);
+  EXPECT_TRUE(a.returned());
+  EXPECT_FALSE(group.IsAlive(ma));
+  group.WaitForQuiescence();
+}
+
+TEST_P(TransportGcsTest, CallbackMayCrashItsOwnMember) {
+  // A callback that crashes its own member does not wait for itself; a
+  // later Crash() of that member from outside (as a listener's owner
+  // does before destroying it) waits for the callback to unwind.
+  Group group(Options());
+  SelfCrashingListener a(&group);
+  const MemberId ma = group.Join(&a);
+  a.set_self(ma);
+  group.WaitForQuiescence();
+  RecordingListener b;
+  ASSERT_NE(group.Join(&b), kInvalidMember);
+  while (!a.crashed()) std::this_thread::yield();
+  group.Crash(ma);
+  EXPECT_TRUE(a.returned());
+  EXPECT_FALSE(group.IsAlive(ma));
+  group.WaitForQuiescence();
+  ASSERT_FALSE(b.views().empty());
+  EXPECT_FALSE(b.views().back().Contains(ma));
+}
+
 INSTANTIATE_TEST_SUITE_P(Transports, TransportGcsTest,
                          ::testing::Values(TransportKind::kInProcess,
                                            TransportKind::kTcp),
@@ -720,47 +692,25 @@ TEST(GcsTest, SenderDeliveryKeepsMulticastDelay) {
   EXPECT_EQ(CounterValue(group, "gcs.sender_deliveries"), 1u);
 }
 
-TEST(GcsTest, SenderDeliveriesCountOwnFramesAndNeverBatches) {
-  // Unbatched, every frame a lone, idle member multicasts is delivered
-  // to the sender on its own thread, and counted once.
-  {
-    GroupOptions options;
-    options.transport = TransportKind::kInProcess;
-    Group group(options);
-    ThreadRecordingListener a;
-    const MemberId ma = group.Join(&a);
-    group.WaitForQuiescence();
-    constexpr int kFrames = 20;
-    for (int i = 0; i < kFrames; ++i) {
-      ASSERT_TRUE(group.Multicast(ma, "m", Payload(i)).ok());
-    }
-    group.WaitForQuiescence();
-    EXPECT_EQ(CounterValue(group, "gcs.sender_deliveries"),
-              static_cast<uint64_t>(kFrames));
-    ASSERT_EQ(a.threads().size(), static_cast<size_t>(kFrames));
-    for (const auto& id : a.threads()) {
-      EXPECT_EQ(id, std::this_thread::get_id());
-    }
+TEST(GcsTest, SenderDeliveriesCountOwnFrames) {
+  // Every frame a lone, idle member multicasts is delivered to the
+  // sender on its own thread, and counted once.
+  GroupOptions options;
+  options.transport = TransportKind::kInProcess;
+  Group group(options);
+  ThreadRecordingListener a;
+  const MemberId ma = group.Join(&a);
+  group.WaitForQuiescence();
+  constexpr int kFrames = 20;
+  for (int i = 0; i < kFrames; ++i) {
+    ASSERT_TRUE(group.Multicast(ma, "m", Payload(i)).ok());
   }
-  // Batched frames are flushed under the batch mutex or on the flusher
-  // thread, so no batching thread ever runs a callback.
-  {
-    GroupOptions options;
-    options.transport = TransportKind::kInProcess;
-    options.batch_max_count = 4;
-    Group group(options);
-    ThreadRecordingListener a;
-    const MemberId ma = group.Join(&a);
-    group.WaitForQuiescence();
-    for (int i = 0; i < 10; ++i) {
-      ASSERT_TRUE(group.Multicast(ma, "m", Payload(i)).ok());
-    }
-    group.WaitForQuiescence();
-    EXPECT_EQ(a.threads().size(), 10u);
-    EXPECT_EQ(CounterValue(group, "gcs.sender_deliveries"), 0u);
-    for (const auto& id : a.threads()) {
-      EXPECT_NE(id, std::this_thread::get_id());
-    }
+  group.WaitForQuiescence();
+  EXPECT_EQ(CounterValue(group, "gcs.sender_deliveries"),
+            static_cast<uint64_t>(kFrames));
+  ASSERT_EQ(a.threads().size(), static_cast<size_t>(kFrames));
+  for (const auto& id : a.threads()) {
+    EXPECT_EQ(id, std::this_thread::get_id());
   }
 }
 

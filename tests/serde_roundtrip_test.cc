@@ -1,7 +1,7 @@
 // Round-trip and corruption tests for the wire formats introduced with
 // the byte-shipping transport: writeset encoding (storage/write_set.h),
 // the middleware message payloads (middleware/messages.h), and the GCS
-// batch frame (gcs/wire.h). Malformed input of any shape must come back
+// frame (gcs/wire.h). Malformed input of any shape must come back
 // as kInvalidArgument — never a crash or an out-of-bounds read.
 
 #include <gtest/gtest.h>
@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "gcs/wire.h"
 #include "middleware/messages.h"
@@ -313,87 +314,79 @@ TEST(MessageSerdeTest, WriteSetMessageWithoutTraceStaysEmpty) {
   EXPECT_FALSE(decoded.trace.valid());
 }
 
-// --- GCS batch frames --------------------------------------------------
+// --- GCS wire frames ---------------------------------------------------
 
-gcs::WireFrame SampleFrame() {
-  gcs::WireFrame frame;
-  frame.sender = 4;
-  gcs::WireEntry ws;
+/// One frame per entry kind: a codec-encoded writeset, a stash handle
+/// (payload parked in-process, nothing on the wire) and a DDL message.
+std::vector<gcs::WireFrame> SampleFrames() {
+  gcs::WireFrame ws;
+  ws.sender = 4;
   ws.type = "writeset";
   ws.enqueue_ns = 123456789;
   middleware::WriteSetMessage msg;
   msg.gid = GlobalTxnId{4, 10};
   msg.ws = std::make_shared<const WriteSet>(SampleWriteSet());
   middleware::EncodeWriteSetMessage(msg, &ws.payload);
-  gcs::WireEntry stashed;
+  gcs::WireFrame stashed;
+  stashed.sender = 4;
   stashed.type = "recovery";
-  stashed.stash_id = 42;  // payload parked in-process, nothing on the wire
+  stashed.stash_id = 42;
   stashed.enqueue_ns = 123456790;
-  gcs::WireEntry ddl;
+  gcs::WireFrame ddl;
+  ddl.sender = 4;
   ddl.type = "ddl";
   ddl.enqueue_ns = 123456791;
   middleware::DdlMessage dm;
   dm.gid = GlobalTxnId{4, 11};
   dm.sql = "CREATE TABLE x (id INT PRIMARY KEY)";
   middleware::EncodeDdlMessage(dm, &ddl.payload);
-  frame.entries = {ws, stashed, ddl};
-  return frame;
+  return {ws, stashed, ddl};
 }
 
-TEST(WireFrameTest, BatchFrameRoundTrips) {
-  const gcs::WireFrame frame = SampleFrame();
-  std::string encoded;
-  gcs::EncodeWireFrame(frame, &encoded);
-  gcs::WireFrame decoded;
-  ASSERT_TRUE(gcs::DecodeWireFrame(encoded, &decoded).ok());
-  EXPECT_EQ(decoded.sender, frame.sender);
-  ASSERT_EQ(decoded.entries.size(), frame.entries.size());
-  for (size_t i = 0; i < frame.entries.size(); ++i) {
-    EXPECT_EQ(decoded.entries[i].type, frame.entries[i].type);
-    EXPECT_EQ(decoded.entries[i].stash_id, frame.entries[i].stash_id);
-    EXPECT_EQ(decoded.entries[i].enqueue_ns, frame.entries[i].enqueue_ns);
-    EXPECT_EQ(decoded.entries[i].payload, frame.entries[i].payload);
+TEST(WireFrameTest, FrameRoundTrips) {
+  for (const gcs::WireFrame& frame : SampleFrames()) {
+    std::string encoded;
+    gcs::EncodeWireFrame(frame, &encoded);
+    gcs::WireFrame decoded;
+    ASSERT_TRUE(gcs::DecodeWireFrame(encoded, &decoded).ok())
+        << frame.type;
+    EXPECT_EQ(decoded.sender, frame.sender);
+    EXPECT_EQ(decoded.type, frame.type);
+    EXPECT_EQ(decoded.stash_id, frame.stash_id);
+    EXPECT_EQ(decoded.enqueue_ns, frame.enqueue_ns);
+    EXPECT_EQ(decoded.payload, frame.payload);
   }
 }
 
-TEST(WireFrameTest, EmptyFrameRoundTrips) {
-  gcs::WireFrame frame;
-  frame.sender = 0;
-  std::string encoded;
-  gcs::EncodeWireFrame(frame, &encoded);
-  gcs::WireFrame decoded;
-  ASSERT_TRUE(gcs::DecodeWireFrame(encoded, &decoded).ok());
-  EXPECT_TRUE(decoded.entries.empty());
-}
-
 TEST(WireFrameTest, EveryTruncationFailsCleanly) {
-  std::string encoded;
-  gcs::EncodeWireFrame(SampleFrame(), &encoded);
-  for (size_t len = 0; len < encoded.size(); ++len) {
-    gcs::WireFrame decoded;
-    EXPECT_EQ(gcs::DecodeWireFrame(encoded.substr(0, len), &decoded).code(),
-              StatusCode::kInvalidArgument)
-        << "prefix length " << len;
+  for (const gcs::WireFrame& frame : SampleFrames()) {
+    std::string encoded;
+    gcs::EncodeWireFrame(frame, &encoded);
+    for (size_t len = 0; len < encoded.size(); ++len) {
+      gcs::WireFrame decoded;
+      EXPECT_EQ(gcs::DecodeWireFrame(encoded.substr(0, len), &decoded).code(),
+                StatusCode::kInvalidArgument)
+          << frame.type << " prefix length " << len;
+    }
   }
 }
 
 TEST(WireFrameTest, EntryTraceContextRoundTrips) {
-  gcs::WireFrame frame = SampleFrame();
-  frame.entries[0].trace = SampleTrace();
-
-  std::string encoded;
-  gcs::EncodeWireFrame(frame, &encoded);
-  gcs::WireFrame decoded;
-  ASSERT_TRUE(gcs::DecodeWireFrame(encoded, &decoded).ok());
-  ASSERT_EQ(decoded.entries.size(), frame.entries.size());
-  EXPECT_EQ(decoded.entries[0].trace, SampleTrace());
-  EXPECT_FALSE(decoded.entries[1].trace.valid());
-  EXPECT_FALSE(decoded.entries[2].trace.valid());
+  gcs::WireFrame frame = SampleFrames()[0];
+  for (const bool traced : {true, false}) {
+    frame.trace = traced ? SampleTrace() : obs::TraceContext{};
+    std::string encoded;
+    gcs::EncodeWireFrame(frame, &encoded);
+    gcs::WireFrame decoded;
+    ASSERT_TRUE(gcs::DecodeWireFrame(encoded, &decoded).ok());
+    EXPECT_EQ(decoded.trace, frame.trace);
+    EXPECT_EQ(decoded.trace.valid(), traced);
+  }
 }
 
 TEST(WireFrameTest, RejectsCorruptHeader) {
   std::string good;
-  gcs::EncodeWireFrame(SampleFrame(), &good);
+  gcs::EncodeWireFrame(SampleFrames()[0], &good);
 
   {  // bad magic
     std::string bad = good;
@@ -416,7 +409,7 @@ TEST(WireFrameTest, RejectsCorruptHeader) {
     EXPECT_EQ(gcs::DecodeWireFrame(bad, &decoded).code(),
               StatusCode::kInvalidArgument);
   }
-  {  // entry count larger than the buffer can hold (offsets 10..13)
+  {  // type length larger than the buffer can hold (offsets 10..13)
     std::string bad = good;
     for (size_t i = 10; i <= 13; ++i) bad[i] = static_cast<char>(0xFF);
     gcs::WireFrame decoded;
