@@ -39,7 +39,7 @@ const std::vector<std::string> kFullSuite = {
     "fig5_tpcw",       "fig6_largedb",    "fig7_overhead",
     "abort_rate",      "holes_rate",      "writeset_micro",
     "validation_micro", "gcs_micro",      "ablation_gcs_delay",
-    "ablation_adjustments", "fig_partial"};
+    "ablation_adjustments", "fig_partial", "engine_micro"};
 
 std::string ReadFile(const fs::path& path) {
   std::ifstream file(path);

@@ -1,8 +1,9 @@
 #include "engine/database.h"
 
 #include <algorithm>
-#include <map>
-#include <unordered_map>
+#include <bit>
+#include <optional>
+#include <span>
 
 #include "engine/exec.h"
 
@@ -114,10 +115,13 @@ Result<QueryResult> Database::ExecInsert(const TransactionPtr& txn,
   }
   const sql::Schema& schema = table->schema();
 
+  BoundExprs exprs({});  // no row: a column reference does not bind
   std::vector<Value> values;
   values.reserve(stmt.values.size());
   for (const auto& expr : stmt.values) {
-    auto v = Eval(*expr, nullptr, nullptr, params);
+    auto id = exprs.Bind(*expr);
+    if (!id.ok()) return id.status();
+    auto v = exprs.Eval(id.value(), nullptr, params);
     if (!v.ok()) return v.status();
     values.push_back(std::move(v).value());
   }
@@ -153,154 +157,538 @@ Result<QueryResult> Database::ExecInsert(const TransactionPtr& txn,
 
 namespace {
 
-/// An equality conjunct on an indexed column, usable as an access path.
-struct IndexProbe {
-  std::string raw_column;
-  Value value;
-};
+/// Row pointers, one per FROM input (Slot::input indexes them).
+using Tuple = const sql::Row* const*;
 
-/// Walks the AND-tree for `col = constant` where `col` has a secondary
-/// index. `raw_names[i]` maps schema position i back to the table's real
-/// column name (identical to the schema names except in bound/aliased
-/// select schemas).
-std::optional<IndexProbe> FindIndexProbe(
-    storage::StorageEngine& engine, const std::string& table_name,
-    const sql::Schema& schema, const std::vector<std::string>& raw_names,
-    const sql::Expr* expr, const std::vector<Value>& params) {
-  if (expr == nullptr) return std::nullopt;
-  if (expr->kind != sql::ExprKind::kBinary) return std::nullopt;
-  if (expr->bin_op == sql::BinOp::kAnd) {
-    auto left = FindIndexProbe(engine, table_name, schema, raw_names,
-                               expr->left.get(), params);
-    if (left.has_value()) return left;
-    return FindIndexProbe(engine, table_name, schema, raw_names,
-                          expr->right.get(), params);
-  }
-  if (expr->bin_op != sql::BinOp::kEq) return std::nullopt;
-  const sql::Expr* col = nullptr;
-  const sql::Expr* val = nullptr;
-  if (expr->left->kind == sql::ExprKind::kColumnRef) {
-    col = expr->left.get();
-    val = expr->right.get();
-  } else if (expr->right->kind == sql::ExprKind::kColumnRef) {
-    col = expr->right.get();
-    val = expr->left.get();
-  } else {
-    return std::nullopt;
-  }
-  Value constant;
-  if (val->kind == sql::ExprKind::kLiteral) {
-    constant = val->literal;
-  } else if (val->kind == sql::ExprKind::kParam) {
-    if (val->param_index < 0 ||
-        static_cast<size_t>(val->param_index) >= params.size()) {
-      return std::nullopt;
-    }
-    constant = params[val->param_index];
-  } else {
-    return std::nullopt;
-  }
-  const int idx = schema.FindColumn(col->column);
-  if (idx < 0) return std::nullopt;
-  const std::string& raw = raw_names[static_cast<size_t>(idx)];
-  storage::MvccTable* table = engine.GetTable(table_name);
-  if (table == nullptr || !table->HasIndex(raw)) return std::nullopt;
-  return IndexProbe{raw, std::move(constant)};
+/// Largest cross product (input rows times rows joined so far) a join
+/// step without an equality condition may build.
+constexpr size_t kNestedLoopCap = 5'000'000;
+
+/// Reads input `input` alone.
+bool IsLocal(const Conjunct& c, uint32_t input) {
+  return c.inputs == uint64_t{1} << input;
 }
 
-/// Gathers (key, row) pairs matching the WHERE clause, using a primary-key
-/// point lookup or a secondary-index probe when the predicate allows it.
-Status CollectMatches(storage::StorageEngine& engine,
-                      const storage::TransactionPtr& txn,
-                      const std::string& table_name,
-                      const sql::Schema& schema, const sql::Expr* where,
-                      const std::vector<Value>& params,
-                      std::vector<std::pair<sql::Key, sql::Row>>* out) {
-  auto key = TryExtractKeyLookup(schema, where, params);
-  if (key.has_value()) {
-    auto row = engine.Read(txn, table_name, *key);
+/// Checked once inputs 0..`step` are joined: reads two or more inputs,
+/// the last being `step`, and no join key enforced it.
+bool IsResidualAt(const Conjunct& c, uint32_t step) {
+  return !c.enforced && std::popcount(c.inputs) >= 2 &&
+         63 - std::countl_zero(c.inputs) == static_cast<int>(step);
+}
+
+/// Mixes Value::Hash values (which agree for Compare-equal INT and
+/// DOUBLE values) for power-of-two tables.
+size_t HashValues(size_t n, const auto& value_at) {
+  size_t h = 0x345678;
+  for (size_t i = 0; i < n; ++i) h = h * 1000003 ^ value_at(i).Hash();
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  return h ^ (h >> 33);
+}
+
+bool AnyNull(size_t n, const auto& value_at) {
+  for (size_t i = 0; i < n; ++i) {
+    if (value_at(i).is_null()) return true;
+  }
+  return false;
+}
+
+/// Reads input `input` into `rows`, in key order, through the cheapest
+/// access path its local conjuncts allow: a primary-key point read when
+/// they pin every key column, else a secondary-index probe on the first
+/// pinned indexed column, else a snapshot scan. The conjuncts the path
+/// enforces are marked so; a row must pass the other local ones, in WHERE
+/// order. A pin to NULL matches no row.
+Status ReadInput(storage::StorageEngine& engine, const TransactionPtr& txn,
+                 const storage::MvccTable& table, uint32_t input,
+                 const BoundExprs& exprs, const std::vector<Value>& params,
+                 std::vector<Conjunct>* conjuncts,
+                 std::vector<sql::Row>* rows) {
+  Status filter_status;
+  const sql::Row* tuple[kMaxInputs] = {};
+  auto passes = [&](const sql::Row& row) {
+    if (!filter_status.ok()) return false;
+    tuple[input] = &row;
+    for (const Conjunct& c : *conjuncts) {
+      if (c.enforced || !IsLocal(c, input)) continue;
+      auto match = exprs.Test(c.id, tuple, params);
+      if (!match.ok()) filter_status = match.status();
+      if (!match.ok() || !match.value()) return false;
+    }
+    return true;
+  };
+  auto visit = [&](const sql::Key&, const sql::Row& row) {
+    if (passes(row)) rows->push_back(row);
+  };
+
+  if (auto key = PinKey(exprs, input, table.schema(), params, conjuncts)) {
+    for (const Value& part : key->parts) {
+      if (part.is_null()) return Status::OK();
+    }
+    auto row = engine.Read(txn, table.name(), *key);
     if (!row.ok()) return row.status();
-    if (row.value().has_value()) {
-      auto match = Matches(where, schema, *row.value(), params);
+    if (row.value().has_value() && passes(*row.value())) {
+      rows->push_back(*std::move(row).value());
+    }
+    return filter_status;
+  }
+  for (Conjunct& c : *conjuncts) {
+    if (!IsLocal(c, input)) continue;
+    auto pin = exprs.AsPin(c.id, params);
+    if (!pin.has_value()) continue;
+    const std::string& column = table.schema().columns()[pin->slot.column].name;
+    if (!table.HasIndex(column)) continue;
+    c.enforced = true;
+    if (pin->value->is_null()) return Status::OK();
+    SIREP_RETURN_IF_ERROR(
+        engine.LookupByIndex(txn, table.name(), column, *pin->value, visit));
+    return filter_status;
+  }
+  SIREP_RETURN_IF_ERROR(engine.Scan(txn, table.name(), visit));
+  return filter_status;
+}
+
+/// Joined tuples, flat: `width` row pointers each.
+struct Tuples {
+  size_t width = 1;
+  std::vector<const sql::Row*> rows;
+
+  size_t size() const { return rows.size() / width; }
+  Tuple at(size_t i) const { return rows.data() + i * width; }
+};
+
+/// Extends each tuple of `acc` (inputs 0..t-1) with every row of input t
+/// it joins, keeping nested-loop order (acc order, then `right` order).
+/// The conjuncts `column = column` linking t to an earlier input are the
+/// hash key and are marked enforced; a NULL key never matches. Without
+/// one, a nested loop up to kNestedLoopCap pairs.
+Status JoinInput(uint32_t t, const std::vector<sql::Row>& right,
+                 const BoundExprs& exprs, std::vector<Conjunct>* conjuncts,
+                 Tuples* acc) {
+  std::vector<std::pair<Slot, uint32_t>> keys;  // acc slot, column of t
+  for (Conjunct& c : *conjuncts) {
+    if (!IsResidualAt(c, t) || std::popcount(c.inputs) != 2) continue;
+    auto eq = exprs.AsColumnEquality(c.id);
+    if (!eq.has_value()) continue;
+    auto [left, mine] = *eq;
+    if (left.input == t) std::swap(left, mine);
+    keys.emplace_back(left, mine.column);
+    c.enforced = true;
+  }
+
+  const size_t n = acc->size();
+  Tuples out;
+  out.width = acc->width + 1;
+  auto emit = [&](size_t i, const sql::Row& row) {
+    out.rows.insert(out.rows.end(), acc->at(i), acc->at(i) + acc->width);
+    out.rows.push_back(&row);
+  };
+  if (keys.empty()) {
+    if (n * right.size() > kNestedLoopCap) {
+      return Status::NotSupported(
+          "join without an equality condition is too large (" +
+          std::to_string(n) + " x " + std::to_string(right.size()) +
+          " rows)");
+    }
+    out.rows.reserve(n * right.size() * out.width);
+    for (size_t i = 0; i < n; ++i) {
+      for (const sql::Row& row : right) emit(i, row);
+    }
+    *acc = std::move(out);
+    return Status::OK();
+  }
+
+  // Build on input t: chains of row indexes per bucket, in row order.
+  size_t buckets = 1;
+  while (buckets < 2 * right.size()) buckets <<= 1;
+  std::vector<int32_t> head(buckets, -1), next(right.size(), -1);
+  for (size_t r = right.size(); r-- > 0;) {
+    auto right_key = [&](size_t k) -> const Value& {
+      return right[r][keys[k].second];
+    };
+    if (AnyNull(keys.size(), right_key)) continue;
+    const size_t b = HashValues(keys.size(), right_key) & (buckets - 1);
+    next[r] = head[b];
+    head[b] = static_cast<int32_t>(r);
+  }
+  // Probe with the tuples joined so far.
+  out.rows.reserve(n * out.width);
+  for (size_t i = 0; i < n; ++i) {
+    const Tuple tuple = acc->at(i);
+    auto left_key = [&](size_t k) -> const Value& {
+      return (*tuple[keys[k].first.input])[keys[k].first.column];
+    };
+    if (AnyNull(keys.size(), left_key)) continue;
+    const size_t b = HashValues(keys.size(), left_key) & (buckets - 1);
+    for (int32_t r = head[b]; r >= 0; r = next[r]) {
+      const sql::Row& row = right[r];
+      bool equal = true;
+      for (size_t k = 0; k < keys.size() && equal; ++k) {
+        equal = left_key(k).Compare(row[keys[k].second]) == 0;
+      }
+      if (equal) emit(i, row);
+    }
+  }
+  *acc = std::move(out);
+  return Status::OK();
+}
+
+/// Drops the tuples of `acc` that fail a conjunct due at join step
+/// `step` (IsResidualAt), checked in WHERE order.
+Status FilterResiduals(uint32_t step, const BoundExprs& exprs,
+                       const std::vector<Conjunct>& conjuncts,
+                       const std::vector<Value>& params, Tuples* acc) {
+  if (std::none_of(conjuncts.begin(), conjuncts.end(),
+                   [&](const Conjunct& c) { return IsResidualAt(c, step); })) {
+    return Status::OK();
+  }
+  size_t kept = 0;
+  for (size_t i = 0; i < acc->size(); ++i) {
+    bool pass = true;
+    for (const Conjunct& c : conjuncts) {
+      if (!IsResidualAt(c, step)) continue;
+      auto match = exprs.Test(c.id, acc->at(i), params);
       if (!match.ok()) return match.status();
-      if (match.value()) out->emplace_back(*key, *std::move(row).value());
+      if (!(pass = match.value())) break;
+    }
+    if (!pass) continue;
+    std::copy(acc->at(i), acc->at(i) + acc->width,
+              acc->rows.begin() + kept * acc->width);
+    ++kept;
+  }
+  acc->rows.resize(kept * acc->width);
+  return Status::OK();
+}
+
+/// One output column: a column (`agg` kNone) or an aggregate over one
+/// (or COUNT(*), `star`).
+struct OutputItem {
+  sql::AggFunc agg = sql::AggFunc::kNone;
+  bool star = false;
+  Slot slot;
+  size_t group_key = 0;  ///< grouped kNone: its position in the group key
+};
+
+/// A SELECT's output, bound before any row is read.
+struct OutputPlan {
+  std::vector<std::string> labels;
+  std::vector<OutputItem> items;
+  bool grouped = false;  ///< GROUP BY or an aggregate
+  std::vector<Slot> group_key;
+  /// Grouped: the output column ORDER BY names (-1: by group key only).
+  int sort_column = -1;
+  /// Ungrouped: the column ORDER BY names, if any.
+  std::optional<Slot> sort_slot;
+};
+
+std::string AggLabel(const sql::SelectItem& item) {
+  switch (item.agg) {
+    case sql::AggFunc::kNone:
+      return item.column;
+    case sql::AggFunc::kCount:
+      return item.star ? "count(*)" : "count(" + item.column + ")";
+    case sql::AggFunc::kSum:
+      return "sum(" + item.column + ")";
+    case sql::AggFunc::kAvg:
+      return "avg(" + item.column + ")";
+    case sql::AggFunc::kMin:
+      return "min(" + item.column + ")";
+    case sql::AggFunc::kMax:
+      return "max(" + item.column + ")";
+  }
+  return item.column;
+}
+
+Result<OutputPlan> BindOutput(const sql::SelectStmt& stmt,
+                              std::span<const ScopeInput> scope) {
+  OutputPlan plan;
+  plan.labels.reserve(stmt.items.size());
+  plan.items.reserve(stmt.items.size());
+  if (stmt.star) {
+    if (!stmt.group_by.empty()) {
+      return Status::NotSupported("SELECT * with GROUP BY");
+    }
+    // One input: its column names; a join: "alias.col".
+    for (uint32_t i = 0; i < scope.size(); ++i) {
+      const auto& columns = scope[i].schema->columns();
+      for (uint32_t c = 0; c < columns.size(); ++c) {
+        plan.labels.push_back(scope.size() == 1 ? columns[c].name
+                                                : std::string(scope[i].alias) +
+                                                      "." + columns[c].name);
+        plan.items.push_back(OutputItem{sql::AggFunc::kNone, false, {i, c}});
+      }
+    }
+  } else {
+    for (const auto& item : stmt.items) {
+      OutputItem out{item.agg, item.star, {}};
+      if (!item.star) {
+        auto slot = ResolveColumn(scope, item.column);
+        if (!slot.ok()) return slot.status();
+        out.slot = slot.value();
+      }
+      plan.grouped |= item.agg != sql::AggFunc::kNone;
+      plan.labels.push_back(AggLabel(item));
+      plan.items.push_back(out);
+    }
+  }
+  plan.grouped |= !stmt.group_by.empty();
+  for (const auto& name : stmt.group_by) {
+    auto slot = ResolveColumn(scope, name);
+    if (!slot.ok()) return slot.status();
+    plan.group_key.push_back(slot.value());
+  }
+  if (plan.grouped) {
+    for (size_t i = 0; i < plan.items.size(); ++i) {
+      OutputItem& item = plan.items[i];
+      if (item.agg != sql::AggFunc::kNone) continue;
+      auto it =
+          std::find(plan.group_key.begin(), plan.group_key.end(), item.slot);
+      if (it == plan.group_key.end()) {
+        return Status::InvalidArgument(
+            "column '" + plan.labels[i] +
+            "' must appear in GROUP BY or be aggregated");
+      }
+      item.group_key = static_cast<size_t>(it - plan.group_key.begin());
+    }
+  }
+
+  // ORDER BY: an output position, an output label, or (ungrouped) any
+  // column in scope.
+  int column = -1;
+  if (stmt.order_by_position > 0) {
+    if (stmt.order_by_position > static_cast<int64_t>(plan.items.size())) {
+      return Status::InvalidArgument("ORDER BY position out of range");
+    }
+    column = static_cast<int>(stmt.order_by_position) - 1;
+  } else if (stmt.order_by.has_value()) {
+    auto it = std::find(plan.labels.begin(), plan.labels.end(), *stmt.order_by);
+    if (it != plan.labels.end()) {
+      column = static_cast<int>(it - plan.labels.begin());
+    } else if (plan.grouped) {
+      return Status::InvalidArgument(
+          "ORDER BY of a grouped query must name an output column or "
+          "position");
+    } else {
+      auto slot = ResolveColumn(scope, *stmt.order_by);
+      if (!slot.ok()) return slot.status();
+      plan.sort_slot = slot.value();
+    }
+  }
+  if (plan.grouped) {
+    plan.sort_column = column;
+  } else if (column >= 0) {
+    plan.sort_slot = plan.items[static_cast<size_t>(column)].slot;
+  }
+  return plan;
+}
+
+/// Sorts `order` by `less`, a strict order; with `limit` >= 0 only its
+/// first `limit` elements (partial_sort), dropping the rest.
+void SortTopK(std::vector<uint32_t>* order, int64_t limit, const auto& less) {
+  if (limit >= 0 && static_cast<size_t>(limit) < order->size()) {
+    std::partial_sort(order->begin(), order->begin() + limit, order->end(),
+                      less);
+    order->resize(static_cast<size_t>(limit));
+  } else {
+    std::sort(order->begin(), order->end(), less);
+  }
+}
+
+/// Ungrouped output: one row per tuple, stably ordered by ORDER BY's
+/// column (ties keep join order), then LIMIT.
+QueryResult Project(const sql::SelectStmt& stmt, OutputPlan plan,
+                    const Tuples& tuples) {
+  QueryResult result;
+  result.columns = std::move(plan.labels);
+  const size_t n = tuples.size();
+  size_t count = n;
+  if (stmt.limit >= 0) count = std::min(count, static_cast<size_t>(stmt.limit));
+  std::vector<uint32_t> order;
+  if (plan.sort_slot.has_value()) {
+    const Slot slot = *plan.sort_slot;
+    auto value = [&](uint32_t i) -> const Value& {
+      return (*tuples.at(i)[slot.input])[slot.column];
+    };
+    order.resize(n);
+    for (uint32_t i = 0; i < n; ++i) order[i] = i;
+    SortTopK(&order, stmt.limit, [&](uint32_t a, uint32_t b) {
+      const int c = value(a).Compare(value(b));
+      if (c != 0) return stmt.order_desc ? c > 0 : c < 0;
+      return a < b;
+    });
+  }
+  result.rows.reserve(count);
+  for (size_t k = 0; k < count; ++k) {
+    const Tuple tuple = tuples.at(order.empty() ? k : order[k]);
+    sql::Row row;
+    row.reserve(plan.items.size());
+    for (const OutputItem& item : plan.items) {
+      row.push_back((*tuple[item.slot.input])[item.slot.column]);
+    }
+    result.rows.push_back(std::move(row));
+  }
+  return result;
+}
+
+/// A running aggregate over one group's values.
+struct Accumulator {
+  int64_t count = 0;  ///< COUNT: rows counted; SUM/AVG: values summed
+  int64_t isum = 0;
+  double sum = 0.0;
+  bool any_double = false;
+  Value best;  ///< MIN/MAX; NULL until the first non-NULL value
+
+  Status Add(const OutputItem& item, Tuple tuple) {
+    if (item.star) {
+      ++count;
+      return Status::OK();
+    }
+    const Value& v = (*tuple[item.slot.input])[item.slot.column];
+    if (v.is_null()) return Status::OK();
+    switch (item.agg) {
+      case sql::AggFunc::kCount:
+        ++count;
+        break;
+      case sql::AggFunc::kSum:
+      case sql::AggFunc::kAvg:
+        if (!v.IsNumeric()) {
+          return Status::InvalidArgument("SUM/AVG on non-numeric column");
+        }
+        if (v.type() == sql::ValueType::kDouble) any_double = true;
+        sum += v.AsDouble();
+        if (v.type() == sql::ValueType::kInt) isum += v.AsInt();
+        ++count;
+        break;
+      case sql::AggFunc::kMin:
+      case sql::AggFunc::kMax: {
+        const int c = best.is_null() ? 0 : v.Compare(best);
+        if (best.is_null() || (item.agg == sql::AggFunc::kMin && c < 0) ||
+            (item.agg == sql::AggFunc::kMax && c > 0)) {
+          best = v;
+        }
+        break;
+      }
+      case sql::AggFunc::kNone:
+        break;
     }
     return Status::OK();
   }
-  std::vector<std::string> raw_names;
-  for (const auto& col : schema.columns()) raw_names.push_back(col.name);
-  Status match_status;
-  auto visit = [&](const sql::Key& k, const sql::Row& row) {
-    if (!match_status.ok()) return;
-    auto match = Matches(where, schema, row, params);
-    if (!match.ok()) {
-      match_status = match.status();
-      return;
+
+  Value Finish(sql::AggFunc agg) const {
+    switch (agg) {
+      case sql::AggFunc::kCount:
+        return Value::Int(count);
+      case sql::AggFunc::kSum:
+        if (count == 0) return Value::Null();
+        return any_double ? Value::Double(sum) : Value::Int(isum);
+      case sql::AggFunc::kAvg:
+        if (count == 0) return Value::Null();
+        return Value::Double(sum / static_cast<double>(count));
+      default:
+        return best;
     }
-    if (match.value()) out->emplace_back(k, row);
-  };
-  auto probe =
-      FindIndexProbe(engine, table_name, schema, raw_names, where, params);
-  Status scan_status =
-      probe.has_value()
-          ? engine.LookupByIndex(txn, table_name, probe->raw_column,
-                                 probe->value, visit)
-          : engine.Scan(txn, table_name, visit);
-  SIREP_RETURN_IF_ERROR(scan_status);
-  return match_status;
-}
-
-}  // namespace
-
-namespace {
-
-/// A relation bound for execution: columns renamed "alias.col" so
-/// qualified and plain references resolve via Schema::FindColumn.
-struct BoundRelation {
-  sql::Schema schema;
-  std::vector<std::string> raw_names;  ///< plain names, for SELECT * output
-  std::vector<sql::Row> rows;
+  }
 };
 
-/// True if every column reference in `expr` resolves in `schema`.
-bool ExprResolves(const sql::Expr& expr, const sql::Schema& schema) {
-  switch (expr.kind) {
-    case sql::ExprKind::kColumnRef:
-      return schema.FindColumn(expr.column) >= 0;
-    case sql::ExprKind::kUnary:
-      return ExprResolves(*expr.left, schema);
-    case sql::ExprKind::kBinary:
-      return ExprResolves(*expr.left, schema) &&
-             ExprResolves(*expr.right, schema);
-    default:
-      return true;
+/// Grouped output: a hash table of groups (one implicit group without
+/// GROUP BY, even over no rows) with one running Accumulator per output
+/// column, then groups in (ORDER BY value, group key) order — the top
+/// LIMIT by partial_sort.
+Result<QueryResult> Aggregate(const sql::SelectStmt& stmt, OutputPlan plan,
+                              const Tuples& tuples) {
+  const size_t nk = plan.group_key.size();
+  const size_t ni = plan.items.size();
+  std::vector<Value> keys;          // nk per group
+  std::vector<size_t> hashes;       // per group
+  std::vector<Accumulator> accs;    // ni per group (kNone ones unused)
+  std::vector<uint32_t> table(16);  // open addressing: group + 1, 0 free
+  auto add_group = [&](Tuple tuple, size_t hash) {
+    for (const Slot& slot : plan.group_key) {
+      keys.push_back((*tuple[slot.input])[slot.column]);
+    }
+    hashes.push_back(hash);
+    accs.resize(accs.size() + ni);
+    return static_cast<uint32_t>(hashes.size() - 1);
+  };
+  auto insert = [&](uint32_t g) {
+    const size_t mask = table.size() - 1;
+    size_t p = hashes[g] & mask;
+    while (table[p] != 0) p = (p + 1) & mask;
+    table[p] = g + 1;
+  };
+  auto find_or_add = [&](Tuple tuple) {
+    auto key_value = [&](size_t k) -> const Value& {
+      return (*tuple[plan.group_key[k].input])[plan.group_key[k].column];
+    };
+    const size_t hash = HashValues(nk, key_value);
+    const size_t mask = table.size() - 1;
+    for (size_t p = hash & mask; table[p] != 0; p = (p + 1) & mask) {
+      const uint32_t g = table[p] - 1;
+      bool equal = hashes[g] == hash;
+      for (size_t k = 0; k < nk && equal; ++k) {
+        equal = keys[g * nk + k].Compare(key_value(k)) == 0;
+      }
+      if (equal) return g;
+    }
+    const uint32_t g = add_group(tuple, hash);
+    if (2 * hashes.size() > table.size()) {
+      table.assign(2 * table.size(), 0);
+      for (uint32_t h = 0; h < hashes.size(); ++h) insert(h);
+    } else {
+      insert(g);
+    }
+    return g;
+  };
+
+  if (nk == 0) add_group(nullptr, 0);
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    const Tuple tuple = tuples.at(i);
+    const uint32_t g = nk == 0 ? 0 : find_or_add(tuple);
+    for (size_t j = 0; j < ni; ++j) {
+      if (plan.items[j].agg == sql::AggFunc::kNone) continue;
+      SIREP_RETURN_IF_ERROR(accs[g * ni + j].Add(plan.items[j], tuple));
+    }
   }
-}
 
-/// Flattens the AND-tree of `where` into conjuncts.
-void CollectConjuncts(const sql::Expr* where,
-                      std::vector<const sql::Expr*>* out) {
-  if (where == nullptr) return;
-  if (where->kind == sql::ExprKind::kBinary &&
-      where->bin_op == sql::BinOp::kAnd) {
-    CollectConjuncts(where->left.get(), out);
-    CollectConjuncts(where->right.get(), out);
-    return;
+  auto output = [&](uint32_t g, size_t j) -> Value {
+    const OutputItem& item = plan.items[j];
+    if (item.agg == sql::AggFunc::kNone) return keys[g * nk + item.group_key];
+    return accs[g * ni + j].Finish(item.agg);
+  };
+  auto key_less = [&](uint32_t a, uint32_t b) {
+    for (size_t k = 0; k < nk; ++k) {
+      const int c = keys[a * nk + k].Compare(keys[b * nk + k]);
+      if (c != 0) return c < 0;
+    }
+    return false;
+  };
+  std::vector<uint32_t> order(hashes.size());
+  for (uint32_t g = 0; g < order.size(); ++g) order[g] = g;
+  if (plan.sort_column >= 0) {
+    std::vector<Value> sort_values;
+    sort_values.reserve(order.size());
+    for (uint32_t g : order) {
+      sort_values.push_back(output(g, static_cast<size_t>(plan.sort_column)));
+    }
+    SortTopK(&order, stmt.limit, [&](uint32_t a, uint32_t b) {
+      const int c = sort_values[a].Compare(sort_values[b]);
+      if (c != 0) return stmt.order_desc ? c > 0 : c < 0;
+      return key_less(a, b);
+    });
+  } else {
+    SortTopK(&order, stmt.limit, key_less);
   }
-  out->push_back(where);
-}
 
-sql::Schema BindSchema(const sql::Schema& raw, const std::string& alias) {
-  std::vector<sql::Column> columns = raw.columns();
-  for (auto& col : columns) col.name = alias + "." + col.name;
-  return sql::Schema(std::move(columns), raw.key_indexes());
-}
-
-/// Concatenates two bound relations' schemas.
-sql::Schema ConcatSchemas(const sql::Schema& a, const sql::Schema& b) {
-  std::vector<sql::Column> columns = a.columns();
-  for (const auto& col : b.columns()) columns.push_back(col);
-  return sql::Schema(std::move(columns), {});
+  QueryResult result;
+  result.columns = std::move(plan.labels);
+  result.rows.reserve(order.size());
+  for (uint32_t g : order) {
+    sql::Row row;
+    row.reserve(ni);
+    for (size_t j = 0; j < ni; ++j) row.push_back(output(g, j));
+    result.rows.push_back(std::move(row));
+  }
+  return result;
 }
 
 }  // namespace
@@ -308,422 +696,55 @@ sql::Schema ConcatSchemas(const sql::Schema& a, const sql::Schema& b) {
 Result<QueryResult> Database::ExecSelect(const TransactionPtr& txn,
                                          const sql::SelectStmt& stmt,
                                          const std::vector<Value>& params) {
-  // ---- bind the FROM list ----
-  std::vector<const storage::MvccTable*> tables;
+  const size_t n = stmt.tables.size();
+  if (n > kMaxInputs) {
+    return Status::NotSupported("more than " + std::to_string(kMaxInputs) +
+                                " tables in FROM");
+  }
+  // Each FROM input's table and, once read, the rows tuples point into.
+  struct Input {
+    const storage::MvccTable* table;
+    std::vector<sql::Row> rows;
+  };
+  std::vector<Input> inputs;
+  std::vector<ScopeInput> scope;
+  inputs.reserve(n);
+  scope.reserve(n);
   for (const auto& ref : stmt.tables) {
-    storage::MvccTable* table = engine_.GetTable(ref.table);
+    const storage::MvccTable* table = engine_.GetTable(ref.table);
     if (table == nullptr) {
       return Status::NotFound("no table '" + ref.table + "'");
     }
-    tables.push_back(table);
+    inputs.push_back(Input{table, {}});
+    scope.push_back(ScopeInput{ref.alias, &table->schema()});
   }
 
-  std::vector<const sql::Expr*> conjuncts;
-  CollectConjuncts(stmt.where.get(), &conjuncts);
+  // ---- bind every column reference, before any row is read ----
+  BoundExprs exprs(scope);
+  std::vector<Conjunct> conjuncts;
+  SIREP_RETURN_IF_ERROR(BindConjuncts(stmt.where.get(), &exprs, &conjuncts));
+  auto plan = BindOutput(stmt, scope);
+  if (!plan.ok()) return plan.status();
 
-  // ---- produce the (joined) working relation ----
-  BoundRelation rel;
-  if (stmt.tables.size() == 1) {
-    rel.schema = BindSchema(tables[0]->schema(), stmt.tables[0].alias);
-    for (const auto& col : tables[0]->schema().columns()) {
-      rel.raw_names.push_back(col.name);
-    }
-    // Point lookup when the predicate pins the primary key; otherwise a
-    // secondary-index probe if an indexed column is pinned; else a scan.
-    auto key = TryExtractKeyLookup(rel.schema, stmt.where.get(), params);
-    if (key.has_value()) {
-      auto row = engine_.Read(txn, stmt.tables[0].table, *key);
-      if (!row.ok()) return row.status();
-      if (row.value().has_value()) rel.rows.push_back(*std::move(row).value());
-    } else {
-      auto collect = [&](const sql::Key&, const sql::Row& row) {
-        rel.rows.push_back(row);
-      };
-      auto probe = FindIndexProbe(engine_, stmt.tables[0].table, rel.schema,
-                                  rel.raw_names, stmt.where.get(), params);
-      Status scan =
-          probe.has_value()
-              ? engine_.LookupByIndex(txn, stmt.tables[0].table,
-                                      probe->raw_column, probe->value,
-                                      collect)
-              : engine_.Scan(txn, stmt.tables[0].table, collect);
-      SIREP_RETURN_IF_ERROR(scan);
-    }
-  } else {
-    // Iterative inner join: scan each table (pushing down the conjuncts
-    // that resolve within it), then fold with a hash join on an equi-
-    // conjunct where possible, falling back to a bounded nested loop.
-    std::vector<BoundRelation> inputs;
-    for (size_t t = 0; t < stmt.tables.size(); ++t) {
-      BoundRelation input;
-      input.schema = BindSchema(tables[t]->schema(), stmt.tables[t].alias);
-      for (const auto& col : tables[t]->schema().columns()) {
-        input.raw_names.push_back(col.name);
-      }
-      std::vector<const sql::Expr*> local;
-      for (const auto* c : conjuncts) {
-        if (ExprResolves(*c, input.schema)) local.push_back(c);
-      }
-      Status filter_status;
-      Status scan = engine_.Scan(
-          txn, stmt.tables[t].table,
-          [&](const sql::Key&, const sql::Row& row) {
-            if (!filter_status.ok()) return;
-            for (const auto* c : local) {
-              auto m = Matches(c, input.schema, row, params);
-              if (!m.ok()) {
-                filter_status = m.status();
-                return;
-              }
-              if (!m.value()) return;
-            }
-            input.rows.push_back(row);
-          });
-      SIREP_RETURN_IF_ERROR(scan);
-      SIREP_RETURN_IF_ERROR(filter_status);
-      inputs.push_back(std::move(input));
-    }
-
-    rel = std::move(inputs[0]);
-    for (size_t t = 1; t < inputs.size(); ++t) {
-      BoundRelation& right = inputs[t];
-      BoundRelation joined;
-      joined.schema = ConcatSchemas(rel.schema, right.schema);
-      joined.raw_names = rel.raw_names;
-      joined.raw_names.insert(joined.raw_names.end(),
-                              right.raw_names.begin(),
-                              right.raw_names.end());
-
-      // Find an equi-join conjunct col_left = col_right across the two
-      // sides.
-      int left_idx = -1, right_idx = -1;
-      for (const auto* c : conjuncts) {
-        if (c->kind != sql::ExprKind::kBinary ||
-            c->bin_op != sql::BinOp::kEq) {
-          continue;
-        }
-        if (c->left->kind != sql::ExprKind::kColumnRef ||
-            c->right->kind != sql::ExprKind::kColumnRef) {
-          continue;
-        }
-        const int l_in_acc = rel.schema.FindColumn(c->left->column);
-        const int r_in_new = right.schema.FindColumn(c->right->column);
-        if (l_in_acc >= 0 && r_in_new >= 0) {
-          left_idx = l_in_acc;
-          right_idx = r_in_new;
-          break;
-        }
-        const int r_in_acc = rel.schema.FindColumn(c->right->column);
-        const int l_in_new = right.schema.FindColumn(c->left->column);
-        if (r_in_acc >= 0 && l_in_new >= 0) {
-          left_idx = r_in_acc;
-          right_idx = l_in_new;
-          break;
-        }
-      }
-
-      if (left_idx >= 0) {
-        // Hash join: build on the right side, probe with the left.
-        std::unordered_multimap<size_t, const sql::Row*> build;
-        build.reserve(right.rows.size());
-        for (const auto& row : right.rows) {
-          build.emplace(row[right_idx].Hash(), &row);
-        }
-        for (const auto& lrow : rel.rows) {
-          auto [lo, hi] = build.equal_range(lrow[left_idx].Hash());
-          for (auto it = lo; it != hi; ++it) {
-            if (lrow[left_idx].Compare((*it->second)[right_idx]) != 0) {
-              continue;
-            }
-            sql::Row combined = lrow;
-            combined.insert(combined.end(), it->second->begin(),
-                            it->second->end());
-            joined.rows.push_back(std::move(combined));
-          }
-        }
-      } else {
-        constexpr size_t kNestedLoopCap = 5'000'000;
-        if (rel.rows.size() * right.rows.size() > kNestedLoopCap) {
-          return Status::NotSupported(
-              "join without an equality condition is too large (" +
-              std::to_string(rel.rows.size()) + " x " +
-              std::to_string(right.rows.size()) + " rows)");
-        }
-        for (const auto& lrow : rel.rows) {
-          for (const auto& rrow : right.rows) {
-            sql::Row combined = lrow;
-            combined.insert(combined.end(), rrow.begin(), rrow.end());
-            joined.rows.push_back(std::move(combined));
-          }
-        }
-      }
-      rel = std::move(joined);
-    }
+  // ---- read each input, then join left to right on row references ----
+  for (uint32_t t = 0; t < n; ++t) {
+    SIREP_RETURN_IF_ERROR(ReadInput(engine_, txn, *inputs[t].table, t, exprs,
+                                    params, &conjuncts, &inputs[t].rows));
+  }
+  Tuples tuples;
+  tuples.rows.reserve(inputs[0].rows.size());
+  for (const sql::Row& row : inputs[0].rows) tuples.rows.push_back(&row);
+  for (uint32_t t = 1; t < n; ++t) {
+    SIREP_RETURN_IF_ERROR(
+        JoinInput(t, inputs[t].rows, exprs, &conjuncts, &tuples));
+    SIREP_RETURN_IF_ERROR(
+        FilterResiduals(t, exprs, conjuncts, params, &tuples));
   }
 
-  // ---- filter by the full WHERE ----
-  std::vector<sql::Row> filtered;
-  filtered.reserve(rel.rows.size());
-  for (auto& row : rel.rows) {
-    auto m = Matches(stmt.where.get(), rel.schema, row, params);
-    if (!m.ok()) return m.status();
-    if (m.value()) filtered.push_back(std::move(row));
+  if (plan.value().grouped) {
+    return Aggregate(stmt, std::move(plan).value(), tuples);
   }
-
-  QueryResult result;
-
-  // ---- SELECT * (no grouping allowed) ----
-  if (stmt.star) {
-    if (!stmt.group_by.empty()) {
-      return Status::NotSupported("SELECT * with GROUP BY");
-    }
-    result.columns = stmt.tables.size() == 1
-                         ? rel.raw_names
-                         : std::vector<std::string>();
-    if (stmt.tables.size() != 1) {
-      for (const auto& col : rel.schema.columns()) {
-        result.columns.push_back(col.name);
-      }
-    }
-    // ORDER BY before projection-free output.
-    if (stmt.order_by.has_value() || stmt.order_by_position > 0) {
-      int idx;
-      if (stmt.order_by_position > 0) {
-        idx = static_cast<int>(stmt.order_by_position) - 1;
-        if (idx >= static_cast<int>(rel.schema.num_columns())) {
-          return Status::InvalidArgument("ORDER BY position out of range");
-        }
-      } else {
-        idx = rel.schema.FindColumn(*stmt.order_by);
-        if (idx < 0) {
-          return Status::InvalidArgument("unknown ORDER BY column '" +
-                                         *stmt.order_by + "'");
-        }
-      }
-      std::stable_sort(filtered.begin(), filtered.end(),
-                       [&](const sql::Row& a, const sql::Row& b) {
-                         const int c = a[idx].Compare(b[idx]);
-                         return stmt.order_desc ? c > 0 : c < 0;
-                       });
-    }
-    if (stmt.limit >= 0 &&
-        filtered.size() > static_cast<size_t>(stmt.limit)) {
-      filtered.resize(static_cast<size_t>(stmt.limit));
-    }
-    result.rows = std::move(filtered);
-    return result;
-  }
-
-  // ---- resolve output items ----
-  struct OutItem {
-    sql::AggFunc agg;
-    int idx;  // column index in rel.schema; -1 for COUNT(*)
-    std::string label;
-  };
-  std::vector<OutItem> out_items;
-  const bool has_agg =
-      std::any_of(stmt.items.begin(), stmt.items.end(),
-                  [](const sql::SelectItem& i) {
-                    return i.agg != sql::AggFunc::kNone;
-                  });
-  const bool grouped = !stmt.group_by.empty();
-  for (const auto& item : stmt.items) {
-    OutItem out;
-    out.agg = item.agg;
-    out.idx = -1;
-    if (!item.star && !item.column.empty()) {
-      out.idx = rel.schema.FindColumn(item.column);
-      if (out.idx < 0) {
-        return Status::InvalidArgument("unknown column '" + item.column +
-                                       "'");
-      }
-    }
-    switch (item.agg) {
-      case sql::AggFunc::kNone:
-        out.label = item.column;
-        break;
-      case sql::AggFunc::kCount:
-        out.label = item.star ? "count(*)" : "count(" + item.column + ")";
-        break;
-      case sql::AggFunc::kSum:
-        out.label = "sum(" + item.column + ")";
-        break;
-      case sql::AggFunc::kAvg:
-        out.label = "avg(" + item.column + ")";
-        break;
-      case sql::AggFunc::kMin:
-        out.label = "min(" + item.column + ")";
-        break;
-      case sql::AggFunc::kMax:
-        out.label = "max(" + item.column + ")";
-        break;
-    }
-    result.columns.push_back(out.label);
-    out_items.push_back(out);
-  }
-
-  if (has_agg || grouped) {
-    // Resolve GROUP BY columns; plain output items must be among them.
-    std::vector<int> group_idx;
-    for (const auto& g : stmt.group_by) {
-      const int idx = rel.schema.FindColumn(g);
-      if (idx < 0) {
-        return Status::InvalidArgument("unknown GROUP BY column '" + g +
-                                       "'");
-      }
-      group_idx.push_back(idx);
-    }
-    for (size_t i = 0; i < out_items.size(); ++i) {
-      if (out_items[i].agg != sql::AggFunc::kNone) continue;
-      if (std::find(group_idx.begin(), group_idx.end(), out_items[i].idx) ==
-          group_idx.end()) {
-        return Status::InvalidArgument(
-            "column '" + result.columns[i] +
-            "' must appear in GROUP BY or be aggregated");
-      }
-    }
-
-    // Partition rows by group key (one implicit group when no GROUP BY).
-    std::map<sql::Key, std::vector<const sql::Row*>> groups;
-    if (grouped) {
-      for (const auto& row : filtered) {
-        sql::Key key;
-        for (int idx : group_idx) key.parts.push_back(row[idx]);
-        groups[key].push_back(&row);
-      }
-    } else {
-      auto& all = groups[sql::Key{}];
-      for (const auto& row : filtered) all.push_back(&row);
-    }
-
-    for (const auto& [gkey, rows] : groups) {
-      sql::Row out_row;
-      for (const auto& item : out_items) {
-        switch (item.agg) {
-          case sql::AggFunc::kNone:
-            out_row.push_back((*rows.front())[item.idx]);
-            break;
-          case sql::AggFunc::kCount: {
-            int64_t count = 0;
-            for (const auto* row : rows) {
-              if (item.idx < 0 || !(*row)[item.idx].is_null()) ++count;
-            }
-            out_row.push_back(Value::Int(count));
-            break;
-          }
-          case sql::AggFunc::kSum:
-          case sql::AggFunc::kAvg: {
-            double sum = 0.0;
-            int64_t isum = 0;
-            int64_t n = 0;
-            bool any_double = false;
-            for (const auto* row : rows) {
-              const Value& v = (*row)[item.idx];
-              if (v.is_null()) continue;
-              if (!v.IsNumeric()) {
-                return Status::InvalidArgument(
-                    "SUM/AVG on non-numeric column");
-              }
-              if (v.type() == sql::ValueType::kDouble) any_double = true;
-              sum += v.AsDouble();
-              if (v.type() == sql::ValueType::kInt) isum += v.AsInt();
-              ++n;
-            }
-            if (n == 0) {
-              out_row.push_back(Value::Null());
-            } else if (item.agg == sql::AggFunc::kSum) {
-              out_row.push_back(any_double ? Value::Double(sum)
-                                           : Value::Int(isum));
-            } else {
-              out_row.push_back(
-                  Value::Double(sum / static_cast<double>(n)));
-            }
-            break;
-          }
-          case sql::AggFunc::kMin:
-          case sql::AggFunc::kMax: {
-            Value best;
-            bool first = true;
-            for (const auto* row : rows) {
-              const Value& v = (*row)[item.idx];
-              if (v.is_null()) continue;
-              if (first) {
-                best = v;
-                first = false;
-                continue;
-              }
-              const int c = v.Compare(best);
-              if ((item.agg == sql::AggFunc::kMin && c < 0) ||
-                  (item.agg == sql::AggFunc::kMax && c > 0)) {
-                best = v;
-              }
-            }
-            out_row.push_back(best);
-            break;
-          }
-        }
-      }
-      result.rows.push_back(std::move(out_row));
-    }
-  } else {
-    // Plain projection.
-    result.rows.reserve(filtered.size());
-    // ORDER BY a non-output schema column must sort before projection.
-    if (stmt.order_by.has_value()) {
-      bool is_output = std::find(result.columns.begin(),
-                                 result.columns.end(),
-                                 *stmt.order_by) != result.columns.end();
-      if (!is_output) {
-        const int idx = rel.schema.FindColumn(*stmt.order_by);
-        if (idx < 0) {
-          return Status::InvalidArgument("unknown ORDER BY column '" +
-                                         *stmt.order_by + "'");
-        }
-        std::stable_sort(filtered.begin(), filtered.end(),
-                         [&](const sql::Row& a, const sql::Row& b) {
-                           const int c = a[idx].Compare(b[idx]);
-                           return stmt.order_desc ? c > 0 : c < 0;
-                         });
-      }
-    }
-    for (const auto& row : filtered) {
-      sql::Row out_row;
-      out_row.reserve(out_items.size());
-      for (const auto& item : out_items) out_row.push_back(row[item.idx]);
-      result.rows.push_back(std::move(out_row));
-    }
-  }
-
-  // ---- ORDER BY on the output (position, or an output column label) ----
-  int sort_idx = -1;
-  if (stmt.order_by_position > 0) {
-    if (stmt.order_by_position > static_cast<int64_t>(result.columns.size())) {
-      return Status::InvalidArgument("ORDER BY position out of range");
-    }
-    sort_idx = static_cast<int>(stmt.order_by_position) - 1;
-  } else if (stmt.order_by.has_value()) {
-    auto it = std::find(result.columns.begin(), result.columns.end(),
-                        *stmt.order_by);
-    if (it != result.columns.end()) {
-      sort_idx = static_cast<int>(it - result.columns.begin());
-    } else if (has_agg || grouped) {
-      return Status::InvalidArgument(
-          "ORDER BY of a grouped query must name an output column or "
-          "position");
-    }
-  }
-  if (sort_idx >= 0) {
-    std::stable_sort(result.rows.begin(), result.rows.end(),
-                     [&](const sql::Row& a, const sql::Row& b) {
-                       const int c = a[sort_idx].Compare(b[sort_idx]);
-                       return stmt.order_desc ? c > 0 : c < 0;
-                     });
-  }
-  if (stmt.limit >= 0 &&
-      result.rows.size() > static_cast<size_t>(stmt.limit)) {
-    result.rows.resize(static_cast<size_t>(stmt.limit));
-  }
-  return result;
+  return Project(stmt, std::move(plan).value(), tuples);
 }
 
 Result<QueryResult> Database::ExecUpdate(const TransactionPtr& txn,
@@ -734,9 +755,11 @@ Result<QueryResult> Database::ExecUpdate(const TransactionPtr& txn,
     return Status::NotFound("no table '" + stmt.table + "'");
   }
   const sql::Schema& schema = table->schema();
+  const ScopeInput input{stmt.table, &schema};
+  BoundExprs exprs(std::span<const ScopeInput>(&input, 1));
 
-  // Resolve assignment targets once.
-  std::vector<std::pair<int, const sql::Expr*>> sets;
+  // Resolve assignment targets and bind their expressions once.
+  std::vector<std::pair<size_t, uint32_t>> sets;
   for (const auto& [col, expr] : stmt.assignments) {
     const int idx = schema.FindColumn(col);
     if (idx < 0) {
@@ -747,18 +770,22 @@ Result<QueryResult> Database::ExecUpdate(const TransactionPtr& txn,
           "updating primary key column '" + col +
           "' (tuple identity must be stable for replication)");
     }
-    sets.emplace_back(idx, expr.get());
+    auto id = exprs.Bind(*expr);
+    if (!id.ok()) return id.status();
+    sets.emplace_back(static_cast<size_t>(idx), id.value());
   }
+  std::vector<Conjunct> conjuncts;
+  SIREP_RETURN_IF_ERROR(BindConjuncts(stmt.where.get(), &exprs, &conjuncts));
 
-  std::vector<std::pair<sql::Key, sql::Row>> matches;
-  SIREP_RETURN_IF_ERROR(CollectMatches(engine_, txn, stmt.table, schema,
-                                       stmt.where.get(), params, &matches));
-
+  std::vector<sql::Row> matches;
+  SIREP_RETURN_IF_ERROR(ReadInput(engine_, txn, *table, 0, exprs, params,
+                                  &conjuncts, &matches));
   int64_t affected = 0;
-  for (auto& [key, row] : matches) {
+  for (const sql::Row& row : matches) {
+    const sql::Row* tuple = &row;
     sql::Row new_row = row;
-    for (const auto& [idx, expr] : sets) {
-      auto v = Eval(*expr, &schema, &row, params);
+    for (const auto& [idx, id] : sets) {
+      auto v = exprs.Eval(id, &tuple, params);
       if (!v.ok()) return v.status();
       new_row[idx] = std::move(v).value();
     }
@@ -779,15 +806,17 @@ Result<QueryResult> Database::ExecDelete(const TransactionPtr& txn,
   if (table == nullptr) {
     return Status::NotFound("no table '" + stmt.table + "'");
   }
-  const sql::Schema& schema = table->schema();
+  const ScopeInput input{stmt.table, &table->schema()};
+  BoundExprs exprs(std::span<const ScopeInput>(&input, 1));
+  std::vector<Conjunct> conjuncts;
+  SIREP_RETURN_IF_ERROR(BindConjuncts(stmt.where.get(), &exprs, &conjuncts));
 
-  std::vector<std::pair<sql::Key, sql::Row>> matches;
-  SIREP_RETURN_IF_ERROR(CollectMatches(engine_, txn, stmt.table, schema,
-                                       stmt.where.get(), params, &matches));
-
+  std::vector<sql::Row> matches;
+  SIREP_RETURN_IF_ERROR(ReadInput(engine_, txn, *table, 0, exprs, params,
+                                  &conjuncts, &matches));
   int64_t affected = 0;
-  for (const auto& [key, row] : matches) {
-    Status st = engine_.Delete(txn, stmt.table, key);
+  for (const sql::Row& row : matches) {
+    Status st = engine_.Delete(txn, stmt.table, table->schema().KeyOf(row));
     if (st.code() == StatusCode::kNotFound) continue;
     SIREP_RETURN_IF_ERROR(st);
     ++affected;

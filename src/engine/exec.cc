@@ -1,7 +1,6 @@
 #include "engine/exec.h"
 
-#include <cmath>
-#include <unordered_map>
+#include <utility>
 
 namespace sirep::engine {
 
@@ -38,35 +37,193 @@ bool LikeMatch(const std::string& text, const std::string& pattern) {
   return p == pattern.size();
 }
 
-Result<Value> EvalBinary(const Expr& expr, const sql::Schema* schema,
-                         const sql::Row* row,
-                         const std::vector<Value>& params) {
-  // AND/OR evaluate lazily to short-circuit.
-  if (expr.bin_op == BinOp::kAnd || expr.bin_op == BinOp::kOr) {
-    auto left = Eval(*expr.left, schema, row, params);
-    if (!left.ok()) return left;
-    if (left.value().type() != ValueType::kBool) {
-      return Status::InvalidArgument("AND/OR operand is not boolean");
+}  // namespace
+
+Result<Slot> ResolveColumn(std::span<const ScopeInput> scope,
+                           const std::string& name) {
+  const size_t dot = name.find('.');
+  const bool qualified = dot != std::string::npos;
+  const std::string_view whole(name);
+  const std::string_view alias = qualified ? whole.substr(0, dot) : "";
+  const std::string_view column = qualified ? whole.substr(dot + 1) : whole;
+  std::optional<Slot> found;
+  for (size_t i = 0; i < scope.size(); ++i) {
+    if (qualified && scope[i].alias != alias) continue;
+    const int c = scope[i].schema->FindColumn(column);
+    if (c < 0) continue;
+    if (found.has_value()) {
+      return Status::InvalidArgument("ambiguous column '" + name + "'");
     }
-    const bool lval = left.value().AsBool();
-    if (expr.bin_op == BinOp::kAnd && !lval) return Value::Bool(false);
-    if (expr.bin_op == BinOp::kOr && lval) return Value::Bool(true);
-    auto right = Eval(*expr.right, schema, row, params);
-    if (!right.ok()) return right;
-    if (right.value().type() != ValueType::kBool) {
-      return Status::InvalidArgument("AND/OR operand is not boolean");
-    }
-    return Value::Bool(right.value().AsBool());
+    found = Slot{static_cast<uint32_t>(i), static_cast<uint32_t>(c)};
   }
+  if (!found.has_value()) {
+    return Status::InvalidArgument("unknown column '" + name + "'");
+  }
+  return *found;
+}
 
-  auto left = Eval(*expr.left, schema, row, params);
-  if (!left.ok()) return left;
-  auto right = Eval(*expr.right, schema, row, params);
-  if (!right.ok()) return right;
-  const Value& a = left.value();
-  const Value& b = right.value();
+Result<uint32_t> BoundExprs::Bind(const Expr& expr) {
+  Node node;
+  node.expr = &expr;
+  switch (expr.kind) {
+    case ExprKind::kColumnRef: {
+      if (scope_.empty()) {
+        return Status::InvalidArgument("column reference '" + expr.column +
+                                       "' outside a row context");
+      }
+      auto slot = ResolveColumn(scope_, expr.column);
+      if (!slot.ok()) return slot.status();
+      node.slot = slot.value();
+      node.inputs = uint64_t{1} << node.slot.input;
+      break;
+    }
+    case ExprKind::kUnary:
+    case ExprKind::kBinary: {
+      auto left = Bind(*expr.left);
+      if (!left.ok()) return left;
+      node.left = left.value();
+      node.inputs = nodes_[node.left].inputs;
+      if (expr.kind == ExprKind::kBinary) {
+        auto right = Bind(*expr.right);
+        if (!right.ok()) return right;
+        node.right = right.value();
+        node.inputs |= nodes_[node.right].inputs;
+      }
+      break;
+    }
+    case ExprKind::kLiteral:
+    case ExprKind::kParam:
+      break;
+  }
+  nodes_.push_back(node);
+  return static_cast<uint32_t>(nodes_.size() - 1);
+}
 
-  switch (expr.bin_op) {
+std::optional<Pin> BoundExprs::AsPin(uint32_t id,
+                                     const std::vector<Value>& params) const {
+  const Node& node = nodes_[id];
+  if (node.expr->kind != ExprKind::kBinary ||
+      node.expr->bin_op != BinOp::kEq) {
+    return std::nullopt;
+  }
+  const Node* col = &nodes_[node.left];
+  const Node* constant = &nodes_[node.right];
+  if (col->expr->kind != ExprKind::kColumnRef) std::swap(col, constant);
+  if (col->expr->kind != ExprKind::kColumnRef) return std::nullopt;
+  const Expr& c = *constant->expr;
+  if (c.kind == ExprKind::kLiteral) return Pin{col->slot, &c.literal};
+  if (c.kind == ExprKind::kParam && c.param_index >= 0 &&
+      static_cast<size_t>(c.param_index) < params.size()) {
+    return Pin{col->slot, &params[c.param_index]};
+  }
+  return std::nullopt;
+}
+
+std::optional<std::pair<Slot, Slot>> BoundExprs::AsColumnEquality(
+    uint32_t id) const {
+  const Node& node = nodes_[id];
+  if (node.expr->kind != ExprKind::kBinary ||
+      node.expr->bin_op != BinOp::kEq) {
+    return std::nullopt;
+  }
+  const Node& left = nodes_[node.left];
+  const Node& right = nodes_[node.right];
+  if (left.expr->kind != ExprKind::kColumnRef ||
+      right.expr->kind != ExprKind::kColumnRef) {
+    return std::nullopt;
+  }
+  return std::make_pair(left.slot, right.slot);
+}
+
+Result<const Value*> BoundExprs::Ref(uint32_t id, const sql::Row* const* tuple,
+                                     const std::vector<Value>& params,
+                                     Value* scratch) const {
+  const Node& node = nodes_[id];
+  const Expr& expr = *node.expr;
+  switch (expr.kind) {
+    case ExprKind::kLiteral:
+      return &expr.literal;
+    case ExprKind::kParam:
+      if (expr.param_index < 0 ||
+          static_cast<size_t>(expr.param_index) >= params.size()) {
+        return Status::InvalidArgument(
+            "missing value for parameter ?" +
+            std::to_string(expr.param_index + 1) + " (got " +
+            std::to_string(params.size()) + " parameters)");
+      }
+      return &params[expr.param_index];
+    case ExprKind::kColumnRef:
+      return &(*tuple[node.slot.input])[node.slot.column];
+    case ExprKind::kUnary:
+    case ExprKind::kBinary: {
+      auto value = expr.kind == ExprKind::kUnary
+                       ? EvalUnary(node, tuple, params)
+                       : EvalBinary(node, tuple, params);
+      if (!value.ok()) return value.status();
+      *scratch = std::move(value).value();
+      return scratch;
+    }
+  }
+  return Status::Internal("unhandled expression kind");
+}
+
+Result<Value> BoundExprs::EvalUnary(const Node& node,
+                                    const sql::Row* const* tuple,
+                                    const std::vector<Value>& params) const {
+  Value scratch;
+  auto operand = Ref(node.left, tuple, params, &scratch);
+  if (!operand.ok()) return operand.status();
+  const Value& v = *operand.value();
+  switch (node.expr->un_op) {
+    case UnOp::kNot:
+      if (v.type() != ValueType::kBool) {
+        return Status::InvalidArgument("NOT operand is not boolean");
+      }
+      return Value::Bool(!v.AsBool());
+    case UnOp::kNeg:
+      if (v.is_null()) return Value::Null();
+      if (v.type() == ValueType::kInt) return Value::Int(-v.AsInt());
+      if (v.type() == ValueType::kDouble) {
+        return Value::Double(-v.AsDouble());
+      }
+      return Status::InvalidArgument("negation of non-numeric value");
+    case UnOp::kIsNull:
+      return Value::Bool(v.is_null());
+    case UnOp::kIsNotNull:
+      return Value::Bool(!v.is_null());
+  }
+  return Status::Internal("unhandled unary op");
+}
+
+Result<Value> BoundExprs::EvalBinary(const Node& node,
+                                     const sql::Row* const* tuple,
+                                     const std::vector<Value>& params) const {
+  const BinOp op = node.expr->bin_op;
+  Value left_scratch;
+  auto left = Ref(node.left, tuple, params, &left_scratch);
+  if (!left.ok()) return left.status();
+  // AND/OR evaluate lazily to short-circuit.
+  if (op == BinOp::kAnd || op == BinOp::kOr) {
+    if (left.value()->type() != ValueType::kBool) {
+      return Status::InvalidArgument("AND/OR operand is not boolean");
+    }
+    const bool lval = left.value()->AsBool();
+    if (op == BinOp::kAnd && !lval) return Value::Bool(false);
+    if (op == BinOp::kOr && lval) return Value::Bool(true);
+  }
+  Value right_scratch;
+  auto right = Ref(node.right, tuple, params, &right_scratch);
+  if (!right.ok()) return right.status();
+  const Value& a = *left.value();
+  const Value& b = *right.value();
+
+  switch (op) {
+    case BinOp::kAnd:
+    case BinOp::kOr:
+      if (b.type() != ValueType::kBool) {
+        return Status::InvalidArgument("AND/OR operand is not boolean");
+      }
+      return Value::Bool(b.AsBool());
     case BinOp::kLike: {
       if (a.is_null() || b.is_null()) return Value::Bool(false);
       if (a.type() != ValueType::kString ||
@@ -83,7 +240,7 @@ Result<Value> EvalBinary(const Expr& expr, const sql::Schema* schema,
     case BinOp::kGe: {
       if (a.is_null() || b.is_null()) return Value::Bool(false);
       const int c = a.Compare(b);
-      switch (expr.bin_op) {
+      switch (op) {
         case BinOp::kEq:
           return Value::Bool(c == 0);
         case BinOp::kNe:
@@ -110,7 +267,7 @@ Result<Value> EvalBinary(const Expr& expr, const sql::Schema* schema,
                              b.type() == ValueType::kDouble;
       if (as_double) {
         const double x = a.AsDouble(), y = b.AsDouble();
-        switch (expr.bin_op) {
+        switch (op) {
           case BinOp::kAdd:
             return Value::Double(x + y);
           case BinOp::kSub:
@@ -123,7 +280,7 @@ Result<Value> EvalBinary(const Expr& expr, const sql::Schema* schema,
         }
       }
       const int64_t x = a.AsInt(), y = b.AsInt();
-      switch (expr.bin_op) {
+      switch (op) {
         case BinOp::kAdd:
           return Value::Int(x + y);
         case BinOp::kSub:
@@ -135,143 +292,107 @@ Result<Value> EvalBinary(const Expr& expr, const sql::Schema* schema,
           return Value::Int(x / y);
       }
     }
-    default:
-      return Status::Internal("unhandled binary op");
   }
+  return Status::Internal("unhandled binary op");
 }
 
-}  // namespace
+Result<Value> BoundExprs::Eval(uint32_t id, const sql::Row* const* tuple,
+                               const std::vector<Value>& params) const {
+  Value scratch;
+  auto value = Ref(id, tuple, params, &scratch);
+  if (!value.ok()) return value.status();
+  if (value.value() == &scratch) return scratch;
+  return *value.value();
+}
+
+Result<bool> BoundExprs::Test(uint32_t id, const sql::Row* const* tuple,
+                              const std::vector<Value>& params) const {
+  Value scratch;
+  auto value = Ref(id, tuple, params, &scratch);
+  if (!value.ok()) return value.status();
+  if (value.value()->type() != ValueType::kBool) {
+    return Status::InvalidArgument("WHERE clause is not boolean");
+  }
+  return value.value()->AsBool();
+}
+
+Status BindConjuncts(const Expr* where, BoundExprs* exprs,
+                     std::vector<Conjunct>* out) {
+  if (where == nullptr) return Status::OK();
+  if (where->kind == ExprKind::kBinary && where->bin_op == BinOp::kAnd) {
+    SIREP_RETURN_IF_ERROR(BindConjuncts(where->left.get(), exprs, out));
+    return BindConjuncts(where->right.get(), exprs, out);
+  }
+  auto id = exprs->Bind(*where);
+  if (!id.ok()) return id.status();
+  // A constant conjunct is checked with input 0's rows.
+  const uint64_t inputs = exprs->Inputs(id.value());
+  out->push_back(Conjunct{id.value(), inputs == 0 ? 1 : inputs, false});
+  return Status::OK();
+}
+
+std::optional<sql::Key> PinKey(const BoundExprs& exprs, uint32_t input,
+                               const sql::Schema& schema,
+                               const std::vector<Value>& params,
+                               std::vector<Conjunct>* conjuncts) {
+  const uint64_t local = uint64_t{1} << input;
+  // The first conjunct pinning `column`; a later one pinning it again
+  // stays unenforced, so the row read is re-checked against it.
+  auto first_pin = [&](size_t column) -> std::pair<Conjunct*, const Value*> {
+    for (Conjunct& c : *conjuncts) {
+      if (c.inputs != local) continue;
+      auto pin = exprs.AsPin(c.id, params);
+      if (pin.has_value() && pin->slot.column == column) {
+        return {&c, pin->value};
+      }
+    }
+    return {nullptr, nullptr};
+  };
+  sql::Key key;
+  key.parts.reserve(schema.key_indexes().size());
+  for (size_t column : schema.key_indexes()) {
+    const auto [conjunct, value] = first_pin(column);
+    if (conjunct == nullptr) return std::nullopt;
+    key.parts.push_back(*value);
+  }
+  for (size_t column : schema.key_indexes()) {
+    first_pin(column).first->enforced = true;
+  }
+  return key;
+}
 
 Result<Value> Eval(const Expr& expr, const sql::Schema* schema,
                    const sql::Row* row, const std::vector<Value>& params) {
-  switch (expr.kind) {
-    case ExprKind::kLiteral:
-      return expr.literal;
-    case ExprKind::kParam: {
-      if (expr.param_index < 0 ||
-          static_cast<size_t>(expr.param_index) >= params.size()) {
-        return Status::InvalidArgument(
-            "missing value for parameter ?" +
-            std::to_string(expr.param_index + 1) + " (got " +
-            std::to_string(params.size()) + " parameters)");
-      }
-      return params[expr.param_index];
-    }
-    case ExprKind::kColumnRef: {
-      if (schema == nullptr || row == nullptr) {
-        return Status::InvalidArgument("column reference '" + expr.column +
-                                       "' outside a row context");
-      }
-      const int idx = schema->FindColumn(expr.column);
-      if (idx < 0) {
-        return Status::InvalidArgument("unknown column '" + expr.column + "'");
-      }
-      return (*row)[idx];
-    }
-    case ExprKind::kUnary: {
-      auto operand = Eval(*expr.left, schema, row, params);
-      if (!operand.ok()) return operand;
-      const Value& v = operand.value();
-      switch (expr.un_op) {
-        case UnOp::kNot:
-          if (v.type() != ValueType::kBool) {
-            return Status::InvalidArgument("NOT operand is not boolean");
-          }
-          return Value::Bool(!v.AsBool());
-        case UnOp::kNeg:
-          if (v.is_null()) return Value::Null();
-          if (v.type() == ValueType::kInt) return Value::Int(-v.AsInt());
-          if (v.type() == ValueType::kDouble) {
-            return Value::Double(-v.AsDouble());
-          }
-          return Status::InvalidArgument("negation of non-numeric value");
-        case UnOp::kIsNull:
-          return Value::Bool(v.is_null());
-        case UnOp::kIsNotNull:
-          return Value::Bool(!v.is_null());
-      }
-      return Status::Internal("unhandled unary op");
-    }
-    case ExprKind::kBinary:
-      return EvalBinary(expr, schema, row, params);
-  }
-  return Status::Internal("unhandled expression kind");
+  const ScopeInput input{{}, schema};
+  BoundExprs exprs(schema != nullptr && row != nullptr
+                       ? std::span<const ScopeInput>(&input, 1)
+                       : std::span<const ScopeInput>());
+  auto id = exprs.Bind(expr);
+  if (!id.ok()) return id.status();
+  return exprs.Eval(id.value(), &row, params);
 }
 
 Result<bool> Matches(const Expr* where, const sql::Schema& schema,
                      const sql::Row& row, const std::vector<Value>& params) {
   if (where == nullptr) return true;
-  auto result = Eval(*where, &schema, &row, params);
-  if (!result.ok()) return result.status();
-  if (result.value().type() != ValueType::kBool) {
-    return Status::InvalidArgument("WHERE clause is not boolean");
-  }
-  return result.value().AsBool();
+  const ScopeInput input{{}, &schema};
+  BoundExprs exprs(std::span<const ScopeInput>(&input, 1));
+  auto id = exprs.Bind(*where);
+  if (!id.ok()) return id.status();
+  const sql::Row* tuple = &row;
+  return exprs.Test(id.value(), &tuple, params);
 }
-
-namespace {
-
-/// Collects `col = constant` terms from an AND-tree, keyed by resolved
-/// column index (so qualified and plain spellings meet). Returns false if
-/// any non-AND / non-equality structure is found (the caller falls back
-/// to a scan; this is only an optimization, so being conservative is
-/// fine).
-bool CollectEqualities(const Expr* expr, const sql::Schema& schema,
-                       const std::vector<Value>& params,
-                       std::unordered_map<int, Value>* out) {
-  if (expr->kind != ExprKind::kBinary) return false;
-  if (expr->bin_op == BinOp::kAnd) {
-    return CollectEqualities(expr->left.get(), schema, params, out) &&
-           CollectEqualities(expr->right.get(), schema, params, out);
-  }
-  if (expr->bin_op != BinOp::kEq) return false;
-  const Expr* col = nullptr;
-  const Expr* val = nullptr;
-  if (expr->left->kind == ExprKind::kColumnRef) {
-    col = expr->left.get();
-    val = expr->right.get();
-  } else if (expr->right->kind == ExprKind::kColumnRef) {
-    col = expr->right.get();
-    val = expr->left.get();
-  } else {
-    return false;
-  }
-  Value constant;
-  if (val->kind == ExprKind::kLiteral) {
-    constant = val->literal;
-  } else if (val->kind == ExprKind::kParam) {
-    if (val->param_index < 0 ||
-        static_cast<size_t>(val->param_index) >= params.size()) {
-      return false;
-    }
-    constant = params[val->param_index];
-  } else {
-    return false;
-  }
-  const int idx = schema.FindColumn(col->column);
-  if (idx < 0) return false;
-  // A repeated column with a different constant makes the predicate
-  // unsatisfiable; keep the first binding and let the point lookup + final
-  // Matches() filter sort it out.
-  out->emplace(idx, std::move(constant));
-  return true;
-}
-
-}  // namespace
 
 std::optional<sql::Key> TryExtractKeyLookup(
     const sql::Schema& schema, const Expr* where,
     const std::vector<Value>& params) {
-  if (where == nullptr) return std::nullopt;
-  std::unordered_map<int, Value> eq;
-  if (!CollectEqualities(where, schema, params, &eq)) return std::nullopt;
-  sql::Key key;
-  for (size_t idx : schema.key_indexes()) {
-    auto it = eq.find(static_cast<int>(idx));
-    if (it == eq.end()) return std::nullopt;
-    key.parts.push_back(it->second);
+  const ScopeInput input{{}, &schema};
+  BoundExprs exprs(std::span<const ScopeInput>(&input, 1));
+  std::vector<Conjunct> conjuncts;
+  if (where == nullptr || !BindConjuncts(where, &exprs, &conjuncts).ok()) {
+    return std::nullopt;
   }
-  return key;
+  return PinKey(exprs, 0, schema, params, &conjuncts);
 }
 
 }  // namespace sirep::engine

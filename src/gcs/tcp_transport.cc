@@ -594,8 +594,10 @@ class TcpSequencerTransport : public Transport {
   /// the caller's seq_live_ iteration stays valid; the recursion through
   /// RemoveMemberLocked -> BroadcastViewLocked -> BroadcastLocked is
   /// bounded by the member count (each removal shrinks seq_live_).
-  /// Caller holds seq_mu_.
+  /// Once Shutdown has begun, a failed write is its own socket teardown,
+  /// not a hung peer: nobody is expelled. Caller holds seq_mu_.
   void ExpelLocked(const std::vector<MemberId>& dead) {
+    if (shutdown_.load(std::memory_order_acquire)) return;
     for (const MemberId mid : dead) {
       if (seq_live_.count(mid) == 0) continue;  // already expelled
       SIREP_WLOG << "GCS/tcp: expelling member " << mid

@@ -4,28 +4,11 @@
 
 namespace sirep::sql {
 
-int Schema::FindColumn(const std::string& name) const {
-  // Exact match first (covers qualified lookups against a bound schema
-  // whose columns are named "alias.col", and plain lookups against a
-  // plain schema).
+int Schema::FindColumn(std::string_view name) const {
   for (size_t i = 0; i < columns_.size(); ++i) {
     if (columns_[i].name == name) return static_cast<int>(i);
   }
-  // Qualified names must match exactly; a plain name may also resolve
-  // against a bound schema by unique ".name" suffix.
-  if (name.find('.') != std::string::npos) return -1;
-  int found = -1;
-  const std::string suffix = "." + name;
-  for (size_t i = 0; i < columns_.size(); ++i) {
-    const std::string& cand = columns_[i].name;
-    if (cand.size() > suffix.size() &&
-        cand.compare(cand.size() - suffix.size(), suffix.size(), suffix) ==
-            0) {
-      if (found >= 0) return -1;  // ambiguous across tables
-      found = static_cast<int>(i);
-    }
-  }
-  return found;
+  return -1;
 }
 
 Key Schema::KeyOf(const Row& row) const {

@@ -2,6 +2,7 @@
 #define SIREP_SQL_SCHEMA_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -28,7 +29,7 @@ class Schema {
   size_t num_columns() const { return columns_.size(); }
 
   /// Index of the named column, or -1 if absent.
-  int FindColumn(const std::string& name) const;
+  int FindColumn(std::string_view name) const;
 
   /// Extracts the primary key from a full row.
   Key KeyOf(const Row& row) const;

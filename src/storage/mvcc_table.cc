@@ -33,14 +33,11 @@ size_t MvccTable::Install(const sql::Key& key, Timestamp commit_ts,
   if (!version->deleted) IndexInsertLocked(key, version->data);
   auto [it, inserted] = rows_.try_emplace(key, nullptr);
   version->prev = it->second;
-  it->second = std::move(version);
-  constexpr size_t kChainCountCap = 1025;  // past the histogram's range
-  size_t len = 0;
-  for (const Version* v = it->second.get();
-       v != nullptr && len < kChainCountCap; v = v->prev.get()) {
-    ++len;
+  if (version->prev != nullptr) {
+    version->chain_len = version->prev->chain_len + 1;
   }
-  return len;
+  it->second = std::move(version);
+  return it->second->chain_len;
 }
 
 void MvccTable::IndexInsertLocked(const sql::Key& key, const sql::Row& data) {
@@ -111,8 +108,17 @@ size_t MvccTable::Vacuum(Timestamp horizon) {
     // v is the horizon version: cut the chain below it.
     for (auto old = v->prev; old != nullptr; old = old->prev) ++freed;
     // const_cast is confined to vacuum: versions are immutable to
-    // readers, and we only sever the tail under the exclusive latch.
-    const_cast<Version*>(v.get())->prev = nullptr;
+    // readers, and we only sever the tail (and recount the survivors'
+    // chain lengths, which readers never look at) under the exclusive
+    // latch.
+    if (v->prev != nullptr) {
+      const_cast<Version*>(v.get())->prev = nullptr;
+      size_t len = head->chain_len - v->chain_len + 1;
+      for (const Version* live = head.get(); live != nullptr;
+           live = live->prev.get()) {
+        const_cast<Version*>(live)->chain_len = len--;
+      }
+    }
     if (v == head && v->deleted) dead_keys.push_back(key);
   }
   for (const auto& key : dead_keys) {

@@ -21,6 +21,10 @@ namespace sirep::storage {
 struct Version {
   Timestamp commit_ts = 0;
   bool deleted = false;
+  /// Versions from this one to the end of its chain, itself included
+  /// (`prev->chain_len + 1`). Written only under the table's exclusive
+  /// latch: at install, and by Vacuum when it cuts the chain.
+  size_t chain_len = 1;
   sql::Row data;
   std::shared_ptr<const Version> prev;
 };
@@ -53,8 +57,8 @@ class MvccTable {
   /// Installs a new committed version (called at commit time, while the
   /// writer still holds the tuple lock, so no other install races on the
   /// same key). Returns the key's version-chain length after the install
-  /// (counted up to a small cap — enough for monitoring), which the
-  /// engine feeds into its chain-length histogram to watch vacuum debt.
+  /// (kept in the version, so O(1)), which the engine feeds into its
+  /// chain-length histogram to watch vacuum debt.
   size_t Install(const sql::Key& key, Timestamp commit_ts, bool deleted,
                  sql::Row data);
 

@@ -778,6 +778,26 @@ TEST(GcsTest, StashCarriesUncodedPayloadsOverTcp) {
   EXPECT_EQ(delivered[0].get(), raw);
 }
 
+TEST(GcsTest, CleanTcpShutdownExpelsNoOne) {
+  // Shutdown tears the member sockets down while the sequencer may still
+  // be broadcasting; the writes that fails are the teardown itself and
+  // must not count as expelled peers.
+  GroupOptions options;
+  options.transport = TransportKind::kTcp;
+  Group group(options);
+  RecordingListener a, b, c;
+  const MemberId ma = group.Join(&a);
+  group.Join(&b);
+  group.Join(&c);
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(group.Multicast(ma, "m", Payload(i)).ok());
+  }
+  group.WaitForQuiescence();
+  EXPECT_EQ(c.seqnos().size(), 10u);
+  group.Shutdown();
+  EXPECT_EQ(CounterValue(group, "gcs.tcp.peers_expelled"), 0u);
+}
+
 TEST(GcsTest, TcpJoinBackoffResetsOnceSequencerIsReachable) {
   // A joiner whose first connects fail outright (network blip) climbs
   // the exponential-backoff ladder: 1ms, 2ms, 4ms, ... When a connect

@@ -128,6 +128,41 @@ TEST(MvccTableTest, OldVersionsSurviveNewInstalls) {
   EXPECT_EQ(t.ReadVisible(K(1), 10)->data[1].AsString(), "a");
 }
 
+/// Versions in `key`'s chain, counted by walking it.
+size_t WalkChain(const MvccTable& t, const sql::Key& key) {
+  size_t len = 0;
+  for (auto v = t.ReadNewest(key); v != nullptr; v = v->prev) ++len;
+  return len;
+}
+
+TEST(MvccTableTest, InstallReturnsChainLengthAcrossVacuum) {
+  MvccTable t("t", KvSchema());
+  for (Timestamp ts = 1; ts <= 40; ++ts) {
+    const size_t len = t.Install(K(1), ts, false, R(1, "v"));
+    ASSERT_EQ(len, WalkChain(t, K(1)));
+  }
+  EXPECT_EQ(WalkChain(t, K(1)), 40u);
+
+  // The horizon keeps versions 25..40: 16 survive, their lengths restart.
+  EXPECT_EQ(t.Vacuum(25), 24u);
+  EXPECT_EQ(WalkChain(t, K(1)), 16u);
+  EXPECT_EQ(t.ReadVisible(K(1), 25)->chain_len, 1u);
+  EXPECT_EQ(t.Install(K(1), 41, false, R(1, "v")), 17u);
+  EXPECT_EQ(WalkChain(t, K(1)), 17u);
+
+  // A vacuum that cuts nothing leaves the counts alone.
+  EXPECT_EQ(t.Vacuum(10), 0u);
+  const size_t len = t.Install(K(1), 42, false, R(1, "v"));
+  EXPECT_EQ(len, 18u);
+  EXPECT_EQ(len, WalkChain(t, K(1)));
+
+  // Cut down to the head alone, then a tombstone on top of it.
+  t.Vacuum(42);
+  EXPECT_EQ(WalkChain(t, K(1)), 1u);
+  EXPECT_EQ(t.Install(K(1), 43, true, {}), 2u);
+  EXPECT_EQ(t.Install(K(2), 43, false, R(2, "w")), 1u);
+}
+
 TEST(WriteSetTest, RecordAndCoalesce) {
   WriteSet ws;
   TupleId t1{"t", K(1)};
