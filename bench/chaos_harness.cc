@@ -383,14 +383,18 @@ void PrintFaultReport(Cluster& cluster,
   }
   std::printf("--- fault counters ---\n");
   // The driver's retry/failover counters live in the process-default
-  // registry, not in any per-replica registry — merge both.
+  // registry, not in any per-replica registry — merge both. DumpMetrics()
+  // covers each replica's current incarnation only: the recovery
+  // counters of an incarnation that never went live (its restart gave
+  // up) or was replaced since are not in this report.
   auto snap = cluster.DumpMetrics();
   snap.Merge(obs::MetricsRegistry::Default().Snapshot());
   for (const auto& [name, value] : snap.counters) {
-    // Driver retry/failover behaviour and transport-level faults; the
-    // throughput counters are not interesting to a chaos report.
+    // Driver retry/failover behaviour, transport-level faults and
+    // recovery retries, donor switches and spills; the throughput
+    // counters are not interesting to a chaos report.
     if (name.rfind("client.", 0) == 0 || name.rfind("gcs.tcp.", 0) == 0 ||
-        name.rfind("wal.", 0) == 0) {
+        name.rfind("wal.", 0) == 0 || name.rfind("mw.recovery.", 0) == 0) {
       std::printf("  %-36s %llu\n", name.c_str(),
                   static_cast<unsigned long long>(value));
     }

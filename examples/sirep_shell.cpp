@@ -9,7 +9,7 @@
 //
 // Meta-commands:
 //   \tables            list tables
-//   \replicas          replica status + load
+//   \replicas          replica status + tocommit queue depth
 //   \crash N           crash replica N
 //   \restart N         online-recover replica N
 //   \vacuum            garbage-collect old versions everywhere
@@ -52,12 +52,12 @@ bool HandleMeta(const std::string& line, Cluster& cluster,
   } else if (cmd == "\\replicas") {
     for (size_t r = 0; r < cluster.size(); ++r) {
       auto* mw = cluster.replica(r);
-      std::printf("  replica %zu (member %u): %s, load=%zu%s\n", r,
+      std::printf("  replica %zu (member %u): %s, queue=%zu%s\n", r,
                   mw->member_id(),
                   !mw->IsAlive()          ? "CRASHED"
                   : mw->IsAcceptingClients() ? "live"
                                              : "recovering",
-                  mw->CurrentLoad(),
+                  mw->PendingQueueSize(),
                   mw == conn.replica() ? "  <- you are here" : "");
     }
   } else if (cmd == "\\crash") {

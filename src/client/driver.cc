@@ -107,19 +107,7 @@ Status Connection::TryConnect(const std::vector<gcs::MemberId>& exclude) {
   if (candidates.empty()) {
     return Status::Unavailable("no live replica found");
   }
-  SrcaRepReplica* chosen = nullptr;
-  if (options_.balance == BalancePolicy::kLeastLoaded) {
-    size_t best = ~size_t{0};
-    for (auto* r : candidates) {
-      const size_t load = r->CurrentLoad();
-      if (load < best) {
-        best = load;
-        chosen = r;
-      }
-    }
-  } else {
-    chosen = candidates[prng_.Uniform(candidates.size())];
-  }
+  SrcaRepReplica* const chosen = candidates[prng_.Uniform(candidates.size())];
   const bool is_failover = replica_ != nullptr && chosen != replica_;
   replica_ = chosen;
   if (group_ == nullptr) group_ = chosen->group();

@@ -25,16 +25,10 @@ class ReplicaDirectory {
   virtual std::vector<middleware::SrcaRepReplica*> Discover() = 0;
 };
 
-/// How the driver picks among the replicas discovery returns.
-enum class BalancePolicy {
-  kRandom,       ///< uniform choice (the default; paper behaviour)
-  kLeastLoaded,  ///< pick the replica reporting the smallest load
-};
-
 struct ConnectionOptions {
   bool autocommit = true;
-  BalancePolicy balance = BalancePolicy::kRandom;
-  /// Seed for the replica choice (reproducible tests).
+  /// Seed for the uniform choice among the replicas discovery returns
+  /// (reproducible tests).
   uint64_t seed = 1;
   /// If >= 0, prefer this member id while it is alive (tests / sticky
   /// routing); fail-over still moves to a survivor of its group when it

@@ -101,14 +101,12 @@ std::vector<middleware::SrcaRepReplica*> Cluster::Discover() {
 
 namespace {
 
-bool RecoveryRetryable(const Status& status) {
-  return status.code() == StatusCode::kUnavailable ||
-         status.code() == StatusCode::kTimedOut;
-}
-
-/// RecoverIncarnation's retry policy: attempts, the exponential backoff
-/// between them, and an overall cap (backoff sleeps included).
-constexpr size_t kRecoveryAttempts = 5;
+/// The retry policy of recovery (the only one: each Recover() call is a
+/// single transfer attempt): attempts, the exponential backoff between
+/// them, and an overall cap (backoff sleeps included). A buffer spill
+/// under heavy traffic costs an attempt while the spill mark escalates,
+/// so the budget leaves room for several.
+constexpr size_t kRecoveryAttempts = 16;
 constexpr std::chrono::milliseconds kRecoveryInitialBackoff{10};
 constexpr std::chrono::milliseconds kRecoveryMaxBackoff{400};
 constexpr std::chrono::milliseconds kRecoveryDeadline{60000};
@@ -144,15 +142,17 @@ Cluster::RecoverIncarnation(engine::Database* db, uint64_t from_tid,
         recovered = started;
         incarnation->Crash();
         incarnation.reset();
-        if (!RecoveryRetryable(started)) return started;
+        if (!middleware::RecoveryRetryable(started)) return started;
         continue;
       }
     }
     recovered = incarnation->Recover(from_tid);
     if (recovered.ok()) return incarnation;
-    if (!RecoveryRetryable(recovered)) break;
-    // Retryable: a live incarnation re-enters Recover() directly (its
-    // buffered delivery mode is still armed); a dead one is rebuilt at
+    if (!middleware::RecoveryRetryable(recovered)) break;
+    // Retryable (a donor fault, a buffer spill, no donor yet): a live
+    // incarnation re-enters Recover() directly for a fresh attempt from
+    // `from_tid` (its buffered delivery mode is still armed, and it
+    // keeps its donor rotation and spill mark); a dead one is rebuilt at
     // the top of the loop.
   }
   if (incarnation != nullptr) {

@@ -175,9 +175,10 @@ class Cluster : public client::ReplicaDirectory {
 
  private:
   /// Builds a recovering middleware incarnation over `db` and drives
-  /// Recover(from_tid) to success, retrying what Recover() cannot fail
-  /// over itself (every donor momentarily dead, the incarnation expelled
-  /// mid-recovery): retryable failures (kUnavailable/kTimedOut) back off
+  /// Recover(from_tid) to success. The only recovery retry loop: each
+  /// Recover() call is one transfer attempt, and retryable failures
+  /// (kUnavailable/kTimedOut: a donor fault, a buffer spill, every donor
+  /// momentarily dead, the incarnation expelled mid-recovery) back off
   /// exponentially and re-enter, rebuilding the incarnation if it died;
   /// hard failures and attempt or deadline exhaustion return the last
   /// status with the incarnation crashed.

@@ -14,8 +14,10 @@ namespace {
 
 /// Floors the size knobs at 1, so options() reports what actually runs:
 /// a zero-width pipeline has no worker, a zero-row chunk never advances
-/// the stream, and a zero high-water mark spills on every delivery.
+/// the stream, a zero high-water mark spills on every delivery, and a
+/// log keeps at least the latest writeset.
 ReplicaOptions WithFloors(ReplicaOptions options) {
+  options.ws_log_capacity = std::max<size_t>(options.ws_log_capacity, 1);
   options.applier_threads = std::max<size_t>(options.applier_threads, 1);
   options.recovery_chunk_rows =
       std::max<size_t>(options.recovery_chunk_rows, 1);
@@ -125,10 +127,6 @@ Result<SrcaRepReplica::TxnHandle> SrcaRepReplica::BeginTxn() {
   // Adjustment 3: a local transaction only starts when the commit order
   // has no holes; the begin is atomic with that check.
   handle.db_txn = holes_.RunStart([&] { return db_->Begin(); });
-  {
-    std::lock_guard<std::mutex> lock(active_mu_);
-    active_txns_.insert(handle.gid);
-  }
   return handle;
 }
 
@@ -159,9 +157,9 @@ Result<engine::QueryResult> SrcaRepReplica::Execute(
     SIREP_RETURN_IF_ERROR(ReplicateDdl(sql));
     return engine::QueryResult{};
   }
-  if (txn.trace != nullptr) txn.trace->Begin(obs::Stage::kExecute);
+  txn.trace->Begin(obs::Stage::kExecute);
   auto result = db_->Execute(txn.db_txn, *parsed.value(), params);
-  if (txn.trace != nullptr) txn.trace->End(obs::Stage::kExecute);
+  txn.trace->End(obs::Stage::kExecute);
   return result;
 }
 
@@ -234,8 +232,6 @@ void SrcaRepReplica::ProcessDdl(const gcs::Message& message) {
 Status SrcaRepReplica::RollbackTxn(const TxnHandle& txn) {
   if (!txn.valid()) return Status::InvalidArgument("invalid transaction");
   db_->Abort(txn.db_txn);
-  std::lock_guard<std::mutex> lock(active_mu_);
-  active_txns_.erase(txn.gid);
   return Status::OK();
 }
 
@@ -243,11 +239,6 @@ Status SrcaRepReplica::CommitTxn(const TxnHandle& txn, bool* had_writes) {
   obs::Profiler::Section section("mw.commit_txn");
   if (!IsAlive()) return Status::Unavailable("replica crashed");
   if (!txn.valid()) return Status::InvalidArgument("invalid transaction");
-  // Whatever the outcome, the transaction stops being "active" now.
-  {
-    std::lock_guard<std::mutex> lock(active_mu_);
-    active_txns_.erase(txn.gid);
-  }
 
   // Deterministic crash injection at every commit sub-stage (the
   // "mw.commit.crash.*" failpoints, paper §5.4 case 3): the replica
@@ -258,26 +249,26 @@ Status SrcaRepReplica::CommitTxn(const TxnHandle& txn, bool* had_writes) {
     return Status::Unavailable("injected crash before writeset extraction");
   }
 
-  obs::TxnTrace* const trace = txn.trace.get();
+  obs::TxnTrace& trace = *txn.trace;
 
   // Fig. 4, I.2.a: retrieve the writeset before committing.
-  if (trace != nullptr) trace->Begin(obs::Stage::kExtract);
+  trace.Begin(obs::Stage::kExtract);
   auto ws = db_->ExtractWriteSet(txn.db_txn);
-  if (trace != nullptr) trace->End(obs::Stage::kExtract);
+  trace.End(obs::Stage::kExtract);
   if (had_writes != nullptr) *had_writes = !ws->empty();
 
   // I.2.c: read-only (or write-free) transactions commit right away —
   // under SI they never conflict and other replicas need not hear of them.
   if (ws->empty()) {
-    if (trace != nullptr) trace->Begin(obs::Stage::kCommit);
+    trace.Begin(obs::Stage::kCommit);
     Status st = db_->Commit(txn.db_txn);
-    if (trace != nullptr) trace->End(obs::Stage::kCommit);
+    trace.End(obs::Stage::kCommit);
     if (st.ok()) {
       RecordOutcome(txn.gid, /*committed=*/true);
       MarkLocallyCommitted(txn.gid);
       c_committed_->Increment();
       c_empty_ws_commits_->Increment();
-      if (trace != nullptr) trace->Flush(stage_hists_);
+      trace.Flush(stage_hists_);
     }
     return st;
   }
@@ -307,7 +298,7 @@ Status SrcaRepReplica::CommitTxn(const TxnHandle& txn, bool* had_writes) {
   pending->db_txn = txn.db_txn;
   pending->trace = txn.trace;
   uint64_t cert = 0;
-  if (trace != nullptr) trace->Begin(obs::Stage::kLocalValidate);
+  trace.Begin(obs::Stage::kLocalValidate);
   {
     // I.2.d: local validation — against *remote* transactions still in
     // this replica's tocommit queue (Adjustment 1: conflicts with
@@ -328,7 +319,7 @@ Status SrcaRepReplica::CommitTxn(const TxnHandle& txn, bool* had_writes) {
     std::lock_guard<std::mutex> plock(pending_mu_);
     pending_[txn.gid] = pending;
   }
-  if (trace != nullptr) trace->End(obs::Stage::kLocalValidate);
+  trace.End(obs::Stage::kLocalValidate);
 
   // §5.4 case 3a: crash after local validation, before the writeset
   // reaches the group. No survivor ever sees it, so in-doubt resolution
@@ -353,10 +344,8 @@ Status SrcaRepReplica::CommitTxn(const TxnHandle& txn, bool* had_writes) {
   ctx.origin_replica = txn.gid.replica;
   ctx.origin_mono_ns = obs::MonotonicNanos();
   ctx.origin_wall_ns = obs::TraceContext::WallNanos();
-  if (trace != nullptr) {
-    trace->SetContext(ctx);
-    trace->Begin(obs::Stage::kMulticast);
-  }
+  trace.SetContext(ctx);
+  trace.Begin(obs::Stage::kMulticast);
   auto payload = std::make_shared<const WriteSetMessage>(
       WriteSetMessage{txn.gid, cert, ws, ctx});
   Status mc =
@@ -426,20 +415,20 @@ Status SrcaRepReplica::CommitTxn(const TxnHandle& txn, bool* had_writes) {
   // immediately (Adjustment 2); the hole gate never applies to local
   // transactions, but the commit is recorded atomically with the hole
   // bookkeeping.
-  if (trace != nullptr) trace->Begin(obs::Stage::kCommit);
+  trace.Begin(obs::Stage::kCommit);
   uint64_t wal_ticket = 0;
   Status st = holes_.RecordCommit(
       result.tid, [&] { return db_->Commit(txn.db_txn, &wal_ticket); });
   // Group-commit durability wait, outside the hole mutex so concurrent
   // committers share one flush; the client is only acked after this.
   if (st.ok()) st = db_->WaitWalDurable(wal_ticket);
-  if (trace != nullptr) trace->End(obs::Stage::kCommit);
+  trace.End(obs::Stage::kCommit);
   tocommit_queue_.Remove(result.tid);
   MarkLocallyCommitted(txn.gid);
   ScheduleAppliers();
   if (st.ok()) {
     c_committed_->Increment();
-    if (trace != nullptr) trace->Flush(stage_hists_);
+    trace.Flush(stage_hists_);
   }
   return st;
 }
@@ -464,7 +453,6 @@ void SrcaRepReplica::ProcessDelivery(const gcs::Message& message) {
 }
 
 void SrcaRepReplica::AppendToLogLocked(WsLogEntry entry) {
-  if (options_.ws_log_capacity == 0) return;
   ws_log_.push_back(std::move(entry));
   while (ws_log_.size() > options_.ws_log_capacity) ws_log_.pop_front();
 }
@@ -479,18 +467,17 @@ void SrcaRepReplica::ProcessWriteSet(const gcs::Message& message) {
   const auto* msg = message.As<WriteSetMessage>();
   const bool is_local = msg->gid.replica == member_id();
   const uint64_t arrival_ns = obs::MonotonicNanos();
-  // Prefer the payload-level context (it survives codec round-trips);
-  // the frame-level copy covers payloads that never carried one.
-  const obs::TraceContext& ctx =
-      msg->trace.valid() ? msg->trace : message.trace;
+  // Every writeset carries its origin's context (CommitTxn stamps it,
+  // the codec carries it).
+  const obs::TraceContext& ctx = msg->trace;
 
-  // Origin-tagged trace for a traced *remote* writeset: the spans this
-  // replica records (validate, apply, commit, the cross-replica lags)
-  // all land under the originating transaction's trace id.
+  // Origin-tagged trace for a *remote* writeset: the spans this replica
+  // records (validate, apply, commit, the cross-replica lags) all land
+  // under the originating transaction's trace id.
   std::shared_ptr<obs::TxnTrace> rtrace;
-  if (!is_local && ctx.valid()) {
+  if (!is_local) {
     // NTP-style clock-offset lower bound: the minimum observed
-    // (arrival - origin send) across all traced deliveries.
+    // (arrival - origin send) across all remote deliveries.
     const int64_t delta =
         static_cast<int64_t>(arrival_ns) -
         static_cast<int64_t>(ctx.origin_mono_ns);
@@ -504,7 +491,7 @@ void SrcaRepReplica::ProcessWriteSet(const gcs::Message& message) {
     rtrace->SetId(ctx.ToString());
     rtrace->SetContext(ctx);
     // Zero for the delivery that set the offset bound itself: every
-    // traced delivery contributes a sample so the histogram's count
+    // remote delivery contributes a sample so the histogram's count
     // (and p50) reflects all of them, not just the laggards.
     rtrace->Add(obs::Stage::kDeliverySkew,
                 delta > offset ? static_cast<uint64_t>(delta - offset)
@@ -597,21 +584,19 @@ void SrcaRepReplica::ProcessWriteSet(const gcs::Message& message) {
       }
     }
     if (pending != nullptr) {
-      if (pending->trace != nullptr) {
-        // The sender's multicast span ends when the message reached this
-        // (= its own) replica; validation time is charged separately.
-        // Safe without atomics: the client thread stopped touching the
-        // trace before the group enqueue that delivered this message,
-        // and only resumes after pending->cv signals done.
-        pending->trace->EndAt(obs::Stage::kMulticast, arrival_ns);
-        pending->trace->Add(obs::Stage::kGlobalValidate, validate_ns);
-        // Sequencer wait: group enqueue at the origin until total-order
-        // delivery back at the origin (same clock, so no skew
-        // correction needed).
-        if (message.enqueue_ns != 0 && arrival_ns > message.enqueue_ns) {
-          pending->trace->Add(obs::Stage::kSequencerQueue,
-                              arrival_ns - message.enqueue_ns);
-        }
+      // The sender's multicast span ends when the message reached this
+      // (= its own) replica; validation time is charged separately.
+      // Safe without atomics: the client thread stopped touching the
+      // trace before the group enqueue that delivered this message, and
+      // only resumes after pending->cv signals done.
+      pending->trace->EndAt(obs::Stage::kMulticast, arrival_ns);
+      pending->trace->Add(obs::Stage::kGlobalValidate, validate_ns);
+      // Sequencer wait: group enqueue at the origin until total-order
+      // delivery back at the origin (same clock, so no skew correction
+      // needed).
+      if (message.enqueue_ns != 0 && arrival_ns > message.enqueue_ns) {
+        pending->trace->Add(obs::Stage::kSequencerQueue,
+                            arrival_ns - message.enqueue_ns);
       }
       if (conflict) {
         db_->Abort(pending->db_txn);
@@ -626,21 +611,13 @@ void SrcaRepReplica::ProcessWriteSet(const gcs::Message& message) {
     }
     // else: the client gave up (crash path) — nothing to do.
   } else {
-    if (rtrace == nullptr) {
-      // Untraced remote writeset (an untracing origin): its validation
-      // cost goes straight into the stage histogram.
-      stage_hists_.stage[static_cast<int>(obs::Stage::kGlobalValidate)]
-          ->Observe(obs::NanosToUs(validate_ns));
-    }
     if (conflict) {
       c_remote_discards_->Increment();
       // A discarded writeset never reaches ApplyRemote, so the trace was
       // never shared with an applier: record the validation span and
       // flush what we have (delivery skew + validation) now.
-      if (rtrace != nullptr) {
-        rtrace->Add(obs::Stage::kGlobalValidate, validate_ns);
-        rtrace->Flush(stage_hists_);
-      }
+      rtrace->Add(obs::Stage::kGlobalValidate, validate_ns);
+      rtrace->Flush(stage_hists_);
     } else {
       ScheduleAppliers();
     }
@@ -681,7 +658,7 @@ void SrcaRepReplica::ApplyRemote(ToCommitEntry entry) {
     std::atomic<int64_t>* counter;
     ~InflightGuard() { counter->fetch_sub(1, std::memory_order_relaxed); }
   } inflight_guard{&applies_inflight_};
-  obs::TxnTrace* const rtrace = entry.trace.get();
+  obs::TxnTrace& rtrace = *entry.trace;
   while (!shutdown_.load(std::memory_order_acquire) && IsAlive()) {
     auto txn = db_->Begin();
     // "mw.apply" injects transient failures (e.g. 1in(4,error(deadlock)))
@@ -690,53 +667,39 @@ void SrcaRepReplica::ApplyRemote(ToCommitEntry entry) {
     Status st = failpoint::AnyArmed() ? failpoint::EvalStatus("mw.apply")
                                       : Status::OK();
     if (st.ok()) {
-      // With an origin-tagged trace, apply/commit spans accumulate there
-      // (flushed once at commit, retries included); without one they go
-      // straight into the stage histograms, one observation per attempt.
-      if (rtrace != nullptr) rtrace->Begin(obs::Stage::kApply);
-      obs::ScopedLatency apply_timer(
-          rtrace != nullptr
-              ? nullptr
-              : stage_hists_.stage[static_cast<int>(obs::Stage::kApply)]);
+      // Apply/commit spans accumulate in the origin-tagged trace
+      // (flushed once at commit, retries included).
+      rtrace.Begin(obs::Stage::kApply);
       st = db_->ApplyWriteSet(txn, *entry.ws);
-      apply_timer.Stop();
-      if (rtrace != nullptr) rtrace->End(obs::Stage::kApply);
+      rtrace.End(obs::Stage::kApply);
     }
     if (st.ok()) {
-      if (rtrace != nullptr) rtrace->Begin(obs::Stage::kCommit);
-      obs::ScopedLatency commit_timer(
-          rtrace != nullptr
-              ? nullptr
-              : stage_hists_.stage[static_cast<int>(obs::Stage::kCommit)]);
+      rtrace.Begin(obs::Stage::kCommit);
       uint64_t wal_ticket = 0;
       st = holes_.RecordCommit(entry.tid,
                                [&] { return db_->Commit(txn, &wal_ticket); });
       // Durability wait outside the hole mutex: parallel appliers pile
       // their records into one group flush instead of serializing on it.
       if (st.ok()) st = db_->WaitWalDurable(wal_ticket);
-      commit_timer.Stop();
-      if (rtrace != nullptr) rtrace->End(obs::Stage::kCommit);
+      rtrace.End(obs::Stage::kCommit);
       if (st.ok()) {
         // Count and flush before the queue entry goes: Quiesce() returns
         // once the queue drains, and the metrics must already include
         // this apply.
-        if (rtrace != nullptr) {
-          const uint64_t now = obs::MonotonicNanos();
-          // Delivery here -> committed here: tocommit queueing + apply.
-          if (entry.delivered_ns != 0 && now > entry.delivered_ns) {
-            rtrace->Add(obs::Stage::kRemoteApplyLag,
-                        now - entry.delivered_ns);
-          }
-          // Origin multicast send -> visible at this replica (raw
-          // cross-clock difference; the clock-offset gauge lets readers
-          // correct it on clock-skewed deployments).
-          const auto& octx = rtrace->context();
-          if (octx.origin_mono_ns != 0 && now > octx.origin_mono_ns) {
-            rtrace->Add(obs::Stage::kSnapshotStaleness,
-                        now - octx.origin_mono_ns);
-          }
-          rtrace->Flush(stage_hists_);
+        const uint64_t now = obs::MonotonicNanos();
+        // Delivery here -> committed here: tocommit queueing + apply.
+        if (entry.delivered_ns != 0 && now > entry.delivered_ns) {
+          rtrace.Add(obs::Stage::kRemoteApplyLag, now - entry.delivered_ns);
         }
+        // Origin multicast send -> visible at this replica (raw
+        // cross-clock difference; the clock-offset gauge lets readers
+        // correct it on clock-skewed deployments).
+        const auto& octx = rtrace.context();
+        if (octx.origin_mono_ns != 0 && now > octx.origin_mono_ns) {
+          rtrace.Add(obs::Stage::kSnapshotStaleness,
+                     now - octx.origin_mono_ns);
+        }
+        rtrace.Flush(stage_hists_);
         c_committed_->Increment();
         tocommit_queue_.Remove(entry.tid);
         MarkLocallyCommitted(entry.gid);

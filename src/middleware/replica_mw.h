@@ -152,12 +152,13 @@ class SrcaRepReplica final : public gcs::GroupListener,
     return IsRunning() && state_transfer_.live();
   }
 
-  /// Catches this replica up online while the rest of the cluster keeps
-  /// committing (StateTransfer::Recover: marker in total order, chunked
-  /// donor stream resumable across donor faults, drain of the messages
-  /// buffered past the marker). Fails with a retryable status
-  /// (kUnavailable / kTimedOut) — never a hang — so callers can back off
-  /// and re-enter. `from_tid` is the stable commit prefix of a
+  /// One attempt to catch this replica up online while the rest of the
+  /// cluster keeps committing (StateTransfer::Recover: marker in total
+  /// order, chunked stream from one donor, drain of the messages
+  /// buffered past the marker). A donor fault or a buffer spill fails
+  /// the attempt with a retryable status (kUnavailable / kTimedOut) —
+  /// never a hang — and callers back off and re-enter; every attempt
+  /// starts over from `from_tid`: the stable commit prefix of a
   /// restarting replica (StableCommitPrefix() of its previous
   /// incarnation), or 0 for a brand-new node whose schema has been
   /// created. Requires the replica to have been constructed with
@@ -215,14 +216,6 @@ class SrcaRepReplica final : public gcs::GroupListener,
     tocommit_queue_.WaitUntilEmpty([this] {
       return shutdown_.load(std::memory_order_acquire) || !IsAlive();
     });
-  }
-
-  /// Load metric for load-balanced discovery (paper conclusion:
-  /// "load-balancing issues"): active local transactions plus the
-  /// backlog of validated-but-uncommitted writesets.
-  size_t CurrentLoad() const {
-    std::lock_guard<std::mutex> lock(active_mu_);
-    return active_txns_.size() + tocommit_queue_.size();
   }
 
   // ---- GroupListener (delivery thread, or a committing client thread
@@ -354,9 +347,6 @@ class SrcaRepReplica final : public gcs::GroupListener,
                      GlobalTxnIdHash>
       pending_ddl_;
 
-  mutable std::mutex active_mu_;
-  std::unordered_set<GlobalTxnId, GlobalTxnIdHash> active_txns_;
-
   struct OutcomeEntry {
     bool committed = false;
     bool locally_committed = false;
@@ -376,10 +366,10 @@ class SrcaRepReplica final : public gcs::GroupListener,
   /// as kQueueHighWater flight events (doubling steps only, so a deep
   /// backlog does not flood the ring).
   std::atomic<uint64_t> queue_high_water_{0};
-  /// Minimum observed (local arrival - origin send) over all traced
-  /// remote writesets: the NTP-style lower bound used as this replica's
+  /// Minimum observed (local arrival - origin send) over all remote
+  /// writesets: the NTP-style lower bound used as this replica's
   /// clock-offset estimate for kDeliverySkew. INT64_MAX until the first
-  /// traced delivery.
+  /// remote delivery.
   std::atomic<int64_t> clock_offset_ns_{
       std::numeric_limits<int64_t>::max()};
 

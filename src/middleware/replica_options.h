@@ -22,8 +22,9 @@ enum class ReplicaMode {
 struct ReplicaOptions {
   ReplicaMode mode = ReplicaMode::kSrcaRep;
   /// Validated writesets retained for online recovery donation (paper
-  /// §5.4: "the middleware probably has to log writesets"). 0 disables
-  /// the log; such a replica cannot act as a recovery donor.
+  /// §5.4: "the middleware probably has to log writesets"); a recoverer
+  /// whose prefix the log no longer reaches gets a full copy instead (0
+  /// is treated as 1).
   size_t ws_log_capacity = 1 << 20;
   /// Join in recovery mode: buffer deliveries and reject clients until
   /// Recover() completes. Used when restarting a crashed replica or
@@ -48,13 +49,12 @@ struct ReplicaOptions {
   /// not depend on this width.
   size_t applier_threads = 8;
   /// Rows (or log entries) per recovery chunk — the streaming unit of
-  /// state transfer and the resume granularity within a table (0 is
-  /// treated as 1).
+  /// state transfer (0 is treated as 1).
   size_t recovery_chunk_rows = 512;
   /// Buffered post-marker deliveries above this high-water mark trigger
-  /// backpressure: the buffer is dropped and the transfer re-anchored at
-  /// a fresh marker instead of growing without bound (0 is treated as
-  /// 1).
+  /// backpressure: the buffer is dropped and the transfer attempt ends,
+  /// so the next one anchors at a fresh marker, instead of growing
+  /// without bound (0 is treated as 1).
   size_t recovery_buffer_high_water = 4096;
   /// Partial replication (null = full replication everywhere). All
   /// replicas of a cluster share one map (it models the cluster's

@@ -11,23 +11,15 @@ namespace sirep::middleware {
 
 namespace {
 
-/// Base deadline for a whole Recover() run; the effective deadline grows
-/// with the bytes received (kRecoveryMinBytesPerMs).
-constexpr std::chrono::milliseconds kRecoveryTimeout{30000};
-
-/// Attempts (initial + retries across donors and re-anchors) before
-/// Recover() gives up with a retryable error.
-constexpr size_t kRecoveryMaxAttempts = 8;
-
-/// Deadline-scaling floor: the effective recovery deadline grows by the
-/// time the received bytes would take at this (very conservative) rate,
-/// so a transfer is never killed merely for being large.
-constexpr uint64_t kRecoveryMinBytesPerMs = 512;
-
-/// Donor silence longer than this counts as a donor fault: the
-/// recoverer abandons the transfer and re-requests from the next donor,
-/// resuming at its cursor.
+/// Donor silence longer than this counts as a donor fault: the attempt
+/// ends, and the next one asks the next donor. A transfer that keeps
+/// sending is never cut off, however large.
 constexpr std::chrono::milliseconds kRecoveryChunkTimeout{2000};
+
+/// Bound on the wait for our own marker after the final chunk. Our
+/// delivery thread drops every pre-marker message while recovering, so
+/// the marker normally follows the donor's delivery of it closely.
+constexpr std::chrono::milliseconds kRecoveryMarkerTimeout{10000};
 
 }  // namespace
 
@@ -72,7 +64,6 @@ struct StateTransfer::Request {
   gcs::MemberId donor = gcs::kInvalidMember;
   uint64_t from_tid = 0;
   uint64_t transfer_id = 0;
-  RecoveryCursor cursor;
   std::shared_ptr<Channel> channel;
 };
 
@@ -84,7 +75,7 @@ struct StateTransfer::DonorPlan {
   uint64_t transfer_id = 0;
   TransferMeta meta;
   std::vector<WsLogEntry> log_suffix;
-  std::vector<std::string> tables;  ///< tables still to dump
+  std::vector<std::string> tables;  ///< tables to dump (full copy)
   storage::TransactionPtr dump_txn;
   std::shared_ptr<Channel> channel;
 };
@@ -98,6 +89,7 @@ StateTransfer::StateTransfer(StateTransferHost* host, gcs::Group* group,
       options_(options),
       flight_(flight),
       live_(!options.start_recovering),
+      buffer_hwm_(options.recovery_buffer_high_water),
       c_chunks_sent_(registry->GetCounter("mw.recovery.chunks_sent")),
       c_bytes_sent_(registry->GetCounter("mw.recovery.bytes_sent")),
       c_chunks_received_(registry->GetCounter("mw.recovery.chunks_received")),
@@ -121,13 +113,14 @@ bool StateTransfer::Buffer(const gcs::Message& message) {
   if (spill_enabled_ && depth >= buffer_hwm_) {
     // Backpressure: instead of growing without bound under heavy live
     // traffic, drop the buffer and the fence wholesale. The recoverer
-    // observes buffer_spilled_ and re-anchors at a fresh marker whose
-    // donation covers everything dropped here — nothing is lost, only
-    // the transfer tail is repeated. Each spill doubles the allowance
-    // for the next attempt: under sustained delivery pressure a fixed
-    // mark could spill every re-anchor forever, so the bound escalates
-    // until one transfer outruns the live stream (memory stays bounded
-    // — the mark at most doubles per attempt, and attempts are capped).
+    // observes buffer_spilled_ and ends the attempt; the next one
+    // anchors at a fresh marker whose donation covers everything dropped
+    // here — nothing is lost, the transfer is repeated. Each spill
+    // doubles the allowance for the next attempt: under sustained
+    // delivery pressure a fixed mark could spill every attempt forever,
+    // so the bound escalates until one transfer outruns the live stream
+    // (memory stays bounded — the mark at most doubles per attempt, and
+    // the caller caps the attempts).
     buffered_.clear();
     fence_seen_ = false;
     buffer_spilled_ = true;
@@ -172,11 +165,6 @@ void StateTransfer::Donate(const Request& req) {
                  Status::Unavailable("chosen donor is not live"));
     return;
   }
-  if (options_.ws_log_capacity == 0) {
-    channel.Fail(req.transfer_id,
-                 Status::NotSupported("this replica keeps no writeset log"));
-    return;
-  }
   auto plan = std::make_shared<DonorPlan>();
   plan->transfer_id = req.transfer_id;
   plan->channel = req.channel;
@@ -196,50 +184,30 @@ void StateTransfer::Donate(const Request& req) {
     // diverge.)
     const uint64_t log_front = state.log.empty() ? state.lastvalidated + 1
                                                  : state.log.front().tid;
-    // The tid floor our log must reach back to. While the requester has
-    // a full copy in flight we must keep serving that copy's base: its
-    // finished tables are consistent only against that base, whoever
-    // dumped them.
-    const RecoveryCursor& cursor = req.cursor;
-    const uint64_t floor = cursor.full_copy_started
-                               ? cursor.full_copy_base
-                               : std::max(req.from_tid, cursor.applied_tid);
-    uint64_t log_floor = floor;
-    if (floor + 1 >= log_front) {
-      // Incremental catch-up from the log suffix alone, or the previous
-      // donor's copy resumed: same base, remaining tables; idempotent
-      // full-row replay of (base, now] reconciles whatever the earlier
-      // snapshot and ours disagree on.
-      meta.full_copy = cursor.full_copy_started;
-      meta.full_copy_base = cursor.full_copy_base;
-    } else if (state.stable_prefix + 1 < log_front) {
-      refused = Status::Internal(
-          "writeset log smaller than the commit pipeline; increase "
-          "ws_log_capacity");
-      return;
-    } else {
-      // The log no longer reaches back to the requester's floor: fall
-      // back to a fresh full-state transfer (the paper's "complete
-      // database copy", done online at the marker). The copy includes
-      // every commit up to our stable prefix; the log tail covers the
+    uint64_t log_floor = req.from_tid;
+    if (log_floor + 1 < log_front) {
+      // The log no longer reaches back to the requester's prefix: fall
+      // back to a full-state transfer (the paper's "complete database
+      // copy", done online at the marker). The copy includes every
+      // commit up to our stable prefix; the log after it covers the
       // validated-but-uncommitted remainder (idempotent to re-apply).
+      // The refusal below also keeps that prefix above from_tid, so the
+      // rows of a copy abandoned halfway hold every commit up to
+      // from_tid, and the requester's next attempt may start from
+      // from_tid again (DESIGN.md §7.8).
+      if (state.stable_prefix + 1 < log_front) {
+        refused = Status::Internal(
+            "writeset log smaller than the commit pipeline; increase "
+            "ws_log_capacity");
+        return;
+      }
       meta.full_copy = true;
-      meta.full_copy_restart = cursor.full_copy_started;
-      meta.full_copy_base = state.stable_prefix;
       log_floor = state.stable_prefix;
+      plan->tables = host_->db()->engine().TableNames();
+      plan->dump_txn = host_->db()->Begin();
     }
     for (const auto& entry : state.log) {
       if (entry.tid > log_floor) plan->log_suffix.push_back(entry);
-    }
-    if (meta.full_copy) {
-      std::set<std::string> done;
-      if (!meta.full_copy_restart) {
-        done.insert(cursor.tables_done.begin(), cursor.tables_done.end());
-      }
-      for (const auto& table : host_->db()->engine().TableNames()) {
-        if (done.count(table) == 0) plan->tables.push_back(table);
-      }
-      plan->dump_txn = host_->db()->Begin();
     }
   });
   if (!refused.ok()) {
@@ -366,8 +334,8 @@ Status StateTransfer::ReplayLogEntry(const WsLogEntry& entry) {
   engine::Database* const db = host_->db();
   if (!entry.ddl.empty()) {
     // Replicated DDL at this position. AlreadyExists is fine (a
-    // restarted replica's schema survived the crash, or an earlier
-    // donor's chunks already shipped it).
+    // restarted replica's schema survived the crash, or the full copy or
+    // an abandoned attempt already created it).
     auto r = db->ExecuteAutoCommit(entry.ddl);
     if (!r.ok() && r.status().code() != StatusCode::kAlreadyExists) {
       return Status::Internal("recovery DDL replay failed: " +
@@ -393,29 +361,8 @@ Status StateTransfer::ReplayLogEntry(const WsLogEntry& entry) {
 
 Status StateTransfer::ApplyChunk(const RecoveryChunk& chunk,
                                  RecoveryProgress* progress) {
-  RecoveryCursor& cursor = progress->cursor;
   if (chunk.meta.has_value()) {
-    const TransferMeta& meta = *chunk.meta;
-    if (meta.full_copy) {
-      if (meta.full_copy_restart ||
-          (cursor.full_copy_started &&
-           cursor.full_copy_base != meta.full_copy_base)) {
-        // This donor could not resume the previous copy: its dump is
-        // taken at a new base and overwrites every row, so tables and
-        // log entries transferred against the old base are discarded,
-        // and every entry after the new base must be replayed again —
-        // those already applied here included, since the dump may roll
-        // their writes back. No other undo is needed: the new dump plus
-        // the delete-sweep overwrites the rows themselves.
-        cursor.tables_done.clear();
-        progress->adopted_log.clear();
-        cursor.applied_tid = std::min(cursor.applied_tid, meta.full_copy_base);
-      }
-      cursor.full_copy_started = true;
-      cursor.full_copy_base = meta.full_copy_base;
-    }
-    progress->meta = meta;
-    progress->table_active = false;
+    progress->meta = chunk.meta;
     return Status::OK();
   }
   if (chunk.final_chunk) return Status::OK();
@@ -473,314 +420,238 @@ Status StateTransfer::ApplyChunk(const RecoveryChunk& chunk,
     if (chunk.table_complete) {
       progress->table_active = false;
       progress->leftover_keys.clear();
-      cursor.tables_done.push_back(chunk.table);
     }
     return Status::OK();
   }
 
-  // Log-suffix entries: apply the ones we have not applied yet (nobody
-  // else touches this DB — no clients, no appliers — and re-applying
-  // writesets a previous incarnation committed is idempotent), record
-  // all of them for adoption.
+  // Log entries: replay every one in tid order (nobody else touches this
+  // DB — no clients, no appliers — and re-applying writesets a previous
+  // incarnation or an abandoned attempt committed is idempotent), and
+  // record it for adoption.
   for (const auto& entry : chunk.log) {
-    if (entry.tid > cursor.applied_tid) {
-      SIREP_RETURN_IF_ERROR(ReplayLogEntry(entry));
-      cursor.applied_tid = entry.tid;
-    }
-    progress->adopted_log[entry.tid] = entry;
+    SIREP_RETURN_IF_ERROR(ReplayLogEntry(entry));
+    progress->adopted_log.push_back(entry);
   }
   return Status::OK();
 }
 
 Status StateTransfer::Recover(uint64_t from_tid) {
-  const auto stopped = [&] {
+  const auto stopped = [] {
     return Status::Unavailable("replica crashed or shut down");
   };
   if (!host_->IsRunning()) return stopped();
-  {
-    std::lock_guard<std::mutex> lock(buffer_mu_);
-    if (live_.load(std::memory_order_relaxed)) {
-      return Status::InvalidArgument(
-          "Recover() requires start_recovering = true");
-    }
-    buffer_hwm_ = options_.recovery_buffer_high_water;
+  if (live()) {
+    return Status::InvalidArgument(
+        "Recover() requires start_recovering = true");
   }
   const gcs::MemberId self = host_->member_id();
+  if (attempts_++ > 0) c_retries_->Increment();
 
-  using Clock = std::chrono::steady_clock;
-  const auto start = Clock::now();
-  uint64_t total_bytes = 0;
-  // The effective deadline stretches with the bytes received: a
-  // transfer still making progress is never killed for being large.
-  const auto deadline = [&] {
-    return start + kRecoveryTimeout +
-           std::chrono::milliseconds(total_bytes / kRecoveryMinBytesPerMs);
-  };
-
-  RecoveryProgress progress;
-  progress.cursor.applied_tid = from_tid;
-
-  // Deterministic per-replica jitter for the retry backoff (xorshift;
-  // recovery runs on one thread, no shared RNG needed).
-  uint64_t jitter_state = 0x9e3779b97f4a7c15ull ^
-                          (static_cast<uint64_t>(self) << 32) ^
-                          (from_tid + 1);
-  const auto next_jitter = [&](uint64_t bound_ms) -> uint64_t {
-    jitter_state ^= jitter_state << 13;
-    jitter_state ^= jitter_state >> 7;
-    jitter_state ^= jitter_state << 17;
-    return bound_ms == 0 ? 0 : jitter_state % bound_ms;
-  };
-
-  Status last_error = Status::Unavailable("no donor available for recovery");
-  size_t donor_idx = 0;
-  std::chrono::milliseconds backoff(5);
-  gcs::MemberId prev_donor = gcs::kInvalidMember;
-  bool prev_donor_started = false;
-
-  for (size_t attempt = 0; attempt < kRecoveryMaxAttempts; ++attempt) {
-    if (!host_->IsRunning()) return stopped();
-    if (attempt > 0) {
-      c_retries_->Increment();
-      std::this_thread::sleep_for(
-          backoff + std::chrono::milliseconds(next_jitter(
-                        static_cast<uint64_t>(backoff.count()))));
-      backoff = std::min(backoff * 2, std::chrono::milliseconds(200));
-      if (Clock::now() > deadline()) {
-        return Status::TimedOut(
-            "recovery deadline exceeded after " + std::to_string(attempt) +
-            " attempts; last error: " + last_error.ToString());
-      }
+  // Donor election: rotate over the other live members of the current
+  // view — under partial replication exactly our holder-group peers,
+  // since each group is its own gcs::Group.
+  std::vector<gcs::MemberId> candidates;
+  for (gcs::MemberId member : group_->CurrentView().members) {
+    if (member != self && group_->IsAlive(member)) {
+      candidates.push_back(member);
     }
+  }
+  if (candidates.empty()) {
+    return Status::Unavailable("no donor available for recovery");
+  }
+  const gcs::MemberId donor = candidates[donor_idx_ % candidates.size()];
+  const uint64_t transfer_id =
+      (static_cast<uint64_t>(self) + 1) << 32 |
+      (transfer_seq_.fetch_add(1, std::memory_order_relaxed) + 1);
 
-    // Donor election: rotate over the other live members of the
-    // current view — under partial replication exactly our holder-group
-    // peers, since each group is its own gcs::Group. The index only
-    // advances on a donor fault, so a buffer-spill re-anchor keeps its
-    // (healthy) donor.
-    std::vector<gcs::MemberId> candidates;
-    for (gcs::MemberId member : group_->CurrentView().members) {
-      if (member != self && group_->IsAlive(member)) {
-        candidates.push_back(member);
-      }
-    }
-    if (candidates.empty()) {
-      last_error = Status::Unavailable("no donor available for recovery");
-      continue;
-    }
-    const gcs::MemberId donor = candidates[donor_idx % candidates.size()];
-    const uint64_t transfer_id =
-        (static_cast<uint64_t>(self) + 1) << 32 |
-        (transfer_seq_.fetch_add(1, std::memory_order_relaxed) + 1);
-
-    // Arm the fence for this attempt only: marker, buffer, and spill
-    // state of any abandoned attempt are dead from here on. The
-    // high-water mark is NOT reset — spills escalate it across attempts
-    // (see Buffer()) so re-anchoring converges under sustained load.
-    {
-      std::lock_guard<std::mutex> lock(buffer_mu_);
-      fence_seen_ = false;
-      buffered_.clear();
-      buffer_spilled_ = false;
-      spill_enabled_ = true;
-      current_transfer_id_ = transfer_id;
-      g_buffered_msgs_->Set(0);
-    }
-
-    auto channel = std::make_shared<Channel>();
-    auto request = std::make_shared<Request>();
-    request->requester = self;
-    request->donor = donor;
-    request->from_tid = from_tid;
-    request->transfer_id = transfer_id;
-    request->cursor = progress.cursor;
-    request->channel = channel;
-    SIREP_RETURN_IF_ERROR(
-        group_->Multicast(self, kRecoveryRequestType, std::move(request)));
-    const bool switched = prev_donor != gcs::kInvalidMember &&
-                          donor != prev_donor && prev_donor_started;
-    if (switched) c_donor_switches_->Increment();
-    flight_->Record(obs::FlightEventType::kRecovery, self, transfer_id, donor,
-                    switched ? "donor_switch" : "request");
-    prev_donor = donor;
-    prev_donor_started = false;
-
-    bool donor_fault = false;
-    bool transfer_done = false;
-    bool re_anchor = false;
-    auto last_chunk_time = Clock::now();
-    while (!transfer_done && !donor_fault && !re_anchor) {
-      RecoveryChunk chunk;
-      bool got = false;
-      bool closed = false;
-      {
-        std::unique_lock<std::mutex> lock(channel->mu);
-        channel->cv.wait_for(lock, std::chrono::milliseconds(25), [&] {
-          return !channel->chunks.empty() || channel->closed;
-        });
-        if (!channel->chunks.empty()) {
-          chunk = std::move(channel->chunks.front());
-          channel->chunks.pop_front();
-          got = true;
-        } else {
-          closed = channel->closed;
-        }
-      }
-      if (got) channel->cv.notify_all();  // free a producer slot
-      if (!got) {
-        if (!host_->IsRunning()) return stopped();
-        const auto now = Clock::now();
-        if (closed) {
-          last_error = Status::Unavailable("donor closed mid-transfer");
-          donor_fault = true;
-        } else if (!group_->IsAlive(donor)) {
-          // View-change fast path: no need to wait out the chunk
-          // deadline when the group already expelled the donor.
-          last_error = Status::Unavailable("donor crashed mid-transfer");
-          donor_fault = true;
-        } else if (now - last_chunk_time > kRecoveryChunkTimeout) {
-          last_error = Status::TimedOut("donor stalled mid-transfer");
-          donor_fault = true;
-        } else if (now > deadline()) {
-          return Status::TimedOut("recovery deadline exceeded");
-        }
-        continue;
-      }
-      last_chunk_time = Clock::now();
-      if (chunk.transfer_id != transfer_id) continue;  // stale attempt
-      if (!chunk.status.ok()) {
-        last_error = chunk.status;
-        const StatusCode code = chunk.status.code();
-        if (code != StatusCode::kUnavailable &&
-            code != StatusCode::kNotSupported &&
-            code != StatusCode::kTimedOut) {
-          return chunk.status;  // hard error: config or replay failure
-        }
-        donor_fault = true;
-        continue;
-      }
-      prev_donor_started = true;
-      total_bytes += chunk.approx_bytes;
-      c_chunks_received_->Increment();
-      c_bytes_received_->Add(static_cast<uint64_t>(chunk.approx_bytes));
-      SIREP_RETURN_IF_ERROR(ApplyChunk(chunk, &progress));
-      // A buffer spill invalidated this marker: re-anchor at a fresh
-      // one. The cursor keeps everything already applied, so the retry
-      // transfers only the tail.
-      {
-        std::lock_guard<std::mutex> lock(buffer_mu_);
-        if (buffer_spilled_) {
-          last_error =
-              Status::Unavailable("recovery buffer spilled; re-anchoring");
-          re_anchor = true;
-          continue;
-        }
-      }
-      if (chunk.final_chunk) {
-        if (!progress.meta.has_value()) {
-          last_error = Status::Unavailable("donor stream missing meta");
-          donor_fault = true;
-          continue;
-        }
-        transfer_done = true;
-      }
-    }
-    if (!transfer_done) {
-      // Tell a still-running streamer to quit, then rotate donors on a
-      // fault (a re-anchor keeps the same, healthy donor).
+  // Arm the fence for this attempt only. The high-water mark is NOT
+  // reset — spills escalate it across attempts (see Buffer()).
+  {
+    std::lock_guard<std::mutex> lock(buffer_mu_);
+    fence_seen_ = false;
+    buffered_.clear();
+    buffer_spilled_ = false;
+    spill_enabled_ = true;
+    current_transfer_id_ = transfer_id;
+    g_buffered_msgs_->Set(0);
+  }
+  auto channel = std::make_shared<Channel>();
+  // However this attempt ends: a still-running streamer quits, and
+  // unless we went live, nothing buffers until the next attempt's
+  // marker (a late marker of this one must not re-arm the fence).
+  struct EndAttempt {
+    StateTransfer* self;
+    Channel* channel;
+    ~EndAttempt() {
       {
         std::lock_guard<std::mutex> lock(channel->mu);
         channel->abandoned = true;
       }
       channel->cv.notify_all();
-      if (donor_fault) ++donor_idx;
-      continue;
+      std::lock_guard<std::mutex> lock(self->buffer_mu_);
+      if (self->live_.load(std::memory_order_relaxed)) return;
+      self->fence_seen_ = false;
+      self->current_transfer_id_ = 0;
+      self->buffered_.clear();
+      self->g_buffered_msgs_->Set(0);
     }
+  } end_attempt{this, channel.get()};
 
-    // Final chunk received. Wait for our own marker: the donor
-    // snapshotted at its delivery of the request, and our delivery
-    // thread may still be catching up to that position in the total
-    // order — adopting before the fence is armed would double-validate
-    // the pre-marker messages it is about to buffer. Then atomically
-    // confirm no spill raced the transfer tail and disable further
-    // spills for the drain.
-    bool fence_ok = false;
+  auto request = std::make_shared<Request>();
+  request->requester = self;
+  request->donor = donor;
+  request->from_tid = from_tid;
+  request->transfer_id = transfer_id;
+  request->channel = channel;
+  SIREP_RETURN_IF_ERROR(
+      group_->Multicast(self, kRecoveryRequestType, std::move(request)));
+  flight_->Record(obs::FlightEventType::kRecovery, self, transfer_id, donor,
+                  "request");
+
+  const auto spilled = [this] {
+    std::lock_guard<std::mutex> lock(buffer_mu_);
+    return buffer_spilled_;
+  };
+  const Status spill =
+      Status::Unavailable("recovery buffer spilled; re-anchoring");
+  RecoveryProgress progress;
+  Status donor_fault;
+  bool started = false;
+  auto last_chunk_time = std::chrono::steady_clock::now();
+  while (true) {
+    RecoveryChunk chunk;
+    bool got = false;
+    bool closed = false;
     {
-      std::unique_lock<std::mutex> lock(buffer_mu_);
-      buffer_cv_.wait_until(lock, deadline(), [&] {
-        return fence_seen_ || buffer_spilled_ || !host_->IsRunning();
+      std::unique_lock<std::mutex> lock(channel->mu);
+      channel->cv.wait_for(lock, std::chrono::milliseconds(25), [&] {
+        return !channel->chunks.empty() || channel->closed;
       });
-      if (buffer_spilled_) {
-        last_error =
-            Status::Unavailable("recovery buffer spilled; re-anchoring");
-      } else if (fence_seen_) {
-        spill_enabled_ = false;
-        fence_ok = true;
+      if (!channel->chunks.empty()) {
+        chunk = std::move(channel->chunks.front());
+        channel->chunks.pop_front();
+        got = true;
+      } else {
+        closed = channel->closed;
       }
     }
+    if (!got) {
+      if (!host_->IsRunning()) return stopped();
+      if (closed) {
+        donor_fault = Status::Unavailable("donor closed mid-transfer");
+      } else if (!group_->IsAlive(donor)) {
+        // View-change fast path: no need to wait out the chunk timeout
+        // when the group already expelled the donor.
+        donor_fault = Status::Unavailable("donor crashed mid-transfer");
+      } else if (std::chrono::steady_clock::now() - last_chunk_time >
+                 kRecoveryChunkTimeout) {
+        donor_fault = Status::TimedOut("donor stalled mid-transfer");
+      } else {
+        continue;
+      }
+      break;
+    }
+    channel->cv.notify_all();  // free a producer slot
+    last_chunk_time = std::chrono::steady_clock::now();
+    if (chunk.transfer_id != transfer_id) continue;  // stale attempt
+    if (!chunk.status.ok()) {
+      // A refusal or fault of this donor is retryable; anything else
+      // (a log too small to donate, a failed table scan) is not.
+      if (!RecoveryRetryable(chunk.status)) return chunk.status;
+      donor_fault = chunk.status;
+      break;
+    }
+    started = true;
+    c_chunks_received_->Increment();
+    c_bytes_received_->Add(static_cast<uint64_t>(chunk.approx_bytes));
+    SIREP_RETURN_IF_ERROR(ApplyChunk(chunk, &progress));
+    // A buffer spill invalidated this marker: the next attempt anchors
+    // at a fresh one, with the same (healthy) donor.
+    if (spilled()) return spill;
+    if (chunk.final_chunk) {
+      if (!progress.meta.has_value()) {
+        donor_fault = Status::Unavailable("donor stream missing meta");
+      }
+      break;
+    }
+  }
+  if (!donor_fault.ok()) {
+    ++donor_idx_;
+    if (started) {
+      c_donor_switches_->Increment();
+      flight_->Record(obs::FlightEventType::kRecovery, self, transfer_id,
+                      donor, "donor_switch");
+    }
+    return donor_fault;
+  }
+
+  // Final chunk received. Wait for our own marker: the donor
+  // snapshotted at its delivery of the request, and our delivery
+  // thread may still be catching up to that position in the total
+  // order — adopting before the fence is armed would double-validate
+  // the pre-marker messages it is about to buffer. Then atomically
+  // confirm no spill raced the transfer tail and disable further
+  // spills for the drain.
+  {
+    std::unique_lock<std::mutex> lock(buffer_mu_);
+    buffer_cv_.wait_for(lock, kRecoveryMarkerTimeout, [&] {
+      return fence_seen_ || buffer_spilled_ || !host_->IsRunning();
+    });
     if (!host_->IsRunning()) return stopped();
-    if (!fence_ok) {
-      if (Clock::now() > deadline()) {
-        return Status::TimedOut("recovery marker never delivered");
-      }
-      continue;  // spilled: re-anchor with the same donor
+    if (buffer_spilled_) return spill;
+    if (!fence_seen_) {
+      return Status::TimedOut("recovery marker never delivered");
     }
+    spill_enabled_ = false;
+  }
 
-    const TransferMeta& meta = *progress.meta;
-    SIREP_ILOG << "replica " << self << " recovered via transfer "
-               << transfer_id << ": " << progress.adopted_log.size()
-               << " log entries, " << progress.cursor.tables_done.size()
-               << " tables copied, resuming validation at tid "
-               << meta.lastvalidated;
+  const TransferMeta& meta = *progress.meta;
+  SIREP_ILOG << "replica " << self << " recovered via transfer "
+             << transfer_id << " from donor " << donor << ": "
+             << (meta.full_copy ? "full copy and " : "")
+             << progress.adopted_log.size()
+             << " log entries, resuming validation at tid "
+             << meta.lastvalidated;
 
-    // Phase 2: adopt the donor's validation state so our future
-    // decisions match every other replica's, and the committed prefix
-    // so a later restart of *this* replica recovers incrementally
-    // instead of forcing a full copy.
-    std::vector<WsLogEntry> log;
-    log.reserve(progress.adopted_log.size());
-    for (auto& [tid, entry] : progress.adopted_log) {
-      log.push_back(std::move(entry));
-    }
-    host_->AdoptValidationState(meta.lastvalidated, meta.ws_window,
-                                std::move(log));
-    flight_->Record(obs::FlightEventType::kRecovery, self, transfer_id,
-                    meta.lastvalidated, "cutover");
+  // Phase 2: adopt the donor's validation state so our future
+  // decisions match every other replica's, and the committed prefix
+  // so a later restart of *this* replica recovers incrementally
+  // instead of forcing a full copy.
+  host_->AdoptValidationState(meta.lastvalidated, meta.ws_window,
+                              std::move(progress.adopted_log));
+  flight_->Record(obs::FlightEventType::kRecovery, self, transfer_id,
+                  meta.lastvalidated, "cutover");
 
-    // Phase 3: drain the buffered post-marker messages through normal
-    // validation. First a few passes without blocking delivery (bulk
-    // of the backlog); then a final pass holding buffer_mu_, during
-    // which the delivery thread briefly blocks — that makes the flip
-    // to live atomic and bounds the drain even under heavy concurrent
-    // traffic.
-    for (int pass = 0; pass < 16; ++pass) {
-      std::vector<gcs::Message> batch;
-      {
-        std::lock_guard<std::mutex> lock(buffer_mu_);
-        if (buffered_.size() < 64) break;
-        batch.swap(buffered_);
-      }
-      for (const auto& message : batch) host_->ProcessDelivery(message);
-    }
+  // Phase 3: drain the buffered post-marker messages through normal
+  // validation. First a few passes without blocking delivery (bulk
+  // of the backlog); then a final pass holding buffer_mu_, during
+  // which the delivery thread briefly blocks — that makes the flip
+  // to live atomic and bounds the drain even under heavy concurrent
+  // traffic.
+  for (int pass = 0; pass < 16; ++pass) {
+    std::vector<gcs::Message> batch;
     {
       std::lock_guard<std::mutex> lock(buffer_mu_);
-      while (!buffered_.empty()) {
-        std::vector<gcs::Message> batch;
-        batch.swap(buffered_);
-        // Intentionally processed under buffer_mu_: new deliveries wait.
-        for (const auto& message : batch) host_->ProcessDelivery(message);
-      }
-      live_.store(true, std::memory_order_release);
-      g_buffered_msgs_->Set(0);
+      if (buffered_.size() < 64) break;
+      batch.swap(buffered_);
     }
-    flight_->Record(obs::FlightEventType::kRecovery, self, transfer_id,
-                    meta.lastvalidated, "complete");
-    SIREP_ILOG << "replica " << self << " recovery complete";
-    return Status::OK();
+    for (const auto& message : batch) host_->ProcessDelivery(message);
   }
-  // Attempts exhausted: by construction last_error is retryable
-  // (kUnavailable or kTimedOut) — the caller can back off and re-enter.
-  return last_error;
+  {
+    std::lock_guard<std::mutex> lock(buffer_mu_);
+    while (!buffered_.empty()) {
+      std::vector<gcs::Message> batch;
+      batch.swap(buffered_);
+      // Intentionally processed under buffer_mu_: new deliveries wait.
+      for (const auto& message : batch) host_->ProcessDelivery(message);
+    }
+    live_.store(true, std::memory_order_release);
+    g_buffered_msgs_->Set(0);
+  }
+  flight_->Record(obs::FlightEventType::kRecovery, self, transfer_id,
+                  meta.lastvalidated, "complete");
+  SIREP_ILOG << "replica " << self << " recovery complete";
+  return Status::OK();
 }
 
 void StateTransfer::Interrupt() {

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -74,31 +73,12 @@ class StateTransferHost {
   virtual void ProcessDelivery(const gcs::Message& message) = 0;
 };
 
-/// Resume point of a chunked state transfer, multicast back to the
-/// group when the recoverer re-requests after a donor fault so the
-/// next donor continues instead of restarting. Covers both transfer
-/// phases: `applied_tid` for log replay, `tables_done` +
-/// `full_copy_base` for an in-progress full copy. Resume granularity
-/// for the copy is a whole table — row positions within a table are
-/// donor-snapshot-specific and not comparable across donors, finished
-/// tables are (idempotent full-row writesets reconcile the rest).
-struct RecoveryCursor {
-  uint64_t applied_tid = 0;  ///< every log tid <= this is applied here
-  bool full_copy_started = false;
-  uint64_t full_copy_base = 0;  ///< stable prefix of the copy's donor
-  std::vector<std::string> tables_done;  ///< fully received + swept
-};
-
 /// What a donation opens with: the donor's validation state at the
 /// marker, and the shape of what follows.
 struct TransferMeta {
   uint64_t lastvalidated = 0;
   std::vector<WsWindowEntry> ws_window;
   bool full_copy = false;  ///< table dumps follow before the log
-  /// The cursor's partial copy is unusable (this donor's log does not
-  /// reach its base): the recoverer starts the copy over.
-  bool full_copy_restart = false;
-  uint64_t full_copy_base = 0;
 };
 
 /// One bounded unit of the recovery stream, tagged with the transfer
@@ -122,17 +102,15 @@ struct RecoveryChunk {
   // Log-suffix section.
   std::vector<WsLogEntry> log;
 
-  size_t approx_bytes = 0;  ///< payload estimate (metrics + deadline)
+  size_t approx_bytes = 0;  ///< payload estimate (metrics)
 };
 
-/// Recoverer-side transfer state surviving donor switches.
+/// Recoverer-side state of one transfer attempt.
 struct RecoveryProgress {
-  RecoveryCursor cursor;
-  std::optional<TransferMeta> meta;  ///< from the current donor
-  /// Log entries received so far, keyed by tid (identical across
-  /// donors by the total order, so accumulating over switches is
-  /// safe); becomes the adopted writeset log.
-  std::map<uint64_t, WsLogEntry> adopted_log;
+  std::optional<TransferMeta> meta;
+  /// This attempt's log entries in tid order, all replayed here;
+  /// becomes the adopted writeset log.
+  std::vector<WsLogEntry> adopted_log;
   // Import state of the table currently streaming in.
   bool table_active = false;
   std::string table;
@@ -141,6 +119,14 @@ struct RecoveryProgress {
 
 /// Message type of the recovery marker multicast in total order.
 inline constexpr char kRecoveryRequestType[] = "recovery_request";
+
+/// Recovery's error vocabulary: a donor refusal or fault, a buffer
+/// spill or no donor at all fails an attempt with kUnavailable or
+/// kTimedOut, and the caller retries; any other status is a hard error.
+inline bool RecoveryRetryable(const Status& status) {
+  return status.code() == StatusCode::kUnavailable ||
+         status.code() == StatusCode::kTimedOut;
+}
 
 /// Online state transfer (extension; paper §5.4 / conclusion): a
 /// replica that starts recovering buffers its deliveries, multicasts a
@@ -173,24 +159,28 @@ class StateTransfer {
   /// fence at our own marker, or donates when the marker names us.
   void OnMarker(const gcs::Message& message);
 
-  /// Catches this replica up while the rest of the cluster keeps
-  /// committing:
+  /// One complete transfer attempt from one donor, while the rest of
+  /// the cluster keeps committing:
   ///  1. multicasts a recovery marker in total order;
   ///  2. the chosen donor snapshots its validation state exactly at the
-  ///     marker and *streams* the payload (full-copy table dumps and/or
-  ///     the writeset-log suffix after `from_tid`) in bounded chunks;
+  ///     marker and *streams* the payload in bounded chunks: the
+  ///     writeset-log suffix after `from_tid`, or, when its log no
+  ///     longer reaches back that far, a full copy of its tables plus
+  ///     the log after its stable prefix;
   ///  3. this replica applies chunks as they arrive, adopts the
   ///     validation state at the final chunk, drains the messages
   ///     buffered past the marker, and goes live.
-  /// Resumable across donor faults (the re-request carries the cursor).
-  /// Fails with a retryable status (kUnavailable / kTimedOut) within a
-  /// deadline that scales with the bytes received — never hangs.
-  /// `from_tid` as in SrcaRepReplica::Recover().
+  /// A donor fault or a buffer spill ends the attempt with a retryable
+  /// status (kUnavailable / kTimedOut); the caller retries, and the
+  /// next attempt starts over from `from_tid` (at the next donor after
+  /// a fault). Anything else is a hard error. Never hangs: the donor
+  /// must keep sending (a per-chunk timeout), and the wait for our own
+  /// marker is bounded. `from_tid` as in SrcaRepReplica::Recover().
   Status Recover(uint64_t from_tid);
 
   /// One step of Recover(): applies a received chunk (meta adoption,
-  /// table rows as idempotent upserts + delete-sweep, log-suffix replay)
-  /// and advances `progress`.
+  /// table rows as idempotent upserts + delete-sweep, replay of every
+  /// log entry) and advances `progress`.
   Status ApplyChunk(const RecoveryChunk& chunk, RecoveryProgress* progress);
 
   /// The host crashed: release a Recover() waiting on its fence.
@@ -211,8 +201,8 @@ class StateTransfer {
   /// mw.recovery.* failpoints.
   void Stream(std::shared_ptr<DonorPlan> plan);
   /// Replays one donated log entry (writeset or DDL) into the local
-  /// database; idempotent against what any previous incarnation or
-  /// donor already applied.
+  /// database; idempotent against what a previous incarnation or an
+  /// abandoned attempt already applied.
   Status ReplayLogEntry(const WsLogEntry& entry);
 
   StateTransferHost* const host_;
@@ -230,8 +220,8 @@ class StateTransfer {
   // delivered late must not re-arm it, or pre-marker messages of the
   // live attempt would be double-validated after adoption. When the
   // buffer crosses the high-water mark while spills are enabled, it is
-  // dropped wholesale (fence cleared, buffer_spilled_ set) and the
-  // recoverer re-anchors the transfer at a fresh marker.
+  // dropped wholesale (fence cleared, buffer_spilled_ set), which ends
+  // the attempt; the next one anchors at a fresh marker.
   std::mutex buffer_mu_;
   std::condition_variable buffer_cv_;
   bool fence_seen_ = false;
@@ -239,11 +229,20 @@ class StateTransfer {
   bool buffer_spilled_ = false;
   bool spill_enabled_ = true;
   /// Effective high-water mark of buffered_. Seeded from
-  /// options().recovery_buffer_high_water at each Recover() entry and
-  /// doubled on every spill, so re-anchoring converges even when live
-  /// deliveries outpace the transfer (escalating backpressure).
-  size_t buffer_hwm_ = 1;
+  /// options().recovery_buffer_high_water at construction and doubled
+  /// on every spill, so the attempts of one incarnation converge even
+  /// when live deliveries outpace the transfer (escalating
+  /// backpressure).
+  size_t buffer_hwm_;
   std::vector<gcs::Message> buffered_;
+
+  // Recoverer state kept across the attempts (Recover() calls) of one
+  // incarnation, touched only by the recovering thread.
+  /// Attempts so far; each one after the first counts as a retry.
+  size_t attempts_ = 0;
+  /// Rotates over the donor candidates; advances on a donor fault and
+  /// stays put on a spill, whose donor is healthy.
+  size_t donor_idx_ = 0;
 
   /// Transfer-id generator (unique per member via the member-id bits).
   std::atomic<uint64_t> transfer_seq_{0};

@@ -1,5 +1,5 @@
-// Tests for load-aware replica selection (the paper's conclusion lists
-// load balancing as ongoing work).
+// Tests for the driver's replica choice: connections spread uniformly
+// over the replicas discovery returns (paper §5.4).
 
 #include <gtest/gtest.h>
 
@@ -8,11 +8,9 @@
 namespace sirep {
 namespace {
 
-using client::BalancePolicy;
 using client::ConnectionOptions;
 using cluster::Cluster;
 using cluster::ClusterOptions;
-using sql::Value;
 
 std::unique_ptr<Cluster> MakeCluster(size_t n) {
   ClusterOptions options;
@@ -27,58 +25,6 @@ std::unique_ptr<Cluster> MakeCluster(size_t n) {
   return cluster;
 }
 
-TEST(LoadBalanceTest, CurrentLoadTracksActiveTxns) {
-  auto cluster = MakeCluster(2);
-  auto* mw = cluster->replica(0);
-  EXPECT_EQ(mw->CurrentLoad(), 0u);
-
-  auto t1 = std::move(mw->BeginTxn()).value();
-  auto t2 = std::move(mw->BeginTxn()).value();
-  EXPECT_EQ(mw->CurrentLoad(), 2u);
-
-  ASSERT_TRUE(mw->RollbackTxn(t1).ok());
-  EXPECT_EQ(mw->CurrentLoad(), 1u);
-  ASSERT_TRUE(mw->CommitTxn(t2).ok());
-  EXPECT_EQ(mw->CurrentLoad(), 0u);
-}
-
-TEST(LoadBalanceTest, CommitFailurePathsAlsoReleaseLoad) {
-  auto cluster = MakeCluster(2);
-  auto* m0 = cluster->replica(0);
-  auto* m1 = cluster->replica(1);
-
-  // Create a validation conflict so one commit fails.
-  auto t0 = std::move(m0->BeginTxn()).value();
-  auto t1 = std::move(m1->BeginTxn()).value();
-  ASSERT_TRUE(m0->Execute(t0, "UPDATE kv SET v = 1 WHERE k = 1").ok());
-  ASSERT_TRUE(m1->Execute(t1, "UPDATE kv SET v = 2 WHERE k = 1").ok());
-  Status s0 = m0->CommitTxn(t0);
-  Status s1 = m1->CommitTxn(t1);
-  EXPECT_NE(s0.ok(), s1.ok());
-  cluster->Quiesce();
-  EXPECT_EQ(m0->CurrentLoad(), 0u);
-  EXPECT_EQ(m1->CurrentLoad(), 0u);
-}
-
-TEST(LoadBalanceTest, LeastLoadedPicksIdleReplica) {
-  auto cluster = MakeCluster(3);
-  // Load replicas 0 and 1 with open transactions.
-  auto b0 = std::move(cluster->replica(0)->BeginTxn()).value();
-  auto b0b = std::move(cluster->replica(0)->BeginTxn()).value();
-  auto b1 = std::move(cluster->replica(1)->BeginTxn()).value();
-
-  ConnectionOptions copt;
-  copt.balance = BalancePolicy::kLeastLoaded;
-  for (int i = 0; i < 5; ++i) {
-    copt.seed = 100 + i;
-    auto conn = std::move(cluster->Connect(copt)).value();
-    EXPECT_EQ(conn->replica(), cluster->replica(2)) << "attempt " << i;
-  }
-  cluster->replica(0)->RollbackTxn(b0);
-  cluster->replica(0)->RollbackTxn(b0b);
-  cluster->replica(1)->RollbackTxn(b1);
-}
-
 TEST(LoadBalanceTest, RandomPolicySpreadsConnections) {
   auto cluster = MakeCluster(3);
   int counts[3] = {0, 0, 0};
@@ -91,16 +37,6 @@ TEST(LoadBalanceTest, RandomPolicySpreadsConnections) {
     }
   }
   for (int c : counts) EXPECT_GT(c, 5);  // nobody starved
-}
-
-TEST(LoadBalanceTest, LeastLoadedStillExcludesCrashed) {
-  auto cluster = MakeCluster(3);
-  cluster->CrashReplica(2);  // idle but dead
-  ConnectionOptions copt;
-  copt.balance = BalancePolicy::kLeastLoaded;
-  auto conn = std::move(cluster->Connect(copt)).value();
-  EXPECT_NE(conn->replica(), cluster->replica(2));
-  EXPECT_TRUE(conn->replica()->IsAlive());
 }
 
 }  // namespace

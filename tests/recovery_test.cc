@@ -202,8 +202,8 @@ TEST(RecoveryTest, RecoverWithoutFlagRejected) {
 
 TEST(RecoveryTest, NoEligibleDonorReturnsRetryable) {
   // Recover() itself — below the cluster's cold-start logic — must fail
-  // fast and clean when no donor exists: a retryable status within its
-  // attempt budget, never a hang.
+  // fast and clean when no donor exists: a retryable status from its
+  // single attempt, never a hang.
   ClusterOptions options = test::VariantOptions();
   options.num_replicas = 1;
   Cluster cluster(options);
@@ -416,8 +416,8 @@ TEST(RecoveryTest, DonorCrashMidTransferFailsOver) {
   auto cluster = MakeFullCopyCluster(options);
 
   // The first donor crashes right after its first chunk is out; the
-  // recoverer must fail over to the surviving replica and complete the
-  // transfer from its cursor.
+  // recoverer must fail over to the surviving replica and complete a
+  // fresh transfer from it.
   failpoint::ScopedFailpoint fp("mw.recovery.donor_crash_mid_transfer",
                                 "1in(1,crash)*1");
   ASSERT_TRUE(cluster->RestartReplica(2).ok());
@@ -430,6 +430,43 @@ TEST(RecoveryTest, DonorCrashMidTransferFailsOver) {
   const size_t survivor = cluster->replica(0)->IsAlive() ? 0 : 1;
   EXPECT_FALSE(cluster->replica(1 - survivor)->IsAlive());
   ExpectConverged(*cluster, survivor, 2);
+}
+
+TEST(RecoveryTest, FullCopyFromLaggingDonorKeepsEveryCommit) {
+  ClusterOptions options = test::VariantOptions();
+  options.replica.recovery_chunk_rows = 2;
+  auto cluster = MakeFullCopyCluster(options);
+
+  // A local transaction at replica 1 holds row 5, so the commit of
+  // 4242 below is validated there but cannot apply: replica 1's stable
+  // prefix lags replica 0's.
+  auto* lagging = cluster->replica(1);
+  auto blocker = std::move(lagging->BeginTxn()).value();
+  ASSERT_TRUE(
+      lagging->Execute(blocker, "UPDATE kv SET v = -1 WHERE k = 5").ok());
+  ASSERT_TRUE(CommitUpdate(*cluster, 0, 5, 4242).ok());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (lagging->PendingQueueSize() != 1 ||
+         lagging->StableCommitPrefix() >=
+             cluster->replica(0)->StableCommitPrefix()) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  // Replica 0 donates the full copy first and dies after its meta
+  // chunk; replica 1 must ship the commit its dump lacks in its log.
+  {
+    failpoint::ScopedFailpoint fp("mw.recovery.donor_crash_mid_transfer",
+                                  "1in(1,crash)*1");
+    ASSERT_TRUE(cluster->RestartReplica(2).ok());
+  }
+  ASSERT_TRUE(lagging->RollbackTxn(blocker).ok());
+  cluster->Quiesce();
+
+  EXPECT_EQ(ReadAt(*cluster, 1, 5), 4242);
+  EXPECT_EQ(ReadAt(*cluster, 2, 5), 4242);
+  ExpectConverged(*cluster, 1, 2);
 }
 
 TEST(RecoveryTest, BoundedBufferSpillsAndReanchors) {

@@ -109,25 +109,17 @@ class StateTransferTest : public ::testing::Test {
 };
 
 TEST_F(StateTransferTest, FullCopyRestartReplaysLogAfterNewBase) {
-  // Donor 1 copied the table at base 100 and replayed its log to 150.
+  // An abandoned attempt left row 1 at 150 (its log replayed that far).
   host_.Put(1, 150);
-  RecoveryProgress progress;
-  progress.cursor.applied_tid = 150;
-  progress.cursor.full_copy_started = true;
-  progress.cursor.full_copy_base = 100;
-  progress.cursor.tables_done = {"t"};
 
-  // Donor 2's log does not reach base 100, so it restarts the copy at
-  // its own stable prefix 130: the dump rolls the row back to 130, and
-  // its log (131, 150] must be replayed again.
+  // A fresh attempt copies the table at its donor's stable prefix 130:
+  // the dump rolls the row back to 130, and the log (130, 150] must be
+  // replayed again.
+  RecoveryProgress progress;
   TransferMeta meta;
   meta.lastvalidated = 150;
   meta.full_copy = true;
-  meta.full_copy_restart = true;
-  meta.full_copy_base = 130;
   ASSERT_TRUE(transfer_.ApplyChunk(Meta(meta), &progress).ok());
-  EXPECT_EQ(progress.cursor.applied_tid, 130u);
-  EXPECT_TRUE(progress.cursor.tables_done.empty());
   ASSERT_TRUE(transfer_.ApplyChunk(Dump({{1, 130}}), &progress).ok());
   EXPECT_EQ(host_.Get(1), 130);
   ASSERT_TRUE(
@@ -135,8 +127,9 @@ TEST_F(StateTransferTest, FullCopyRestartReplaysLogAfterNewBase) {
           .ok());
 
   EXPECT_EQ(host_.Get(1), 150);  // what the donor and every replica hold
-  EXPECT_EQ(progress.cursor.applied_tid, 150u);
   EXPECT_EQ(host_.committed.size(), 20u);
+  ASSERT_EQ(progress.adopted_log.size(), 20u);
+  EXPECT_EQ(progress.adopted_log.front().tid, 131u);
 }
 
 TEST_F(StateTransferTest, TableChunkOutOfOrderIsInternal) {
@@ -147,23 +140,21 @@ TEST_F(StateTransferTest, TableChunkOutOfOrderIsInternal) {
             StatusCode::kInternal);
 }
 
-TEST_F(StateTransferTest, LogEntriesAtOrBelowAppliedTidAreAdoptedOnly) {
-  for (int64_t k = 1; k <= 3; ++k) host_.Put(k, 0);
+TEST_F(StateTransferTest, EveryLogEntryIsReplayedAndAdoptedInTidOrder) {
+  host_.Put(1, 0);
+  host_.Put(2, 10);  // a previous incarnation already committed entry 10
   RecoveryProgress progress;
-  progress.cursor.applied_tid = 10;
-  // Entry 9 writes row 2, entry 10 row 3, entry 11 row 1.
-  const auto row_of = [](uint64_t tid) -> int64_t {
-    return tid == 11 ? 1 : static_cast<int64_t>(tid) - 7;
-  };
-  ASSERT_TRUE(transfer_.ApplyChunk(Log(9, 11, row_of), &progress).ok());
+  // Entries 9 and 11 write row 1, entry 10 row 2; two chunks.
+  const auto row_of = [](uint64_t tid) -> int64_t { return tid == 10 ? 2 : 1; };
+  ASSERT_TRUE(transfer_.ApplyChunk(Log(9, 10, row_of), &progress).ok());
+  ASSERT_TRUE(transfer_.ApplyChunk(Log(11, 11, row_of), &progress).ok());
 
-  EXPECT_EQ(host_.Get(2), 0);  // not re-applied
-  EXPECT_EQ(host_.Get(3), 0);
-  EXPECT_EQ(host_.Get(1), 11);
-  EXPECT_EQ(host_.committed, std::vector<uint64_t>{11});
-  EXPECT_EQ(progress.cursor.applied_tid, 11u);
-  ASSERT_EQ(progress.adopted_log.size(), 3u);
-  EXPECT_EQ(progress.adopted_log.begin()->first, 9u);
+  EXPECT_EQ(host_.Get(1), 11);  // 9, then 11
+  EXPECT_EQ(host_.Get(2), 10);
+  EXPECT_EQ(host_.committed, (std::vector<uint64_t>{9, 10, 11}));
+  std::vector<uint64_t> adopted;
+  for (const auto& entry : progress.adopted_log) adopted.push_back(entry.tid);
+  EXPECT_EQ(adopted, (std::vector<uint64_t>{9, 10, 11}));
 }
 
 }  // namespace
