@@ -20,9 +20,9 @@ namespace sirep::middleware {
 /// pairwise non-conflicting with every other in-flight entry — the
 /// pipeline is free to run them on any worker in any order without
 /// affecting the database state. 1-copy-SI visibility order is not the
-/// pipeline's job: the HoleTracker (Adjustment 3) gates local begins and
-/// the stable prefix, and the ToCommitQueue withholds conflicting
-/// successors until their predecessor commits.
+/// pipeline's job: the ToCommitQueue withholds conflicting successors
+/// until their predecessor commits, and its hole rules (Adjustment 3)
+/// gate local begins and the stable prefix.
 ///
 /// One FIFO drained by all workers, one wake-up per dispatched entry.
 /// Any idle worker takes the next entry, so a worker blocked on a
@@ -31,8 +31,8 @@ namespace sirep::middleware {
 /// §4.2). Width 1 is the original single-applier replica.
 ///
 /// Shutdown() drains queued entries through `apply` before returning —
-/// the replica's shutdown flag makes those drained applies fall through
-/// to their hole-discard path.
+/// the replica's shutdown flag makes those drained applies return at
+/// once, leaving their tids queued.
 class ApplyPipeline {
  public:
   /// Applies + commits one validated remote writeset (bound to

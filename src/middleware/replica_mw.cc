@@ -33,7 +33,7 @@ SrcaRepReplica::SrcaRepReplica(engine::Database* db, gcs::Group* group,
     : db_(db),
       group_(group),
       options_(WithFloors(options)),
-      holes_(options.mode == ReplicaMode::kSrcaRep, &registry_),
+      tocommit_queue_(options.mode == ReplicaMode::kSrcaRep, &registry_),
       state_transfer_(this, group, options_, &registry_, &flight_) {
   stage_hists_ = obs::StageHistograms::FromRegistry(&registry_);
   // The pipeline's workers only run entries handed to Dispatch(), and
@@ -49,9 +49,7 @@ SrcaRepReplica::SrcaRepReplica(engine::Database* db, gcs::Group* group,
   c_global_val_aborts_ = registry_.GetCounter("mw.global_val_aborts");
   c_remote_discards_ = registry_.GetCounter("mw.remote_discards");
   c_apply_retries_ = registry_.GetCounter("mw.apply_retries");
-  g_tocommit_depth_ = registry_.GetGauge("mw.tocommit.queue_depth");
   g_ws_list_size_ = registry_.GetGauge("mw.wslist.size");
-  g_holes_outstanding_ = registry_.GetGauge("mw.holes.outstanding");
   g_clock_offset_ns_ = registry_.GetGauge("mw.clock.offset_estimate_ns");
   c_partial_misroutes_ = registry_.GetCounter("mw.partial.misroutes");
   g_partial_held_ = registry_.GetGauge("mw.partial.held_partitions");
@@ -59,14 +57,6 @@ SrcaRepReplica::SrcaRepReplica(engine::Database* db, gcs::Group* group,
     g_partial_held_->Set(std::popcount(
         options_.partition_map->HeldMask(options_.partition_slot)));
   }
-  // Contention accounting for the three hottest middleware locks (the
-  // hole tracker registers its own); the metrics land in this registry,
-  // so they surface on /metrics, in DumpMetrics() and in the bench
-  // artifacts' contention section.
-  tocommit_queue_.SetLockStats(
-      obs::LockStats::FromRegistry(&registry_, "mw.lock.tocommit"));
-  ws_index_.SetLockStats(
-      obs::LockStats::FromRegistry(&registry_, "mw.lock.wsindex"));
 }
 
 SrcaRepReplica::~SrcaRepReplica() {
@@ -81,12 +71,6 @@ Status SrcaRepReplica::Start() {
   // Byte-shipping transports (TCP sequencer) need these to serialize our
   // payloads; on the in-process transport they are simply never invoked.
   RegisterMessageCodecs(group_);
-  // Install the hole-gate listener BEFORE joining: Join() spawns the
-  // delivery thread, which may start applying frames (and touching the
-  // gate) immediately.
-  // Re-run the dispatch scan whenever the hole gate may have opened
-  // (a commit, a discard, or a waiting start proceeding).
-  holes_.SetChangeListener([this] { ScheduleAppliers(); });
   if (options_.bootstrap_prefix > 0) {
     if (options_.start_recovering) {
       return Status::InvalidArgument(
@@ -98,7 +82,7 @@ Status SrcaRepReplica::Start() {
     // new deliveries refill it, which the donor floor logic handles.
     std::lock_guard<std::mutex> lock(wsmutex_);
     lastvalidated_tid_ = options_.bootstrap_prefix;
-    holes_.AdoptCommittedPrefix(options_.bootstrap_prefix);
+    tocommit_queue_.NoteCommitted(options_.bootstrap_prefix);
   }
   const gcs::MemberId id = group_->Join(this);
   if (id == gcs::kInvalidMember) {
@@ -126,7 +110,10 @@ Result<SrcaRepReplica::TxnHandle> SrcaRepReplica::BeginTxn() {
   }
   // Adjustment 3: a local transaction only starts when the commit order
   // has no holes; the begin is atomic with that check.
-  handle.db_txn = holes_.RunStart([&] { return db_->Begin(); });
+  if (tocommit_queue_.RunStart([&] { handle.db_txn = db_->Begin(); })) {
+    // This start left the wait set, which may open dispatch gates.
+    DispatchRemotes(tocommit_queue_.TakeDispatchable());
+  }
   return handle;
 }
 
@@ -200,8 +187,7 @@ void SrcaRepReplica::ProcessDdl(const gcs::Message& message) {
     auto r = db_->ExecuteAutoCommit(msg->sql);
     outcome = r.ok() ? Status::OK() : r.status();
     const uint64_t tid = ++lastvalidated_tid_;
-    holes_.NoteValidated(tid);
-    holes_.RecordCommit(tid, [] { return 0; });
+    tocommit_queue_.NoteCommitted(tid);
     if (outcome.ok()) {
       WsLogEntry entry;
       entry.tid = tid;
@@ -400,11 +386,8 @@ Status SrcaRepReplica::CommitTxn(const TxnHandle& txn, bool* had_writes) {
   // A crashed replica never commits or acknowledges, even when
   // validation finished before the crash (a crash after the multicast, a
   // self-expulsion, a kill while we ran): the client resolves the
-  // outcome at a survivor instead. Checked here and not inside
-  // RecordCommit's callback, because RecordCommit retires the tid from
-  // the outstanding set even when the commit fails, and the stable
-  // prefix would then cover a tid this replica never committed. The
-  // transaction left open is rolled back by the database's restart.
+  // outcome at a survivor instead. The transaction left open is rolled
+  // back by the database's restart.
   if (!IsAlive()) {
     return Status::Unavailable("replica crashed before local commit of " +
                                txn.gid.ToString());
@@ -417,15 +400,26 @@ Status SrcaRepReplica::CommitTxn(const TxnHandle& txn, bool* had_writes) {
   // bookkeeping.
   trace.Begin(obs::Stage::kCommit);
   uint64_t wal_ticket = 0;
-  Status st = holes_.RecordCommit(
-      result.tid, [&] { return db_->Commit(txn.db_txn, &wal_ticket); });
-  // Group-commit durability wait, outside the hole mutex so concurrent
+  std::vector<ToCommitEntry> released;
+  Status st = tocommit_queue_.Commit(
+      result.tid, [&] { return db_->Commit(txn.db_txn, &wal_ticket); },
+      &released);
+  if (!st.ok()) {
+    // Fail-stop: skipping a validated writeset would diverge this replica
+    // from the others. Its tid stays queued, so the stable prefix stays
+    // below it and the restarted incarnation recovers it from a donor.
+    SIREP_ELOG << "local commit of validated " << txn.gid.ToString()
+               << " failed: " << st.ToString() << "; crashing replica";
+    Crash();
+    return Status::Unavailable("replica crashed at local commit of " +
+                               txn.gid.ToString());
+  }
+  DispatchRemotes(std::move(released));
+  // Group-commit durability wait, outside the queue mutex so concurrent
   // committers share one flush; the client is only acked after this.
-  if (st.ok()) st = db_->WaitWalDurable(wal_ticket);
+  st = db_->WaitWalDurable(wal_ticket);
   trace.End(obs::Stage::kCommit);
-  tocommit_queue_.Remove(result.tid);
   MarkLocallyCommitted(txn.gid);
-  ScheduleAppliers();
   if (st.ok()) {
     c_committed_->Increment();
     trace.Flush(stage_hists_);
@@ -502,6 +496,7 @@ void SrcaRepReplica::ProcessWriteSet(const gcs::Message& message) {
   uint64_t tid = 0;
   storage::TupleId conflict_key;
   size_t ws_list_size = 0;
+  size_t depth = 0;  // tocommit queue depth after our append
   {
     // Step II: global validation, in delivery order (the total order makes
     // every replica take the same decision here).
@@ -526,7 +521,6 @@ void SrcaRepReplica::ProcessWriteSet(const gcs::Message& message) {
       log_entry.gid = msg->gid;
       log_entry.ws = msg->ws;
       AppendToLogLocked(std::move(log_entry));
-      holes_.NoteValidated(tid);
       if (rtrace != nullptr) {
         // Last write before publication: Append hands the trace to an
         // applier thread (the queue's lock orders that handoff), so the
@@ -534,28 +528,20 @@ void SrcaRepReplica::ProcessWriteSet(const gcs::Message& message) {
         rtrace->Add(obs::Stage::kGlobalValidate,
                     obs::MonotonicNanos() - arrival_ns);
       }
-      ToCommitEntry entry;
-      entry.tid = tid;
-      entry.gid = msg->gid;
-      entry.local = is_local;
-      entry.ws = msg->ws;
-      // Local entries are committed by the waiting client thread.
-      entry.dispatched = is_local;
-      entry.delivered_ns = arrival_ns;
-      entry.trace = rtrace;
-      tocommit_queue_.Append(std::move(entry));
+      depth = tocommit_queue_.Append(ToCommitEntry{.tid = tid,
+                                                   .gid = msg->gid,
+                                                   .local = is_local,
+                                                   .ws = msg->ws,
+                                                   .delivered_ns = arrival_ns,
+                                                   .trace = rtrace});
     }
     ws_list_size = ws_index_.size();
   }
   const uint64_t validate_ns = obs::MonotonicNanos() - arrival_ns;
 
-  // Pipeline-depth gauges, sampled on every delivery (the fig5/fig8
-  // saturation signals: queue backlog, validation window, hole set).
-  const uint64_t depth = tocommit_queue_.size();
-  g_tocommit_depth_->Set(static_cast<int64_t>(depth));
+  // Validation-window gauge, sampled on every delivery (a fig5/fig8
+  // saturation signal beside the queue's own depth gauge).
   g_ws_list_size_->Set(static_cast<int64_t>(ws_list_size));
-  g_holes_outstanding_->Set(
-      static_cast<int64_t>(holes_.OutstandingCount()));
   uint64_t hw = queue_high_water_.load(std::memory_order_relaxed);
   while (depth > hw && !queue_high_water_.compare_exchange_weak(
                            hw, depth, std::memory_order_relaxed)) {
@@ -619,24 +605,14 @@ void SrcaRepReplica::ProcessWriteSet(const gcs::Message& message) {
       rtrace->Add(obs::Stage::kGlobalValidate, validate_ns);
       rtrace->Flush(stage_hists_);
     } else {
-      ScheduleAppliers();
+      DispatchRemotes(tocommit_queue_.TakeDispatchable());
     }
   }
 }
 
-void SrcaRepReplica::ScheduleAppliers() {
+void SrcaRepReplica::DispatchRemotes(std::vector<ToCommitEntry> entries) {
   if (shutdown_.load(std::memory_order_acquire) || !IsAlive()) return;
-  // Adjustment 3's gate is applied here, *before* the remote transaction
-  // begins and acquires locks (paper §4.3.3's hidden-deadlock argument).
-  size_t deferred = 0;
-  auto ready = tocommit_queue_.TakeDispatchableRemotes(
-      [this](uint64_t tid) { return holes_.GateOpen(tid, false); },
-      &deferred);
-  g_tocommit_depth_->Set(static_cast<int64_t>(tocommit_queue_.size()));
-  holes_.CountDeferredCommits(deferred);
-  for (auto& entry : ready) {
-    pipeline_->Dispatch(std::move(entry));
-  }
+  for (auto& entry : entries) pipeline_->Dispatch(std::move(entry));
 }
 
 void SrcaRepReplica::ApplyRemote(ToCommitEntry entry) {
@@ -676,34 +652,46 @@ void SrcaRepReplica::ApplyRemote(ToCommitEntry entry) {
     if (st.ok()) {
       rtrace.Begin(obs::Stage::kCommit);
       uint64_t wal_ticket = 0;
-      st = holes_.RecordCommit(entry.tid,
-                               [&] { return db_->Commit(txn, &wal_ticket); });
-      // Durability wait outside the hole mutex: parallel appliers pile
-      // their records into one group flush instead of serializing on it.
-      if (st.ok()) st = db_->WaitWalDurable(wal_ticket);
-      rtrace.End(obs::Stage::kCommit);
+      std::vector<ToCommitEntry> released;
+      st = tocommit_queue_.Commit(
+          entry.tid,
+          [&] {
+            Status committed = db_->Commit(txn, &wal_ticket);
+            rtrace.End(obs::Stage::kCommit);
+            if (!committed.ok()) return committed;
+            // Counted and flushed before the tid leaves the queue:
+            // Quiesce() returns once the queue drains, and the metrics
+            // must already include this apply.
+            const uint64_t now = obs::MonotonicNanos();
+            // Delivery here -> committed here: tocommit queueing + apply.
+            if (entry.delivered_ns != 0 && now > entry.delivered_ns) {
+              rtrace.Add(obs::Stage::kRemoteApplyLag,
+                         now - entry.delivered_ns);
+            }
+            // Origin multicast send -> visible at this replica (raw
+            // cross-clock difference; the clock-offset gauge lets readers
+            // correct it on clock-skewed deployments).
+            const auto& octx = rtrace.context();
+            if (octx.origin_mono_ns != 0 && now > octx.origin_mono_ns) {
+              rtrace.Add(obs::Stage::kSnapshotStaleness,
+                         now - octx.origin_mono_ns);
+            }
+            rtrace.Flush(stage_hists_);
+            c_committed_->Increment();
+            return committed;
+          },
+          &released);
       if (st.ok()) {
-        // Count and flush before the queue entry goes: Quiesce() returns
-        // once the queue drains, and the metrics must already include
-        // this apply.
-        const uint64_t now = obs::MonotonicNanos();
-        // Delivery here -> committed here: tocommit queueing + apply.
-        if (entry.delivered_ns != 0 && now > entry.delivered_ns) {
-          rtrace.Add(obs::Stage::kRemoteApplyLag, now - entry.delivered_ns);
+        DispatchRemotes(std::move(released));
+        // Durability wait outside the queue mutex: parallel appliers pile
+        // their records into one group flush instead of serializing on
+        // it. A failed flush leaves the in-memory commit standing.
+        Status durable = db_->WaitWalDurable(wal_ticket);
+        if (!durable.ok()) {
+          SIREP_ELOG << "WAL flush failed for applied " << entry.gid.ToString()
+                     << ": " << durable.ToString();
         }
-        // Origin multicast send -> visible at this replica (raw
-        // cross-clock difference; the clock-offset gauge lets readers
-        // correct it on clock-skewed deployments).
-        const auto& octx = rtrace.context();
-        if (octx.origin_mono_ns != 0 && now > octx.origin_mono_ns) {
-          rtrace.Add(obs::Stage::kSnapshotStaleness,
-                     now - octx.origin_mono_ns);
-        }
-        rtrace.Flush(stage_hists_);
-        c_committed_->Increment();
-        tocommit_queue_.Remove(entry.tid);
         MarkLocallyCommitted(entry.gid);
-        ScheduleAppliers();
         return;
       }
     }
@@ -715,21 +703,24 @@ void SrcaRepReplica::ApplyRemote(ToCommitEntry entry) {
       std::this_thread::yield();
       continue;
     }
+    // Fail-stop: skipping a validated writeset would diverge this replica
+    // from the others. Its tid stays queued, so the stable prefix stays
+    // below it and the restarted incarnation recovers it from a donor.
     SIREP_ELOG << "unretryable writeset apply failure for "
-               << entry.gid.ToString() << ": " << st.ToString();
-    holes_.Discard(entry.tid);
-    tocommit_queue_.Remove(entry.tid);
+               << entry.gid.ToString() << ": " << st.ToString()
+               << "; crashing replica";
+    Crash();
     return;
   }
-  // Crashed/shutting down: release bookkeeping so nothing waits forever.
-  holes_.Discard(entry.tid);
+  // Crashed or shutting down: the tid stays queued, so the stable prefix
+  // never covers a writeset this incarnation did not commit.
 }
 
 void SrcaRepReplica::ReadValidationState(
     const std::function<void(const ValidationView&)>& read) {
   std::lock_guard<std::mutex> lock(wsmutex_);
-  read(ValidationView{lastvalidated_tid_, holes_.StablePrefix(), ws_index_,
-                      ws_log_});
+  read(ValidationView{lastvalidated_tid_, tocommit_queue_.StablePrefix(),
+                      ws_index_, ws_log_});
 }
 
 void SrcaRepReplica::AdoptValidationState(
@@ -742,7 +733,7 @@ void SrcaRepReplica::AdoptValidationState(
     ws_log_.clear();
     for (auto& entry : log) AppendToLogLocked(std::move(entry));
   }
-  holes_.AdoptCommittedPrefix(lastvalidated);
+  tocommit_queue_.NoteCommitted(lastvalidated);
 }
 
 void SrcaRepReplica::RecordOutcome(const GlobalTxnId& gid, bool committed) {
@@ -838,8 +829,7 @@ void SrcaRepReplica::Crash() {
   // Release clients blocked waiting for holes to close — those commits
   // will never happen now — and quiescence waiters watching our queue,
   // plus a Recover() caller waiting on its marker fence.
-  holes_.Cancel();
-  tocommit_queue_.Poke();
+  tocommit_queue_.Cancel();
   state_transfer_.Interrupt();
   // Fail every in-flight local commit: their clients will run in-doubt
   // resolution against another replica.
@@ -878,9 +868,7 @@ void SrcaRepReplica::Shutdown() {
                                          std::memory_order_acq_rel)) {
     return;
   }
-  holes_.SetChangeListener(nullptr);
-  holes_.Cancel();
-  tocommit_queue_.Poke();
+  tocommit_queue_.Cancel();
   pipeline_->Shutdown();
   {
     std::lock_guard<std::mutex> lock(outcomes_mu_);

@@ -19,12 +19,11 @@
 #include "gcs/group.h"
 #include "middleware/apply_pipeline.h"
 #include "middleware/global_txn_id.h"
-#include "middleware/hole_tracker.h"
 #include "middleware/messages.h"
 #include "middleware/replica_options.h"
-#include "middleware/sharded_ws_index.h"
 #include "middleware/state_transfer.h"
 #include "middleware/tocommit_queue.h"
+#include "middleware/ws_index.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -171,7 +170,9 @@ class SrcaRepReplica final : public gcs::GroupListener,
   /// Durable prefix a restarted incarnation can recover from: every
   /// validated tid <= this value has committed at this replica, and
   /// re-applying later writesets is idempotent.
-  uint64_t StableCommitPrefix() const { return holes_.StablePrefix(); }
+  uint64_t StableCommitPrefix() const {
+    return tocommit_queue_.StablePrefix();
+  }
 
   /// Liveness/role summary for the /healthz endpoint.
   struct Health {
@@ -210,13 +211,10 @@ class SrcaRepReplica final : public gcs::GroupListener,
 
   /// Blocks until the tocommit queue drains (every validated writeset
   /// committed here), returning immediately if this replica crashed or
-  /// shut down — its queue will never drain. Condition-variable based;
-  /// see cluster::Cluster::Quiesce().
-  void WaitForQueueDrain() {
-    tocommit_queue_.WaitUntilEmpty([this] {
-      return shutdown_.load(std::memory_order_acquire) || !IsAlive();
-    });
-  }
+  /// shut down — its queue will never drain (Crash() and Shutdown()
+  /// cancel it). Condition-variable based; see
+  /// cluster::Cluster::Quiesce().
+  void WaitForQueueDrain() { tocommit_queue_.WaitUntilEmpty(); }
 
   // ---- GroupListener (delivery thread, or a committing client thread
   // delivering its own writeset; see gcs::GroupListener) ----
@@ -272,8 +270,11 @@ class SrcaRepReplica final : public gcs::GroupListener,
                             const std::vector<WsWindowEntry>& window,
                             std::vector<WsLogEntry> log) override;
 
-  /// Dispatches every queue entry that became eligible (Adjustment 2).
-  void ScheduleAppliers();
+  /// Hands remote entries the tocommit queue released to the apply
+  /// pipeline; drops them once this replica crashed or shut down (their
+  /// tids stay queued). Called after a delivery, a commit, and a start
+  /// that waited: the three points where an entry can become eligible.
+  void DispatchRemotes(std::vector<ToCommitEntry> entries);
 
   /// Applies + commits one remote writeset, retrying on deadlock.
   void ApplyRemote(ToCommitEntry entry);
@@ -302,9 +303,7 @@ class SrcaRepReplica final : public gcs::GroupListener,
   obs::Counter* c_global_val_aborts_ = nullptr;
   obs::Counter* c_remote_discards_ = nullptr;
   obs::Counter* c_apply_retries_ = nullptr;
-  obs::Gauge* g_tocommit_depth_ = nullptr;
   obs::Gauge* g_ws_list_size_ = nullptr;
-  obs::Gauge* g_holes_outstanding_ = nullptr;
   obs::Gauge* g_clock_offset_ns_ = nullptr;
   // Partial replication ("mw.partial.*"): commit attempts refused
   // because this replica does not hold every partition the writeset
@@ -312,20 +311,18 @@ class SrcaRepReplica final : public gcs::GroupListener,
   obs::Counter* c_partial_misroutes_ = nullptr;
   obs::Gauge* g_partial_held_ = nullptr;
 
-  // Fig. 4 state. wsmutex_ protects lastvalidated_tid_ and ws_index_,
-  // and serializes validation (steps I.2.c-f and II). ws_index_'s own
-  // per-shard locks additionally allow lock-free-of-wsmutex_ readers
-  // (gauges) and shard-parallel probes.
+  // Fig. 4 state. wsmutex_ protects lastvalidated_tid_, ws_index_ and
+  // ws_log_, and serializes validation (steps I.2.c-f and II).
   std::mutex wsmutex_;
   uint64_t lastvalidated_tid_ = 0;
-  ShardedWsIndex ws_index_;
-  std::deque<WsLogEntry> ws_log_;  // guarded by wsmutex_
+  WsIndex ws_index_;
+  std::deque<WsLogEntry> ws_log_;
 
+  /// This replica's commit order (step III and Adjustments 1-3).
   ToCommitQueue tocommit_queue_;
-  HoleTracker holes_;
   /// Remote-apply worker pool; entries handed to it are pairwise
-  /// non-conflicting by the ToCommitQueue's dispatch rule, so
-  /// hole_tracker ordering is the only visibility constraint.
+  /// non-conflicting by the ToCommitQueue's dispatch rule, so the
+  /// queue's hole rules are the only visibility constraint.
   std::unique_ptr<ApplyPipeline> pipeline_;
   /// Remote applies currently inside ApplyRemote, sampled into the
   /// kApplyParallelism stage histogram at each apply start.

@@ -45,10 +45,9 @@ struct StateTransfer::Channel {
   /// Reports `status` to the recoverer and closes the stream. The error
   /// chunk bypasses the capacity bound (at most one extra entry) so a
   /// failure is always reported.
-  void Fail(uint64_t transfer_id, Status status) {
+  void Fail(Status status) {
     RecoveryChunk chunk;
     chunk.status = std::move(status);
-    chunk.transfer_id = transfer_id;
     {
       std::lock_guard<std::mutex> lock(mu);
       chunks.push_back(std::move(chunk));
@@ -72,7 +71,6 @@ struct StateTransfer::Request {
 /// transaction pins the marker-consistent MVCC snapshot, so lazy table
 /// scans still observe marker state).
 struct StateTransfer::DonorPlan {
-  uint64_t transfer_id = 0;
   TransferMeta meta;
   std::vector<WsLogEntry> log_suffix;
   std::vector<std::string> tables;  ///< tables to dump (full copy)
@@ -161,12 +159,10 @@ void StateTransfer::Donate(const Request& req) {
   if (!host_->IsRunning() || !live()) {
     // A replica that is itself recovering (or shutting down) has stale
     // state and must not donate.
-    channel.Fail(req.transfer_id,
-                 Status::Unavailable("chosen donor is not live"));
+    channel.Fail(Status::Unavailable("chosen donor is not live"));
     return;
   }
   auto plan = std::make_shared<DonorPlan>();
-  plan->transfer_id = req.transfer_id;
   plan->channel = req.channel;
   TransferMeta& meta = plan->meta;
 
@@ -211,15 +207,15 @@ void StateTransfer::Donate(const Request& req) {
     }
   });
   if (!refused.ok()) {
-    channel.Fail(req.transfer_id, std::move(refused));
+    channel.Fail(std::move(refused));
     return;
   }
   flight_->Record(obs::FlightEventType::kRecovery, host_->member_id(),
-                  plan->transfer_id, req.requester, "donate");
+                  req.transfer_id, req.requester, "donate");
   std::lock_guard<std::mutex> lock(streamers_mu_);
   if (stopped_) {
     if (plan->dump_txn != nullptr) host_->db()->Abort(plan->dump_txn);
-    channel.Fail(req.transfer_id, Status::Unavailable("donor shutting down"));
+    channel.Fail(Status::Unavailable("donor shutting down"));
     return;
   }
   streamers_.emplace_back([this, plan] { Stream(std::move(plan)); });
@@ -252,7 +248,6 @@ void StateTransfer::Stream(std::shared_ptr<DonorPlan> plan) {
       silent_stop = true;
       return false;
     }
-    chunk.transfer_id = plan->transfer_id;
     const size_t bytes = chunk.approx_bytes;
     {
       std::unique_lock<std::mutex> lock(channel.mu);
@@ -294,7 +289,7 @@ void StateTransfer::Stream(std::shared_ptr<DonorPlan> plan) {
         plan->dump_txn, table,
         [&](const sql::Key&, const sql::Row& row) { rows.push_back(row); });
     if (!scan.ok()) {
-      channel.Fail(plan->transfer_id, std::move(scan));
+      channel.Fail(std::move(scan));
       return;
     }
     size_t offset = 0;
@@ -553,7 +548,6 @@ Status StateTransfer::Recover(uint64_t from_tid) {
     }
     channel->cv.notify_all();  // free a producer slot
     last_chunk_time = std::chrono::steady_clock::now();
-    if (chunk.transfer_id != transfer_id) continue;  // stale attempt
     if (!chunk.status.ok()) {
       // A refusal or fault of this donor is retryable; anything else
       // (a log too small to donate, a failed table scan) is not.

@@ -19,7 +19,7 @@
 #include "gcs/group.h"
 #include "middleware/global_txn_id.h"
 #include "middleware/replica_options.h"
-#include "middleware/sharded_ws_index.h"
+#include "middleware/ws_index.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 
@@ -39,7 +39,7 @@ struct WsLogEntry {
 struct ValidationView {
   uint64_t lastvalidated = 0;
   uint64_t stable_prefix = 0;  ///< every validated tid <= it committed here
-  const ShardedWsIndex& ws_index;
+  const WsIndex& ws_index;
   const std::deque<WsLogEntry>& log;  ///< ascending tids, oldest trimmed
 };
 
@@ -81,13 +81,11 @@ struct TransferMeta {
   bool full_copy = false;  ///< table dumps follow before the log
 };
 
-/// One bounded unit of the recovery stream, tagged with the transfer
-/// id so a chunk from an abandoned attempt is discarded instead of
-/// corrupting the next one. At most one section (meta / table rows /
-/// log entries) is populated per chunk.
+/// One bounded unit of the recovery stream. Every attempt opens its own
+/// channel, so a chunk always belongs to the attempt reading it. At most
+/// one section (meta / table rows / log entries) is populated per chunk.
 struct RecoveryChunk {
   Status status;  ///< non-OK chunk aborts this donation
-  uint64_t transfer_id = 0;
   bool final_chunk = false;  ///< transfer complete after this chunk
 
   std::optional<TransferMeta> meta;  ///< first chunk of every donation

@@ -28,7 +28,7 @@ namespace sirep::middleware {
 /// This is the literal O(window-suffix x writeset) formulation, kept for
 /// the reference SRCA middleware and as the oracle in differential
 /// tests; SrcaRepReplica's hot path uses the decision-equivalent
-/// ShardedWsIndex (sharded_ws_index.h), whose probes are O(writeset).
+/// WsIndex (ws_index.h), whose probes are O(writeset).
 class WsList {
  public:
   explicit WsList(size_t max_entries = 65536) : max_entries_(max_entries) {}

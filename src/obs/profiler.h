@@ -28,10 +28,10 @@ namespace sirep::obs {
 ///     ("mw.apply_remote") instead of symbolized frames.
 ///
 ///  2. A *mutex-contention* helper (AcquireProfiled + LockStats) for
-///     named critical sections — the hole tracker, the ToCommitQueue,
-///     the ShardedWsIndex shards. Uncontended acquisitions cost one
-///     striped counter bump; contended ones additionally record the
-///     wait in a latency histogram. All three metrics live in the
+///     named critical sections, such as the middleware's ToCommitQueue.
+///     Uncontended acquisitions cost one striped counter bump;
+///     contended ones additionally record the wait in a latency
+///     histogram. All three metrics live in the
 ///     owning component's MetricsRegistry ("<section>.acquires",
 ///     "<section>.contended", "<section>.wait_us"), so they ride every
 ///     existing exposition path (/metrics, DumpMetrics, bench JSON).
@@ -133,7 +133,7 @@ struct LockStats {
   Histogram* wait_us = nullptr;
 
   /// Registers "<prefix>.acquires" / "<prefix>.contended" /
-  /// "<prefix>.wait_us" in `registry` (e.g. prefix "mw.lock.holes").
+  /// "<prefix>.wait_us" in `registry` (e.g. prefix "mw.lock.tocommit").
   /// Returns all-null stats when `registry` is null.
   static LockStats FromRegistry(MetricsRegistry* registry,
                                 std::string_view prefix);

@@ -138,7 +138,7 @@ Status StorageEngine::Commit(const TransactionPtr& txn,
   c_commits_->Increment();
   // Group commit: the caller waits via WaitWalDurable(*durability_ticket)
   // — crucially *outside* whatever lock wrapped this commit (the
-  // middleware calls Commit inside HoleTracker::RecordCommit's mutex,
+  // middleware calls Commit inside ToCommitQueue::Commit's mutex,
   // which must not be held across a flush wait or concurrent committers
   // could never pile into one group). The versions above are already
   // visible; on a flush failure the in-memory commit stands and the

@@ -91,7 +91,7 @@ class StorageEngine {
   Status Commit(const TransactionPtr& txn);
 
   /// Two-phase form for callers that hold a lock across Commit (the
-  /// middleware commits inside the hole tracker's mutex): completes the
+  /// middleware commits inside the tocommit queue's mutex): completes the
   /// in-memory commit and hands back a durability ticket instead of
   /// waiting. The caller must pass it to WaitWalDurable() *after*
   /// releasing its lock — before acknowledging the commit — so

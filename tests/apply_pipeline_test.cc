@@ -3,7 +3,7 @@
 // writesets through the worker pool; visibility order and final state
 // must match the serial path). The interleaving is made deterministic by
 // *gating*, not sleeps: the conflicting successor can only enter the
-// pipeline once ToCommitQueue::Remove() ran for its predecessor, and the
+// pipeline once ToCommitQueue::Commit() ran for its predecessor, and the
 // adversarial schedule blocks the predecessor's apply until both
 // non-conflicting writesets have been applied by other workers, which
 // the shared queue must hand to them. Runs under TSan in CI.
@@ -44,8 +44,8 @@ std::shared_ptr<const WriteSet> Ws(
 /// Drives the replica's dispatch protocol against a scripted "database":
 /// queue four writesets (tids 1 and 2 conflict on tuple x; 3 and 4 are
 /// independent), pump dispatchable entries into the pipeline, and treat
-/// each apply as an immediate commit (Remove + re-pump, exactly what
-/// SrcaRepReplica::ApplyRemote + ScheduleAppliers do). Records the apply
+/// each apply as an immediate commit that dispatches what it released,
+/// exactly what SrcaRepReplica::ApplyRemote does. Records the apply
 /// order and the per-tuple last-writer "state". When `adversarial` is
 /// true, tid 1's apply blocks until tids 3 and 4 finish on other workers.
 struct PipelineRun {
@@ -54,7 +54,8 @@ struct PipelineRun {
   bool started = false;                         // gates the first apply
   std::vector<uint64_t> order;                  // apply order, by tid
   std::map<std::string, uint64_t> state;        // "table:key" -> last tid
-  ToCommitQueue queue;
+  obs::MetricsRegistry registry;
+  ToCommitQueue queue{/*gate_enabled=*/true, &registry};
   std::unique_ptr<ApplyPipeline> pipeline;
 
   bool Applied(uint64_t tid) {
@@ -70,10 +71,10 @@ struct PipelineRun {
         [&](ToCommitEntry entry) {
           {
             std::unique_lock<std::mutex> lock(mu);
-            // No apply proceeds until the initial Pump() finished all
-            // its Dispatch calls — otherwise a fast worker could commit
-            // tid 1 and self-dispatch tid 2 between Dispatch(1) and
-            // Dispatch(3), making the observed order scheduling-
+            // No apply proceeds until the initial Dispatch() handed all
+            // its entries to the pipeline — otherwise a fast worker could
+            // commit tid 1 and dispatch tid 2 between the hand-offs of
+            // tids 1 and 3, making the observed order scheduling-
             // dependent (seen under TSan).
             cv.wait(lock, [&] { return started; });
             if (adversarial && entry.tid == 1) {
@@ -88,30 +89,32 @@ struct PipelineRun {
             }
             cv.notify_all();
           }
-          queue.Remove(entry.tid);  // "commit"
-          Pump();
+          std::vector<ToCommitEntry> released;
+          EXPECT_TRUE(queue
+                          .Commit(entry.tid, [] { return Status::OK(); },
+                                  &released)
+                          .ok());
+          Dispatch(std::move(released));
         },
         /*registry=*/nullptr);
 
-    queue.Append({1, {1, 1}, false, Ws({{"x", 7}}), false});
-    queue.Append({2, {1, 2}, false, Ws({{"x", 7}}), false});  // conflicts w/ 1
-    queue.Append({3, {1, 3}, false, Ws({{"c", 3}}), false});
-    queue.Append({4, {1, 4}, false, Ws({{"d", 4}}), false});
-    Pump();
+    queue.Append({.tid = 1, .gid = {1, 1}, .ws = Ws({{"x", 7}})});
+    queue.Append({.tid = 2, .gid = {1, 2}, .ws = Ws({{"x", 7}})});  // after 1
+    queue.Append({.tid = 3, .gid = {1, 3}, .ws = Ws({{"c", 3}})});
+    queue.Append({.tid = 4, .gid = {1, 4}, .ws = Ws({{"d", 4}})});
+    Dispatch(queue.TakeDispatchable());
     {
       std::lock_guard<std::mutex> lock(mu);
       started = true;
     }
     cv.notify_all();
 
-    queue.WaitUntilEmpty(nullptr);
+    queue.WaitUntilEmpty();
     pipeline->Shutdown();
   }
 
-  void Pump() {
-    for (auto& entry : queue.TakeDispatchableRemotes()) {
-      pipeline->Dispatch(std::move(entry));
-    }
+  void Dispatch(std::vector<ToCommitEntry> entries) {
+    for (auto& entry : entries) pipeline->Dispatch(std::move(entry));
   }
 
   size_t IndexOf(uint64_t tid) {
@@ -165,7 +168,7 @@ TEST(ApplyPipelineTest, ShutdownDrainsQueuedEntries) {
       },
       nullptr);
   for (uint64_t tid = 1; tid <= 8; ++tid) {
-    pipeline->Dispatch({tid, {1, tid}, false, Ws({{"t", 1}}), false});
+    pipeline->Dispatch({.tid = tid, .gid = {1, tid}, .ws = Ws({{"t", 1}})});
   }
   gate.unlock();
   pipeline->Shutdown();  // must drain everything queued before joining

@@ -17,8 +17,6 @@
 namespace sirep {
 namespace {
 
-using client::Connection;
-using client::ConnectionOptions;
 using cluster::Cluster;
 using cluster::ClusterOptions;
 using sql::Value;
@@ -47,16 +45,6 @@ uint64_t DriverCounter(const std::string& name) {
   const auto snap = obs::MetricsRegistry::Default().Snapshot();
   const auto it = snap.counters.find(name);
   return it == snap.counters.end() ? 0 : it->second;
-}
-
-std::unique_ptr<Connection> ConnectTo(Cluster& cluster, int replica) {
-  ConnectionOptions options;
-  options.pinned_replica = replica;
-  auto conn = cluster.Connect(options);
-  EXPECT_TRUE(conn.ok()) << conn.status();
-  auto connection = std::move(conn).value();
-  // Unpin so fail-over can pick any replica.
-  return connection;
 }
 
 TEST(FailoverTest, DiscoveryFindsLiveReplicas) {

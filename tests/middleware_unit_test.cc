@@ -1,6 +1,6 @@
-// Unit tests for the middleware building blocks: WsList, ShardedWsIndex,
-// ToCommitQueue, HoleTracker, TableLockManager, and commit-path stage
-// tracing.
+// Unit tests for the middleware building blocks: WsList, WsIndex,
+// ToCommitQueue (with its Adjustment 3 hole rules), TableLockManager, and
+// commit-path stage tracing.
 
 #include <gtest/gtest.h>
 
@@ -8,13 +8,14 @@
 #include <chrono>
 #include <memory>
 #include <random>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "cluster/cluster.h"
-#include "middleware/hole_tracker.h"
-#include "middleware/sharded_ws_index.h"
 #include "middleware/table_locks.h"
 #include "middleware/tocommit_queue.h"
+#include "middleware/ws_index.h"
 #include "middleware/ws_list.h"
 #include "obs/trace.h"
 #include "sql/value.h"
@@ -67,10 +68,10 @@ TEST(WsListTest, WindowPruning) {
   EXPECT_FALSE(list.ConflictsAfter(4, *Ws({{"t", 4}})));
 }
 
-// ---- ShardedWsIndex ----
+// ---- WsIndex ----
 
-TEST(ShardedWsIndexTest, ConflictsAfterCert) {
-  ShardedWsIndex index;
+TEST(WsIndexTest, ConflictsAfterCert) {
+  WsIndex index;
   index.Append(1, Ws({{"t", 1}}));
   index.Append(2, Ws({{"t", 2}}));
   index.Append(3, Ws({{"t", 3}}));
@@ -82,8 +83,8 @@ TEST(ShardedWsIndexTest, ConflictsAfterCert) {
   EXPECT_FALSE(index.ConflictsAfter(0, *Ws({{"u", 1}})));
 }
 
-TEST(ShardedWsIndexTest, WindowPruning) {
-  ShardedWsIndex index(/*max_entries=*/3);
+TEST(WsIndexTest, WindowPruning) {
+  WsIndex index(/*max_entries=*/3);
   for (uint64_t tid = 1; tid <= 5; ++tid) {
     index.Append(tid, Ws({{"t", static_cast<int64_t>(tid)}}));
   }
@@ -96,8 +97,8 @@ TEST(ShardedWsIndexTest, WindowPruning) {
 // Evicting an old writeset must not forget a *newer* writer of the same
 // tuple: the per-tuple map entry is dropped only when the evicted tid
 // still owns it.
-TEST(ShardedWsIndexTest, EvictionKeepsNewestWriterOfTuple) {
-  ShardedWsIndex index(/*max_entries=*/2);
+TEST(WsIndexTest, EvictionKeepsNewestWriterOfTuple) {
+  WsIndex index(/*max_entries=*/2);
   index.Append(1, Ws({{"t", 7}}));
   index.Append(2, Ws({{"t", 7}}));  // same tuple, newer writer
   index.Append(3, Ws({{"t", 8}}));  // evicts tid 1's entry
@@ -107,12 +108,12 @@ TEST(ShardedWsIndexTest, EvictionKeepsNewestWriterOfTuple) {
   EXPECT_FALSE(index.ConflictsAfter(2, *Ws({{"t", 7}})));
 }
 
-TEST(ShardedWsIndexTest, SnapshotLoadRoundTrip) {
-  ShardedWsIndex donor;
+TEST(WsIndexTest, SnapshotLoadRoundTrip) {
+  WsIndex donor;
   donor.Append(4, Ws({{"t", 1}}));
   donor.Append(5, Ws({{"t", 2}, {"u", 2}}));
 
-  ShardedWsIndex joiner;
+  WsIndex joiner;
   joiner.Append(1, Ws({{"stale", 1}}));  // replaced by Load
   joiner.Load(donor.Snapshot());
   EXPECT_EQ(joiner.size(), 2u);
@@ -126,10 +127,10 @@ TEST(ShardedWsIndexTest, SnapshotLoadRoundTrip) {
 // structures must return identical verdicts — validation decisions are
 // part of the cross-replica determinism argument, so the O(writeset)
 // index must be decision-equivalent, not just approximately right.
-TEST(ShardedWsIndexTest, DifferentialAgainstWsList) {
+TEST(WsIndexTest, DifferentialAgainstWsList) {
   constexpr size_t kWindow = 16;
   WsList oracle(kWindow);
-  ShardedWsIndex index(kWindow, /*num_shards=*/4);
+  WsIndex index(kWindow);
   std::mt19937 rng(20260808);
   std::uniform_int_distribution<int64_t> key(0, 24);
   std::uniform_int_distribution<int> nkeys(1, 4);
@@ -174,7 +175,7 @@ TEST(ShardedWsIndexTest, DifferentialAgainstWsList) {
 // sweeps certs straddling MinRetainedTid - 1 (the conservative-abort
 // boundary) — the exact off-by-one territory where a pruning bug would
 // let a joiner reach a different verdict than a live replica.
-TEST(ShardedWsIndexTest, DifferentialAtSnapshotLoadPruneBoundary) {
+TEST(WsIndexTest, DifferentialAtSnapshotLoadPruneBoundary) {
   constexpr size_t kDonorWindow = 8;
   std::mt19937 rng(8008);
   std::uniform_int_distribution<int64_t> key(0, 9);
@@ -187,7 +188,7 @@ TEST(ShardedWsIndexTest, DifferentialAtSnapshotLoadPruneBoundary) {
   };
 
   for (size_t fill = 1; fill <= 2 * kDonorWindow; ++fill) {
-    ShardedWsIndex donor(kDonorWindow, /*num_shards=*/4);
+    WsIndex donor(kDonorWindow);
     for (uint64_t tid = 1; tid <= fill; ++tid) {
       donor.Append(tid, ws_for(key(rng)));
     }
@@ -203,7 +204,7 @@ TEST(ShardedWsIndexTest, DifferentialAtSnapshotLoadPruneBoundary) {
       WsList oracle(joiner_window);
       for (const auto& entry : snapshot) oracle.Append(entry.tid, entry.ws);
 
-      ShardedWsIndex joiner(joiner_window, /*num_shards=*/4);
+      WsIndex joiner(joiner_window);
       joiner.Load(snapshot);
       ASSERT_EQ(joiner.size(), oracle.size());
       ASSERT_EQ(joiner.MinRetainedTid(), oracle.MinRetainedTid());
@@ -235,10 +236,43 @@ TEST(ShardedWsIndexTest, DifferentialAtSnapshotLoadPruneBoundary) {
 
 // ---- ToCommitQueue ----
 
+/// One of the queue's "mw.holes.*" counters.
+uint64_t HoleCounter(const obs::MetricsRegistry& registry,
+                     const std::string& name) {
+  return registry.Snapshot().counters.at("mw.holes." + name);
+}
+
+/// Commits queued `tid` with a database commit that succeeds; returns the
+/// remote entries the commit made dispatchable.
+std::vector<ToCommitEntry> CommitOk(ToCommitQueue& q, uint64_t tid) {
+  std::vector<ToCommitEntry> released;
+  EXPECT_TRUE(q.Commit(tid, [] { return Status::OK(); }, &released).ok());
+  return released;
+}
+
+std::vector<uint64_t> Tids(const std::vector<ToCommitEntry>& entries) {
+  std::vector<uint64_t> tids;
+  for (const auto& entry : entries) tids.push_back(entry.tid);
+  return tids;
+}
+
+/// Waits until `n` starts found holes; a waiting start has then released
+/// the queue mutex inside its wait (the counter and the wait set change
+/// in one critical section).
+void AwaitDelayedStarts(const obs::MetricsRegistry& registry, uint64_t n) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (HoleCounter(registry, "delayed_starts") < n) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
 TEST(ToCommitQueueTest, ConflictsWithRemoteOnly) {
-  ToCommitQueue q;
-  q.Append({1, {0, 1}, /*local=*/true, Ws({{"t", 1}}), true});
-  q.Append({2, {1, 1}, /*local=*/false, Ws({{"t", 2}}), false});
+  obs::MetricsRegistry registry;
+  ToCommitQueue q(/*gate_enabled=*/true, &registry);
+  q.Append({.tid = 1, .gid = {0, 1}, .local = true, .ws = Ws({{"t", 1}})});
+  q.Append({.tid = 2, .gid = {1, 1}, .local = false, .ws = Ws({{"t", 2}})});
 
   // Conflicts with the *local* entry don't count (Adjustment 1: the DB
   // already checked those).
@@ -248,192 +282,209 @@ TEST(ToCommitQueueTest, ConflictsWithRemoteOnly) {
 }
 
 TEST(ToCommitQueueTest, DispatchRespectsConflictOrder) {
-  ToCommitQueue q;
-  q.Append({1, {1, 1}, false, Ws({{"t", 1}}), false});
-  q.Append({2, {1, 2}, false, Ws({{"t", 1}}), false});  // conflicts with 1
-  q.Append({3, {1, 3}, false, Ws({{"t", 9}}), false});  // independent
+  obs::MetricsRegistry registry;
+  ToCommitQueue q(true, &registry);
+  q.Append({.tid = 1, .gid = {1, 1}, .ws = Ws({{"t", 1}})});
+  q.Append({.tid = 2, .gid = {1, 2}, .ws = Ws({{"t", 1}})});  // conflicts w/ 1
+  q.Append({.tid = 3, .gid = {1, 3}, .ws = Ws({{"t", 9}})});  // independent
 
-  auto ready = q.TakeDispatchableRemotes();
-  ASSERT_EQ(ready.size(), 2u);
-  EXPECT_EQ(ready[0].tid, 1u);
-  EXPECT_EQ(ready[1].tid, 3u);
-
-  // tid 2 stays blocked until tid 1 is removed.
-  EXPECT_TRUE(q.TakeDispatchableRemotes().empty());
-  q.Remove(1);
-  auto next = q.TakeDispatchableRemotes();
-  ASSERT_EQ(next.size(), 1u);
-  EXPECT_EQ(next[0].tid, 2u);
+  EXPECT_EQ(Tids(q.TakeDispatchable()), (std::vector<uint64_t>{1, 3}));
+  // tid 2 stays blocked until tid 1 commits; that commit releases it.
+  EXPECT_TRUE(q.TakeDispatchable().empty());
+  EXPECT_EQ(Tids(CommitOk(q, 1)), (std::vector<uint64_t>{2}));
 }
 
 TEST(ToCommitQueueTest, LocalEntriesNeverDispatched) {
-  ToCommitQueue q;
-  q.Append({1, {0, 1}, /*local=*/true, Ws({{"t", 1}}), true});
-  EXPECT_TRUE(q.TakeDispatchableRemotes().empty());
-  EXPECT_EQ(q.FrontTid(), 1u);
-  q.Remove(1);
-  EXPECT_TRUE(q.empty());
+  obs::MetricsRegistry registry;
+  ToCommitQueue q(true, &registry);
+  q.Append({.tid = 1, .gid = {0, 1}, .local = true, .ws = Ws({{"t", 1}})});
+  EXPECT_TRUE(q.TakeDispatchable().empty());
+  EXPECT_TRUE(CommitOk(q, 1).empty());
+  EXPECT_EQ(q.size(), 0u);
 }
 
-TEST(ToCommitQueueTest, RemoveUnknownTidIsNoop) {
-  ToCommitQueue q;
-  q.Append({5, {1, 1}, false, Ws({{"t", 1}}), false});
-  q.Remove(99);
+TEST(ToCommitQueueTest, CommitOfUnknownTidChangesNothing) {
+  obs::MetricsRegistry registry;
+  ToCommitQueue q(true, &registry);
+  q.Append({.tid = 5, .gid = {1, 1}, .ws = Ws({{"t", 1}})});
+  bool ran = false;
+  std::vector<ToCommitEntry> released;
+  EXPECT_FALSE(q.Commit(
+                    99,
+                    [&] {
+                      ran = true;
+                      return Status::OK();
+                    },
+                    &released)
+                   .ok());
+  EXPECT_FALSE(ran);
   EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.StablePrefix(), 4u);
 }
 
-// ---- HoleTracker ----
-
-/// One of the tracker's "mw.holes.*" counters.
-uint64_t HoleCounter(const obs::MetricsRegistry& registry,
-                     const std::string& name) {
-  return registry.Snapshot().counters.at("mw.holes." + name);
-}
-
-TEST(HoleTrackerTest, NoHolesInOrderCommits) {
+// A tid leaves the queue only through a successful database commit, so
+// the stable prefix never covers a writeset this replica did not commit.
+TEST(ToCommitQueueTest, FailedCommitLeavesTidQueued) {
   obs::MetricsRegistry registry;
-  HoleTracker holes(/*enabled=*/true, &registry);
-  holes.NoteValidated(1);
-  holes.NoteValidated(2);
-  EXPECT_FALSE(holes.HasHoles());
-  holes.RecordCommit(1, [] { return 0; });
-  EXPECT_FALSE(holes.HasHoles());
-  holes.RecordCommit(2, [] { return 0; });
-  EXPECT_FALSE(holes.HasHoles());
-  EXPECT_EQ(holes.StablePrefix(), 2u);
+  ToCommitQueue q(true, &registry);
+  q.Append({.tid = 1, .gid = {1, 1}, .ws = Ws({{"t", 1}})});
+  q.Append({.tid = 2, .gid = {1, 2}, .ws = Ws({{"t", 1}})});  // behind 1
+  q.Append({.tid = 3, .gid = {1, 3}, .ws = Ws({{"t", 3}})});
+  EXPECT_EQ(Tids(q.TakeDispatchable()), (std::vector<uint64_t>{1, 3}));
+
+  std::vector<ToCommitEntry> released;
+  EXPECT_FALSE(
+      q.Commit(1, [] { return Status::Internal("disk gone"); }, &released)
+          .ok());
+  EXPECT_TRUE(released.empty());  // tid 2 still waits behind tid 1
+  EXPECT_EQ(q.size(), 3u);
+  EXPECT_TRUE(CommitOk(q, 3).empty());
+  EXPECT_EQ(q.StablePrefix(), 0u);
+  EXPECT_EQ(HoleCounter(registry, "commits"), 1u);
+
+  EXPECT_EQ(Tids(CommitOk(q, 1)), (std::vector<uint64_t>{2}));
+  EXPECT_EQ(q.StablePrefix(), 1u);
+  CommitOk(q, 2);
+  EXPECT_EQ(q.StablePrefix(), 3u);
 }
 
-TEST(HoleTrackerTest, OutOfOrderCommitCreatesHole) {
+TEST(ToCommitQueueTest, NoHolesInOrderCommits) {
   obs::MetricsRegistry registry;
-  HoleTracker holes(true, &registry);
-  holes.NoteValidated(1);
-  holes.NoteValidated(2);
+  ToCommitQueue q(true, &registry);
+  q.Append({.tid = 1, .gid = {1, 1}, .ws = Ws({{"t", 1}})});
+  q.Append({.tid = 2, .gid = {1, 2}, .ws = Ws({{"t", 2}})});
+  EXPECT_EQ(q.StablePrefix(), 0u);
+  CommitOk(q, 1);
+  EXPECT_EQ(q.StablePrefix(), 1u);
+  CommitOk(q, 2);
+  EXPECT_EQ(q.StablePrefix(), 2u);
+  bool started = false;
+  EXPECT_FALSE(q.RunStart([&] { started = true; }));
+  EXPECT_TRUE(started);
+  EXPECT_EQ(HoleCounter(registry, "starts"), 1u);
+  EXPECT_EQ(HoleCounter(registry, "delayed_starts"), 0u);
+}
+
+TEST(ToCommitQueueTest, OutOfOrderCommitCreatesHole) {
+  obs::MetricsRegistry registry;
+  ToCommitQueue q(true, &registry);
+  q.Append({.tid = 1, .gid = {1, 1}, .ws = Ws({{"t", 1}})});
+  q.Append({.tid = 2, .gid = {0, 1}, .local = true, .ws = Ws({{"t", 2}})});
   // tid 2 commits first (local transactions may do that).
-  holes.RecordCommit(2, [] { return 0; });
-  EXPECT_TRUE(holes.HasHoles());
-  EXPECT_EQ(holes.StablePrefix(), 0u);
-  holes.RecordCommit(1, [] { return 0; });
-  EXPECT_FALSE(holes.HasHoles());
-  EXPECT_EQ(holes.StablePrefix(), 2u);
+  CommitOk(q, 2);
+  EXPECT_EQ(q.StablePrefix(), 0u);
+  CommitOk(q, 1);
+  EXPECT_EQ(q.StablePrefix(), 2u);
 }
 
-TEST(HoleTrackerTest, StartWaitsForHoleToClose) {
+TEST(ToCommitQueueTest, StartWaitsForHoleToClose) {
   obs::MetricsRegistry registry;
-  HoleTracker holes(true, &registry);
-  holes.NoteValidated(1);
-  holes.NoteValidated(2);
-  holes.RecordCommit(2, [] { return 0; });  // hole over tid 1
+  ToCommitQueue q(true, &registry);
+  q.Append({.tid = 1, .gid = {1, 1}, .ws = Ws({{"t", 1}})});
+  q.Append({.tid = 2, .gid = {0, 1}, .local = true, .ws = Ws({{"t", 2}})});
+  CommitOk(q, 2);  // hole over tid 1
 
   std::atomic<bool> started{false};
   std::thread starter([&] {
-    holes.RunStart([&] {
-      started.store(true);
-      return 0;
-    });
+    EXPECT_TRUE(q.RunStart([&] { started.store(true); }));
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   EXPECT_FALSE(started.load());  // blocked on the hole
 
-  holes.RecordCommit(1, [] { return 0; });  // closes the hole
+  CommitOk(q, 1);  // closes the hole
   starter.join();
   EXPECT_TRUE(started.load());
   EXPECT_EQ(HoleCounter(registry, "starts"), 1u);
   EXPECT_EQ(HoleCounter(registry, "delayed_starts"), 1u);
 }
 
-TEST(HoleTrackerTest, GateClosesForHoleCreatorsWhileStartsWait) {
+TEST(ToCommitQueueTest, GateClosesForHoleCreatorsWhileStartsWait) {
   obs::MetricsRegistry registry;
-  HoleTracker holes(true, &registry);
-  holes.NoteValidated(1);
-  holes.NoteValidated(2);
-  holes.NoteValidated(3);
-  holes.RecordCommit(2, [] { return 0; });  // hole over tid 1
+  ToCommitQueue q(true, &registry);
+  q.Append({.tid = 1, .gid = {1, 1}, .ws = Ws({{"t", 1}})});
+  q.Append({.tid = 2, .gid = {0, 1}, .local = true, .ws = Ws({{"t", 2}})});
+  // Nobody waits to start, so the local commit releases tid 1, and the
+  // hole over it stays open while tid 1 is applied.
+  EXPECT_EQ(Tids(CommitOk(q, 2)), (std::vector<uint64_t>{1}));
 
-  // Nobody waiting to start: gates open for everyone.
-  EXPECT_TRUE(holes.GateOpen(3, false));
+  std::thread starter([&] { q.RunStart([] {}); });
+  AwaitDelayedStarts(registry, 1);
+
+  // While the start waits, remote tid 3 would open a new hole (tid 1 is
+  // still queued), so the gate holds it back. The deferral is counted
+  // once per entry, not once per scan.
+  q.Append({.tid = 3, .gid = {1, 2}, .ws = Ws({{"t", 3}})});
+  EXPECT_TRUE(q.TakeDispatchable().empty());
+  EXPECT_TRUE(q.TakeDispatchable().empty());
+  EXPECT_EQ(HoleCounter(registry, "delayed_commits"), 1u);
+
+  // Committing tid 1 closes the hole; tid 3 is now the oldest queued tid,
+  // so its commit opens no new hole and the same commit releases it.
+  EXPECT_EQ(Tids(CommitOk(q, 1)), (std::vector<uint64_t>{3}));
+  starter.join();
+}
+
+TEST(ToCommitQueueTest, StartThatWaitedReleasesGatedEntries) {
+  obs::MetricsRegistry registry;
+  ToCommitQueue q(true, &registry);
+  q.Append({.tid = 1, .gid = {1, 1}, .ws = Ws({{"t", 1}})});
+  q.Append({.tid = 2, .gid = {0, 1}, .local = true, .ws = Ws({{"t", 2}})});
+  EXPECT_EQ(Tids(CommitOk(q, 2)), (std::vector<uint64_t>{1}));  // hole
+
+  std::vector<ToCommitEntry> after_start;
+  std::thread starter([&] {
+    EXPECT_TRUE(q.RunStart([] {}));
+    after_start = q.TakeDispatchable();
+  });
+  AwaitDelayedStarts(registry, 1);
+  q.Append({.tid = 3, .gid = {1, 2}, .ws = Ws({{"t", 3}})});
+  q.Append({.tid = 4, .gid = {1, 3}, .ws = Ws({{"t", 4}})});
+  EXPECT_TRUE(q.TakeDispatchable().empty());
+
+  // Tid 1's commit closes the hole but runs while the start still waits:
+  // it releases tid 3 (now the oldest queued) and keeps tid 4 gated.
+  EXPECT_EQ(Tids(CommitOk(q, 1)), (std::vector<uint64_t>{3}));
+  // The start, leaving the wait set, opens the gate for tid 4.
+  starter.join();
+  EXPECT_EQ(Tids(after_start), (std::vector<uint64_t>{4}));
+}
+
+TEST(ToCommitQueueTest, CancelReleasesWaitingStart) {
+  obs::MetricsRegistry registry;
+  ToCommitQueue q(true, &registry);
+  q.Append({.tid = 1, .gid = {1, 1}, .ws = Ws({{"t", 1}})});
+  q.Append({.tid = 2, .gid = {0, 1}, .local = true, .ws = Ws({{"t", 2}})});
+  CommitOk(q, 2);  // hole over tid 1, which will never commit
 
   std::atomic<bool> started{false};
-  std::thread starter([&] {
-    holes.RunStart([&] {
-      started.store(true);
-      return 0;
-    });
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  ASSERT_FALSE(started.load());
-
-  // While the start waits: remote tid 3 would create a new hole (tid 1
-  // outstanding) => gate closed; tid 1 itself creates no new hole =>
-  // gate open; local transactions always pass.
-  EXPECT_FALSE(holes.GateOpen(3, /*is_local=*/false));
-  EXPECT_TRUE(holes.GateOpen(1, /*is_local=*/false));
-  EXPECT_TRUE(holes.GateOpen(3, /*is_local=*/true));
-
-  holes.RecordCommit(1, [] { return 0; });  // closes the hole
+  std::thread starter([&] { q.RunStart([&] { started.store(true); }); });
+  AwaitDelayedStarts(registry, 1);
+  EXPECT_FALSE(started.load());
+  q.Cancel();  // the replica crashed
   starter.join();
   EXPECT_TRUE(started.load());
-  // Start proceeded; gate reopens for tid 3.
-  EXPECT_TRUE(holes.GateOpen(3, false));
+  // Cancelling releases waiters but keeps the uncommitted tid queued.
+  q.WaitUntilEmpty();
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.StablePrefix(), 0u);
 }
 
-TEST(HoleTrackerTest, ChangeListenerFires) {
+TEST(ToCommitQueueTest, DisabledGateNeverBlocksOrGatesButCounts) {
   obs::MetricsRegistry registry;
-  HoleTracker holes(true, &registry);
-  std::atomic<int> changes{0};
-  holes.SetChangeListener([&] { changes.fetch_add(1); });
-  holes.NoteValidated(1);
-  holes.RecordCommit(1, [] { return 0; });
-  EXPECT_GE(changes.load(), 1);
-  holes.NoteValidated(2);
-  holes.Discard(2);
-  EXPECT_GE(changes.load(), 2);
-}
-
-TEST(HoleTrackerTest, DisabledModeNeverBlocksOrGatesButCounts) {
-  obs::MetricsRegistry registry;
-  HoleTracker holes(/*enabled=*/false, &registry);  // SRCA-Opt
-  holes.NoteValidated(1);
-  holes.NoteValidated(2);
-  holes.RecordCommit(2, [] { return 0; });
-  EXPECT_TRUE(holes.HasHoles());
-  // Gate is always open in SRCA-Opt.
-  EXPECT_TRUE(holes.GateOpen(3, false));
+  ToCommitQueue q(/*gate_enabled=*/false, &registry);  // SRCA-Opt
+  q.Append({.tid = 1, .gid = {1, 1}, .ws = Ws({{"t", 1}})});
+  q.Append({.tid = 2, .gid = {0, 1}, .local = true, .ws = Ws({{"t", 2}})});
+  EXPECT_EQ(Tids(CommitOk(q, 2)), (std::vector<uint64_t>{1}));  // hole
   // Start proceeds immediately despite the hole, but the statistic
   // records that a hole was present.
-  std::atomic<bool> started{false};
-  holes.RunStart([&] {
-    started.store(true);
-    return 0;
-  });
-  EXPECT_TRUE(started.load());
+  bool started = false;
+  EXPECT_FALSE(q.RunStart([&] { started = true; }));
+  EXPECT_TRUE(started);
   EXPECT_EQ(HoleCounter(registry, "delayed_starts"), 1u);
-}
-
-TEST(HoleTrackerTest, DiscardUnblocks) {
-  obs::MetricsRegistry registry;
-  HoleTracker holes(true, &registry);
-  holes.NoteValidated(1);
-  holes.NoteValidated(2);
-  holes.RecordCommit(2, [] { return 0; });
-  std::atomic<bool> started{false};
-  std::thread starter([&] {
-    holes.RunStart([&] {
-      started.store(true);
-      return 0;
-    });
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(started.load());
-  holes.Discard(1);  // e.g. replica shutting down
-  starter.join();
-  EXPECT_TRUE(started.load());
-}
-
-TEST(HoleTrackerTest, DeferredCommitStatistic) {
-  obs::MetricsRegistry registry;
-  HoleTracker holes(true, &registry);
-  holes.CountDeferredCommits(2);
-  EXPECT_EQ(HoleCounter(registry, "delayed_commits"), 2u);
+  // No start ever waits, so the hole-opening tid 3 is dispatched too.
+  q.Append({.tid = 3, .gid = {1, 2}, .ws = Ws({{"t", 3}})});
+  EXPECT_EQ(Tids(q.TakeDispatchable()), (std::vector<uint64_t>{3}));
+  EXPECT_EQ(HoleCounter(registry, "delayed_commits"), 0u);
 }
 
 // ---- TableLockManager ----

@@ -486,7 +486,9 @@ TEST(FlightRecorderTest, WraparoundUnderConcurrentWriters) {
   uint64_t prev_seq = 0;
   bool first = true;
   for (const auto& e : events) {
-    if (!first) EXPECT_GT(e.seq, prev_seq);  // oldest first, strictly
+    if (!first) {
+      EXPECT_GT(e.seq, prev_seq);  // oldest first, strictly
+    }
     prev_seq = e.seq;
     first = false;
     // Field consistency proves the slot was not torn.

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <vector>
 
 #include "cluster/cluster.h"
 #include "common/failpoint.h"
@@ -20,8 +21,8 @@ using cluster::Cluster;
 using cluster::ClusterOptions;
 using sql::Value;
 
-std::unique_ptr<Cluster> MakeCluster(size_t n) {
-  ClusterOptions options = test::VariantOptions();
+std::unique_ptr<Cluster> MakeCluster(
+    size_t n, ClusterOptions options = test::VariantOptions()) {
   options.num_replicas = n;
   auto cluster = std::make_unique<Cluster>(options);
   EXPECT_TRUE(cluster->Start().ok());
@@ -467,6 +468,72 @@ TEST(RecoveryTest, FullCopyFromLaggingDonorKeepsEveryCommit) {
   EXPECT_EQ(ReadAt(*cluster, 1, 5), 4242);
   EXPECT_EQ(ReadAt(*cluster, 2, 5), 4242);
   ExpectConverged(*cluster, 1, 2);
+}
+
+// A crashed incarnation's stable prefix must never cover a validated
+// writeset it did not commit, or its restart skips that writeset. Replica
+// 2's only applier blocks on a row its own open transaction holds, a
+// second remote writeset waits behind it in the pipeline, and a local
+// commit lands after both. Once the crash releases the blocked apply, the
+// queued writeset never runs at the dead incarnation.
+TEST(RecoveryTest, CrashedApplierNeverAdvancesStablePrefix) {
+  ClusterOptions options = test::VariantOptions();
+  options.replica.applier_threads = 1;
+  auto cluster = MakeCluster(3, options);
+  auto* victim = cluster->replica(2);
+  auto blocker = std::move(victim->BeginTxn()).value();
+  ASSERT_TRUE(
+      victim->Execute(blocker, "UPDATE kv SET v = -1 WHERE k = 5").ok());
+  ASSERT_TRUE(CommitUpdate(*cluster, 0, 5, 55).ok());  // tid 1: blocks
+  ASSERT_TRUE(CommitUpdate(*cluster, 0, 6, 66).ok());  // tid 2: waits
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (victim->PendingQueueSize() != 2) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(CommitUpdate(*cluster, 2, 7, 77).ok());  // tid 3, out of order
+
+  cluster->CrashReplica(2);
+  ASSERT_TRUE(victim->RollbackTxn(blocker).ok());  // tid 1's apply resumes
+  const auto watch_until =
+      std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  while (std::chrono::steady_clock::now() < watch_until) {
+    ASSERT_LT(victim->StableCommitPrefix(), 2u);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  ASSERT_TRUE(cluster->RestartReplica(2).ok());
+  cluster->Quiesce();
+  for (int64_t k : {5, 6, 7}) {
+    EXPECT_EQ(ReadAt(*cluster, 2, k), ReadAt(*cluster, 0, k)) << "key " << k;
+  }
+  EXPECT_EQ(ReadAt(*cluster, 0, 6), 66);
+}
+
+// A validated writeset a replica cannot apply makes it crash (fail-stop)
+// instead of skipping the writeset and serving a diverged copy; the
+// restarted incarnation recovers the writeset from a donor.
+TEST(RecoveryTest, UnretryableApplyFailureCrashesReplica) {
+  auto cluster = MakeCluster(3);
+  {
+    // Fires at whichever of replicas 1 and 2 applies first.
+    failpoint::ScopedFailpoint fp("mw.apply", "error(internal)*1");
+    ASSERT_TRUE(CommitUpdate(*cluster, 0, 5, 55).ok());
+    ASSERT_TRUE(CommitUpdate(*cluster, 0, 6, 66).ok());
+    cluster->Quiesce();
+  }
+  std::vector<size_t> crashed;
+  for (size_t r = 0; r < 3; ++r) {
+    if (!cluster->replica(r)->IsAlive()) crashed.push_back(r);
+  }
+  ASSERT_EQ(crashed.size(), 1u);
+  ASSERT_TRUE(cluster->RestartReplica(crashed[0]).ok());
+  cluster->Quiesce();
+  for (size_t r = 0; r < 3; ++r) {
+    EXPECT_EQ(ReadAt(*cluster, r, 5), 55) << "replica " << r;
+    EXPECT_EQ(ReadAt(*cluster, r, 6), 66) << "replica " << r;
+  }
 }
 
 TEST(RecoveryTest, BoundedBufferSpillsAndReanchors) {
