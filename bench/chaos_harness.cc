@@ -18,7 +18,7 @@
 //                 [--duration-ms=N] [--transport=inproc|tcp]
 //                 [--failpoints=SPEC_LIST] [--join-under-load]
 //                 [--partitions=N] [--rf=N] [--apply-threads=N]
-//                 [--recovery-chunk-rows=N] [--recovery-buffer-hwm=N]
+//                 [--recovery-buffer-hwm=N]
 
 #include <algorithm>
 #include <atomic>
@@ -51,11 +51,11 @@ struct HarnessOptions {
   int duration_ms = 250;   // traffic window per round
   gcs::TransportKind transport = gcs::TransportKind::kInProcess;
   // Replica configuration (ReplicaOptions defaults unless overridden):
-  // remote-apply pipeline width, state-transfer chunk size, and the
-  // recovery buffer's high-water mark.
+  // remote-apply pipeline width and the recovery buffer's high-water
+  // mark.
   middleware::ReplicaOptions replica;
   // Grow the cluster by one fresh replica mid-traffic (AddReplica with
-  // an empty schema): the joiner must complete a chunked state transfer
+  // an empty schema): the joiner must complete a state transfer
   // under live load and then satisfy the same invariants as everyone.
   bool join_under_load = false;
   // Partial replication (cluster::PartitionMap): 0/0 = full
@@ -109,9 +109,6 @@ bool ParseOptions(int argc, char** argv, HarnessOptions* opt) {
       opt->rf = std::strtoull(v.c_str(), nullptr, 10);
     } else if (ParseFlag(argv[i], "--apply-threads", &v)) {
       opt->replica.applier_threads = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (ParseFlag(argv[i], "--recovery-chunk-rows", &v)) {
-      opt->replica.recovery_chunk_rows =
-          std::strtoull(v.c_str(), nullptr, 10);
     } else if (ParseFlag(argv[i], "--recovery-buffer-hwm", &v)) {
       opt->replica.recovery_buffer_high_water =
           std::strtoull(v.c_str(), nullptr, 10);
@@ -496,8 +493,8 @@ int Run(const HarnessOptions& opt) {
       }
     });
     if (opt.join_under_load && round == 0) {
-      // Grow the cluster mid-traffic: the joiner full-copies the kv
-      // table in chunks while the drivers keep committing against it.
+      // Grow the cluster mid-traffic: the joiner catches up from a donor
+      // while the drivers keep committing against it.
       joiner = std::thread([&] {
         std::this_thread::sleep_for(window / 4);
         for (int attempt = 0; attempt < 5; ++attempt) {
@@ -598,7 +595,7 @@ int main(int argc, char** argv) {
                  "[--duration-ms=N] [--transport=inproc|tcp] "
                  "[--failpoints=LIST] [--join-under-load] "
                  "[--partitions=N] [--rf=N] [--apply-threads=N] "
-                 "[--recovery-chunk-rows=N] [--recovery-buffer-hwm=N]\n",
+                 "[--recovery-buffer-hwm=N]\n",
                  argv[0]);
     return 2;
   }

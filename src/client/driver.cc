@@ -51,10 +51,11 @@ Connection::Connection(ReplicaDirectory* directory, ConnectionOptions options)
       prng_(options.seed),
       autocommit_(options.autocommit) {}
 
-Connection::~Connection() {
-  if (txn_.valid() && replica_ != nullptr && replica_->IsAlive()) {
-    replica_->RollbackTxn(txn_);
-  }
+Connection::~Connection() { AbandonTxn(); }
+
+void Connection::AbandonTxn() {
+  if (txn_.valid() && replica_ != nullptr) replica_->RollbackTxn(txn_);
+  txn_ = {};
 }
 
 Status Connection::ConnectToReplica(
@@ -133,7 +134,7 @@ Status Connection::FailOver() {
 Status Connection::EnsureTxn() {
   if (replica_ == nullptr || !replica_->IsAlive()) {
     const bool had_txn = txn_.valid();
-    txn_ = {};
+    AbandonTxn();
     SIREP_RETURN_IF_ERROR(FailOver());
     if (had_txn) {
       // Paper §5.4 case 2: the transaction existed only at the crashed
@@ -186,7 +187,7 @@ Result<engine::QueryResult> Connection::Execute(
       !had_txn_before) {
     // The replica crashed under a brand-new transaction that has not
     // executed anything yet: retry transparently elsewhere (case 1).
-    txn_ = {};
+    AbandonTxn();
     st = EnsureTxn();
     if (st.ok()) result = replica_->Execute(txn_, sql, params);
   }
@@ -195,7 +196,7 @@ Result<engine::QueryResult> Connection::Execute(
     if (result.status().code() == StatusCode::kUnavailable) {
       // Crash mid-transaction: the transaction is lost (case 2). Keep the
       // connection usable by failing over now.
-      txn_ = {};
+      AbandonTxn();
       Status reconnect = FailOver();
       if (!reconnect.ok()) return reconnect;
       return Status::TransactionLost(
@@ -247,10 +248,14 @@ Status Connection::CommitInternal() {
         "transient multicast failure during commit; transaction aborted");
   }
 
-  // Crash during commit (paper §5.4 case 3): resolve the in-doubt
-  // transaction at the other replicas of the group, using the global
-  // transaction id. Only the group's replicas ever see its writesets;
-  // ask each until one can tell.
+  // Crash during commit (paper §5.4 case 3): every crash exit of
+  // CommitTxn comes before the local commit, so roll the transaction
+  // back at the crashed replica, as its database's restart would; until
+  // then it holds its row locks. Then resolve the in-doubt transaction
+  // at the other replicas of the group, using the global transaction
+  // id. Only the group's replicas ever see its writesets; ask each
+  // until one can tell.
+  replica_->RollbackTxn(txn);
   const gcs::MemberId crashed = replica_->member_id();
   std::vector<gcs::MemberId> asked = {crashed};
   SrcaRepReplica* undecided = nullptr;  // last replica that could not tell
@@ -287,11 +292,8 @@ Status Connection::CommitInternal() {
 }
 
 Status Connection::Rollback() {
-  if (!txn_.valid()) return Status::OK();
-  middleware::SrcaRepReplica::TxnHandle txn = txn_;
-  txn_ = {};
-  if (replica_ == nullptr || !replica_->IsAlive()) return Status::OK();
-  return replica_->RollbackTxn(txn);
+  AbandonTxn();
+  return Status::OK();
 }
 
 Status Connection::EnsureConnected() {

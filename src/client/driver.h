@@ -116,6 +116,11 @@ class Connection {
   /// Ensures a transaction is open (JDBC implicit begin).
   Status EnsureTxn();
 
+  /// Rolls back and forgets the open transaction, also at a crashed
+  /// replica: its database keeps an open transaction's row locks until
+  /// it restarts, and a statement waiting on one would block until then.
+  void AbandonTxn();
+
   /// Commit with in-doubt resolution on crash.
   Status CommitInternal();
 

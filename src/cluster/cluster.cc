@@ -214,9 +214,7 @@ Status Cluster::RestartReplica(size_t index) {
       seed->Crash();
       return started;
     }
-    std::unique_lock<std::shared_mutex> lock(replicas_mu_);
-    retired_.push_back(std::move(replicas_[index]));
-    replicas_[index] = std::move(seed);
+    Replace(index, std::move(seed));
     return Status::OK();
   }
   if (!any_alive) {
@@ -229,14 +227,24 @@ Status Cluster::RestartReplica(size_t index) {
   auto incarnation =
       RecoverIncarnation(nodes_[index]->db(), from_tid, index);
   if (!incarnation.ok()) return incarnation.status();
+  Replace(index, std::move(incarnation.value()));
+  return Status::OK();
+}
+
+void Cluster::Replace(size_t index,
+                      std::unique_ptr<middleware::SrcaRepReplica> next) {
+  middleware::SrcaRepReplica* old = nullptr;
   {
     // Park (don't destroy) the dead incarnation: clients may still hold
     // raw pointers to it mid-failover.
     std::unique_lock<std::shared_mutex> lock(replicas_mu_);
+    old = replicas_[index].get();
     retired_.push_back(std::move(replicas_[index]));
-    replicas_[index] = std::move(incarnation.value());
+    replicas_[index] = std::move(next);
   }
-  return Status::OK();
+  // Its applier threads exit now instead of idling until the cluster
+  // dies (outside replicas_mu_: the join may wait for an apply).
+  old->Shutdown();
 }
 
 Result<size_t> Cluster::AddReplica(

@@ -185,6 +185,11 @@ class Cluster : public client::ReplicaDirectory {
   Result<std::unique_ptr<middleware::SrcaRepReplica>> RecoverIncarnation(
       engine::Database* db, uint64_t from_tid, size_t slot);
 
+  /// Puts `next` in slot `index` and parks the dead incarnation it
+  /// replaces in retired_, shut down so its threads exit.
+  void Replace(size_t index,
+               std::unique_ptr<middleware::SrcaRepReplica> next);
+
   /// Holder group of replica slot `index` (0 under full replication).
   size_t GroupOf(size_t index) const {
     return partition_map_ != nullptr ? partition_map_->GroupOfSlot(index)
@@ -203,8 +208,9 @@ class Cluster : public client::ReplicaDirectory {
   mutable std::shared_mutex replicas_mu_;
   std::vector<std::unique_ptr<ReplicaNode>> nodes_;
   std::vector<std::unique_ptr<middleware::SrcaRepReplica>> replicas_;
-  /// Dead middleware incarnations, parked so raw SrcaRepReplica*
-  /// handles held by clients stay valid until the cluster dies.
+  /// Dead middleware incarnations, shut down and parked so raw
+  /// SrcaRepReplica* handles held by clients stay valid until the
+  /// cluster dies.
   std::vector<std::unique_ptr<middleware::SrcaRepReplica>> retired_;
   /// Per-replica exposition servers (StartMetricsEndpoints). Handlers
   /// resolve the replica by index through replica(), so they survive

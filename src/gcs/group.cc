@@ -40,7 +40,6 @@ class Group::MemberSink : public FrameSink {
       message.type = frame.entry.type;
       message.payload = frame.entry.payload;
       message.enqueue_ns = frame.entry.enqueue_ns;
-      message.trace = frame.entry.trace;
     } else {
       WireFrame wire;
       const Status status = DecodeWireFrame(frame.encoded, &wire);
@@ -54,7 +53,6 @@ class Group::MemberSink : public FrameSink {
       if (message.payload == nullptr) return;  // already logged
       message.type = std::move(wire.type);
       message.enqueue_ns = wire.enqueue_ns;
-      message.trace = wire.trace;
     }
     group_->h_multicast_us_->Observe(
         obs::NanosToUs(obs::MonotonicNanos() - message.enqueue_ns));
@@ -111,8 +109,7 @@ bool Group::IsAlive(MemberId member) const {
 }
 
 Status Group::Multicast(MemberId sender, std::string type,
-                        std::shared_ptr<const void> payload,
-                        obs::TraceContext trace) {
+                        std::shared_ptr<const void> payload) {
   if (shutdown_.load(std::memory_order_acquire)) {
     return Status::Unavailable("group is shut down");
   }
@@ -125,7 +122,6 @@ Status Group::Multicast(MemberId sender, std::string type,
   frame.entry.type = std::move(type);
   frame.entry.payload = std::move(payload);
   frame.entry.enqueue_ns = obs::MonotonicNanos();
-  frame.entry.trace = trace;
   if (transport_->needs_encoding()) EncodeFrame(&frame);
   const Status status = transport_->Multicast(std::move(frame));
   if (status.ok()) c_frames_->Increment();
@@ -158,7 +154,6 @@ void Group::EncodeFrame(Frame* frame) {
   }
   wire.type = std::move(entry.type);
   wire.enqueue_ns = entry.enqueue_ns;
-  wire.trace = entry.trace;
   EncodeWireFrame(wire, &frame->encoded);
 }
 

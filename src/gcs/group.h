@@ -30,9 +30,6 @@ struct Message {
   /// Sender's MonotonicNanos() at Multicast() time (latency accounting;
   /// meaningful only where sender and receiver share a clock).
   uint64_t enqueue_ns = 0;
-  /// Originating transaction's distributed trace context, propagated by
-  /// both transports (empty trace_id when the sender did not trace).
-  obs::TraceContext trace;
 
   template <typename T>
   const T* As() const {
@@ -130,8 +127,7 @@ class Group {
   /// inside a callback, the call runs the sender's own callback for this
   /// message before it returns.
   Status Multicast(MemberId sender, std::string type,
-                   std::shared_ptr<const void> payload,
-                   obs::TraceContext trace = {});
+                   std::shared_ptr<const void> payload);
 
   /// Registers the wire codec for a payload type (idempotent; later
   /// registrations win). Byte-shipping transports use it to serialize

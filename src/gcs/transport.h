@@ -9,7 +9,6 @@
 
 #include "common/status.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace sirep::gcs {
 
@@ -42,12 +41,6 @@ struct FrameEntry {
   std::shared_ptr<const void> payload;
   /// MonotonicNanos at Multicast() time, for end-to-end latency metrics.
   uint64_t enqueue_ns = 0;
-  /// Distributed trace context of the originating transaction (empty
-  /// when the sender did not trace). Carried verbatim by every
-  /// transport — in the pointer representation here, in the encoded
-  /// wire entry otherwise — so remote replicas can record their spans
-  /// under the origin's trace id.
-  obs::TraceContext trace;
 };
 
 /// A multicast unit: one message, occupying one slot of the total

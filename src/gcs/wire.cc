@@ -12,10 +12,6 @@ void EncodeWireFrame(const WireFrame& frame, std::string* out) {
   sql::EncodeString(frame.type, out);
   sql::EncodeU64(frame.stash_id, out);
   sql::EncodeU64(frame.enqueue_ns, out);
-  sql::EncodeU64(frame.trace.trace_id, out);
-  sql::EncodeU32(frame.trace.origin_replica, out);
-  sql::EncodeU64(frame.trace.origin_mono_ns, out);
-  sql::EncodeU64(frame.trace.origin_wall_ns, out);
   sql::EncodeString(frame.payload, out);
 }
 
@@ -41,10 +37,6 @@ Status DecodeWireFrame(const std::string& in, WireFrame* out) {
   SIREP_RETURN_IF_ERROR(sql::DecodeString(in, &pos, &out->type));
   SIREP_RETURN_IF_ERROR(sql::DecodeU64(in, &pos, &out->stash_id));
   SIREP_RETURN_IF_ERROR(sql::DecodeU64(in, &pos, &out->enqueue_ns));
-  SIREP_RETURN_IF_ERROR(sql::DecodeU64(in, &pos, &out->trace.trace_id));
-  SIREP_RETURN_IF_ERROR(sql::DecodeU32(in, &pos, &out->trace.origin_replica));
-  SIREP_RETURN_IF_ERROR(sql::DecodeU64(in, &pos, &out->trace.origin_mono_ns));
-  SIREP_RETURN_IF_ERROR(sql::DecodeU64(in, &pos, &out->trace.origin_wall_ns));
   SIREP_RETURN_IF_ERROR(sql::DecodeString(in, &pos, &out->payload));
   if (pos != in.size()) {
     return Status::InvalidArgument("trailing bytes after frame");

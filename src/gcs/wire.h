@@ -6,7 +6,6 @@
 
 #include "common/status.h"
 #include "gcs/transport.h"
-#include "obs/trace.h"
 
 namespace sirep::gcs {
 
@@ -23,10 +22,6 @@ namespace sirep::gcs {
 ///                      lives in the sender process' stash (types
 ///                      without a registered wire codec)
 ///   u64     enqueue_ns Multicast() timestamp (latency accounting)
-///   u64     trace_id        0 = no context
-///   u32     trace_origin    originating replica's MemberId
-///   u64     trace_mono_ns   origin MonotonicNanos() at multicast
-///   u64     trace_wall_ns   origin wall clock at multicast
 ///   string  payload    codec-encoded message body (empty if stashed)
 ///
 /// Every member runs the same binary, so there is one version: decoders
@@ -36,14 +31,13 @@ namespace sirep::gcs {
 /// bounds.
 
 constexpr uint32_t kWireMagic = 0x57524953;  // "SIRW"
-constexpr uint8_t kWireVersion = 4;
+constexpr uint8_t kWireVersion = 5;
 
 struct WireFrame {
   MemberId sender = kInvalidMember;
   std::string type;
   uint64_t stash_id = 0;
   uint64_t enqueue_ns = 0;
-  obs::TraceContext trace;
   std::string payload;
 };
 

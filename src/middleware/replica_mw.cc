@@ -13,14 +13,11 @@ namespace sirep::middleware {
 namespace {
 
 /// Floors the size knobs at 1, so options() reports what actually runs:
-/// a zero-width pipeline has no worker, a zero-row chunk never advances
-/// the stream, a zero high-water mark spills on every delivery, and a
-/// log keeps at least the latest writeset.
+/// a zero-width pipeline has no worker, a zero high-water mark spills on
+/// every delivery, and a log keeps at least the latest writeset.
 ReplicaOptions WithFloors(ReplicaOptions options) {
   options.ws_log_capacity = std::max<size_t>(options.ws_log_capacity, 1);
   options.applier_threads = std::max<size_t>(options.applier_threads, 1);
-  options.recovery_chunk_rows =
-      std::max<size_t>(options.recovery_chunk_rows, 1);
   options.recovery_buffer_high_water =
       std::max<size_t>(options.recovery_buffer_high_water, 1);
   return options;
@@ -245,13 +242,14 @@ Status SrcaRepReplica::CommitTxn(const TxnHandle& txn, bool* had_writes) {
 
   // I.2.c: read-only (or write-free) transactions commit right away —
   // under SI they never conflict and other replicas need not hear of them.
+  // The client gets a definite answer, and in-doubt inquiries only ask
+  // about writesets that entered the total order, so no outcome is kept
+  // (likewise for the aborts below).
   if (ws->empty()) {
     trace.Begin(obs::Stage::kCommit);
     Status st = db_->Commit(txn.db_txn);
     trace.End(obs::Stage::kCommit);
     if (st.ok()) {
-      RecordOutcome(txn.gid, /*committed=*/true);
-      MarkLocallyCommitted(txn.gid);
       c_committed_->Increment();
       c_empty_ws_commits_->Increment();
       trace.Flush(stage_hists_);
@@ -269,7 +267,6 @@ Status SrcaRepReplica::CommitTxn(const TxnHandle& txn, bool* had_writes) {
   if (pmap != nullptr && pmap->partial()) {
     if (!pmap->HoldsAll(options_.partition_slot, pmap->MaskOf(*ws))) {
       db_->Abort(txn.db_txn);
-      RecordOutcome(txn.gid, /*committed=*/false);
       c_partial_misroutes_->Increment();
       flight_.Record(obs::FlightEventType::kValidation, member_id(),
                      txn.gid.seq, txn.gid.replica, "misroute: not a holder");
@@ -292,7 +289,6 @@ Status SrcaRepReplica::CommitTxn(const TxnHandle& txn, bool* had_writes) {
     std::lock_guard<std::mutex> lock(wsmutex_);
     if (tocommit_queue_.ConflictsWithRemote(*ws)) {
       db_->Abort(txn.db_txn);
-      RecordOutcome(txn.gid, /*committed=*/false);
       c_local_val_aborts_->Increment();
       flight_.Record(obs::FlightEventType::kValidation, member_id(),
                      txn.gid.seq, txn.gid.replica, "local: remote in queue");
@@ -321,9 +317,10 @@ Status SrcaRepReplica::CommitTxn(const TxnHandle& txn, bool* had_writes) {
   // ProcessWriteSet at the message's arrival here — on this very thread
   // when the in-process GCS lets it deliver its own writeset inside
   // Multicast(), which it does when this replica is alone in its group.
-  // The TraceContext rides both the frame and the payload so every
-  // replica records its spans under this transaction's trace id and can
-  // measure delivery skew / staleness against the origin's clocks.
+  // The TraceContext rides in the payload (its codec carries it over the
+  // wire), so every replica records its spans under this transaction's
+  // trace id and can measure delivery skew / staleness against the
+  // origin's clocks.
   obs::TraceContext ctx;
   ctx.trace_id =
       (static_cast<uint64_t>(txn.gid.replica) + 1) << 40 | txn.gid.seq;
@@ -334,8 +331,7 @@ Status SrcaRepReplica::CommitTxn(const TxnHandle& txn, bool* had_writes) {
   trace.Begin(obs::Stage::kMulticast);
   auto payload = std::make_shared<const WriteSetMessage>(
       WriteSetMessage{txn.gid, cert, ws, ctx});
-  Status mc =
-      group_->Multicast(member_id(), kWriteSetMessageType, payload, ctx);
+  Status mc = group_->Multicast(member_id(), kWriteSetMessageType, payload);
   if (!mc.ok()) {
     {
       std::lock_guard<std::mutex> plock(pending_mu_);
@@ -482,7 +478,7 @@ void SrcaRepReplica::ProcessWriteSet(const gcs::Message& message) {
     const int64_t offset = std::min(prev, delta);
     g_clock_offset_ns_->Set(offset);
     rtrace = std::make_shared<obs::TxnTrace>();
-    rtrace->SetId(ctx.ToString());
+    if (SIREP_LOG_ENABLED(LogLevel::kDebug)) rtrace->SetId(ctx.ToString());
     rtrace->SetContext(ctx);
     // Zero for the delivery that set the offset bound itself: every
     // remote delivery contributes a sample so the histogram's count
@@ -874,10 +870,8 @@ void SrcaRepReplica::Shutdown() {
     std::lock_guard<std::mutex> lock(outcomes_mu_);
     outcomes_cv_.notify_all();
   }
-  // Release a Recover() caller waiting on the fence, then collect any
-  // donor streamer threads (they observe shutdown_ within one wait
-  // slice).
-  state_transfer_.Stop();
+  // Release a Recover() caller waiting on the fence.
+  state_transfer_.Interrupt();
 }
 
 SrcaRepReplica::Health SrcaRepReplica::GetHealth() const {

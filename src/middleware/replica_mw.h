@@ -153,8 +153,8 @@ class SrcaRepReplica final : public gcs::GroupListener,
 
   /// One attempt to catch this replica up online while the rest of the
   /// cluster keeps committing (StateTransfer::Recover: marker in total
-  /// order, chunked stream from one donor, drain of the messages
-  /// buffered past the marker). A donor fault or a buffer spill fails
+  /// order, a copy of one donor's marker state made on the calling
+  /// thread, drain of the messages buffered past the marker). A donor fault or a buffer spill fails
   /// the attempt with a retryable status (kUnavailable / kTimedOut) —
   /// never a hang — and callers back off and re-enter; every attempt
   /// starts over from `from_tid`: the stable commit prefix of a
@@ -370,8 +370,8 @@ class SrcaRepReplica final : public gcs::GroupListener,
   std::atomic<int64_t> clock_offset_ns_{
       std::numeric_limits<int64_t>::max()};
 
-  /// Online recovery: the delivery buffer and fence, donor streamers,
-  /// and the "mw.recovery.*" instruments.
+  /// Online recovery: the delivery buffer and fence, the donor's answer
+  /// to a marker, and the "mw.recovery.*" instruments.
   StateTransfer state_transfer_;
 };
 

@@ -48,9 +48,6 @@ struct ReplicaOptions {
   /// performs them), so the hidden-deadlock freedom of Adjustment 2 does
   /// not depend on this width.
   size_t applier_threads = 8;
-  /// Rows (or log entries) per recovery chunk — the streaming unit of
-  /// state transfer (0 is treated as 1).
-  size_t recovery_chunk_rows = 512;
   /// Buffered post-marker deliveries above this high-water mark trigger
   /// backpressure: the buffer is dropped and the transfer attempt ends,
   /// so the next one anchors at a fresh marker, instead of growing

@@ -1,81 +1,67 @@
 #include "middleware/state_transfer.h"
 
-#include <algorithm>
-#include <chrono>
+#include <set>
 
 #include "common/failpoint.h"
 #include "common/logging.h"
-#include "common/thread_name.h"
 
 namespace sirep::middleware {
 
 namespace {
 
-/// Donor silence longer than this counts as a donor fault: the attempt
-/// ends, and the next one asks the next donor. A transfer that keeps
-/// sending is never cut off, however large.
-constexpr std::chrono::milliseconds kRecoveryChunkTimeout{2000};
+/// Silence of a live donor longer than this, before its plan arrives,
+/// counts as a donor fault: the attempt ends, and the next one asks the
+/// next donor.
+constexpr std::chrono::milliseconds kRecoveryPlanTimeout{2000};
 
-/// Bound on the wait for our own marker after the final chunk. Our
-/// delivery thread drops every pre-marker message while recovering, so
-/// the marker normally follows the donor's delivery of it closely.
+/// How often the wait for a plan checks that the donor is still in the
+/// view: a donor that crashes before its marker never answers.
+constexpr std::chrono::milliseconds kDonorPollInterval{25};
+
+/// Bound on the wait for our own marker after the copy. Our delivery
+/// thread drops every pre-marker message while recovering, so the
+/// marker normally follows the donor's delivery of it closely.
 constexpr std::chrono::milliseconds kRecoveryMarkerTimeout{10000};
+
+Status Stopped() {
+  return Status::Unavailable("replica crashed or shut down");
+}
 
 }  // namespace
 
-/// Bounded chunk queue between the donor's streamer thread and the
-/// recoverer. Like the request it rides the in-process stash, so it
-/// works on every transport (all replicas share the process).
-struct StateTransfer::Channel {
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<RecoveryChunk> chunks;
-  size_t capacity = 4;     ///< producer backpressure bound
-  bool closed = false;     ///< donor finished, refused, or died
-  bool abandoned = false;  ///< recoverer moved on; streamer must quit
+void PlanHandoff::Post(Result<DonorPlan> plan) {
+  std::lock_guard<std::mutex> lock(mu_);
+  // Once the recoverer gave up, `plan` dies with this call, which
+  // releases its snapshot.
+  if (abandoned_) return;
+  plan_.emplace(std::move(plan));
+  cv_.notify_all();
+}
 
-  void Close() {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      closed = true;
-    }
-    cv.notify_all();
-  }
+std::optional<Result<DonorPlan>> PlanHandoff::Take(
+    std::chrono::milliseconds timeout) {
+  std::unique_lock<std::mutex> lock(mu_);
+  cv_.wait_for(lock, timeout, [&] { return plan_.has_value(); });
+  std::optional<Result<DonorPlan>> taken = std::move(plan_);
+  plan_.reset();
+  return taken;
+}
 
-  /// Reports `status` to the recoverer and closes the stream. The error
-  /// chunk bypasses the capacity bound (at most one extra entry) so a
-  /// failure is always reported.
-  void Fail(Status status) {
-    RecoveryChunk chunk;
-    chunk.status = std::move(status);
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      chunks.push_back(std::move(chunk));
-      closed = true;
-    }
-    cv.notify_all();
-  }
-};
+void PlanHandoff::Abandon() {
+  std::lock_guard<std::mutex> lock(mu_);
+  abandoned_ = true;
+  plan_.reset();  // a plan posted but never taken
+}
 
-/// The recovery marker's payload.
+/// The recovery marker's payload. Like every payload without a codec it
+/// rides the group's in-process stash, so the hand-off works on every
+/// transport (all replicas share the process).
 struct StateTransfer::Request {
   gcs::MemberId requester = gcs::kInvalidMember;
   gcs::MemberId donor = gcs::kInvalidMember;
   uint64_t from_tid = 0;
   uint64_t transfer_id = 0;
-  std::shared_ptr<Channel> channel;
-};
-
-/// Donor-side donation plan, read at the marker; a streamer thread
-/// materializes it into chunks off the delivery thread (the dump
-/// transaction pins the marker-consistent MVCC snapshot, so lazy table
-/// scans still observe marker state).
-struct StateTransfer::DonorPlan {
-  TransferMeta meta;
-  std::vector<WsLogEntry> log_suffix;
-  std::vector<std::string> tables;  ///< tables to dump (full copy)
-  storage::TransactionPtr dump_txn;
-  std::shared_ptr<Channel> channel;
+  std::shared_ptr<PlanHandoff> handoff;
 };
 
 StateTransfer::StateTransfer(StateTransferHost* host, gcs::Group* group,
@@ -84,26 +70,23 @@ StateTransfer::StateTransfer(StateTransferHost* host, gcs::Group* group,
                              obs::FlightRecorder* flight)
     : host_(host),
       group_(group),
-      options_(options),
       flight_(flight),
       live_(!options.start_recovering),
       buffer_hwm_(options.recovery_buffer_high_water),
-      c_chunks_sent_(registry->GetCounter("mw.recovery.chunks_sent")),
-      c_bytes_sent_(registry->GetCounter("mw.recovery.bytes_sent")),
-      c_chunks_received_(registry->GetCounter("mw.recovery.chunks_received")),
-      c_bytes_received_(registry->GetCounter("mw.recovery.bytes_received")),
+      c_batches_applied_(registry->GetCounter("mw.recovery.chunks_received")),
       c_retries_(registry->GetCounter("mw.recovery.retries")),
       c_donor_switches_(registry->GetCounter("mw.recovery.donor_switches")),
       c_buffer_spills_(registry->GetCounter("mw.recovery.buffer_spills")),
       g_buffered_msgs_(registry->GetGauge("mw.recovery.buffered_msgs")) {}
 
-StateTransfer::~StateTransfer() { Stop(); }
-
 bool StateTransfer::Buffer(const gcs::Message& message) {
+  // live_ turns true once, under buffer_mu_, after the drain: a delivery
+  // that reads it true comes after every buffered message.
+  if (live_.load(std::memory_order_acquire)) return false;
   std::lock_guard<std::mutex> lock(buffer_mu_);
   if (live_.load(std::memory_order_relaxed)) return false;
-  // Before our own recovery marker the donor's stream covers the
-  // message; after it, we replay it ourselves once caught up.
+  // Before our own recovery marker the donor's plan covers the message;
+  // after it, we replay it ourselves once caught up.
   if (!fence_seen_) return true;
   buffered_.push_back(message);
   const size_t depth = buffered_.size();
@@ -138,7 +121,7 @@ void StateTransfer::OnMarker(const gcs::Message& message) {
   const auto* req = message.As<Request>();
   if (req->requester == host_->member_id()) {
     // Our own marker: everything delivered from here on is ours to
-    // replay; everything before is covered by the donor's stream. Only
+    // replay; everything before is covered by the donor's plan. Only
     // the current attempt's marker arms the fence — a marker from an
     // abandoned attempt delivered late must not, or pre-marker messages
     // of the live attempt would be double-validated after adoption.
@@ -149,24 +132,22 @@ void StateTransfer::OnMarker(const gcs::Message& message) {
     }
     return;
   }
-  if (req->donor == host_->member_id() && req->channel != nullptr) {
-    Donate(*req);
-  }
+  if (req->donor == host_->member_id()) Donate(*req);
 }
 
 void StateTransfer::Donate(const Request& req) {
-  Channel& channel = *req.channel;
+  PlanHandoff& handoff = *req.handoff;
   if (!host_->IsRunning() || !live()) {
     // A replica that is itself recovering (or shutting down) has stale
     // state and must not donate.
-    channel.Fail(Status::Unavailable("chosen donor is not live"));
+    handoff.Post(Status::Unavailable("chosen donor is not live"));
     return;
   }
-  auto plan = std::make_shared<DonorPlan>();
-  plan->channel = req.channel;
-  TransferMeta& meta = plan->meta;
+  DonorPlan plan;
+  plan.donor = host_;
+  TransferMeta& meta = plan.meta;
 
-  // Snapshot the donation plan exactly at the marker point of the total
+  // Read the donation plan exactly at the marker point of the total
   // order (we are in the marker's delivery callback, and callbacks run in
   // order, so every earlier message has been fully validated).
   Status refused;
@@ -199,130 +180,37 @@ void StateTransfer::Donate(const Request& req) {
       }
       meta.full_copy = true;
       log_floor = state.stable_prefix;
-      plan->tables = host_->db()->engine().TableNames();
-      plan->dump_txn = host_->db()->Begin();
+      plan.tables = host_->db()->engine().TableNames();
+      // Pins the marker-consistent MVCC snapshot the recoverer copies.
+      plan.dump_txn = host_->db()->Begin();
     }
     for (const auto& entry : state.log) {
-      if (entry.tid > log_floor) plan->log_suffix.push_back(entry);
+      if (entry.tid > log_floor) plan.log_suffix.push_back(entry);
     }
   });
   if (!refused.ok()) {
-    channel.Fail(std::move(refused));
+    handoff.Post(std::move(refused));
     return;
   }
   flight_->Record(obs::FlightEventType::kRecovery, host_->member_id(),
                   req.transfer_id, req.requester, "donate");
-  std::lock_guard<std::mutex> lock(streamers_mu_);
-  if (stopped_) {
-    if (plan->dump_txn != nullptr) host_->db()->Abort(plan->dump_txn);
-    channel.Fail(Status::Unavailable("donor shutting down"));
-    return;
-  }
-  streamers_.emplace_back([this, plan] { Stream(std::move(plan)); });
-  NameThread(streamers_.back(),
-             "donor/" + std::to_string(host_->member_id()));
+  handoff.Post(std::move(plan));
 }
 
-void StateTransfer::Stream(std::shared_ptr<DonorPlan> plan) {
-  Channel& channel = *plan->channel;
-  engine::Database* const db = host_->db();
-  // Abort the dump snapshot whichever way this thread exits.
-  struct DumpGuard {
-    engine::Database* db;
-    storage::TransactionPtr txn;
-    ~DumpGuard() {
-      if (txn != nullptr) db->Abort(txn);
+Result<DonorPlan> StateTransfer::AwaitPlan(PlanHandoff& handoff,
+                                           gcs::MemberId donor) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + kRecoveryPlanTimeout;
+  while (true) {
+    if (auto plan = handoff.Take(kDonorPollInterval)) return std::move(*plan);
+    if (!host_->IsRunning()) return Stopped();
+    if (!group_->IsAlive(donor)) {
+      return Status::Unavailable("donor crashed before answering");
     }
-  } dump_guard{db, plan->dump_txn};
-
-  bool silent_stop = false;
-  // Pushes one chunk, honoring the queue bound and the recoverer's
-  // abandonment; returning false stops the stream.
-  const auto send = [&](RecoveryChunk chunk) -> bool {
-    // "mw.recovery.stall" stretches the inter-chunk gap (delay-only
-    // hook); "mw.recovery.chunk_drop" loses this chunk and everything
-    // after it *without* closing the channel, so the recoverer must
-    // detect the stall through its per-chunk deadline.
-    SIREP_FAILPOINT_HIT("mw.recovery.stall");
-    if (SIREP_FAILPOINT_HIT("mw.recovery.chunk_drop").fired) {
-      silent_stop = true;
-      return false;
+    if (std::chrono::steady_clock::now() > deadline) {
+      return Status::TimedOut("donor never answered the marker");
     }
-    const size_t bytes = chunk.approx_bytes;
-    {
-      std::unique_lock<std::mutex> lock(channel.mu);
-      while (channel.chunks.size() >= channel.capacity && !channel.abandoned) {
-        if (!host_->IsRunning()) return false;
-        channel.cv.wait_for(lock, std::chrono::milliseconds(50));
-      }
-      if (channel.abandoned) return false;
-      channel.chunks.push_back(std::move(chunk));
-    }
-    channel.cv.notify_all();
-    c_chunks_sent_->Increment();
-    c_bytes_sent_->Add(bytes);
-    // Crash *after* the chunk is out: the recoverer observes a genuine
-    // partial transfer and must fail over to another donor.
-    if (SIREP_FAILPOINT_HIT("mw.recovery.donor_crash_mid_transfer").fired) {
-      channel.Close();
-      host_->Crash();
-      silent_stop = true;  // channel already closed
-      return false;
-    }
-    return true;
-  };
-
-  RecoveryChunk meta;
-  meta.approx_bytes = 64 + plan->meta.ws_window.size() * 128;
-  meta.meta = std::move(plan->meta);
-  bool ok = send(std::move(meta));
-  // Table dumps (full copy), one table at a time: streamer memory is
-  // bounded by the largest table, not the whole database.
-  const size_t chunk_rows = options_.recovery_chunk_rows;
-  for (size_t t = 0; ok && t < plan->tables.size(); ++t) {
-    const std::string& table = plan->tables[t];
-    storage::MvccTable* mvcc = db->engine().GetTable(table);
-    if (mvcc == nullptr) continue;
-    const sql::Schema schema = mvcc->schema();
-    std::vector<sql::Row> rows;
-    Status scan = db->engine().Scan(
-        plan->dump_txn, table,
-        [&](const sql::Key&, const sql::Row& row) { rows.push_back(row); });
-    if (!scan.ok()) {
-      channel.Fail(std::move(scan));
-      return;
-    }
-    size_t offset = 0;
-    do {
-      const size_t n = std::min(chunk_rows, rows.size() - offset);
-      RecoveryChunk chunk;
-      chunk.table = table;
-      chunk.schema = schema;
-      chunk.table_begin = offset == 0;
-      chunk.table_complete = offset + n == rows.size();
-      chunk.rows.assign(rows.begin() + static_cast<long>(offset),
-                        rows.begin() + static_cast<long>(offset + n));
-      chunk.approx_bytes = 32 + chunk.rows.size() * 64;
-      offset += n;
-      ok = send(std::move(chunk));
-    } while (ok && offset < rows.size());
   }
-  // Log suffix.
-  const auto& log = plan->log_suffix;
-  for (size_t offset = 0; ok && offset < log.size(); offset += chunk_rows) {
-    const size_t n = std::min(chunk_rows, log.size() - offset);
-    RecoveryChunk chunk;
-    chunk.log.assign(log.begin() + static_cast<long>(offset),
-                     log.begin() + static_cast<long>(offset + n));
-    chunk.approx_bytes = chunk.log.size() * 160;
-    ok = send(std::move(chunk));
-  }
-  if (ok) {
-    RecoveryChunk fin;
-    fin.final_chunk = true;
-    send(std::move(fin));
-  }
-  if (!silent_stop) channel.Close();
 }
 
 Status StateTransfer::ReplayLogEntry(const WsLogEntry& entry) {
@@ -354,87 +242,87 @@ Status StateTransfer::ReplayLogEntry(const WsLogEntry& entry) {
   return Status::OK();
 }
 
-Status StateTransfer::ApplyChunk(const RecoveryChunk& chunk,
-                                 RecoveryProgress* progress) {
-  if (chunk.meta.has_value()) {
-    progress->meta = chunk.meta;
-    return Status::OK();
-  }
-  if (chunk.final_chunk) return Status::OK();
+Status StateTransfer::CopyTable(const DonorPlan& plan, const std::string& name,
+                                const std::function<Status()>& after_batch) {
+  storage::StorageEngine& source = plan.donor->db()->engine();
+  const storage::MvccTable* donor_table = source.GetTable(name);
+  if (donor_table == nullptr) return Status::OK();
+  // The donor's rows at its marker, one table at a time: memory is
+  // bounded by the largest table.
+  std::vector<sql::Row> rows;
+  SIREP_RETURN_IF_ERROR(source.Scan(
+      plan.dump_txn, name,
+      [&](const sql::Key&, const sql::Row& row) { rows.push_back(row); }));
 
   engine::Database* const db = host_->db();
-  if (!chunk.table.empty()) {
-    // Full-copy table rows: overwrite every dumped row; at
-    // table_complete delete everything local the donor no longer has.
-    storage::MvccTable* table = db->engine().GetTable(chunk.table);
-    if (chunk.table_begin) {
-      if (table == nullptr) {
-        // The table was created via replicated DDL we never saw: create
-        // it from the shipped schema.
-        SIREP_RETURN_IF_ERROR(
-            db->engine().CreateTable(chunk.table, chunk.schema));
-        table = db->engine().GetTable(chunk.table);
-      }
-      progress->table_active = true;
-      progress->table = chunk.table;
-      progress->leftover_keys.clear();
-      auto view_txn = db->Begin();
-      Status scan = db->engine().Scan(
-          view_txn, chunk.table, [&](const sql::Key& key, const sql::Row&) {
-            progress->leftover_keys.insert(key);
-          });
-      db->Abort(view_txn);
-      if (!scan.ok()) return scan;
-    }
-    if (table == nullptr || !progress->table_active ||
-        progress->table != chunk.table) {
-      return Status::Internal("recovery table chunk out of order for '" +
-                              chunk.table + "'");
-    }
-    storage::WriteSet sync;
-    for (const auto& row : chunk.rows) {
-      const sql::Key key = table->schema().KeyOf(row);
-      progress->leftover_keys.erase(key);
-      sync.Record({chunk.table, key}, storage::WriteOp::kUpdate, row);
-    }
-    if (chunk.table_complete) {
-      for (const auto& key : progress->leftover_keys) {
-        sync.Record({chunk.table, key}, storage::WriteOp::kDelete, {});
-      }
-    }
-    if (!sync.empty()) {
-      auto txn = db->Begin();
-      Status st = db->ApplyWriteSet(txn, sync);
-      if (st.ok()) st = db->Commit(txn);
-      if (!st.ok()) {
-        db->Abort(txn);
-        return Status::Internal("full-copy import failed for table '" +
-                                chunk.table + "': " + st.ToString());
-      }
-    }
-    if (chunk.table_complete) {
-      progress->table_active = false;
-      progress->leftover_keys.clear();
-    }
-    return Status::OK();
+  if (db->engine().GetTable(name) == nullptr) {
+    // A table created by replicated DDL this replica never saw.
+    SIREP_RETURN_IF_ERROR(
+        db->engine().CreateTable(name, donor_table->schema()));
   }
+  const sql::Schema& schema = db->engine().GetTable(name)->schema();
+  // Local keys the donor lacks: deleted after the upserts.
+  std::set<sql::Key> leftover;
+  auto view = db->Begin();
+  Status scan = db->engine().Scan(
+      view, name,
+      [&](const sql::Key& key, const sql::Row&) { leftover.insert(key); });
+  db->Abort(view);
+  SIREP_RETURN_IF_ERROR(scan);
 
-  // Log entries: replay every one in tid order (nobody else touches this
-  // DB — no clients, no appliers — and re-applying writesets a previous
+  storage::WriteSet batch;
+  const auto commit = [&]() -> Status {
+    auto txn = db->Begin();
+    Status st = db->ApplyWriteSet(txn, batch);
+    if (st.ok()) st = db->Commit(txn);
+    if (!st.ok()) {
+      db->Abort(txn);
+      return Status::Internal("full-copy import failed for table '" + name +
+                              "': " + st.ToString());
+    }
+    batch.Clear();
+    c_batches_applied_->Increment();
+    return after_batch();
+  };
+  for (auto& row : rows) {
+    sql::Key key = schema.KeyOf(row);
+    leftover.erase(key);
+    batch.Record({name, std::move(key)}, storage::WriteOp::kUpdate,
+                 std::move(row));
+    if (batch.size() == kRecoveryBatchRows) SIREP_RETURN_IF_ERROR(commit());
+  }
+  for (const auto& key : leftover) {
+    batch.Record({name, key}, storage::WriteOp::kDelete, {});
+    if (batch.size() == kRecoveryBatchRows) SIREP_RETURN_IF_ERROR(commit());
+  }
+  if (!batch.empty()) SIREP_RETURN_IF_ERROR(commit());
+  return Status::OK();
+}
+
+Status StateTransfer::ApplyPlan(const DonorPlan& plan,
+                                const std::function<Status()>& after_batch,
+                                std::vector<WsLogEntry>* replayed) {
+  for (const auto& table : plan.tables) {
+    SIREP_RETURN_IF_ERROR(CopyTable(plan, table, after_batch));
+  }
+  // Replay every log entry in tid order (nobody else touches this DB —
+  // no clients, no appliers — and re-applying writesets a previous
   // incarnation or an abandoned attempt committed is idempotent), and
   // record it for adoption.
-  for (const auto& entry : chunk.log) {
-    SIREP_RETURN_IF_ERROR(ReplayLogEntry(entry));
-    progress->adopted_log.push_back(entry);
+  const auto& log = plan.log_suffix;
+  for (size_t i = 0; i < log.size(); ++i) {
+    SIREP_RETURN_IF_ERROR(ReplayLogEntry(log[i]));
+    replayed->push_back(log[i]);
+    if ((i + 1) % kRecoveryBatchRows == 0 || i + 1 == log.size()) {
+      c_batches_applied_->Increment();
+      SIREP_RETURN_IF_ERROR(after_batch());
+    }
   }
   return Status::OK();
 }
 
 Status StateTransfer::Recover(uint64_t from_tid) {
-  const auto stopped = [] {
-    return Status::Unavailable("replica crashed or shut down");
-  };
-  if (!host_->IsRunning()) return stopped();
+  if (!host_->IsRunning()) return Stopped();
   if (live()) {
     return Status::InvalidArgument(
         "Recover() requires start_recovering = true");
@@ -470,19 +358,16 @@ Status StateTransfer::Recover(uint64_t from_tid) {
     current_transfer_id_ = transfer_id;
     g_buffered_msgs_->Set(0);
   }
-  auto channel = std::make_shared<Channel>();
-  // However this attempt ends: a still-running streamer quits, and
-  // unless we went live, nothing buffers until the next attempt's
-  // marker (a late marker of this one must not re-arm the fence).
+  auto handoff = std::make_shared<PlanHandoff>();
+  // However this attempt ends: a plan the donor posts from now on is
+  // released at once, and unless we went live, nothing buffers until the
+  // next attempt's marker (a late marker of this one must not re-arm the
+  // fence).
   struct EndAttempt {
     StateTransfer* self;
-    Channel* channel;
+    PlanHandoff* handoff;
     ~EndAttempt() {
-      {
-        std::lock_guard<std::mutex> lock(channel->mu);
-        channel->abandoned = true;
-      }
-      channel->cv.notify_all();
+      handoff->Abandon();
       std::lock_guard<std::mutex> lock(self->buffer_mu_);
       if (self->live_.load(std::memory_order_relaxed)) return;
       self->fence_seen_ = false;
@@ -490,18 +375,28 @@ Status StateTransfer::Recover(uint64_t from_tid) {
       self->buffered_.clear();
       self->g_buffered_msgs_->Set(0);
     }
-  } end_attempt{this, channel.get()};
+  } end_attempt{this, handoff.get()};
 
   auto request = std::make_shared<Request>();
   request->requester = self;
   request->donor = donor;
   request->from_tid = from_tid;
   request->transfer_id = transfer_id;
-  request->channel = channel;
+  request->handoff = handoff;
   SIREP_RETURN_IF_ERROR(
       group_->Multicast(self, kRecoveryRequestType, std::move(request)));
   flight_->Record(obs::FlightEventType::kRecovery, self, transfer_id, donor,
                   "request");
+
+  // The plan dies with this frame, aborting its dump transaction.
+  Result<DonorPlan> plan = AwaitPlan(*handoff, donor);
+  if (!plan.ok()) {
+    // A refusal or fault of this donor is retryable, and the next
+    // attempt asks the next donor; anything else (a log too small to
+    // donate) is not.
+    if (RecoveryRetryable(plan.status()) && host_->IsRunning()) ++donor_idx_;
+    return plan.status();
+  }
 
   const auto spilled = [this] {
     std::lock_guard<std::mutex> lock(buffer_mu_);
@@ -509,89 +404,50 @@ Status StateTransfer::Recover(uint64_t from_tid) {
   };
   const Status spill =
       Status::Unavailable("recovery buffer spilled; re-anchoring");
-  RecoveryProgress progress;
-  Status donor_fault;
-  bool started = false;
-  auto last_chunk_time = std::chrono::steady_clock::now();
-  while (true) {
-    RecoveryChunk chunk;
-    bool got = false;
-    bool closed = false;
-    {
-      std::unique_lock<std::mutex> lock(channel->mu);
-      channel->cv.wait_for(lock, std::chrono::milliseconds(25), [&] {
-        return !channel->chunks.empty() || channel->closed;
-      });
-      if (!channel->chunks.empty()) {
-        chunk = std::move(channel->chunks.front());
-        channel->chunks.pop_front();
-        got = true;
-      } else {
-        closed = channel->closed;
-      }
-    }
-    if (!got) {
-      if (!host_->IsRunning()) return stopped();
-      if (closed) {
-        donor_fault = Status::Unavailable("donor closed mid-transfer");
-      } else if (!group_->IsAlive(donor)) {
-        // View-change fast path: no need to wait out the chunk timeout
-        // when the group already expelled the donor.
-        donor_fault = Status::Unavailable("donor crashed mid-transfer");
-      } else if (std::chrono::steady_clock::now() - last_chunk_time >
-                 kRecoveryChunkTimeout) {
-        donor_fault = Status::TimedOut("donor stalled mid-transfer");
-      } else {
-        continue;
-      }
-      break;
-    }
-    channel->cv.notify_all();  // free a producer slot
-    last_chunk_time = std::chrono::steady_clock::now();
-    if (!chunk.status.ok()) {
-      // A refusal or fault of this donor is retryable; anything else
-      // (a log too small to donate, a failed table scan) is not.
-      if (!RecoveryRetryable(chunk.status)) return chunk.status;
-      donor_fault = chunk.status;
-      break;
-    }
-    started = true;
-    c_chunks_received_->Increment();
-    c_bytes_received_->Add(static_cast<uint64_t>(chunk.approx_bytes));
-    SIREP_RETURN_IF_ERROR(ApplyChunk(chunk, &progress));
-    // A buffer spill invalidated this marker: the next attempt anchors
-    // at a fresh one, with the same (healthy) donor.
-    if (spilled()) return spill;
-    if (chunk.final_chunk) {
-      if (!progress.meta.has_value()) {
-        donor_fault = Status::Unavailable("donor stream missing meta");
-      }
-      break;
-    }
-  }
-  if (!donor_fault.ok()) {
+  bool donor_died = false;
+  std::vector<WsLogEntry> replayed;
+  const Status applied = ApplyPlan(
+      plan.value(),
+      [&]() -> Status {
+        // "mw.recovery.stall" stretches the transfer (delay-only hook);
+        // "mw.recovery.donor_crash_mid_transfer" kills the donor once
+        // part of its plan is applied here.
+        SIREP_FAILPOINT_HIT("mw.recovery.stall");
+        if (SIREP_FAILPOINT_HIT("mw.recovery.donor_crash_mid_transfer")
+                .fired) {
+          plan.value().donor->Crash();
+        }
+        if (!host_->IsRunning()) return Stopped();
+        // A buffer spill invalidated this marker: the next attempt
+        // anchors at a fresh one, with the same (healthy) donor.
+        if (spilled()) return spill;
+        if (!group_->IsAlive(donor)) {
+          donor_died = true;
+          return Status::Unavailable("donor crashed mid-transfer");
+        }
+        return Status::OK();
+      },
+      &replayed);
+  if (donor_died) {
     ++donor_idx_;
-    if (started) {
-      c_donor_switches_->Increment();
-      flight_->Record(obs::FlightEventType::kRecovery, self, transfer_id,
-                      donor, "donor_switch");
-    }
-    return donor_fault;
+    c_donor_switches_->Increment();
+    flight_->Record(obs::FlightEventType::kRecovery, self, transfer_id,
+                    donor, "donor_switch");
   }
+  SIREP_RETURN_IF_ERROR(applied);
 
-  // Final chunk received. Wait for our own marker: the donor
-  // snapshotted at its delivery of the request, and our delivery
-  // thread may still be catching up to that position in the total
-  // order — adopting before the fence is armed would double-validate
-  // the pre-marker messages it is about to buffer. Then atomically
-  // confirm no spill raced the transfer tail and disable further
-  // spills for the drain.
+  // Wait for our own marker: the donor read its state at its delivery
+  // of the request, and our delivery thread may still be catching up to
+  // that position in the total order — adopting before the fence is
+  // armed would double-validate the pre-marker messages it is about to
+  // buffer. Then atomically confirm no spill raced the transfer tail and
+  // disable further spills for the drain.
   {
     std::unique_lock<std::mutex> lock(buffer_mu_);
     buffer_cv_.wait_for(lock, kRecoveryMarkerTimeout, [&] {
       return fence_seen_ || buffer_spilled_ || !host_->IsRunning();
     });
-    if (!host_->IsRunning()) return stopped();
+    if (!host_->IsRunning()) return Stopped();
     if (buffer_spilled_) return spill;
     if (!fence_seen_) {
       return Status::TimedOut("recovery marker never delivered");
@@ -599,11 +455,10 @@ Status StateTransfer::Recover(uint64_t from_tid) {
     spill_enabled_ = false;
   }
 
-  const TransferMeta& meta = *progress.meta;
+  const TransferMeta& meta = plan.value().meta;
   SIREP_ILOG << "replica " << self << " recovered via transfer "
              << transfer_id << " from donor " << donor << ": "
-             << (meta.full_copy ? "full copy and " : "")
-             << progress.adopted_log.size()
+             << (meta.full_copy ? "full copy and " : "") << replayed.size()
              << " log entries, resuming validation at tid "
              << meta.lastvalidated;
 
@@ -612,7 +467,7 @@ Status StateTransfer::Recover(uint64_t from_tid) {
   // so a later restart of *this* replica recovers incrementally
   // instead of forcing a full copy.
   host_->AdoptValidationState(meta.lastvalidated, meta.ws_window,
-                              std::move(progress.adopted_log));
+                              std::move(replayed));
   flight_->Record(obs::FlightEventType::kRecovery, self, transfer_id,
                   meta.lastvalidated, "cutover");
 
@@ -652,19 +507,6 @@ void StateTransfer::Interrupt() {
   // Without buffer_mu_: a crash can strike inside Recover()'s final
   // drain, which redelivers while holding it.
   buffer_cv_.notify_all();
-}
-
-void StateTransfer::Stop() {
-  std::vector<std::thread> streamers;
-  {
-    std::lock_guard<std::mutex> lock(streamers_mu_);
-    stopped_ = true;
-    streamers.swap(streamers_);
-  }
-  Interrupt();
-  for (auto& streamer : streamers) {
-    if (streamer.joinable()) streamer.join();
-  }
 }
 
 }  // namespace sirep::middleware

@@ -2,6 +2,7 @@
 #define SIREP_MIDDLEWARE_STATE_TRANSFER_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -9,9 +10,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/status.h"
@@ -54,7 +53,8 @@ class StateTransferHost {
   /// False once the replica crashed or began shutting down.
   virtual bool IsRunning() const = 0;
   virtual engine::Database* db() const = 0;
-  /// Donor fault injection ("mw.recovery.donor_crash_mid_transfer").
+  /// Crashes this replica; a recoverer calls it on its donor to inject
+  /// "mw.recovery.donor_crash_mid_transfer".
   virtual void Crash() = 0;
 
   /// Donor side, in the delivery callback of the marker: runs `read` with
@@ -73,47 +73,58 @@ class StateTransferHost {
   virtual void ProcessDelivery(const gcs::Message& message) = 0;
 };
 
-/// What a donation opens with: the donor's validation state at the
-/// marker, and the shape of what follows.
+/// The donor's validation state at the marker.
 struct TransferMeta {
   uint64_t lastvalidated = 0;
   std::vector<WsWindowEntry> ws_window;
-  bool full_copy = false;  ///< table dumps follow before the log
+  bool full_copy = false;  ///< the donor's tables are copied before the log
 };
 
-/// One bounded unit of the recovery stream. Every attempt opens its own
-/// channel, so a chunk always belongs to the attempt reading it. At most
-/// one section (meta / table rows / log entries) is populated per chunk.
-struct RecoveryChunk {
-  Status status;  ///< non-OK chunk aborts this donation
-  bool final_chunk = false;  ///< transfer complete after this chunk
+/// What a donor hands the recoverer at the marker: its validation state,
+/// the log suffix to replay and, for a full copy, the tables to copy and
+/// the dump transaction that pins its marker-consistent snapshot. The
+/// recoverer reads the donor's tables through that transaction itself
+/// (every replica shares the process). Destroying a plan aborts the dump
+/// transaction, so the snapshot is released however an attempt ends.
+struct DonorPlan {
+  TransferMeta meta;
+  std::vector<WsLogEntry> log_suffix;
+  std::vector<std::string> tables;  ///< full copy only
+  /// The donor: its database, read through `dump_txn`, and its crash
+  /// hook. Replicas outlive the recoveries they donate to.
+  StateTransferHost* donor = nullptr;
+  storage::TransactionPtr dump_txn;  ///< full copy only
 
-  std::optional<TransferMeta> meta;  ///< first chunk of every donation
-
-  // Table-rows section (full copy only).
-  std::string table;
-  sql::Schema schema;
-  bool table_begin = false;     ///< first chunk of this table
-  bool table_complete = false;  ///< last chunk: run the delete-sweep
-  std::vector<sql::Row> rows;
-
-  // Log-suffix section.
-  std::vector<WsLogEntry> log;
-
-  size_t approx_bytes = 0;  ///< payload estimate (metrics)
+  DonorPlan() = default;
+  DonorPlan(DonorPlan&&) = default;
+  DonorPlan& operator=(DonorPlan&&) = delete;
+  ~DonorPlan() {
+    if (dump_txn != nullptr) donor->db()->Abort(dump_txn);
+  }
 };
 
-/// Recoverer-side state of one transfer attempt.
-struct RecoveryProgress {
-  std::optional<TransferMeta> meta;
-  /// This attempt's log entries in tid order, all replayed here;
-  /// becomes the adopted writeset log.
-  std::vector<WsLogEntry> adopted_log;
-  // Import state of the table currently streaming in.
-  bool table_active = false;
-  std::string table;
-  std::set<sql::Key> leftover_keys;  ///< local keys the dump lacks so far
+/// One-shot hand-off of a donor's plan, or its refusal, to the recoverer;
+/// the recovery marker carries it to the donor. A plan posted after the
+/// recoverer gave up is released at once.
+class PlanHandoff {
+ public:
+  /// Donor side, once per marker.
+  void Post(Result<DonorPlan> plan);
+  /// Recoverer side: waits up to `timeout` for the plan and takes it.
+  std::optional<Result<DonorPlan>> Take(std::chrono::milliseconds timeout);
+  /// Recoverer side: gives up, releasing a plan posted now or later.
+  void Abandon();
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::optional<Result<DonorPlan>> plan_;
+  bool abandoned_ = false;
 };
+
+/// Rows (or log entries) the recoverer applies between two checks of
+/// its attempt (donor and own liveness, buffer spill).
+inline constexpr size_t kRecoveryBatchRows = 512;
 
 /// Message type of the recovery marker multicast in total order.
 inline constexpr char kRecoveryRequestType[] = "recovery_request";
@@ -128,9 +139,9 @@ inline bool RecoveryRetryable(const Status& status) {
 
 /// Online state transfer (extension; paper §5.4 / conclusion): a
 /// replica that starts recovering buffers its deliveries, multicasts a
-/// marker, and catches up from a donor's chunked stream while the rest
-/// of the cluster keeps committing; a live replica donates when a
-/// marker names it. See DESIGN.md §7.8.
+/// marker, and catches up from a donor's marker-consistent state while
+/// the rest of the cluster keeps committing; a live replica answers a
+/// marker that names it with a plan. See DESIGN.md §7.8.
 class StateTransfer {
  public:
   /// `host` outlives this object. Starts buffering when
@@ -138,7 +149,6 @@ class StateTransfer {
   StateTransfer(StateTransferHost* host, gcs::Group* group,
                 const ReplicaOptions& options,
                 obs::MetricsRegistry* registry, obs::FlightRecorder* flight);
-  ~StateTransfer();
 
   StateTransfer(const StateTransfer&) = delete;
   StateTransfer& operator=(const StateTransfer&) = delete;
@@ -150,54 +160,56 @@ class StateTransfer {
   /// Delivery callback, for every writeset and DDL message: true when the
   /// message was taken because this replica is still recovering — it is
   /// buffered past our marker, or dropped before it, where the donor's
-  /// stream covers it.
+  /// plan covers it.
   bool Buffer(const gcs::Message& message);
 
   /// Delivery callback, for every kRecoveryRequestType message: arms the
   /// fence at our own marker, or donates when the marker names us.
   void OnMarker(const gcs::Message& message);
 
-  /// One complete transfer attempt from one donor, while the rest of
-  /// the cluster keeps committing:
+  /// One complete transfer attempt from one donor, on the caller's
+  /// thread, while the rest of the cluster keeps committing:
   ///  1. multicasts a recovery marker in total order;
-  ///  2. the chosen donor snapshots its validation state exactly at the
-  ///     marker and *streams* the payload in bounded chunks: the
-  ///     writeset-log suffix after `from_tid`, or, when its log no
-  ///     longer reaches back that far, a full copy of its tables plus
-  ///     the log after its stable prefix;
-  ///  3. this replica applies chunks as they arrive, adopts the
-  ///     validation state at the final chunk, drains the messages
-  ///     buffered past the marker, and goes live.
+  ///  2. the chosen donor reads its validation state exactly at the
+  ///     marker and hands back a plan: the writeset-log suffix after
+  ///     `from_tid`, or, when its log no longer reaches back that far, a
+  ///     full copy of its tables (a pinned snapshot) plus the log after
+  ///     its stable prefix;
+  ///  3. this thread copies the tables and replays the log
+  ///     (ApplyPlan()), adopts the donor's validation state, drains the
+  ///     messages buffered past the marker, and goes live.
   /// A donor fault or a buffer spill ends the attempt with a retryable
   /// status (kUnavailable / kTimedOut); the caller retries, and the
   /// next attempt starts over from `from_tid` (at the next donor after
-  /// a fault). Anything else is a hard error. Never hangs: the donor
-  /// must keep sending (a per-chunk timeout), and the wait for our own
-  /// marker is bounded. `from_tid` as in SrcaRepReplica::Recover().
+  /// a fault). Anything else is a hard error. Never hangs: the waits
+  /// for the donor's plan and for our own marker are bounded.
+  /// `from_tid` as in SrcaRepReplica::Recover().
   Status Recover(uint64_t from_tid);
 
-  /// One step of Recover(): applies a received chunk (meta adoption,
-  /// table rows as idempotent upserts + delete-sweep, replay of every
-  /// log entry) and advances `progress`.
-  Status ApplyChunk(const RecoveryChunk& chunk, RecoveryProgress* progress);
+  /// Step 3's copy of Recover(): overwrites each of `plan`'s tables with
+  /// the donor's rows and deletes the local rows the donor lacks, then
+  /// replays every log entry in tid order and appends it to `replayed`.
+  /// Applies kRecoveryBatchRows rows or entries at a time and calls
+  /// `after_batch` after each batch; a non-OK result ends the copy with
+  /// it.
+  Status ApplyPlan(const DonorPlan& plan,
+                   const std::function<Status()>& after_batch,
+                   std::vector<WsLogEntry>* replayed);
 
-  /// The host crashed: release a Recover() waiting on its fence.
+  /// The host crashed or is shutting down: release a Recover() waiting
+  /// on its fence.
   void Interrupt();
-  /// The host is shutting down: release waiters, refuse further
-  /// donations and join the donor streamer threads. Idempotent.
-  void Stop();
 
  private:
-  struct Channel;
   struct Request;
-  struct DonorPlan;
 
   /// Donor side of a marker that names this replica.
   void Donate(const Request& request);
-  /// Donor streamer-thread body: materializes `plan` into bounded
-  /// chunks on the channel, honoring backpressure, abandonment, and the
-  /// mw.recovery.* failpoints.
-  void Stream(std::shared_ptr<DonorPlan> plan);
+  /// Recoverer side: waits for the donor's answer to our marker.
+  Result<DonorPlan> AwaitPlan(PlanHandoff& handoff, gcs::MemberId donor);
+  /// Copies one table of a full copy (see ApplyPlan()).
+  Status CopyTable(const DonorPlan& plan, const std::string& name,
+                   const std::function<Status()>& after_batch);
   /// Replays one donated log entry (writeset or DDL) into the local
   /// database; idempotent against what a previous incarnation or an
   /// abandoned attempt already applied.
@@ -205,7 +217,6 @@ class StateTransfer {
 
   StateTransferHost* const host_;
   gcs::Group* const group_;
-  const ReplicaOptions& options_;
   obs::FlightRecorder* const flight_;
 
   std::atomic<bool> live_;
@@ -245,22 +256,14 @@ class StateTransfer {
   /// Transfer-id generator (unique per member via the member-id bits).
   std::atomic<uint64_t> transfer_seq_{0};
 
-  // "mw.recovery.*": donor side (chunks/bytes sent), recoverer side
-  // (chunks/bytes received, retries, donor switches, buffer spills,
-  // live buffered-message depth).
-  obs::Counter* const c_chunks_sent_;
-  obs::Counter* const c_bytes_sent_;
-  obs::Counter* const c_chunks_received_;
-  obs::Counter* const c_bytes_received_;
+  // "mw.recovery.*", recoverer side: batches applied (reported as
+  // "chunks_received"), retries, donor switches, buffer spills, live
+  // buffered-message depth.
+  obs::Counter* const c_batches_applied_;
   obs::Counter* const c_retries_;
   obs::Counter* const c_donor_switches_;
   obs::Counter* const c_buffer_spills_;
   obs::Gauge* const g_buffered_msgs_;
-
-  /// Donor streamer threads, joined by Stop().
-  std::mutex streamers_mu_;
-  bool stopped_ = false;
-  std::vector<std::thread> streamers_;
 };
 
 }  // namespace sirep::middleware

@@ -27,7 +27,7 @@ namespace sirep::obs {
 ///   kInvariant       a/b free-form, detail = violation summary
 ///   kCrash           a = signal number or 0, detail = origin
 ///   kRecovery        a = transfer id, b = stage-specific (donor id,
-///                    tid, chunk count), detail = stage ("request",
+///                    tid, buffered depth), detail = stage ("request",
 ///                    "donate", "donor_switch", "buffer_spill",
 ///                    "cutover", "complete")
 enum class FlightEventType : uint8_t {

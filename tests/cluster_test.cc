@@ -194,13 +194,8 @@ TEST(ClusterTest, DumpMetricsSumsReplicaCounters) {
   EXPECT_EQ(cluster.DumpMetrics().counters.at("mw.committed"), 2u);
 }
 
-TEST(ClusterTest, ThreadsAreNamedByRole) {
-  // Every thread the stack starts carries its role in its name, so the
-  // per-thread CPU in /proc/self/task/*/stat can be attributed to it.
-  ClusterOptions options;
-  options.num_replicas = 3;
-  Cluster cluster(options);
-  ASSERT_TRUE(cluster.Start().ok());
+/// Names of this process's threads, from /proc/self/task/*/comm.
+std::multiset<std::string> ThreadNames() {
   std::multiset<std::string> names;
   for (const auto& task :
        std::filesystem::directory_iterator("/proc/self/task")) {
@@ -208,12 +203,37 @@ TEST(ClusterTest, ThreadsAreNamedByRole) {
     std::string name;
     if (std::getline(comm, name)) names.insert(name);
   }
+  return names;
+}
+
+TEST(ClusterTest, ThreadsAreNamedByRole) {
+  // Every thread the stack starts carries its role in its name, so the
+  // per-thread CPU in /proc/self/task/*/stat can be attributed to it.
+  ClusterOptions options;
+  options.num_replicas = 3;
+  Cluster cluster(options);
+  ASSERT_TRUE(cluster.Start().ok());
+  const std::multiset<std::string> names = ThreadNames();
   for (int member = 0; member < 3; ++member) {
     EXPECT_EQ(names.count("dlv/" + std::to_string(member)), 1u)
         << "no delivery thread for member " << member;
   }
   // One pool of appliers per replica.
   EXPECT_EQ(names.count("apply/0"), 3u);
+}
+
+TEST(ClusterTest, RetiredIncarnationsReleaseTheirThreads) {
+  // A restart parks the dead incarnation for clients still holding it,
+  // but its applier pool must not outlive it.
+  ClusterOptions options;
+  options.num_replicas = 3;
+  Cluster cluster(options);
+  ASSERT_TRUE(cluster.Start().ok());
+  for (int i = 0; i < 3; ++i) {
+    cluster.CrashReplica(2);
+    ASSERT_TRUE(cluster.RestartReplica(2).ok());
+  }
+  EXPECT_EQ(ThreadNames().count("apply/0"), 3u);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <functional>
 #include <string>
@@ -409,6 +410,51 @@ TEST_F(FailpointFailoverTest, CrashAfterValidationResolvedThroughDriver) {
   cluster->Quiesce();
   for (size_t r = 1; r < 3; ++r) {
     EXPECT_EQ(ReadV(*cluster, r, 2), 36) << "replica " << r;
+  }
+}
+
+TEST_F(FailpointFailoverTest, CrashedCommitReleasesItsRowLocks) {
+  // A commit that crashes before its local commit leaves its transaction
+  // open in the dead replica's database until the restart. The driver
+  // must roll it back, or a statement of another connection waiting on
+  // one of its row locks blocks until then.
+  auto cluster = MakeCluster(3);
+  client::ConnectionOptions copt;
+  copt.pinned_replica = 1;
+  copt.autocommit = false;
+  auto a = std::move(cluster->Connect(copt)).value();
+  auto b = std::move(cluster->Connect(copt)).value();
+  ASSERT_TRUE(a->Execute("UPDATE kv SET v = 51 WHERE k = 5").ok());
+  std::atomic<bool> b_returned{false};
+  std::thread waiter([&] {
+    (void)b->Execute("UPDATE kv SET v = 52 WHERE k = 5");
+    b_returned.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  ASSERT_FALSE(b_returned.load()) << "B did not wait for A's row lock";
+
+  Status a_commit;
+  {
+    failpoint::ScopedFailpoint fp("mw.commit.crash.before_local_commit",
+                                  "crash*1");
+    a_commit = a->Commit();
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!b_returned.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool b_released = b_returned.load();
+  // Otherwise the restart's lock reset frees B, so the test fails
+  // instead of hanging.
+  ASSERT_TRUE(cluster->RestartReplica(1).ok());
+  waiter.join();
+  EXPECT_TRUE(b_released) << "B still blocked on the crashed commit's lock";
+  EXPECT_TRUE(a_commit.ok()) << a_commit;  // committed in doubt
+  EXPECT_EQ(b->Commit().code(), StatusCode::kTransactionLost);
+  cluster->Quiesce();
+  for (size_t r = 0; r < 3; ++r) {
+    EXPECT_EQ(ReadV(*cluster, r, 5), 51) << "replica " << r;
   }
 }
 

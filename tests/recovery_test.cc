@@ -362,10 +362,12 @@ TEST(RecoveryTest, FullCopyFallbackWhenLogTruncated) {
   EXPECT_EQ(ReadAt(cluster, 0, 0), 999);
 }
 
-// Shared setup for the chunked-transfer tests: a 3-replica cluster with
-// a tiny writeset log, replica 2 crashed, and far more commits than the
-// log window — so its restart is forced through a chunked full copy.
-std::unique_ptr<Cluster> MakeFullCopyCluster(ClusterOptions options) {
+// Shared setup for the full-copy tests: a 3-replica cluster with a
+// tiny writeset log and `rows` rows in kv, replica 2 crashed, and far
+// more commits than the log window — so its restart is forced through a
+// full copy.
+std::unique_ptr<Cluster> MakeFullCopyCluster(ClusterOptions options,
+                                             int rows = 10) {
   options.num_replicas = 3;
   options.replica.ws_log_capacity = 4;
   auto cluster = std::make_unique<Cluster>(options);
@@ -374,7 +376,7 @@ std::unique_ptr<Cluster> MakeFullCopyCluster(ClusterOptions options) {
                   ->ExecuteEverywhere(
                       "CREATE TABLE kv (k INT, v INT, PRIMARY KEY (k))")
                   .ok());
-  for (int k = 0; k < 10; ++k) {
+  for (int k = 0; k < rows; ++k) {
     EXPECT_TRUE(cluster
                     ->ExecuteEverywhere("INSERT INTO kv VALUES (?, 0)",
                                         {Value::Int(k)})
@@ -382,7 +384,7 @@ std::unique_ptr<Cluster> MakeFullCopyCluster(ClusterOptions options) {
   }
   cluster->CrashReplica(2);
   for (int i = 0; i < 30; ++i) {
-    EXPECT_TRUE(CommitUpdate(*cluster, 0, i % 10, i + 1).ok());
+    EXPECT_TRUE(CommitUpdate(*cluster, 0, i % rows, i + 1).ok());
   }
   cluster->Quiesce();
   return cluster;
@@ -396,29 +398,27 @@ void ExpectConverged(Cluster& cluster, size_t a, size_t b) {
       << "replicas " << a << " and " << b << " diverged";
 }
 
-TEST(RecoveryTest, ChunkedFullCopyWithTinyChunks) {
-  ClusterOptions options = test::VariantOptions();
-  options.replica.recovery_chunk_rows = 3;  // 10-row table -> 4+ chunks
-  auto cluster = MakeFullCopyCluster(options);
+TEST(RecoveryTest, FullCopyOfATableLargerThanTwoBatches) {
+  auto cluster = MakeFullCopyCluster(
+      test::VariantOptions(),
+      static_cast<int>(2 * middleware::kRecoveryBatchRows + 1));
 
   ASSERT_TRUE(cluster->RestartReplica(2).ok());
   ExpectConverged(*cluster, 0, 2);
-  // The transfer really was chunked: meta + several table slices.
-  const auto counters = cluster->DumpMetrics().counters;
-  EXPECT_GE(counters.at("mw.recovery.chunks_received"), 5u);
+  // The copy really took several batches.
+  const auto counters = cluster->replica(2)->metrics().Snapshot().counters;
+  EXPECT_GE(counters.at("mw.recovery.chunks_received"), 3u);
   ASSERT_TRUE(CommitUpdate(*cluster, 2, 0, 999).ok());
   cluster->Quiesce();
   EXPECT_EQ(ReadAt(*cluster, 0, 0), 999);
 }
 
 TEST(RecoveryTest, DonorCrashMidTransferFailsOver) {
-  ClusterOptions options = test::VariantOptions();
-  options.replica.recovery_chunk_rows = 2;
-  auto cluster = MakeFullCopyCluster(options);
+  auto cluster = MakeFullCopyCluster(test::VariantOptions());
 
-  // The first donor crashes right after its first chunk is out; the
-  // recoverer must fail over to the surviving replica and complete a
-  // fresh transfer from it.
+  // The first donor crashes once the recoverer applied the first batch
+  // of its copy; the recoverer must fail over to the surviving replica
+  // and complete a fresh transfer from it.
   failpoint::ScopedFailpoint fp("mw.recovery.donor_crash_mid_transfer",
                                 "1in(1,crash)*1");
   ASSERT_TRUE(cluster->RestartReplica(2).ok());
@@ -434,9 +434,7 @@ TEST(RecoveryTest, DonorCrashMidTransferFailsOver) {
 }
 
 TEST(RecoveryTest, FullCopyFromLaggingDonorKeepsEveryCommit) {
-  ClusterOptions options = test::VariantOptions();
-  options.replica.recovery_chunk_rows = 2;
-  auto cluster = MakeFullCopyCluster(options);
+  auto cluster = MakeFullCopyCluster(test::VariantOptions());
 
   // A local transaction at replica 1 holds row 5, so the commit of
   // 4242 below is validated there but cannot apply: replica 1's stable
@@ -455,8 +453,9 @@ TEST(RecoveryTest, FullCopyFromLaggingDonorKeepsEveryCommit) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 
-  // Replica 0 donates the full copy first and dies after its meta
-  // chunk; replica 1 must ship the commit its dump lacks in its log.
+  // Replica 0 donates the full copy first and dies once the recoverer
+  // applied its first batch; replica 1 must ship the commit its dump
+  // lacks in its log.
   {
     failpoint::ScopedFailpoint fp("mw.recovery.donor_crash_mid_transfer",
                                   "1in(1,crash)*1");
@@ -538,15 +537,15 @@ TEST(RecoveryTest, UnretryableApplyFailureCrashesReplica) {
 
 TEST(RecoveryTest, BoundedBufferSpillsAndReanchors) {
   ClusterOptions options = test::VariantOptions();
-  options.replica.recovery_chunk_rows = 1;
   options.replica.recovery_buffer_high_water = 4;
   auto cluster = MakeFullCopyCluster(options);
 
-  // Stretch the chunk stream while live traffic keeps delivering to the
-  // buffering recoverer: the bounded buffer must hit its high-water
-  // mark, spill, and re-anchor the transfer instead of growing without
-  // bound. The stall budget self-disarms so a later attempt finishes.
-  failpoint::ScopedFailpoint stall("mw.recovery.stall", "delay(2ms)*80");
+  // Stretch the transfer after every batch while live traffic keeps
+  // delivering to the buffering recoverer: the bounded buffer must hit
+  // its high-water mark, spill, and re-anchor the transfer instead of
+  // growing without bound. The mark doubles on every spill, so a later
+  // attempt finishes.
+  failpoint::ScopedFailpoint stall("mw.recovery.stall", "delay(5ms)*40");
   std::atomic<bool> stop{false};
   std::thread writer([&] {
     int i = 0;

@@ -371,19 +371,6 @@ TEST(WireFrameTest, EveryTruncationFailsCleanly) {
   }
 }
 
-TEST(WireFrameTest, EntryTraceContextRoundTrips) {
-  gcs::WireFrame frame = SampleFrames()[0];
-  for (const bool traced : {true, false}) {
-    frame.trace = traced ? SampleTrace() : obs::TraceContext{};
-    std::string encoded;
-    gcs::EncodeWireFrame(frame, &encoded);
-    gcs::WireFrame decoded;
-    ASSERT_TRUE(gcs::DecodeWireFrame(encoded, &decoded).ok());
-    EXPECT_EQ(decoded.trace, frame.trace);
-    EXPECT_EQ(decoded.trace.valid(), traced);
-  }
-}
-
 TEST(WireFrameTest, RejectsCorruptHeader) {
   std::string good;
   gcs::EncodeWireFrame(SampleFrames()[0], &good);

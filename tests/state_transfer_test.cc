@@ -1,14 +1,21 @@
-// Module tests of online state transfer (middleware/state_transfer.h):
-// the recoverer's chunk application driven through a fake host over a
-// real engine::Database, without a cluster, a group or failpoints.
+// Module tests of online state transfer (middleware/state_transfer.h),
+// driven through fake hosts over real engine::Databases, without a
+// cluster: the recoverer's copy and replay of a donor's plan, the
+// plan's hand-off, and whole Recover() attempts over an in-process
+// group.
 
 #include "middleware/state_transfer.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <utility>
 #include <vector>
+
+#include "common/failpoint.h"
 
 namespace sirep::middleware {
 namespace {
@@ -16,7 +23,8 @@ namespace {
 using sql::Value;
 
 /// A replica reduced to what StateTransfer reaches: one database with
-/// table t(k, v), and a record of the transactions replay committed.
+/// table t(k, v), a fixed validation state to donate, and a record of
+/// the transactions replay committed.
 class FakeHost : public StateTransferHost {
  public:
   FakeHost() {
@@ -25,14 +33,22 @@ class FakeHost : public StateTransferHost {
             .ok());
   }
 
-  gcs::MemberId member_id() const override { return 1; }
-  bool IsRunning() const override { return true; }
+  gcs::MemberId member_id() const override { return id; }
+  bool IsRunning() const override { return running.load(); }
   engine::Database* db() const override { return &db_; }
-  void Crash() override {}
+  void Crash() override {
+    running.store(false);
+    if (group != nullptr) group->Crash(id);
+  }
   void ReadValidationState(
-      const std::function<void(const ValidationView&)>&) override {}
-  void AdoptValidationState(uint64_t, const std::vector<WsWindowEntry>&,
-                            std::vector<WsLogEntry>) override {}
+      const std::function<void(const ValidationView&)>& read) override {
+    read(ValidationView{lastvalidated, lastvalidated, ws_index_, log_});
+  }
+  void AdoptValidationState(uint64_t validated,
+                            const std::vector<WsWindowEntry>&,
+                            std::vector<WsLogEntry>) override {
+    adopted = validated;
+  }
   void MarkLocallyCommitted(const GlobalTxnId& gid) override {
     committed.push_back(gid.seq);
   }
@@ -56,105 +72,303 @@ class FakeHost : public StateTransferHost {
     EXPECT_TRUE(r.ok()) << r.status();
     return r.value().rows.empty() ? -1 : r.value().rows[0][0].AsInt();
   }
+  /// True when no open transaction pins a snapshot: a write first moves
+  /// the clock, so a pinned snapshot would fall behind it.
+  bool NoSnapshotPinned() {
+    Put(next_key_++, 0);
+    return db_.engine().OldestActiveSnapshot() ==
+           db_.engine().last_committed();
+  }
 
+  gcs::MemberId id = 1;
+  gcs::Group* group = nullptr;
+  std::atomic<bool> running{true};
+  /// Donor side: the tid its validation state has reached (and
+  /// committed), with an empty log, so any earlier `from_tid` gets a
+  /// full copy.
+  uint64_t lastvalidated = 0;
+  /// Recoverer side: what AdoptValidationState received.
+  uint64_t adopted = 0;
   /// Sequence numbers of the replayed transactions, in replay order.
   std::vector<uint64_t> committed;
 
  private:
   mutable engine::Database db_;
+  WsIndex ws_index_;
+  std::deque<WsLogEntry> log_;
+  int64_t next_key_ = 1000000;
 };
+
+/// Log entries first..last; entry i writes v = i into row `k(i)`.
+std::vector<WsLogEntry> Log(const FakeHost& host, uint64_t first,
+                            uint64_t last,
+                            const std::function<int64_t(uint64_t)>& k) {
+  std::vector<WsLogEntry> log;
+  for (uint64_t tid = first; tid <= last; ++tid) {
+    auto ws = std::make_shared<storage::WriteSet>();
+    ws->Record({"t", host.Key(k(tid))}, storage::WriteOp::kUpdate,
+               host.Row(k(tid), static_cast<int64_t>(tid)));
+    WsLogEntry entry;
+    entry.tid = tid;
+    entry.gid = {2, tid};
+    entry.ws = std::move(ws);
+    log.push_back(std::move(entry));
+  }
+  return log;
+}
+
+std::vector<uint64_t> Tids(const std::vector<WsLogEntry>& log) {
+  std::vector<uint64_t> tids;
+  for (const auto& entry : log) tids.push_back(entry.tid);
+  return tids;
+}
+
+// ---- the recoverer's copy and replay (ApplyPlan) ----------------------
 
 class StateTransferTest : public ::testing::Test {
  protected:
-  static RecoveryChunk Meta(TransferMeta meta) {
-    RecoveryChunk chunk;
-    chunk.meta = std::move(meta);
-    return chunk;
-  }
-
-  /// A whole-table dump of t in one chunk.
-  RecoveryChunk Dump(const std::vector<std::pair<int64_t, int64_t>>& rows) {
-    RecoveryChunk chunk;
-    chunk.table = "t";
-    chunk.schema = host_.db()->engine().GetTable("t")->schema();
-    chunk.table_begin = true;
-    chunk.table_complete = true;
-    for (const auto& [k, v] : rows) chunk.rows.push_back(host_.Row(k, v));
-    return chunk;
-  }
-
-  /// Log entries first..last; entry i writes v = i into row `k(i)`.
-  RecoveryChunk Log(uint64_t first, uint64_t last,
-                    const std::function<int64_t(uint64_t)>& k) {
-    RecoveryChunk chunk;
-    for (uint64_t tid = first; tid <= last; ++tid) {
-      auto ws = std::make_shared<storage::WriteSet>();
-      const auto v = static_cast<int64_t>(tid);
-      ws->Record({"t", host_.Key(k(tid))}, storage::WriteOp::kUpdate,
-                 host_.Row(k(tid), v));
-      WsLogEntry entry;
-      entry.tid = tid;
-      entry.gid = {2, tid};
-      entry.ws = std::move(ws);
-      chunk.log.push_back(std::move(entry));
+  /// A plan from donor_; a full copy pins its snapshot now.
+  DonorPlan Plan(bool full_copy, std::vector<WsLogEntry> log = {}) {
+    DonorPlan plan;
+    plan.donor = &donor_;
+    plan.meta.full_copy = full_copy;
+    plan.log_suffix = std::move(log);
+    if (full_copy) {
+      plan.tables = donor_.db()->engine().TableNames();
+      plan.dump_txn = donor_.db()->Begin();
     }
-    return chunk;
+    return plan;
   }
 
-  ReplicaOptions options_;  // read through transfer_'s reference
+  Status Apply(const DonorPlan& plan,
+               const std::function<Status()>& after_batch = [] {
+                 return Status::OK();
+               }) {
+    replayed_.clear();
+    return transfer_.ApplyPlan(plan, after_batch, &replayed_);
+  }
+
   FakeHost host_;
+  FakeHost donor_;
   obs::MetricsRegistry registry_;
   obs::FlightRecorder flight_{64};
-  StateTransfer transfer_{&host_, nullptr, options_, &registry_, &flight_};
+  StateTransfer transfer_{&host_, nullptr, ReplicaOptions{}, &registry_,
+                          &flight_};
+  std::vector<WsLogEntry> replayed_;
 };
+
+TEST_F(StateTransferTest, CopyOverwritesAndSweeps) {
+  host_.Put(1, 5);
+  host_.Put(2, 6);
+  donor_.Put(1, 10);
+  donor_.Put(4, 40);
+  ASSERT_TRUE(donor_.db()
+                  ->ExecuteAutoCommit(
+                      "CREATE TABLE u (k INT, v INT, PRIMARY KEY (k))")
+                  .ok());
+  ASSERT_TRUE(donor_.db()->ExecuteAutoCommit("INSERT INTO u VALUES (7, 70)")
+                  .ok());
+  DonorPlan plan = Plan(/*full_copy=*/true);
+  donor_.Put(3, 30);  // after the marker: not part of the copy
+
+  ASSERT_TRUE(Apply(plan).ok());
+  EXPECT_EQ(host_.Get(1), 10);  // overwritten
+  EXPECT_EQ(host_.Get(2), -1);  // swept: the donor lacks it
+  EXPECT_EQ(host_.Get(3), -1);
+  EXPECT_EQ(host_.Get(4), 40);
+  // A table this replica never saw is created from the donor's schema.
+  auto u = host_.db()->ExecuteAutoCommit("SELECT v FROM u WHERE k = 7");
+  ASSERT_TRUE(u.ok()) << u.status();
+  ASSERT_EQ(u.value().rows.size(), 1u);
+  EXPECT_EQ(u.value().rows[0][0].AsInt(), 70);
+}
 
 TEST_F(StateTransferTest, FullCopyRestartReplaysLogAfterNewBase) {
   // An abandoned attempt left row 1 at 150 (its log replayed that far).
   host_.Put(1, 150);
 
   // A fresh attempt copies the table at its donor's stable prefix 130:
-  // the dump rolls the row back to 130, and the log (130, 150] must be
+  // the copy rolls the row back to 130, and the log (130, 150] must be
   // replayed again.
-  RecoveryProgress progress;
-  TransferMeta meta;
-  meta.lastvalidated = 150;
-  meta.full_copy = true;
-  ASSERT_TRUE(transfer_.ApplyChunk(Meta(meta), &progress).ok());
-  ASSERT_TRUE(transfer_.ApplyChunk(Dump({{1, 130}}), &progress).ok());
-  EXPECT_EQ(host_.Get(1), 130);
-  ASSERT_TRUE(
-      transfer_.ApplyChunk(Log(131, 150, [](uint64_t) { return 1; }), &progress)
-          .ok());
+  donor_.Put(1, 130);
+  const DonorPlan plan = Plan(
+      /*full_copy=*/true, Log(host_, 131, 150, [](uint64_t) { return 1; }));
+  ASSERT_TRUE(Apply(plan).ok());
 
   EXPECT_EQ(host_.Get(1), 150);  // what the donor and every replica hold
   EXPECT_EQ(host_.committed.size(), 20u);
-  ASSERT_EQ(progress.adopted_log.size(), 20u);
-  EXPECT_EQ(progress.adopted_log.front().tid, 131u);
-}
-
-TEST_F(StateTransferTest, TableChunkOutOfOrderIsInternal) {
-  RecoveryProgress progress;
-  RecoveryChunk chunk = Dump({{1, 1}});
-  chunk.table_begin = false;  // no table import is active
-  EXPECT_EQ(transfer_.ApplyChunk(chunk, &progress).code(),
-            StatusCode::kInternal);
+  ASSERT_EQ(replayed_.size(), 20u);
+  EXPECT_EQ(replayed_.front().tid, 131u);
 }
 
 TEST_F(StateTransferTest, EveryLogEntryIsReplayedAndAdoptedInTidOrder) {
   host_.Put(1, 0);
   host_.Put(2, 10);  // a previous incarnation already committed entry 10
-  RecoveryProgress progress;
-  // Entries 9 and 11 write row 1, entry 10 row 2; two chunks.
-  const auto row_of = [](uint64_t tid) -> int64_t { return tid == 10 ? 2 : 1; };
-  ASSERT_TRUE(transfer_.ApplyChunk(Log(9, 10, row_of), &progress).ok());
-  ASSERT_TRUE(transfer_.ApplyChunk(Log(11, 11, row_of), &progress).ok());
+  // Entries 9 and 11 write row 1, entry 10 row 2.
+  const DonorPlan plan =
+      Plan(/*full_copy=*/false,
+           Log(host_, 9, 11, [](uint64_t tid) -> int64_t {
+             return tid == 10 ? 2 : 1;
+           }));
+  ASSERT_TRUE(Apply(plan).ok());
 
   EXPECT_EQ(host_.Get(1), 11);  // 9, then 11
   EXPECT_EQ(host_.Get(2), 10);
   EXPECT_EQ(host_.committed, (std::vector<uint64_t>{9, 10, 11}));
-  std::vector<uint64_t> adopted;
-  for (const auto& entry : progress.adopted_log) adopted.push_back(entry.tid);
-  EXPECT_EQ(adopted, (std::vector<uint64_t>{9, 10, 11}));
+  EXPECT_EQ(Tids(replayed_), (std::vector<uint64_t>{9, 10, 11}));
+}
+
+TEST_F(StateTransferTest, CheckRunsAfterEveryBatchAndEndsTheCopy) {
+  const auto rows = static_cast<int64_t>(2 * kRecoveryBatchRows + 1);
+  for (int64_t k = 0; k < rows; ++k) donor_.Put(k, k);
+  const DonorPlan plan = Plan(
+      /*full_copy=*/true, Log(host_, 1, 3, [](uint64_t) { return 0; }));
+
+  // Three batches of rows and one of log entries.
+  int checks = 0;
+  ASSERT_TRUE(Apply(plan, [&] {
+                ++checks;
+                return Status::OK();
+              }).ok());
+  EXPECT_EQ(checks, 4);
+  EXPECT_EQ(host_.Get(rows - 1), rows - 1);
+  EXPECT_EQ(host_.Get(0), 3);
+  EXPECT_EQ(registry_.GetCounter("mw.recovery.chunks_received")->Value(), 4u);
+
+  // A failed check ends the copy with its status, after its batch.
+  checks = 0;
+  const Status stop = Status::Unavailable("donor crashed mid-transfer");
+  EXPECT_EQ(Apply(plan,
+                  [&] {
+                    ++checks;
+                    return checks == 2 ? stop : Status::OK();
+                  })
+                .code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(checks, 2);
+  EXPECT_TRUE(replayed_.empty());
+}
+
+// ---- the plan's hand-off ------------------------------------------------
+
+TEST_F(StateTransferTest, PlanPostedAfterTheRecovererGaveUpIsReleased) {
+  PlanHandoff handoff;
+  handoff.Abandon();
+  handoff.Post(Plan(/*full_copy=*/true));
+  EXPECT_TRUE(donor_.NoSnapshotPinned());
+  EXPECT_FALSE(handoff.Take(std::chrono::milliseconds(0)).has_value());
+}
+
+TEST_F(StateTransferTest, AbandonReleasesAPlanNeverTaken) {
+  PlanHandoff handoff;
+  handoff.Post(Plan(/*full_copy=*/true));
+  EXPECT_FALSE(donor_.NoSnapshotPinned());
+  handoff.Abandon();
+  EXPECT_TRUE(donor_.NoSnapshotPinned());
+}
+
+TEST_F(StateTransferTest, TakenPlanReleasesItsSnapshotWhenDropped) {
+  PlanHandoff handoff;
+  handoff.Post(Plan(/*full_copy=*/true));
+  {
+    auto plan = handoff.Take(std::chrono::milliseconds(0));
+    ASSERT_TRUE(plan.has_value() && plan->ok());
+    EXPECT_FALSE(donor_.NoSnapshotPinned());
+  }
+  EXPECT_TRUE(donor_.NoSnapshotPinned());
+}
+
+// ---- whole Recover() attempts over an in-process group ----------------
+
+/// A fake replica joined to a group: its delivery callback hands every
+/// recovery marker to its StateTransfer, unless the test holds it.
+class Node : public gcs::GroupListener {
+ public:
+  Node(gcs::Group* group, bool recovering)
+      : transfer_(&host, group, Options(recovering), &registry_, &flight_) {
+    host.group = group;
+    host.id = group->Join(this);
+  }
+  ~Node() override { host.group->Crash(host.id); }
+
+  void OnDeliver(const gcs::Message& message) override {
+    if (message.type != kRecoveryRequestType) return;
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return !held_; });
+    lock.unlock();
+    transfer_.OnMarker(message);
+  }
+  void OnViewChange(const gcs::View&) override {}
+
+  /// Holds (or releases) marker delivery at this node.
+  void Hold(bool held) {
+    std::lock_guard<std::mutex> lock(mu_);
+    held_ = held;
+    cv_.notify_all();
+  }
+
+  StateTransfer& transfer() { return transfer_; }
+
+  FakeHost host;
+
+ private:
+  static ReplicaOptions Options(bool recovering) {
+    ReplicaOptions options;
+    options.start_recovering = recovering;
+    return options;
+  }
+
+  obs::MetricsRegistry registry_;
+  obs::FlightRecorder flight_{64};
+  StateTransfer transfer_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool held_ = false;
+};
+
+class StateTransferRecoverTest : public ::testing::Test {
+ protected:
+  StateTransferRecoverTest() {
+    donor_.host.lastvalidated = 5;  // from_tid 0 needs a full copy
+    donor_.host.Put(1, 10);
+    donor_.host.Put(2, 20);
+    recoverer_.host.Put(3, 30);
+    group_.WaitForQuiescence();
+  }
+  ~StateTransferRecoverTest() override { failpoint::DisarmAll(); }
+
+  gcs::Group group_;
+  Node donor_{&group_, /*recovering=*/false};
+  Node recoverer_{&group_, /*recovering=*/true};
+};
+
+TEST_F(StateTransferRecoverTest, RecoverCopiesTheDonorOnItsOwnThread) {
+  ASSERT_TRUE(recoverer_.transfer().Recover(0).ok());
+  EXPECT_TRUE(recoverer_.transfer().live());
+  EXPECT_EQ(recoverer_.host.adopted, 5u);
+  EXPECT_EQ(recoverer_.host.Get(1), 10);
+  EXPECT_EQ(recoverer_.host.Get(2), 20);
+  EXPECT_EQ(recoverer_.host.Get(3), -1);
+  EXPECT_TRUE(donor_.host.NoSnapshotPinned());
+}
+
+TEST_F(StateTransferRecoverTest, DonorDeathMidCopyReleasesItsSnapshot) {
+  failpoint::ScopedFailpoint fp("mw.recovery.donor_crash_mid_transfer",
+                                "crash*1");
+  EXPECT_EQ(recoverer_.transfer().Recover(0).code(), StatusCode::kUnavailable);
+  EXPECT_FALSE(recoverer_.transfer().live());
+  EXPECT_FALSE(donor_.host.IsRunning());
+  EXPECT_TRUE(donor_.host.NoSnapshotPinned());
+}
+
+TEST_F(StateTransferRecoverTest, PlanArrivingAfterTheAttemptGaveUpIsReleased) {
+  // The donor stays silent past the plan timeout, then answers.
+  donor_.Hold(true);
+  EXPECT_EQ(recoverer_.transfer().Recover(0).code(), StatusCode::kTimedOut);
+  donor_.Hold(false);
+  group_.WaitForQuiescence();
+  EXPECT_TRUE(donor_.host.NoSnapshotPinned());
+  EXPECT_FALSE(recoverer_.transfer().live());
 }
 
 }  // namespace

@@ -38,10 +38,6 @@ bool ParseVariantFlag(const char* arg) {
     Variant().replica.applier_threads = std::strtoull(v, nullptr, 10);
     return true;
   }
-  if (const char* v = FlagValue(arg, "--recovery-chunk-rows")) {
-    Variant().replica.recovery_chunk_rows = std::strtoull(v, nullptr, 10);
-    return true;
-  }
   return false;
 }
 

@@ -11,7 +11,6 @@ namespace sirep::test {
 ///
 ///   --transport=inproc|tcp     GroupOptions::transport
 ///   --apply-threads=N          ReplicaOptions::applier_threads
-///   --recovery-chunk-rows=N    ReplicaOptions::recovery_chunk_rows
 ///
 /// ctest runs some suites a second time with these flags (see
 /// tests/CMakeLists.txt); a suite opts in by building its clusters from

@@ -1,6 +1,6 @@
-// Cross-replica distributed tracing (ISSUE 5 tentpole): the origin
-// replica stamps every multicast writeset with a TraceContext, both
-// transports carry it verbatim, and remote replicas record their share
+// Cross-replica distributed tracing: the origin replica stamps every
+// multicast writeset message with a TraceContext, both transports carry
+// it verbatim inside the message, and remote replicas record their share
 // of the commit path (delivery skew, global validation, apply, remote
 // apply lag, snapshot staleness) under the *originating* transaction's
 // trace id. Exercised over the in-process and the TCP sequencer
@@ -24,12 +24,12 @@ namespace {
 
 // ---- GCS layer: the context crosses the wire verbatim -----------------
 
-/// Captures the trace context attached to every delivered message.
+/// Captures the trace context of every delivered writeset message.
 class TraceCapture : public gcs::GroupListener {
  public:
   void OnDeliver(const gcs::Message& message) override {
     std::lock_guard<std::mutex> lock(mu_);
-    traces_.push_back(message.trace);
+    traces_.push_back(message.As<middleware::WriteSetMessage>()->trace);
   }
   void OnViewChange(const gcs::View&) override {}
 
@@ -52,11 +52,14 @@ obs::TraceContext MakeContext() {
   return ctx;
 }
 
-void MulticastCarriesContext(gcs::TransportKind kind) {
+/// A writeset message carrying `ctx`, delivered to two members: through
+/// the message codec when `codecs` (the byte-shipping path the replicas
+/// use), else through the stash.
+void MulticastCarriesContext(gcs::TransportKind kind, bool codecs) {
   gcs::GroupOptions options;
   options.transport = kind;
   gcs::Group group(options);
-  middleware::RegisterMessageCodecs(&group);
+  if (codecs) middleware::RegisterMessageCodecs(&group);
   TraceCapture a;
   TraceCapture b;
   const auto sender = group.Join(&a);
@@ -64,36 +67,31 @@ void MulticastCarriesContext(gcs::TransportKind kind) {
   group.WaitForQuiescence();
 
   const obs::TraceContext ctx = MakeContext();
-  // A payload without a codec (stash path) and one with a codec
-  // (byte-shipping path): the frame-level context must survive both.
-  ASSERT_TRUE(
-      group.Multicast(sender, "m", std::make_shared<const int>(7), ctx)
-          .ok());
   auto msg = std::make_shared<middleware::WriteSetMessage>();
   msg->gid = middleware::GlobalTxnId{2, 99};
   msg->trace = ctx;
   ASSERT_TRUE(group
                   .Multicast(sender, middleware::kWriteSetMessageType,
-                             std::move(msg), ctx)
+                             std::move(msg))
                   .ok());
   group.WaitForQuiescence();
 
   for (const TraceCapture* capture : {&a, &b}) {
     const auto traces = capture->traces();
-    ASSERT_EQ(traces.size(), 2u);
-    for (const auto& received : traces) {
-      EXPECT_EQ(received, ctx);  // including the origin's trace id
-    }
+    ASSERT_EQ(traces.size(), 1u);
+    EXPECT_EQ(traces[0], ctx);  // including the origin's trace id
   }
   group.Shutdown();
 }
 
 TEST(TracePropagationTest, InProcessMulticastCarriesOriginContext) {
-  MulticastCarriesContext(gcs::TransportKind::kInProcess);
+  MulticastCarriesContext(gcs::TransportKind::kInProcess, /*codecs=*/true);
+  MulticastCarriesContext(gcs::TransportKind::kInProcess, /*codecs=*/false);
 }
 
 TEST(TracePropagationTest, TcpMulticastCarriesOriginContext) {
-  MulticastCarriesContext(gcs::TransportKind::kTcp);
+  MulticastCarriesContext(gcs::TransportKind::kTcp, /*codecs=*/true);
+  MulticastCarriesContext(gcs::TransportKind::kTcp, /*codecs=*/false);
 }
 
 // ---- middleware layer: remote replicas record the origin's spans ------
