@@ -226,7 +226,7 @@ Status Connection::Commit() {
 }
 
 Status Connection::CommitInternal() {
-  middleware::SrcaRepReplica::TxnHandle txn = txn_;
+  middleware::SrcaRepReplica::TxnHandle txn = std::move(txn_);
   txn_ = {};
   bool had_writes = false;
   Status st = replica_->CommitTxn(txn, &had_writes);

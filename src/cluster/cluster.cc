@@ -166,12 +166,16 @@ Cluster::RecoverIncarnation(engine::Database* db, uint64_t from_tid,
 
 Status Cluster::RestartReplica(size_t index) {
   middleware::SrcaRepReplica* old = nullptr;
+  // The node outlives the restart and AddReplica's reallocation of
+  // nodes_, so it is read once, under the lock, like the incarnation.
+  ReplicaNode* node = nullptr;
   {
     std::shared_lock<std::shared_mutex> lock(replicas_mu_);
     if (index >= replicas_.size()) {
       return Status::InvalidArgument("no replica " + std::to_string(index));
     }
     old = replicas_[index].get();
+    node = nodes_[index].get();
   }
   if (old->IsAlive()) {
     return Status::InvalidArgument("replica " + std::to_string(index) +
@@ -180,7 +184,7 @@ Status Cluster::RestartReplica(size_t index) {
   const uint64_t from_tid = old->StableCommitPrefix();
   // The database "process" restarts: committed data survives, in-flight
   // transactions of the dead incarnation roll back implicitly.
-  nodes_[index]->db()->engine().SimulateRestart();
+  node->db()->engine().SimulateRestart();
 
   // Whole-group outage (under full replication, the whole cluster):
   // online recovery needs a live donor in the replica's group, and there
@@ -208,7 +212,7 @@ Status Cluster::RestartReplica(size_t index) {
     ropt.bootstrap_prefix = from_tid;  // 0 (nothing ever committed) is
                                        // simply a normal live start
     auto seed = std::make_unique<middleware::SrcaRepReplica>(
-        nodes_[index]->db(), &group(g), ropt);
+        node->db(), &group(g), ropt);
     Status started = seed->Start();
     if (!started.ok()) {
       seed->Crash();
@@ -224,8 +228,7 @@ Status Cluster::RestartReplica(size_t index) {
         "prefix; cold-start the longest-prefix replica first");
   }
 
-  auto incarnation =
-      RecoverIncarnation(nodes_[index]->db(), from_tid, index);
+  auto incarnation = RecoverIncarnation(node->db(), from_tid, index);
   if (!incarnation.ok()) return incarnation.status();
   Replace(index, std::move(incarnation.value()));
   return Status::OK();
@@ -299,8 +302,8 @@ std::string Cluster::FormatCommitBreakdown(const obs::MetricsSnapshot& snap) {
   os << std::fixed << std::setprecision(1);
   for (int i = 0; i < obs::kNumStages; ++i) {
     if (i == obs::kFirstCrossReplicaStage) {
-      os << "  -- cross-replica (spans recorded at remote replicas under "
-            "the origin's trace id) --\n";
+      os << "  -- cross-replica (measured against the origin's multicast "
+            "stamp) --\n";
     }
     const auto stage = static_cast<obs::Stage>(i);
     const auto it = snap.histograms.find(obs::StageMetricName(stage));

@@ -140,8 +140,7 @@ class Cluster : public client::ReplicaDirectory {
   /// "mw.commit.stage.*_us" histograms — the paper's Fig. 7 overhead
   /// table, measured instead of estimated. Includes the cross-replica
   /// stages (sequencer queue, delivery skew, remote apply lag, snapshot
-  /// staleness), whose spans were recorded at remote replicas under the
-  /// originating transaction's trace id.
+  /// staleness), measured against the origin's multicast stamp.
   static std::string FormatCommitBreakdown(const obs::MetricsSnapshot& snap);
 
   /// Concatenated flight-recorder dump: one section per live replica

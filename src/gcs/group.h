@@ -27,8 +27,10 @@ struct Message {
   uint64_t seqno = 0;  ///< position in the total order (1-based)
   std::string type;    ///< application tag, e.g. "writeset"
   std::shared_ptr<const void> payload;
-  /// Sender's MonotonicNanos() at Multicast() time (latency accounting;
-  /// meaningful only where sender and receiver share a clock).
+  /// Sender's MonotonicNanos(), taken inside Multicast() and delivered
+  /// unchanged to every member: the origin's clock reading for latency
+  /// accounting and the middleware's cross-replica commit stages (exact
+  /// only where sender and receiver share a clock).
   uint64_t enqueue_ns = 0;
 
   template <typename T>

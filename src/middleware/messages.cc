@@ -27,10 +27,6 @@ void EncodeWriteSetMessage(const WriteSetMessage& msg, std::string* out) {
   sql::EncodeU32(msg.gid.replica, out);
   sql::EncodeU64(msg.gid.seq, out);
   sql::EncodeU64(msg.cert, out);
-  sql::EncodeU64(msg.trace.trace_id, out);
-  sql::EncodeU32(msg.trace.origin_replica, out);
-  sql::EncodeU64(msg.trace.origin_mono_ns, out);
-  sql::EncodeU64(msg.trace.origin_wall_ns, out);
   static const storage::WriteSet kEmpty;
   storage::EncodeWriteSet(msg.ws != nullptr ? *msg.ws : kEmpty, out);
 }
@@ -39,10 +35,6 @@ Status DecodeWriteSetMessage(const std::string& in, WriteSetMessage* out) {
   size_t pos = 0;
   SIREP_RETURN_IF_ERROR(DecodeHeader(in, &pos, &out->gid));
   SIREP_RETURN_IF_ERROR(sql::DecodeU64(in, &pos, &out->cert));
-  SIREP_RETURN_IF_ERROR(sql::DecodeU64(in, &pos, &out->trace.trace_id));
-  SIREP_RETURN_IF_ERROR(sql::DecodeU32(in, &pos, &out->trace.origin_replica));
-  SIREP_RETURN_IF_ERROR(sql::DecodeU64(in, &pos, &out->trace.origin_mono_ns));
-  SIREP_RETURN_IF_ERROR(sql::DecodeU64(in, &pos, &out->trace.origin_wall_ns));
   auto ws = std::make_shared<storage::WriteSet>();
   SIREP_RETURN_IF_ERROR(storage::DecodeWriteSet(in, &pos, ws.get()));
   if (pos != in.size()) {

@@ -8,7 +8,6 @@
 #include "common/status.h"
 #include "gcs/group.h"
 #include "middleware/global_txn_id.h"
-#include "obs/trace.h"
 #include "storage/write_set.h"
 
 namespace sirep::middleware {
@@ -18,7 +17,9 @@ inline constexpr char kWriteSetMessageType[] = "writeset";
 
 /// The payload multicast in total order when a local transaction asks to
 /// commit (paper Fig. 4, I.2.g): the writeset, the sender's certification
-/// watermark, and the global transaction id for outcome tracking.
+/// watermark, and the global transaction id for outcome tracking. The
+/// origin's clock reading for the cross-replica stages is the GCS's
+/// multicast stamp (gcs::Message::enqueue_ns), not part of the payload.
 struct WriteSetMessage {
   GlobalTxnId gid;
   /// `lastvalidated_tid` at the origin replica when the message was sent:
@@ -26,10 +27,6 @@ struct WriteSetMessage {
   /// point (everything before was covered by local validation).
   uint64_t cert = 0;
   std::shared_ptr<const storage::WriteSet> ws;
-  /// Distributed trace context of the originating transaction, so every
-  /// replica can record its validate/apply/commit spans under the
-  /// origin's trace id (trace_id == 0 when the origin did not trace).
-  obs::TraceContext trace;
 };
 
 /// Message type tag for replicated DDL.
@@ -53,17 +50,13 @@ struct DdlMessage {
 ///   u32  gid.replica
 ///   u64  gid.seq
 ///   u64  cert
-///   u64  trace.trace_id        0 = no context
-///   u32  trace.origin_replica
-///   u64  trace.origin_mono_ns
-///   u64  trace.origin_wall_ns
 ///   ...  writeset  (storage::EncodeWriteSet)
 ///
 /// DdlMessage: u8 version, u32 gid.replica, u64 gid.seq, string sql.
 ///
 /// Every replica runs the same binary, so there is one version:
-/// decoders reject any other (versions 1-3 had other layouts).
-inline constexpr uint8_t kMessageWireVersion = 4;
+/// decoders reject any other (versions 1-4 had other layouts).
+inline constexpr uint8_t kMessageWireVersion = 5;
 
 void EncodeWriteSetMessage(const WriteSetMessage& msg, std::string* out);
 Status DecodeWriteSetMessage(const std::string& in, WriteSetMessage* out);

@@ -23,6 +23,17 @@ ReplicaOptions WithFloors(ReplicaOptions options) {
   return options;
 }
 
+/// A remote writeset's trace, opened with the two spans its delivery
+/// measured.
+obs::TxnTrace RemoteTrace(const GlobalTxnId& gid, uint64_t skew_ns,
+                          uint64_t validate_ns) {
+  obs::TxnTrace trace;
+  if (SIREP_LOG_ENABLED(LogLevel::kDebug)) trace.SetId(gid.ToString());
+  trace.Add(obs::Stage::kDeliverySkew, skew_ns);
+  trace.Add(obs::Stage::kGlobalValidate, validate_ns);
+  return trace;
+}
+
 }  // namespace
 
 SrcaRepReplica::SrcaRepReplica(engine::Database* db, gcs::Group* group,
@@ -101,9 +112,8 @@ Result<SrcaRepReplica::TxnHandle> SrcaRepReplica::BeginTxn() {
   TxnHandle handle;
   handle.gid.replica = member_id();
   handle.gid.seq = next_local_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  handle.trace = std::make_shared<obs::TxnTrace>();
   if (SIREP_LOG_ENABLED(LogLevel::kDebug)) {
-    handle.trace->SetId(handle.gid.ToString());
+    handle.trace.SetId(handle.gid.ToString());
   }
   // Adjustment 3: a local transaction only starts when the commit order
   // has no holes; the begin is atomic with that check.
@@ -115,7 +125,7 @@ Result<SrcaRepReplica::TxnHandle> SrcaRepReplica::BeginTxn() {
 }
 
 Result<engine::QueryResult> SrcaRepReplica::Execute(
-    const TxnHandle& txn, const std::string& sql,
+    TxnHandle& txn, const std::string& sql,
     const std::vector<sql::Value>& params) {
   if (!IsAlive()) return Status::Unavailable("replica crashed");
   if (!txn.valid()) return Status::InvalidArgument("invalid transaction");
@@ -141,9 +151,9 @@ Result<engine::QueryResult> SrcaRepReplica::Execute(
     SIREP_RETURN_IF_ERROR(ReplicateDdl(sql));
     return engine::QueryResult{};
   }
-  txn.trace->Begin(obs::Stage::kExecute);
+  txn.trace.Begin(obs::Stage::kExecute);
   auto result = db_->Execute(txn.db_txn, *parsed.value(), params);
-  txn.trace->End(obs::Stage::kExecute);
+  txn.trace.End(obs::Stage::kExecute);
   return result;
 }
 
@@ -218,7 +228,7 @@ Status SrcaRepReplica::RollbackTxn(const TxnHandle& txn) {
   return Status::OK();
 }
 
-Status SrcaRepReplica::CommitTxn(const TxnHandle& txn, bool* had_writes) {
+Status SrcaRepReplica::CommitTxn(TxnHandle& txn, bool* had_writes) {
   obs::Profiler::Section section("mw.commit_txn");
   if (!IsAlive()) return Status::Unavailable("replica crashed");
   if (!txn.valid()) return Status::InvalidArgument("invalid transaction");
@@ -232,7 +242,7 @@ Status SrcaRepReplica::CommitTxn(const TxnHandle& txn, bool* had_writes) {
     return Status::Unavailable("injected crash before writeset extraction");
   }
 
-  obs::TxnTrace& trace = *txn.trace;
+  obs::TxnTrace& trace = txn.trace;
 
   // Fig. 4, I.2.a: retrieve the writeset before committing.
   trace.Begin(obs::Stage::kExtract);
@@ -279,7 +289,6 @@ Status SrcaRepReplica::CommitTxn(const TxnHandle& txn, bool* had_writes) {
 
   auto pending = std::make_shared<PendingLocal>();
   pending->db_txn = txn.db_txn;
-  pending->trace = txn.trace;
   uint64_t cert = 0;
   trace.Begin(obs::Stage::kLocalValidate);
   {
@@ -313,24 +322,16 @@ Status SrcaRepReplica::CommitTxn(const TxnHandle& txn, bool* had_writes) {
                                txn.gid.ToString());
   }
 
-  // I.2.g: disseminate in total order. The multicast span is closed by
-  // ProcessWriteSet at the message's arrival here — on this very thread
-  // when the in-process GCS lets it deliver its own writeset inside
-  // Multicast(), which it does when this replica is alone in its group.
-  // The TraceContext rides in the payload (its codec carries it over the
-  // wire), so every replica records its spans under this transaction's
-  // trace id and can measure delivery skew / staleness against the
-  // origin's clocks.
-  obs::TraceContext ctx;
-  ctx.trace_id =
-      (static_cast<uint64_t>(txn.gid.replica) + 1) << 40 | txn.gid.seq;
-  ctx.origin_replica = txn.gid.replica;
-  ctx.origin_mono_ns = obs::MonotonicNanos();
-  ctx.origin_wall_ns = obs::TraceContext::WallNanos();
-  trace.SetContext(ctx);
+  // I.2.g: disseminate in total order. The multicast span ends at the
+  // message's arrival here, a time the delivering thread reports in the
+  // validation result (it is this very thread when the in-process GCS
+  // lets it deliver its own writeset inside Multicast(), which it does
+  // when this replica is alone in its group). Multicast() stamps the
+  // message with this replica's clock; every replica measures the
+  // cross-replica stages against that stamp.
   trace.Begin(obs::Stage::kMulticast);
   auto payload = std::make_shared<const WriteSetMessage>(
-      WriteSetMessage{txn.gid, cert, ws, ctx});
+      WriteSetMessage{txn.gid, cert, ws});
   Status mc = group_->Multicast(member_id(), kWriteSetMessageType, payload);
   if (!mc.ok()) {
     {
@@ -369,6 +370,11 @@ Status SrcaRepReplica::CommitTxn(const TxnHandle& txn, bool* had_writes) {
                                  txn.gid.ToString());
     case ValidationResult::Kind::kValidated:
       break;
+  }
+  trace.EndAt(obs::Stage::kMulticast, result.delivered_ns);
+  trace.Add(obs::Stage::kGlobalValidate, result.validate_ns);
+  if (result.sequencer_ns != 0) {
+    trace.Add(obs::Stage::kSequencerQueue, result.sequencer_ns);
   }
 
   // §5.4 case 3b, latest possible instant: globally validated everywhere
@@ -457,39 +463,29 @@ void SrcaRepReplica::ProcessWriteSet(const gcs::Message& message) {
   const auto* msg = message.As<WriteSetMessage>();
   const bool is_local = msg->gid.replica == member_id();
   const uint64_t arrival_ns = obs::MonotonicNanos();
-  // Every writeset carries its origin's context (CommitTxn stamps it,
-  // the codec carries it).
-  const obs::TraceContext& ctx = msg->trace;
 
-  // Origin-tagged trace for a *remote* writeset: the spans this replica
-  // records (validate, apply, commit, the cross-replica lags) all land
-  // under the originating transaction's trace id.
-  std::shared_ptr<obs::TxnTrace> rtrace;
+  // Delivery skew of a *remote* writeset, against the origin's multicast
+  // stamp. Zero for the delivery that set the offset bound itself: every
+  // remote delivery contributes a sample so the histogram's count (and
+  // p50) reflects all of them, not just the laggards.
+  uint64_t skew_ns = 0;
   if (!is_local) {
     // NTP-style clock-offset lower bound: the minimum observed
     // (arrival - origin send) across all remote deliveries.
-    const int64_t delta =
-        static_cast<int64_t>(arrival_ns) -
-        static_cast<int64_t>(ctx.origin_mono_ns);
+    const int64_t delta = static_cast<int64_t>(arrival_ns) -
+                          static_cast<int64_t>(message.enqueue_ns);
     int64_t prev = clock_offset_ns_.load(std::memory_order_relaxed);
     while (delta < prev && !clock_offset_ns_.compare_exchange_weak(
                                prev, delta, std::memory_order_relaxed)) {
     }
     const int64_t offset = std::min(prev, delta);
     g_clock_offset_ns_->Set(offset);
-    rtrace = std::make_shared<obs::TxnTrace>();
-    if (SIREP_LOG_ENABLED(LogLevel::kDebug)) rtrace->SetId(ctx.ToString());
-    rtrace->SetContext(ctx);
-    // Zero for the delivery that set the offset bound itself: every
-    // remote delivery contributes a sample so the histogram's count
-    // (and p50) reflects all of them, not just the laggards.
-    rtrace->Add(obs::Stage::kDeliverySkew,
-                delta > offset ? static_cast<uint64_t>(delta - offset)
-                               : 0);
+    if (delta > offset) skew_ns = static_cast<uint64_t>(delta - offset);
   }
 
   bool conflict;
   uint64_t tid = 0;
+  uint64_t validate_ns = 0;
   storage::TupleId conflict_key;
   size_t ws_list_size = 0;
   size_t depth = 0;  // tocommit queue depth after our append
@@ -509,6 +505,7 @@ void SrcaRepReplica::ProcessWriteSet(const gcs::Message& message) {
     } else {
       conflict = ws_index_.ConflictsAfter(msg->cert, *msg->ws, &conflict_key);
     }
+    validate_ns = obs::MonotonicNanos() - arrival_ns;
     if (!conflict) {
       tid = ++lastvalidated_tid_;
       ws_index_.Append(tid, msg->ws);
@@ -517,23 +514,18 @@ void SrcaRepReplica::ProcessWriteSet(const gcs::Message& message) {
       log_entry.gid = msg->gid;
       log_entry.ws = msg->ws;
       AppendToLogLocked(std::move(log_entry));
-      if (rtrace != nullptr) {
-        // Last write before publication: Append hands the trace to an
-        // applier thread (the queue's lock orders that handoff), so the
-        // validation span must land before the entry becomes visible.
-        rtrace->Add(obs::Stage::kGlobalValidate,
-                    obs::MonotonicNanos() - arrival_ns);
-      }
-      depth = tocommit_queue_.Append(ToCommitEntry{.tid = tid,
-                                                   .gid = msg->gid,
-                                                   .local = is_local,
-                                                   .ws = msg->ws,
-                                                   .delivered_ns = arrival_ns,
-                                                   .trace = rtrace});
+      depth = tocommit_queue_.Append(
+          ToCommitEntry{.tid = tid,
+                        .gid = msg->gid,
+                        .local = is_local,
+                        .ws = msg->ws,
+                        .origin_ns = message.enqueue_ns,
+                        .delivered_ns = arrival_ns,
+                        .skew_ns = skew_ns,
+                        .validate_ns = validate_ns});
     }
     ws_list_size = ws_index_.size();
   }
-  const uint64_t validate_ns = obs::MonotonicNanos() - arrival_ns;
 
   // Validation-window gauge, sampled on every delivery (a fig5/fig8
   // saturation signal beside the queue's own depth gauge).
@@ -566,20 +558,6 @@ void SrcaRepReplica::ProcessWriteSet(const gcs::Message& message) {
       }
     }
     if (pending != nullptr) {
-      // The sender's multicast span ends when the message reached this
-      // (= its own) replica; validation time is charged separately.
-      // Safe without atomics: the client thread stopped touching the
-      // trace before the group enqueue that delivered this message, and
-      // only resumes after pending->cv signals done.
-      pending->trace->EndAt(obs::Stage::kMulticast, arrival_ns);
-      pending->trace->Add(obs::Stage::kGlobalValidate, validate_ns);
-      // Sequencer wait: group enqueue at the origin until total-order
-      // delivery back at the origin (same clock, so no skew correction
-      // needed).
-      if (message.enqueue_ns != 0 && arrival_ns > message.enqueue_ns) {
-        pending->trace->Add(obs::Stage::kSequencerQueue,
-                            arrival_ns - message.enqueue_ns);
-      }
       if (conflict) {
         db_->Abort(pending->db_txn);
         c_global_val_aborts_->Increment();
@@ -589,17 +567,25 @@ void SrcaRepReplica::ProcessWriteSet(const gcs::Message& message) {
       pending->result.kind = conflict ? ValidationResult::Kind::kFailed
                                       : ValidationResult::Kind::kValidated;
       pending->result.tid = tid;
+      // The sender's multicast span ends when the message reached this
+      // (= its own) replica; validation time is charged separately, and
+      // so is the sequencer wait: multicast stamp until total-order
+      // delivery back here (one clock, so no skew correction needed).
+      pending->result.delivered_ns = arrival_ns;
+      pending->result.validate_ns = validate_ns;
+      pending->result.sequencer_ns =
+          message.enqueue_ns != 0 && arrival_ns > message.enqueue_ns
+              ? arrival_ns - message.enqueue_ns
+              : 0;
       pending->cv.notify_all();
     }
     // else: the client gave up (crash path) — nothing to do.
   } else {
     if (conflict) {
       c_remote_discards_->Increment();
-      // A discarded writeset never reaches ApplyRemote, so the trace was
-      // never shared with an applier: record the validation span and
-      // flush what we have (delivery skew + validation) now.
-      rtrace->Add(obs::Stage::kGlobalValidate, validate_ns);
-      rtrace->Flush(stage_hists_);
+      // A discarded writeset never reaches ApplyRemote: flush what it
+      // has (delivery skew + validation) now.
+      RemoteTrace(msg->gid, skew_ns, validate_ns).Flush(stage_hists_);
     } else {
       DispatchRemotes(tocommit_queue_.TakeDispatchable());
     }
@@ -630,7 +616,8 @@ void SrcaRepReplica::ApplyRemote(ToCommitEntry entry) {
     std::atomic<int64_t>* counter;
     ~InflightGuard() { counter->fetch_sub(1, std::memory_order_relaxed); }
   } inflight_guard{&applies_inflight_};
-  obs::TxnTrace& rtrace = *entry.trace;
+  obs::TxnTrace rtrace =
+      RemoteTrace(entry.gid, entry.skew_ns, entry.validate_ns);
   while (!shutdown_.load(std::memory_order_acquire) && IsAlive()) {
     auto txn = db_->Begin();
     // "mw.apply" injects transient failures (e.g. 1in(4,error(deadlock)))
@@ -639,8 +626,8 @@ void SrcaRepReplica::ApplyRemote(ToCommitEntry entry) {
     Status st = failpoint::AnyArmed() ? failpoint::EvalStatus("mw.apply")
                                       : Status::OK();
     if (st.ok()) {
-      // Apply/commit spans accumulate in the origin-tagged trace
-      // (flushed once at commit, retries included).
+      // Apply/commit spans accumulate in the trace (flushed once at
+      // commit, retries included).
       rtrace.Begin(obs::Stage::kApply);
       st = db_->ApplyWriteSet(txn, *entry.ws);
       rtrace.End(obs::Stage::kApply);
@@ -664,13 +651,12 @@ void SrcaRepReplica::ApplyRemote(ToCommitEntry entry) {
               rtrace.Add(obs::Stage::kRemoteApplyLag,
                          now - entry.delivered_ns);
             }
-            // Origin multicast send -> visible at this replica (raw
+            // Origin multicast stamp -> visible at this replica (raw
             // cross-clock difference; the clock-offset gauge lets readers
             // correct it on clock-skewed deployments).
-            const auto& octx = rtrace.context();
-            if (octx.origin_mono_ns != 0 && now > octx.origin_mono_ns) {
+            if (entry.origin_ns != 0 && now > entry.origin_ns) {
               rtrace.Add(obs::Stage::kSnapshotStaleness,
-                         now - octx.origin_mono_ns);
+                         now - entry.origin_ns);
             }
             rtrace.Flush(stage_hists_);
             c_committed_->Increment();

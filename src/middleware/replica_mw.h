@@ -60,7 +60,7 @@ class SrcaRepReplica final : public gcs::GroupListener,
     GlobalTxnId gid;
     storage::TransactionPtr db_txn;
     /// Commit-path stage trace, carried from BeginTxn through commit.
-    std::shared_ptr<obs::TxnTrace> trace;
+    obs::TxnTrace trace;
     bool valid() const { return gid.valid() && db_txn != nullptr; }
   };
 
@@ -100,8 +100,7 @@ class SrcaRepReplica final : public gcs::GroupListener,
   /// A transaction-failure status means the transaction was aborted
   /// inside the database (conflict/deadlock) — restart it. Any other
   /// error (parse error, unknown table) leaves the transaction open.
-  Result<engine::QueryResult> Execute(const TxnHandle& txn,
-                                      const std::string& sql,
+  Result<engine::QueryResult> Execute(TxnHandle& txn, const std::string& sql,
                                       const std::vector<sql::Value>& params =
                                           {});
 
@@ -113,7 +112,7 @@ class SrcaRepReplica final : public gcs::GroupListener,
   /// non-null, reports whether a writeset was disseminated (false for the
   /// read-only fast path — such transactions exist only here and cannot
   /// be inquired about at other replicas).
-  Status CommitTxn(const TxnHandle& txn, bool* had_writes = nullptr);
+  Status CommitTxn(TxnHandle& txn, bool* had_writes = nullptr);
 
   /// Aborts a transaction that has not entered the commit protocol.
   Status RollbackTxn(const TxnHandle& txn);
@@ -222,17 +221,19 @@ class SrcaRepReplica final : public gcs::GroupListener,
   void OnViewChange(const gcs::View& view) override;
 
  private:
-  /// Result of global validation for a pending local commit.
+  /// Result of global validation for a pending local commit, with the
+  /// delivering thread's measurements for the committing client's trace
+  /// (zero when the replica crashed first).
   struct ValidationResult {
     enum class Kind { kValidated, kFailed, kCrashed } kind = Kind::kFailed;
     uint64_t tid = 0;
+    uint64_t delivered_ns = 0;  ///< arrival here: ends kMulticast
+    uint64_t validate_ns = 0;   ///< kGlobalValidate
+    uint64_t sequencer_ns = 0;  ///< kSequencerQueue
   };
 
   struct PendingLocal {
     storage::TransactionPtr db_txn;
-    /// Shared with the committing client's TxnHandle so the delivery
-    /// thread can close the multicast span and record validation time.
-    std::shared_ptr<obs::TxnTrace> trace;
     std::mutex mu;
     std::condition_variable cv;
     bool done = false;

@@ -16,7 +16,6 @@
 #include "middleware/global_txn_id.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
-#include "obs/trace.h"
 #include "storage/write_set.h"
 
 namespace sirep::middleware {
@@ -28,12 +27,12 @@ struct ToCommitEntry {
   GlobalTxnId gid;
   bool local = false;  ///< local at this replica?
   std::shared_ptr<const storage::WriteSet> ws;
-  /// Delivery time at this replica (MonotonicNanos), for remote-apply lag.
-  uint64_t delivered_ns = 0;
-  /// Origin-tagged distributed trace of a remote entry (null for a local
-  /// one); the applier records its apply/commit spans into it and
-  /// flushes it at commit.
-  std::shared_ptr<obs::TxnTrace> trace = nullptr;
+  /// What the delivery measured, for the applier's trace of a remote
+  /// entry (MonotonicNanos readings and durations):
+  uint64_t origin_ns = 0;     ///< the origin's multicast stamp
+  uint64_t delivered_ns = 0;  ///< delivery at this replica
+  uint64_t skew_ns = 0;       ///< kDeliverySkew
+  uint64_t validate_ns = 0;   ///< kGlobalValidate
 };
 
 /// The per-replica `tocommit_queue` of the paper (Fig. 1 II / Fig. 4 III)

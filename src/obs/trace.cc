@@ -1,22 +1,8 @@
 #include "obs/trace.h"
 
-#include <chrono>
-
 #include "common/logging.h"
 
 namespace sirep::obs {
-
-std::string TraceContext::ToString() const {
-  return "r" + std::to_string(origin_replica) + "/" +
-         std::to_string(trace_id);
-}
-
-uint64_t TraceContext::WallNanos() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
-}
 
 const char* StageName(Stage stage) {
   switch (stage) {

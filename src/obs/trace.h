@@ -17,18 +17,18 @@ namespace sirep::obs {
 /// holds the changes); `kCommit` is the storage-level commit install.
 ///
 /// The stages after kCommit are cross-replica: measured against the
-/// originating replica's TraceContext timestamps carried in the
-/// multicast writeset, so the replicated leg (the one SI-Rep adds over
-/// a standalone database) is visible in the Fig. 7 breakdown.
-///   kSequencerQueue   multicast enqueue -> delivery at the origin
+/// origin's clock reading that the GCS stamps on every multicast
+/// (gcs::Message::enqueue_ns), so the replicated leg (the one SI-Rep
+/// adds over a standalone database) is visible in the Fig. 7 breakdown.
+///   kSequencerQueue   multicast stamp -> delivery at the origin
 ///                     replica (sequencer round-trip).
 ///   kDeliverySkew     how much later a *remote* replica saw the
 ///                     writeset than the estimated fastest delivery
-///                     (local arrival minus origin send, minus the
-///                     replica's clock-offset estimate).
+///                     (local arrival minus the multicast stamp, minus
+///                     the replica's clock-offset estimate).
 ///   kRemoteApplyLag   delivery at a remote replica -> that replica's
 ///                     commit install (tocommit queueing + apply).
-///   kSnapshotStaleness  origin multicast send -> visible (committed)
+///   kSnapshotStaleness  multicast stamp -> visible (committed)
 ///                     at a remote replica: the window in which a read
 ///                     there still sees the pre-transaction snapshot.
 ///
@@ -54,37 +54,10 @@ enum class Stage : int {
 inline constexpr int kNumStages = 12;
 
 /// First cross-replica stage; [kFirstCrossReplicaStage, kNumStages) are
-/// measured against the origin's TraceContext rather than one replica's
-/// own clock.
+/// measured against the origin's multicast stamp rather than one
+/// replica's own clock.
 inline constexpr int kFirstCrossReplicaStage =
     static_cast<int>(Stage::kSequencerQueue);
-
-/// Compact distributed-trace context propagated with every multicast
-/// writeset (gcs::WireEntry / middleware::WriteSetMessage, versioned
-/// serde), so remote replicas can record their validate/apply/commit
-/// spans under the *originating* transaction's trace id and measure
-/// delivery skew and snapshot staleness against the origin's clocks.
-/// A zero trace_id means "no context" (e.g. a frame decoded from the
-/// v1 wire format).
-struct TraceContext {
-  uint64_t trace_id = 0;        ///< cluster-unique; 0 = absent
-  uint32_t origin_replica = 0;  ///< GCS member id of the originator
-  uint64_t origin_mono_ns = 0;  ///< origin MonotonicNanos() at multicast
-  uint64_t origin_wall_ns = 0;  ///< origin wall clock (ns since epoch)
-
-  bool valid() const { return trace_id != 0; }
-  /// "r<origin>/<trace_id>" — the span-log tag remote replicas use.
-  std::string ToString() const;
-  /// Current wall clock in nanoseconds since the Unix epoch.
-  static uint64_t WallNanos();
-
-  friend bool operator==(const TraceContext& a, const TraceContext& b) {
-    return a.trace_id == b.trace_id &&
-           a.origin_replica == b.origin_replica &&
-           a.origin_mono_ns == b.origin_mono_ns &&
-           a.origin_wall_ns == b.origin_wall_ns;
-  }
-};
 
 /// Short lowercase name, e.g. "local_validate".
 const char* StageName(Stage stage);
@@ -101,32 +74,16 @@ struct StageHistograms {
   static StageHistograms FromRegistry(MetricsRegistry* registry);
 };
 
-/// Per-transaction trace context carried from BeginTxn to commit.
-///
-/// Threading: a trace is written by one thread at a time — the client
-/// session thread up to multicast, the thread that delivers the writeset
-/// back to its origin between delivery and validation outcome, then the
-/// client thread again. Sometimes those are one thread: on the
-/// in-process GCS, a client whose replica is alone in its group
-/// delivers its own writeset. When the GCS delivery thread
-/// does it instead, the handoffs are ordered by the group queue and the
-/// middleware's pending-commit mutex and condition variable, so plain
-/// (non-atomic) fields are race-free either way.
-/// Origin-tagged remote traces follow the same rule: the delivering
-/// thread finishes all writes (skew + validation spans) *before*
-/// appending the tocommit entry that carries the trace, and the queue's
-/// lock orders that handoff to the single applier thread that takes the
-/// entry.
+/// The stage spans of one transaction at one replica, flushed once.
+/// A trace belongs to the one thread that records it: a local
+/// transaction's lives in its session handle, a remote writeset's on
+/// the stack of the thread that finishes it. Times taken on another
+/// thread arrive as plain values (EndAt, Add).
 class TxnTrace {
  public:
-  /// `id` labels the kDebug span log lines (typically the GlobalTxnId).
+  /// `id` labels the kDebug span log lines (the GlobalTxnId).
   void SetId(std::string id) { id_ = std::move(id); }
   const std::string& id() const { return id_; }
-
-  /// The distributed-trace context this trace originates (set once by
-  /// the originating replica, before multicast).
-  void SetContext(const TraceContext& context) { context_ = context; }
-  const TraceContext& context() const { return context_; }
 
   /// Starts the stage clock. Begin/End pairs may repeat (e.g. one
   /// kExecute span per statement); durations accumulate.
@@ -157,7 +114,6 @@ class TxnTrace {
   static int Index(Stage stage) { return static_cast<int>(stage); }
 
   std::string id_;
-  TraceContext context_;
   std::array<uint64_t, kNumStages> start_ns_{};
   std::array<uint64_t, kNumStages> duration_ns_{};
   std::array<uint64_t, kNumStages> counts_{};

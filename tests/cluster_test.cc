@@ -5,12 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "sql/parser.h"
 
@@ -234,6 +237,120 @@ TEST(ClusterTest, RetiredIncarnationsReleaseTheirThreads) {
     ASSERT_TRUE(cluster.RestartReplica(2).ok());
   }
   EXPECT_EQ(ThreadNames().count("apply/0"), 3u);
+}
+
+constexpr char kKvSchema[] = "CREATE TABLE t (k INT, v INT, PRIMARY KEY (k))";
+
+TEST(ClusterTest, RestartWhileAddReplicaGrowsTheCluster) {
+  // A join appends to the cluster's node list, and its first append
+  // reallocates it, while a restart works on the restarting replica's
+  // node: both must go through, and the cluster grows once per join.
+  ClusterOptions options;
+  options.num_replicas = 3;
+  Cluster cluster(options);
+  ASSERT_TRUE(cluster.Start().ok());
+  ASSERT_TRUE(cluster.ExecuteEverywhere(kKvSchema).ok());
+  for (size_t round = 0; round < 3; ++round) {
+    const size_t before = cluster.size();
+    cluster.CrashReplica(2);
+    Status joined;
+    size_t joined_index = 0;
+    std::thread joiner([&] {
+      auto added = cluster.AddReplica([](engine::Database* db) {
+        return db->ExecuteAutoCommit(kKvSchema).status();
+      });
+      joined = added.status();
+      if (added.ok()) joined_index = added.value();
+    });
+    const Status restarted = cluster.RestartReplica(2);
+    joiner.join();
+    ASSERT_TRUE(restarted.ok()) << "round " << round << ": " << restarted;
+    ASSERT_TRUE(joined.ok()) << "round " << round << ": " << joined;
+    EXPECT_EQ(joined_index, before);
+    EXPECT_EQ(cluster.size(), before + 1);
+    EXPECT_TRUE(cluster.replica(2)->IsAcceptingClients());
+  }
+}
+
+/// Every row of table t, in key order, one "k,v" string each.
+std::vector<std::string> KvRows(engine::Database* db) {
+  auto r = db->ExecuteAutoCommit("SELECT k, v FROM t ORDER BY k");
+  EXPECT_TRUE(r.ok()) << r.status();
+  std::vector<std::string> rows;
+  if (!r.ok()) return rows;
+  for (const auto& row : r.value().rows) rows.push_back(sql::RowToString(row));
+  return rows;
+}
+
+TEST(ClusterTest, ReplicatedCommitsReachEveryGroupCommitWal) {
+  // The middleware's two-phase commit against a group-commit WAL: the
+  // commit inside the tocommit queue only buffers the record, and the
+  // durability wait after it elects a flush leader, at the origin's
+  // client and at four parallel appliers per replica. Each replica's log
+  // must replay to exactly that replica's rows.
+  constexpr size_t kReplicas = 3;
+  constexpr int kClients = 4;
+  constexpr int kRowsPerClient = 50;
+  std::vector<std::string> paths;
+  for (size_t i = 0; i < kReplicas; ++i) {
+    paths.push_back((std::filesystem::temp_directory_path() /
+                     ("sirep_cluster_wal_" + std::to_string(::getpid()) +
+                      "_" + std::to_string(i) + ".wal"))
+                        .string());
+    std::filesystem::remove(paths.back());
+  }
+  std::vector<std::vector<std::string>> committed(kReplicas);
+  {
+    ClusterOptions options;
+    options.num_replicas = kReplicas;
+    options.replica.applier_threads = 4;
+    Cluster cluster(options);
+    for (size_t i = 0; i < kReplicas; ++i) {
+      ASSERT_TRUE(
+          cluster.db(i)->EnableWal(paths[i], /*group_commit=*/true).ok());
+    }
+    ASSERT_TRUE(cluster.Start().ok());
+    ASSERT_TRUE(cluster.ExecuteEverywhere(kKvSchema).ok());
+
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&cluster, c] {
+        client::ConnectionOptions copts;
+        copts.pinned_replica = c % 2;
+        auto conn = cluster.Connect(copts);
+        ASSERT_TRUE(conn.ok()) << conn.status();
+        for (int i = 0; i < kRowsPerClient; ++i) {
+          const int64_t k = c * kRowsPerClient + i;
+          ASSERT_TRUE(conn.value()
+                          ->Execute("INSERT INTO t VALUES (?, ?)",
+                                    {Value::Int(k), Value::Int(c)})
+                          .ok());
+        }
+      });
+    }
+    for (auto& t : clients) t.join();
+    cluster.Quiesce();
+
+    for (size_t i = 0; i < kReplicas; ++i) {
+      committed[i] = KvRows(cluster.db(i));
+      EXPECT_EQ(committed[i].size(),
+                static_cast<size_t>(kClients * kRowsPerClient))
+          << "replica " << i;
+      EXPECT_EQ(committed[i], committed[0]) << "replica " << i;
+      const auto snap = cluster.db(i)->engine().metrics().Snapshot();
+      const auto it = snap.histograms.find("storage.wal_group_size");
+      ASSERT_NE(it, snap.histograms.end()) << "replica " << i;
+      EXPECT_GT(it->second.count, 0u) << "replica " << i;
+    }
+  }  // Shutdown joins the appliers, each after its durability wait.
+
+  for (size_t i = 0; i < kReplicas; ++i) {
+    engine::Database revived;
+    ASSERT_TRUE(revived.ExecuteAutoCommit(kKvSchema).ok());
+    ASSERT_TRUE(revived.RecoverFromWal(paths[i]).ok()) << "replica " << i;
+    EXPECT_EQ(KvRows(&revived), committed[i]) << "replica " << i;
+    std::filesystem::remove(paths[i]);
+  }
 }
 
 }  // namespace

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
 #include <thread>
 #include <vector>
 
@@ -144,9 +143,7 @@ TEST(SampleStatsTest, BasicMoments) {
   for (double v : {1.0, 2.0, 3.0, 4.0, 5.0}) s.Add(v);
   EXPECT_EQ(s.count(), 5u);
   EXPECT_DOUBLE_EQ(s.Mean(), 3.0);
-  EXPECT_DOUBLE_EQ(s.Min(), 1.0);
   EXPECT_DOUBLE_EQ(s.Max(), 5.0);
-  EXPECT_NEAR(s.Stddev(), std::sqrt(2.5), 1e-9);
 }
 
 TEST(SampleStatsTest, Percentiles) {
@@ -156,17 +153,6 @@ TEST(SampleStatsTest, Percentiles) {
   EXPECT_NEAR(s.Percentile(0), 1.0, 1e-9);
   EXPECT_NEAR(s.Percentile(100), 100.0, 1e-9);
   EXPECT_NEAR(s.Percentile(95), 95.05, 0.1);
-}
-
-TEST(SampleStatsTest, ConfidenceCriterion) {
-  SampleStats narrow;
-  for (int i = 0; i < 100; ++i) narrow.Add(10.0 + (i % 2) * 0.01);
-  EXPECT_TRUE(narrow.ConfidentWithin(0.05));
-
-  SampleStats wide;
-  wide.Add(1.0);
-  wide.Add(100.0);
-  EXPECT_FALSE(wide.ConfidentWithin(0.05));
 }
 
 TEST(SampleStatsTest, MergeCombines) {

@@ -578,8 +578,7 @@ TEST(CommitTraceTest, CommittedTxnRecordsEveryStageExactlyOnce) {
   // A committed local update passes through each commit-path stage
   // exactly once (one statement, one validation round). kApply is the
   // remote-replica writeset application and stays zero here.
-  ASSERT_NE(handle.trace, nullptr);
-  const obs::TxnTrace& trace = *handle.trace;
+  const obs::TxnTrace& trace = handle.trace;
   for (const obs::Stage stage :
        {obs::Stage::kExecute, obs::Stage::kExtract, obs::Stage::kLocalValidate,
         obs::Stage::kMulticast, obs::Stage::kGlobalValidate,

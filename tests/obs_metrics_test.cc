@@ -257,20 +257,6 @@ TEST(TraceTest, EndWithoutBeginIsIgnored) {
   EXPECT_EQ(trace.DurationNs(Stage::kApply), 0u);
 }
 
-TEST(TraceContextTest, ValidityAndEquality) {
-  TraceContext empty;
-  EXPECT_FALSE(empty.valid());
-
-  TraceContext ctx;
-  ctx.trace_id = 0x42;
-  ctx.origin_replica = 2;
-  ctx.origin_mono_ns = 123;
-  ctx.origin_wall_ns = 456;
-  EXPECT_TRUE(ctx.valid());
-  EXPECT_EQ(ctx, ctx);
-  EXPECT_FALSE(ctx == empty);
-}
-
 // --- percentile extraction from histogram buckets ----------------------
 
 TEST(HistogramTest, SummaryPercentilesOrderedAndBounded) {

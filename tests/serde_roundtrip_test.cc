@@ -13,7 +13,6 @@
 
 #include "gcs/wire.h"
 #include "middleware/messages.h"
-#include "obs/trace.h"
 #include "sql/value.h"
 #include "storage/write_set.h"
 
@@ -188,6 +187,11 @@ TEST(MessageSerdeTest, WriteSetMessageRoundTrips) {
   EXPECT_EQ(decoded.cert, 17u);
   ASSERT_NE(decoded.ws, nullptr);
   ExpectWriteSetsEqual(*msg.ws, *decoded.ws);
+  // u8 version, u32 gid.replica, u64 gid.seq, u64 cert, then the
+  // writeset: nothing else rides in the message.
+  std::string ws_only;
+  storage::EncodeWriteSet(*msg.ws, &ws_only);
+  EXPECT_EQ(encoded.size(), 1 + 4 + 8 + 8 + ws_only.size());
 }
 
 TEST(MessageSerdeTest, WriteSetMessageWithNullWriteSetRoundTrips) {
@@ -234,7 +238,7 @@ TEST(MessageSerdeTest, RejectsAnyOtherVersion) {
   ddl.sql = "CREATE TABLE t (id INT PRIMARY KEY)";
   std::string ddl_encoded;
   middleware::EncodeDdlMessage(ddl, &ddl_encoded);
-  for (const int version : {0, 1, 2, 3, 0xEE}) {
+  for (const int version : {0, 1, 2, 3, 4, 0xEE}) {
     std::string bad = ws_encoded;
     bad[0] = static_cast<char>(version);
     WriteSetMessage decoded;
@@ -275,43 +279,6 @@ TEST(MessageSerdeTest, DdlMessageTruncationFails) {
         StatusCode::kInvalidArgument)
         << "prefix length " << len;
   }
-}
-
-// --- TraceContext propagation ------------------------------------------
-
-obs::TraceContext SampleTrace() {
-  obs::TraceContext ctx;
-  ctx.trace_id = 0x123456789AULL;
-  ctx.origin_replica = 3;
-  ctx.origin_mono_ns = 111222333444ULL;
-  ctx.origin_wall_ns = 1700000000123456789ULL;
-  return ctx;
-}
-
-TEST(MessageSerdeTest, WriteSetMessageTraceContextRoundTrips) {
-  WriteSetMessage msg;
-  msg.gid = GlobalTxnId{3, 41};
-  msg.cert = 17;
-  msg.ws = std::make_shared<const WriteSet>(SampleWriteSet());
-  msg.trace = SampleTrace();
-
-  std::string encoded;
-  middleware::EncodeWriteSetMessage(msg, &encoded);
-  WriteSetMessage decoded;
-  ASSERT_TRUE(middleware::DecodeWriteSetMessage(encoded, &decoded).ok());
-  EXPECT_EQ(decoded.trace, msg.trace);
-  EXPECT_TRUE(decoded.trace.valid());
-}
-
-TEST(MessageSerdeTest, WriteSetMessageWithoutTraceStaysEmpty) {
-  WriteSetMessage msg;
-  msg.gid = GlobalTxnId{1, 2};
-  std::string encoded;
-  middleware::EncodeWriteSetMessage(msg, &encoded);
-  WriteSetMessage decoded;
-  decoded.trace = SampleTrace();  // prove decode resets the context
-  ASSERT_TRUE(middleware::DecodeWriteSetMessage(encoded, &decoded).ok());
-  EXPECT_FALSE(decoded.trace.valid());
 }
 
 // --- GCS wire frames ---------------------------------------------------

@@ -1,10 +1,9 @@
-// Cross-replica distributed tracing: the origin replica stamps every
-// multicast writeset message with a TraceContext, both transports carry
-// it verbatim inside the message, and remote replicas record their share
-// of the commit path (delivery skew, global validation, apply, remote
-// apply lag, snapshot staleness) under the *originating* transaction's
-// trace id. Exercised over the in-process and the TCP sequencer
-// transports.
+// Cross-replica stage tracing: Multicast() stamps every message with
+// the origin's clock (gcs::Message::enqueue_ns), both transports deliver
+// that one stamp to every member, and remote replicas measure their
+// share of the commit path (delivery skew, global validation, apply,
+// remote apply lag, snapshot staleness) against it. Exercised over the
+// in-process and the TCP sequencer transports.
 
 #include <gtest/gtest.h>
 
@@ -22,86 +21,100 @@
 namespace sirep {
 namespace {
 
-// ---- GCS layer: the context crosses the wire verbatim -----------------
+using middleware::GlobalTxnId;
 
-/// Captures the trace context of every delivered writeset message.
-class TraceCapture : public gcs::GroupListener {
+// ---- GCS layer: one multicast stamp reaches every member --------------
+
+struct Delivery {
+  uint64_t enqueue_ns = 0;
+  GlobalTxnId gid;
+};
+
+/// Captures the stamp and gid of every delivered writeset message.
+class StampCapture : public gcs::GroupListener {
  public:
   void OnDeliver(const gcs::Message& message) override {
     std::lock_guard<std::mutex> lock(mu_);
-    traces_.push_back(message.As<middleware::WriteSetMessage>()->trace);
+    deliveries_.push_back(
+        {message.enqueue_ns,
+         message.As<middleware::WriteSetMessage>()->gid});
   }
   void OnViewChange(const gcs::View&) override {}
 
-  std::vector<obs::TraceContext> traces() const {
+  std::vector<Delivery> deliveries() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return traces_;
+    return deliveries_;
   }
 
  private:
   mutable std::mutex mu_;
-  std::vector<obs::TraceContext> traces_;
+  std::vector<Delivery> deliveries_;
 };
 
-obs::TraceContext MakeContext() {
-  obs::TraceContext ctx;
-  ctx.trace_id = (static_cast<uint64_t>(2) + 1) << 40 | 99;
-  ctx.origin_replica = 2;
-  ctx.origin_mono_ns = obs::MonotonicNanos();
-  ctx.origin_wall_ns = obs::TraceContext::WallNanos();
-  return ctx;
-}
-
-/// A writeset message carrying `ctx`, delivered to two members: through
-/// the message codec when `codecs` (the byte-shipping path the replicas
-/// use), else through the stash.
-void MulticastCarriesContext(gcs::TransportKind kind, bool codecs) {
+/// A writeset message delivered to three members: through the message
+/// codec when `codecs` (the byte-shipping path the replicas use), else
+/// through the stash. Every member must see the one stamp, and it must
+/// have been taken inside Multicast().
+void MulticastCarriesOneStamp(gcs::TransportKind kind, bool codecs) {
   gcs::GroupOptions options;
   options.transport = kind;
   gcs::Group group(options);
   if (codecs) middleware::RegisterMessageCodecs(&group);
-  TraceCapture a;
-  TraceCapture b;
+  StampCapture a;
+  StampCapture b;
+  StampCapture c;
   const auto sender = group.Join(&a);
   group.Join(&b);
+  group.Join(&c);
   group.WaitForQuiescence();
 
-  const obs::TraceContext ctx = MakeContext();
   auto msg = std::make_shared<middleware::WriteSetMessage>();
-  msg->gid = middleware::GlobalTxnId{2, 99};
-  msg->trace = ctx;
+  msg->gid = GlobalTxnId{2, 99};
+  const uint64_t before = obs::MonotonicNanos();
   ASSERT_TRUE(group
                   .Multicast(sender, middleware::kWriteSetMessageType,
                              std::move(msg))
                   .ok());
+  const uint64_t after = obs::MonotonicNanos();
   group.WaitForQuiescence();
 
-  for (const TraceCapture* capture : {&a, &b}) {
-    const auto traces = capture->traces();
-    ASSERT_EQ(traces.size(), 1u);
-    EXPECT_EQ(traces[0], ctx);  // including the origin's trace id
+  const auto sent = a.deliveries();
+  ASSERT_EQ(sent.size(), 1u);
+  const uint64_t stamp = sent[0].enqueue_ns;
+  EXPECT_GE(stamp, before);
+  EXPECT_LE(stamp, after);
+  for (const StampCapture* capture : {&a, &b, &c}) {
+    const auto got = capture->deliveries();
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0].enqueue_ns, stamp);
+    EXPECT_EQ(got[0].gid, (GlobalTxnId{2, 99}));
   }
   group.Shutdown();
 }
 
-TEST(TracePropagationTest, InProcessMulticastCarriesOriginContext) {
-  MulticastCarriesContext(gcs::TransportKind::kInProcess, /*codecs=*/true);
-  MulticastCarriesContext(gcs::TransportKind::kInProcess, /*codecs=*/false);
+TEST(TracePropagationTest, InProcessMulticastCarriesOneStamp) {
+  MulticastCarriesOneStamp(gcs::TransportKind::kInProcess, /*codecs=*/true);
+  MulticastCarriesOneStamp(gcs::TransportKind::kInProcess, /*codecs=*/false);
 }
 
-TEST(TracePropagationTest, TcpMulticastCarriesOriginContext) {
-  MulticastCarriesContext(gcs::TransportKind::kTcp, /*codecs=*/true);
-  MulticastCarriesContext(gcs::TransportKind::kTcp, /*codecs=*/false);
+TEST(TracePropagationTest, TcpMulticastCarriesOneStamp) {
+  MulticastCarriesOneStamp(gcs::TransportKind::kTcp, /*codecs=*/true);
+  MulticastCarriesOneStamp(gcs::TransportKind::kTcp, /*codecs=*/false);
 }
 
-// ---- middleware layer: remote replicas record the origin's spans ------
+// ---- middleware layer: remote replicas measure from the stamp ---------
 
 uint64_t StageCount(const obs::MetricsSnapshot& snap, obs::Stage stage) {
   const auto it = snap.histograms.find(obs::StageMetricName(stage));
   return it == snap.histograms.end() ? 0 : it->second.count;
 }
 
-void RemoteSpansRecordedUnderOriginTrace(gcs::TransportKind kind) {
+const obs::HistogramSnapshot& StageHist(const obs::MetricsSnapshot& snap,
+                                        obs::Stage stage) {
+  return snap.histograms.at(obs::StageMetricName(stage));
+}
+
+void RemoteStagesFromOriginStamp(gcs::TransportKind kind) {
   cluster::ClusterOptions options;
   options.num_replicas = 2;
   options.gcs.transport = kind;
@@ -123,10 +136,8 @@ void RemoteSpansRecordedUnderOriginTrace(gcs::TransportKind kind) {
   }
   cluster.Quiesce();
 
-  // The remote replica recorded the cross-replica stages. Those
-  // histograms are only fed through a remote-side TxnTrace created from
-  // a valid received TraceContext, so nonzero counts prove the spans
-  // were recorded under the origin's trace id.
+  // The remote replica recorded its share of each writeset's commit
+  // path, the cross-replica stages included ...
   const auto remote = cluster.replica(1)->metrics().Snapshot();
   EXPECT_GE(StageCount(remote, obs::Stage::kDeliverySkew), kTxns);
   EXPECT_GE(StageCount(remote, obs::Stage::kGlobalValidate), kTxns);
@@ -135,12 +146,25 @@ void RemoteSpansRecordedUnderOriginTrace(gcs::TransportKind kind) {
   EXPECT_GE(StageCount(remote, obs::Stage::kSnapshotStaleness), kTxns);
   // ... and published a clock-offset estimate for skew correction.
   EXPECT_TRUE(remote.gauges.count("mw.clock.offset_estimate_ns"));
+  // The replicas share one clock, so the offset bound is at least 0 and
+  // each writeset's staleness (multicast stamp -> commit here) covers its
+  // apply lag (delivery -> the same commit) plus its skew (at most
+  // stamp -> delivery).
+  EXPECT_GE(remote.gauges.at("mw.clock.offset_estimate_ns"), 0);
+  const double staleness =
+      StageHist(remote, obs::Stage::kSnapshotStaleness).sum;
+  const double lag = StageHist(remote, obs::Stage::kRemoteApplyLag).sum;
+  const double skew = StageHist(remote, obs::Stage::kDeliverySkew).sum;
+  EXPECT_GT(staleness, 0.0);
+  EXPECT_GE(staleness + 1e-3, lag + skew)
+      << "staleness " << staleness << " lag " << lag << " skew " << skew;
 
   // The origin's share: execute-through-commit plus its wait in the
   // sequencer queue; it records no remote-side spans for its own txns.
   const auto local = cluster.replica(0)->metrics().Snapshot();
   EXPECT_GE(StageCount(local, obs::Stage::kExecute), kTxns);
   EXPECT_GE(StageCount(local, obs::Stage::kMulticast), kTxns);
+  EXPECT_GE(StageCount(local, obs::Stage::kSequencerQueue), kTxns);
   EXPECT_GE(StageCount(local, obs::Stage::kCommit), kTxns);
   EXPECT_EQ(StageCount(local, obs::Stage::kDeliverySkew), 0u);
   EXPECT_EQ(StageCount(local, obs::Stage::kRemoteApplyLag), 0u);
@@ -154,12 +178,12 @@ void RemoteSpansRecordedUnderOriginTrace(gcs::TransportKind kind) {
   EXPECT_NE(breakdown.find("p99"), std::string::npos);
 }
 
-TEST(TracePropagationTest, InProcessRemoteSpansUnderOriginTrace) {
-  RemoteSpansRecordedUnderOriginTrace(gcs::TransportKind::kInProcess);
+TEST(TracePropagationTest, InProcessRemoteStagesFromOriginStamp) {
+  RemoteStagesFromOriginStamp(gcs::TransportKind::kInProcess);
 }
 
-TEST(TracePropagationTest, TcpRemoteSpansUnderOriginTrace) {
-  RemoteSpansRecordedUnderOriginTrace(gcs::TransportKind::kTcp);
+TEST(TracePropagationTest, TcpRemoteStagesFromOriginStamp) {
+  RemoteStagesFromOriginStamp(gcs::TransportKind::kTcp);
 }
 
 // ---- CI metric-name lint: sweep every name a live cluster registers ---
