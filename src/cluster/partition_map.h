@@ -36,7 +36,7 @@ namespace sirep::cluster {
 /// normally (the executing replica holds everything it read).
 ///
 /// A tuple's partition is derived from a 64-bit FNV-1a digest of table
-/// + 0x1f + key (`TupleDigest`, which the validation index keys on too).
+/// + 0x1f + key (`TupleDigest`).
 /// The partition count is capped at 64 so a partition set is a plain
 /// `uint64_t` mask. Immutable after construction, hence thread-safe.
 class PartitionMap {

@@ -5,6 +5,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
+#include <chrono>
 #include <cstring>
 
 #include "common/logging.h"
@@ -16,6 +18,9 @@ namespace sirep::middleware {
 namespace {
 
 constexpr size_t kMaxRequestBytes = 8192;
+
+/// How long a client may take to send its request line.
+constexpr std::chrono::seconds kRequestTimeout{2};
 
 std::string StatusLine(int code) {
   switch (code) {
@@ -128,17 +133,25 @@ void MetricsHttpServer::AcceptLoop() {
 }
 
 void MetricsHttpServer::ServeConnection(int fd) {
-  // Read until the end of the request head (or a bounded prefix of it —
-  // only the request line matters here).
+  // Read until the end of the request line (or a bounded prefix of it —
+  // only the request line matters here). The accept loop is serial, so a
+  // client that never sends one is dropped after kRequestTimeout, or as
+  // soon as Stop() begins: it must not block later scrapes or Stop().
+  const auto deadline = std::chrono::steady_clock::now() + kRequestTimeout;
   std::string request;
   char chunk[2048];
   while (request.find("\r\n") == std::string::npos &&
          request.size() < kMaxRequestBytes) {
     const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
     if (n <= 0) {
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR))
-        continue;
-      return;
+      // EAGAIN is the socket's receive timeout: the client is silent.
+      const bool silent = n < 0 && (errno == EAGAIN ||
+                                    errno == EWOULDBLOCK || errno == EINTR);
+      if (!silent || !running_.load(std::memory_order_acquire) ||
+          std::chrono::steady_clock::now() >= deadline) {
+        return;
+      }
+      continue;
     }
     request.append(chunk, static_cast<size_t>(n));
   }

@@ -20,7 +20,9 @@ namespace sirep::middleware {
 ///
 /// Scope: a scrape endpoint, not a web server — loopback only, one
 /// serial accept loop, one request per connection, GET only. That is
-/// exactly what `curl`/Prometheus need and keeps the surface small.
+/// exactly what `curl`/Prometheus need and keeps the surface small. A
+/// client gets 2 s to send its request line (none once Stop() begins),
+/// so a silent one cannot wedge later scrapes or Stop().
 class MetricsHttpServer {
  public:
   /// Returns the response body for one request.

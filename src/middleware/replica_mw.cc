@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 #include <thread>
 
 #include "common/failpoint.h"
 #include "common/logging.h"
+#include "obs/json.h"
 
 namespace sirep::middleware {
 
@@ -41,6 +41,7 @@ SrcaRepReplica::SrcaRepReplica(engine::Database* db, gcs::Group* group,
     : db_(db),
       group_(group),
       options_(WithFloors(options)),
+      ws_log_(options_.ws_log_capacity),
       tocommit_queue_(options.mode == ReplicaMode::kSrcaRep, &registry_),
       state_transfer_(this, group, options_, &registry_, &flight_) {
   stage_hists_ = obs::StageHistograms::FromRegistry(&registry_);
@@ -89,7 +90,7 @@ Status SrcaRepReplica::Start() {
     // log stays empty — as a donor we can only offer full copies until
     // new deliveries refill it, which the donor floor logic handles.
     std::lock_guard<std::mutex> lock(wsmutex_);
-    lastvalidated_tid_ = options_.bootstrap_prefix;
+    ws_log_.Adopt(options_.bootstrap_prefix, {});
     tocommit_queue_.NoteCommitted(options_.bootstrap_prefix);
   }
   const gcs::MemberId id = group_->Join(this);
@@ -161,26 +162,23 @@ Status SrcaRepReplica::ReplicateDdl(const std::string& sql) {
   GlobalTxnId gid;
   gid.replica = member_id();
   gid.seq = next_local_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  auto pending = std::make_shared<PendingDdl>();
+  auto pending = std::make_shared<PendingLocal>();
   {
-    std::lock_guard<std::mutex> lock(pending_ddl_mu_);
-    pending_ddl_[gid] = pending;
+    std::lock_guard<std::mutex> lock(pending_mu_);
+    pending_[gid] = pending;
   }
   auto payload =
       std::make_shared<const DdlMessage>(DdlMessage{gid, sql});
   Status mc = group_->Multicast(member_id(), kDdlMessageType, payload);
   if (!mc.ok()) {
-    std::lock_guard<std::mutex> lock(pending_ddl_mu_);
-    pending_ddl_.erase(gid);
+    TakePending(gid);
     return mc;
   }
   std::unique_lock<std::mutex> lock(pending->mu);
-  pending->cv.wait(lock, [&] {
-    return pending->done || !IsAlive() ||
-           shutdown_.load(std::memory_order_acquire);
-  });
-  return pending->done ? pending->outcome
-                       : Status::Unavailable("replica crashed during DDL");
+  pending->cv.wait(lock, [&] { return pending->done; });
+  return pending->result.kind == ValidationResult::Kind::kCrashed
+             ? Status::Unavailable("replica crashed during DDL")
+             : pending->ddl_outcome;
 }
 
 void SrcaRepReplica::ProcessDdl(const gcs::Message& message) {
@@ -193,32 +191,15 @@ void SrcaRepReplica::ProcessDdl(const gcs::Message& message) {
     std::lock_guard<std::mutex> lock(wsmutex_);
     auto r = db_->ExecuteAutoCommit(msg->sql);
     outcome = r.ok() ? Status::OK() : r.status();
-    const uint64_t tid = ++lastvalidated_tid_;
-    tocommit_queue_.NoteCommitted(tid);
-    if (outcome.ok()) {
-      WsLogEntry entry;
-      entry.tid = tid;
-      entry.gid = msg->gid;
-      entry.ddl = msg->sql;
-      AppendToLogLocked(std::move(entry));
-    }
+    tocommit_queue_.NoteCommitted(
+        ws_log_.AppendDdl(msg->gid, msg->sql, outcome.ok()));
   }
-  if (msg->gid.replica == member_id()) {
-    std::shared_ptr<PendingDdl> pending;
-    {
-      std::lock_guard<std::mutex> lock(pending_ddl_mu_);
-      auto it = pending_ddl_.find(msg->gid);
-      if (it != pending_ddl_.end()) {
-        pending = it->second;
-        pending_ddl_.erase(it);
-      }
-    }
-    if (pending != nullptr) {
-      std::lock_guard<std::mutex> lock(pending->mu);
-      pending->done = true;
-      pending->outcome = outcome;
-      pending->cv.notify_all();
-    }
+  if (msg->gid.replica != member_id()) return;
+  if (auto pending = TakePending(msg->gid)) {
+    std::lock_guard<std::mutex> lock(pending->mu);
+    pending->done = true;
+    pending->ddl_outcome = outcome;
+    pending->cv.notify_all();
   }
 }
 
@@ -306,7 +287,7 @@ Status SrcaRepReplica::CommitTxn(TxnHandle& txn, bool* had_writes) {
     }
     // I.2.e: remember how far validation had progressed; the receivers
     // only need to check writesets validated after this point.
-    cert = lastvalidated_tid_;
+    cert = ws_log_.lastvalidated();
     std::lock_guard<std::mutex> plock(pending_mu_);
     pending_[txn.gid] = pending;
   }
@@ -334,10 +315,7 @@ Status SrcaRepReplica::CommitTxn(TxnHandle& txn, bool* had_writes) {
       WriteSetMessage{txn.gid, cert, ws});
   Status mc = group_->Multicast(member_id(), kWriteSetMessageType, payload);
   if (!mc.ok()) {
-    {
-      std::lock_guard<std::mutex> plock(pending_mu_);
-      pending_.erase(txn.gid);
-    }
+    TakePending(txn.gid);
     db_->Abort(txn.db_txn);
     return mc;
   }
@@ -448,9 +426,14 @@ void SrcaRepReplica::ProcessDelivery(const gcs::Message& message) {
   }
 }
 
-void SrcaRepReplica::AppendToLogLocked(WsLogEntry entry) {
-  ws_log_.push_back(std::move(entry));
-  while (ws_log_.size() > options_.ws_log_capacity) ws_log_.pop_front();
+std::shared_ptr<SrcaRepReplica::PendingLocal> SrcaRepReplica::TakePending(
+    const GlobalTxnId& gid) {
+  std::lock_guard<std::mutex> lock(pending_mu_);
+  auto it = pending_.find(gid);
+  if (it == pending_.end()) return nullptr;
+  std::shared_ptr<PendingLocal> pending = std::move(it->second);
+  pending_.erase(it);
+  return pending;
 }
 
 void SrcaRepReplica::ProcessWriteSet(const gcs::Message& message) {
@@ -493,27 +476,22 @@ void SrcaRepReplica::ProcessWriteSet(const gcs::Message& message) {
     // Step II: global validation, in delivery order (the total order makes
     // every replica take the same decision here).
     std::lock_guard<std::mutex> lock(wsmutex_);
-    if (!ws_index_.empty() && msg->cert + 1 < ws_index_.MinRetainedTid()) {
-      // The cert predates our retained window (an extremely lagged
-      // sender). We cannot check exactly — abort conservatively. All
-      // replicas share the window size and delivery order, so they all
-      // take this branch identically.
+    if (msg->cert + 1 < ws_log_.floor()) {
+      // The log no longer holds every writeset validated after the cert
+      // (an extremely lagged sender). We cannot check exactly — abort
+      // conservatively. The floor depends only on the position in the
+      // total order and the cluster-wide capacity, so every replica takes
+      // this branch identically.
       SIREP_WLOG << "ws_list window underrun for " << msg->gid.ToString()
-                 << " (cert " << msg->cert << " < min retained "
-                 << ws_index_.MinRetainedTid() << ")";
+                 << " (cert " << msg->cert << ", log floor "
+                 << ws_log_.floor() << ")";
       conflict = true;
     } else {
-      conflict = ws_index_.ConflictsAfter(msg->cert, *msg->ws, &conflict_key);
+      conflict = ws_log_.ConflictsAfter(msg->cert, *msg->ws, &conflict_key);
     }
     validate_ns = obs::MonotonicNanos() - arrival_ns;
     if (!conflict) {
-      tid = ++lastvalidated_tid_;
-      ws_index_.Append(tid, msg->ws);
-      WsLogEntry log_entry;
-      log_entry.tid = tid;
-      log_entry.gid = msg->gid;
-      log_entry.ws = msg->ws;
-      AppendToLogLocked(std::move(log_entry));
+      tid = ws_log_.AppendWriteSet(msg->gid, msg->ws);
       depth = tocommit_queue_.Append(
           ToCommitEntry{.tid = tid,
                         .gid = msg->gid,
@@ -524,7 +502,7 @@ void SrcaRepReplica::ProcessWriteSet(const gcs::Message& message) {
                         .skew_ns = skew_ns,
                         .validate_ns = validate_ns});
     }
-    ws_list_size = ws_index_.size();
+    ws_list_size = ws_log_.size();
   }
 
   // Validation-window gauge, sampled on every delivery (a fig5/fig8
@@ -548,16 +526,7 @@ void SrcaRepReplica::ProcessWriteSet(const gcs::Message& message) {
   RecordOutcome(msg->gid, /*committed=*/!conflict);
 
   if (is_local) {
-    std::shared_ptr<PendingLocal> pending;
-    {
-      std::lock_guard<std::mutex> plock(pending_mu_);
-      auto it = pending_.find(msg->gid);
-      if (it != pending_.end()) {
-        pending = it->second;
-        pending_.erase(it);
-      }
-    }
-    if (pending != nullptr) {
+    if (auto pending = TakePending(msg->gid)) {
       if (conflict) {
         db_->Abort(pending->db_txn);
         c_global_val_aborts_->Increment();
@@ -701,19 +670,24 @@ void SrcaRepReplica::ApplyRemote(ToCommitEntry entry) {
 void SrcaRepReplica::ReadValidationState(
     const std::function<void(const ValidationView&)>& read) {
   std::lock_guard<std::mutex> lock(wsmutex_);
-  read(ValidationView{lastvalidated_tid_, tocommit_queue_.StablePrefix(),
-                      ws_index_, ws_log_});
+  read(ValidationView{tocommit_queue_.StablePrefix(), ws_log_});
 }
 
-void SrcaRepReplica::AdoptValidationState(
-    uint64_t lastvalidated, const std::vector<WsWindowEntry>& window,
-    std::vector<WsLogEntry> log) {
+void SrcaRepReplica::AdoptValidationState(uint64_t lastvalidated,
+                                          std::deque<WsLogEntry> log) {
+  // Every logged transaction is committed here once the plan is applied:
+  // it was replayed, lies in this node's stable prefix, or lies in the
+  // copied tables.
+  {
+    std::lock_guard<std::mutex> lock(outcomes_mu_);
+    for (const auto& entry : log) {
+      outcomes_[entry.gid] = {.committed = true, .locally_committed = true};
+    }
+    outcomes_cv_.notify_all();
+  }
   {
     std::lock_guard<std::mutex> lock(wsmutex_);
-    lastvalidated_tid_ = lastvalidated;
-    ws_index_.Load(window);
-    ws_log_.clear();
-    for (auto& entry : log) AppendToLogLocked(std::move(entry));
+    ws_log_.Adopt(lastvalidated, std::move(log));
   }
   tocommit_queue_.NoteCommitted(lastvalidated);
 }
@@ -813,8 +787,8 @@ void SrcaRepReplica::Crash() {
   // plus a Recover() caller waiting on its marker fence.
   tocommit_queue_.Cancel();
   state_transfer_.Interrupt();
-  // Fail every in-flight local commit: their clients will run in-doubt
-  // resolution against another replica.
+  // Fail every in-flight local commit and DDL statement: commit clients
+  // will run in-doubt resolution against another replica.
   std::unordered_map<GlobalTxnId, std::shared_ptr<PendingLocal>,
                      GlobalTxnIdHash>
       pending;
@@ -828,13 +802,6 @@ void SrcaRepReplica::Crash() {
       p->done = true;
       p->result.kind = ValidationResult::Kind::kCrashed;
       p->cv.notify_all();
-    }
-  }
-  {
-    std::lock_guard<std::mutex> plock(pending_ddl_mu_);
-    for (auto& [gid, p] : pending_ddl_) {
-      std::lock_guard<std::mutex> lock(p->mu);
-      p->cv.notify_all();  // waiters re-check IsAlive and bail out
     }
   }
   {
@@ -890,18 +857,26 @@ SrcaRepReplica::Health SrcaRepReplica::GetHealth() const {
 
 std::string SrcaRepReplica::HealthJson() const {
   const Health h = GetHealth();
-  char buf[384];
-  std::snprintf(buf, sizeof(buf),
-                "{\"role\":\"%s\",\"mode\":\"%s\",\"member_id\":%u,"
-                "\"view_id\":%llu,\"view_members\":%zu,"
-                "\"stable_prefix\":%llu,\"tocommit_depth\":%zu,"
-                "\"applier_threads\":%zu,\"held_partitions\":%lld}",
-                h.role.c_str(), h.mode.c_str(), h.member_id,
-                static_cast<unsigned long long>(h.view_id), h.view_members,
-                static_cast<unsigned long long>(h.stable_prefix),
-                h.tocommit_depth, h.applier_threads,
-                static_cast<long long>(h.held_partitions));
-  return buf;
+  std::string out = "{\"role\":";
+  obs::json::AppendString(&out, h.role);
+  out += ",\"mode\":";
+  obs::json::AppendString(&out, h.mode);
+  out += ",\"member_id\":";
+  obs::json::AppendU64(&out, h.member_id);
+  out += ",\"view_id\":";
+  obs::json::AppendU64(&out, h.view_id);
+  out += ",\"view_members\":";
+  obs::json::AppendU64(&out, h.view_members);
+  out += ",\"stable_prefix\":";
+  obs::json::AppendU64(&out, h.stable_prefix);
+  out += ",\"tocommit_depth\":";
+  obs::json::AppendU64(&out, h.tocommit_depth);
+  out += ",\"applier_threads\":";
+  obs::json::AppendU64(&out, h.applier_threads);
+  out += ",\"held_partitions\":";
+  obs::json::AppendI64(&out, h.held_partitions);
+  out += "}";
+  return out;
 }
 
 }  // namespace sirep::middleware

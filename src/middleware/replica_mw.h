@@ -23,7 +23,7 @@
 #include "middleware/replica_options.h"
 #include "middleware/state_transfer.h"
 #include "middleware/tocommit_queue.h"
-#include "middleware/ws_index.h"
+#include "middleware/ws_log.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -232,16 +232,23 @@ class SrcaRepReplica final : public gcs::GroupListener,
     uint64_t sequencer_ns = 0;  ///< kSequencerQueue
   };
 
+  /// A local commit's or DDL statement's wait for the delivery of its
+  /// own multicast, or for this replica's crash (result kCrashed).
   struct PendingLocal {
-    storage::TransactionPtr db_txn;
+    storage::TransactionPtr db_txn;  ///< null for DDL
     std::mutex mu;
     std::condition_variable cv;
     bool done = false;
     ValidationResult result;
+    Status ddl_outcome;  ///< DDL only: the statement's result here
   };
 
+  /// Removes and returns the waiter of our own multicast `gid`; null once
+  /// a crash released it.
+  std::shared_ptr<PendingLocal> TakePending(const GlobalTxnId& gid);
+
   void RecordOutcome(const GlobalTxnId& gid, bool committed);
-  void MarkLocallyCommitted(const GlobalTxnId& gid) override;
+  void MarkLocallyCommitted(const GlobalTxnId& gid);
 
   /// Steps II/III trigger for one delivered writeset or DDL message —
   /// OnDeliver's body in live mode, and how recovery hands back the
@@ -254,10 +261,6 @@ class SrcaRepReplica final : public gcs::GroupListener,
   /// Executes a replicated DDL statement at its total-order position.
   void ProcessDdl(const gcs::Message& message);
 
-  /// Appends a validated entry to ws_log_, trimming it to capacity.
-  /// Caller holds wsmutex_.
-  void AppendToLogLocked(WsLogEntry entry);
-
   /// Client-side DDL protocol: multicast + wait for local execution.
   Status ReplicateDdl(const std::string& sql);
 
@@ -268,8 +271,7 @@ class SrcaRepReplica final : public gcs::GroupListener,
   void ReadValidationState(
       const std::function<void(const ValidationView&)>& read) override;
   void AdoptValidationState(uint64_t lastvalidated,
-                            const std::vector<WsWindowEntry>& window,
-                            std::vector<WsLogEntry> log) override;
+                            std::deque<WsLogEntry> log) override;
 
   /// Hands remote entries the tocommit queue released to the apply
   /// pipeline; drops them once this replica crashed or shut down (their
@@ -312,12 +314,10 @@ class SrcaRepReplica final : public gcs::GroupListener,
   obs::Counter* c_partial_misroutes_ = nullptr;
   obs::Gauge* g_partial_held_ = nullptr;
 
-  // Fig. 4 state. wsmutex_ protects lastvalidated_tid_, ws_index_ and
-  // ws_log_, and serializes validation (steps I.2.c-f and II).
+  // Fig. 4 state. wsmutex_ protects ws_log_ (ws_list and
+  // lastvalidated_tid), and serializes validation (steps I.2.c-f and II).
   std::mutex wsmutex_;
-  uint64_t lastvalidated_tid_ = 0;
-  WsIndex ws_index_;
-  std::deque<WsLogEntry> ws_log_;
+  WsLog ws_log_;
 
   /// This replica's commit order (step III and Adjustments 1-3).
   ToCommitQueue tocommit_queue_;
@@ -333,17 +333,6 @@ class SrcaRepReplica final : public gcs::GroupListener,
   std::unordered_map<GlobalTxnId, std::shared_ptr<PendingLocal>,
                      GlobalTxnIdHash>
       pending_;
-
-  struct PendingDdl {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    Status outcome;
-  };
-  std::mutex pending_ddl_mu_;
-  std::unordered_map<GlobalTxnId, std::shared_ptr<PendingDdl>,
-                     GlobalTxnIdHash>
-      pending_ddl_;
 
   struct OutcomeEntry {
     bool committed = false;

@@ -21,11 +21,13 @@ enum class ReplicaMode {
 
 struct ReplicaOptions {
   ReplicaMode mode = ReplicaMode::kSrcaRep;
-  /// Validated writesets retained for online recovery donation (paper
-  /// §5.4: "the middleware probably has to log writesets"); a recoverer
-  /// whose prefix the log no longer reaches gets a full copy instead (0
-  /// is treated as 1).
-  size_t ws_log_capacity = 1 << 20;
+  /// Validation tids the writeset log retains (WsLog): the certification
+  /// window, and how far back online recovery can donate (paper §5.4:
+  /// "the middleware probably has to log writesets"); a recoverer whose
+  /// prefix the log no longer reaches gets a full copy instead. One value
+  /// for the whole cluster, since it decides which certifications abort
+  /// conservatively (0 is treated as 1).
+  size_t ws_log_capacity = 1 << 16;
   /// Join in recovery mode: buffer deliveries and reject clients until
   /// Recover() completes. Used when restarting a crashed replica or
   /// adding a new one while the cluster keeps processing transactions.

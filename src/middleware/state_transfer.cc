@@ -1,5 +1,7 @@
 #include "middleware/state_transfer.h"
 
+#include <algorithm>
+#include <iterator>
 #include <set>
 
 #include "common/failpoint.h"
@@ -145,24 +147,23 @@ void StateTransfer::Donate(const Request& req) {
   }
   DonorPlan plan;
   plan.donor = host_;
-  TransferMeta& meta = plan.meta;
+  plan.replay_after = req.from_tid;
 
   // Read the donation plan exactly at the marker point of the total
   // order (we are in the marker's delivery callback, and callbacks run in
   // order, so every earlier message has been fully validated).
   Status refused;
   host_->ReadValidationState([&](const ValidationView& state) {
-    meta.lastvalidated = state.lastvalidated;
-    meta.ws_window = state.ws_index.Snapshot();
+    const WsLog& log = state.log;
+    plan.lastvalidated = log.lastvalidated();
     // Oldest tid the log still holds; an empty one holds nothing up to
     // lastvalidated. (A bootstrapped replica has lastvalidated > 0 with
     // an empty log, so an empty log must not count as reaching
-    // everything, or the requester would silently skip the suffix and
+    // everything, or the requester would silently skip what it lacks and
     // diverge.)
-    const uint64_t log_front = state.log.empty() ? state.lastvalidated + 1
-                                                 : state.log.front().tid;
-    uint64_t log_floor = req.from_tid;
-    if (log_floor + 1 < log_front) {
+    const uint64_t log_front = log.size() == 0 ? log.lastvalidated() + 1
+                                               : log.entries().front().tid;
+    if (req.from_tid + 1 < log_front) {
       // The log no longer reaches back to the requester's prefix: fall
       // back to a full-state transfer (the paper's "complete database
       // copy", done online at the marker). The copy includes every
@@ -178,15 +179,13 @@ void StateTransfer::Donate(const Request& req) {
             "ws_log_capacity");
         return;
       }
-      meta.full_copy = true;
-      log_floor = state.stable_prefix;
+      plan.full_copy = true;
+      plan.replay_after = state.stable_prefix;
       plan.tables = host_->db()->engine().TableNames();
       // Pins the marker-consistent MVCC snapshot the recoverer copies.
       plan.dump_txn = host_->db()->Begin();
     }
-    for (const auto& entry : state.log) {
-      if (entry.tid > log_floor) plan.log_suffix.push_back(entry);
-    }
+    plan.log = log.entries();
   });
   if (!refused.ok()) {
     handoff.Post(std::move(refused));
@@ -238,7 +237,6 @@ Status StateTransfer::ReplayLogEntry(const WsLogEntry& entry) {
                               st.ToString());
     }
   }
-  host_->MarkLocallyCommitted(entry.gid);
   return Status::OK();
 }
 
@@ -300,20 +298,21 @@ Status StateTransfer::CopyTable(const DonorPlan& plan, const std::string& name,
 }
 
 Status StateTransfer::ApplyPlan(const DonorPlan& plan,
-                                const std::function<Status()>& after_batch,
-                                std::vector<WsLogEntry>* replayed) {
+                                const std::function<Status()>& after_batch) {
   for (const auto& table : plan.tables) {
     SIREP_RETURN_IF_ERROR(CopyTable(plan, table, after_batch));
   }
-  // Replay every log entry in tid order (nobody else touches this DB —
-  // no clients, no appliers — and re-applying writesets a previous
-  // incarnation or an abandoned attempt committed is idempotent), and
-  // record it for adoption.
-  const auto& log = plan.log_suffix;
-  for (size_t i = 0; i < log.size(); ++i) {
-    SIREP_RETURN_IF_ERROR(ReplayLogEntry(log[i]));
-    replayed->push_back(log[i]);
-    if ((i + 1) % kRecoveryBatchRows == 0 || i + 1 == log.size()) {
+  // Replay the entries after the replay point in tid order (nobody else
+  // touches this DB — no clients, no appliers — and re-applying
+  // writesets a previous incarnation or an abandoned attempt committed
+  // is idempotent).
+  const auto& log = plan.log;
+  auto it = std::partition_point(
+      log.begin(), log.end(),
+      [&](const WsLogEntry& entry) { return entry.tid <= plan.replay_after; });
+  for (size_t replayed = 1; it != log.end(); ++it, ++replayed) {
+    SIREP_RETURN_IF_ERROR(ReplayLogEntry(*it));
+    if (replayed % kRecoveryBatchRows == 0 || std::next(it) == log.end()) {
       c_batches_applied_->Increment();
       SIREP_RETURN_IF_ERROR(after_batch());
     }
@@ -405,7 +404,6 @@ Status StateTransfer::Recover(uint64_t from_tid) {
   const Status spill =
       Status::Unavailable("recovery buffer spilled; re-anchoring");
   bool donor_died = false;
-  std::vector<WsLogEntry> replayed;
   const Status applied = ApplyPlan(
       plan.value(),
       [&]() -> Status {
@@ -426,8 +424,7 @@ Status StateTransfer::Recover(uint64_t from_tid) {
           return Status::Unavailable("donor crashed mid-transfer");
         }
         return Status::OK();
-      },
-      &replayed);
+      });
   if (donor_died) {
     ++donor_idx_;
     c_donor_switches_->Increment();
@@ -455,21 +452,22 @@ Status StateTransfer::Recover(uint64_t from_tid) {
     spill_enabled_ = false;
   }
 
-  const TransferMeta& meta = plan.value().meta;
+  DonorPlan& applied_plan = plan.value();
+  const uint64_t lastvalidated = applied_plan.lastvalidated;
   SIREP_ILOG << "replica " << self << " recovered via transfer "
              << transfer_id << " from donor " << donor << ": "
-             << (meta.full_copy ? "full copy and " : "") << replayed.size()
-             << " log entries, resuming validation at tid "
-             << meta.lastvalidated;
+             << (applied_plan.full_copy ? "full copy and " : "")
+             << "log replay after tid " << applied_plan.replay_after
+             << ", resuming validation at tid " << lastvalidated;
 
-  // Phase 2: adopt the donor's validation state so our future
-  // decisions match every other replica's, and the committed prefix
-  // so a later restart of *this* replica recovers incrementally
-  // instead of forcing a full copy.
-  host_->AdoptValidationState(meta.lastvalidated, meta.ws_window,
-                              std::move(replayed));
+  // Phase 2: adopt the donor's whole log, so our future decisions match
+  // every other replica's, a later restart of *this* replica recovers
+  // incrementally instead of forcing a full copy, and we answer in-doubt
+  // inquiries about the logged transactions, and donate as far back, as
+  // the donor could.
+  host_->AdoptValidationState(lastvalidated, std::move(applied_plan.log));
   flight_->Record(obs::FlightEventType::kRecovery, self, transfer_id,
-                  meta.lastvalidated, "cutover");
+                  lastvalidated, "cutover");
 
   // Phase 3: drain the buffered post-marker messages through normal
   // validation. First a few passes without blocking delivery (bulk
@@ -498,7 +496,7 @@ Status StateTransfer::Recover(uint64_t from_tid) {
     g_buffered_msgs_->Set(0);
   }
   flight_->Record(obs::FlightEventType::kRecovery, self, transfer_id,
-                  meta.lastvalidated, "complete");
+                  lastvalidated, "complete");
   SIREP_ILOG << "replica " << self << " recovery complete";
   return Status::OK();
 }

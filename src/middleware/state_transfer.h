@@ -16,30 +16,17 @@
 #include "common/status.h"
 #include "engine/database.h"
 #include "gcs/group.h"
-#include "middleware/global_txn_id.h"
 #include "middleware/replica_options.h"
-#include "middleware/ws_index.h"
+#include "middleware/ws_log.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 
 namespace sirep::middleware {
 
-/// One validated writeset (or DDL statement) of a replica's writeset
-/// log — what online recovery ships (paper §5.4: "the middleware
-/// probably has to log writesets").
-struct WsLogEntry {
-  uint64_t tid = 0;
-  GlobalTxnId gid;
-  std::shared_ptr<const storage::WriteSet> ws;  ///< null for DDL entries
-  std::string ddl;  ///< set for DDL entries
-};
-
 /// A replica's Fig. 4 validation state as a donor reads it at its marker.
 struct ValidationView {
-  uint64_t lastvalidated = 0;
   uint64_t stable_prefix = 0;  ///< every validated tid <= it committed here
-  const WsIndex& ws_index;
-  const std::deque<WsLogEntry>& log;  ///< ascending tids, oldest trimmed
+  const WsLog& log;
 };
 
 /// Everything state transfer needs from the replica it runs in (the
@@ -58,37 +45,34 @@ class StateTransferHost {
   virtual void Crash() = 0;
 
   /// Donor side, in the delivery callback of the marker: runs `read` with
-  /// the validation state held still, so a donation plan and the log
-  /// suffix it copies describe one position of the total order.
+  /// the validation state held still, so a donation plan and the log it
+  /// copies describe one position of the total order.
   virtual void ReadValidationState(
       const std::function<void(const ValidationView&)>& read) = 0;
-  /// Recoverer side: replaces the validation state with the donor's and
-  /// marks every tid <= `lastvalidated` committed here.
+  /// Recoverer side, once the donor's plan is applied: replaces the
+  /// validation state with the donor's log and marks every tid <=
+  /// `lastvalidated`, and every logged transaction, committed here.
   virtual void AdoptValidationState(uint64_t lastvalidated,
-                                    const std::vector<WsWindowEntry>& window,
-                                    std::vector<WsLogEntry> log) = 0;
-  /// A replayed log entry's transaction is committed here.
-  virtual void MarkLocallyCommitted(const GlobalTxnId& gid) = 0;
+                                    std::deque<WsLogEntry> log) = 0;
   /// Hands back one buffered post-marker message for normal processing.
   virtual void ProcessDelivery(const gcs::Message& message) = 0;
 };
 
-/// The donor's validation state at the marker.
-struct TransferMeta {
-  uint64_t lastvalidated = 0;
-  std::vector<WsWindowEntry> ws_window;
-  bool full_copy = false;  ///< the donor's tables are copied before the log
-};
-
-/// What a donor hands the recoverer at the marker: its validation state,
-/// the log suffix to replay and, for a full copy, the tables to copy and
-/// the dump transaction that pins its marker-consistent snapshot. The
-/// recoverer reads the donor's tables through that transaction itself
-/// (every replica shares the process). Destroying a plan aborts the dump
+/// What a donor hands the recoverer at the marker: its validation state
+/// (its whole writeset log), the replay point after which the recoverer
+/// replays that log and, for a full copy, the tables to copy and the dump
+/// transaction that pins its marker-consistent snapshot. The recoverer
+/// reads the donor's tables through that transaction itself (every
+/// replica shares the process). Destroying a plan aborts the dump
 /// transaction, so the snapshot is released however an attempt ends.
 struct DonorPlan {
-  TransferMeta meta;
-  std::vector<WsLogEntry> log_suffix;
+  uint64_t lastvalidated = 0;
+  std::deque<WsLogEntry> log;
+  /// The recoverer's `from_tid`, or the donor's stable prefix for a full
+  /// copy: the entries at or below it are in the recoverer's rows already
+  /// or, for a full copy, once the tables are copied.
+  uint64_t replay_after = 0;
+  bool full_copy = false;  ///< the donor's tables are copied before the log
   std::vector<std::string> tables;  ///< full copy only
   /// The donor: its database, read through `dump_txn`, and its crash
   /// hook. Replicas outlive the recoveries they donate to.
@@ -171,13 +155,13 @@ class StateTransfer {
   /// thread, while the rest of the cluster keeps committing:
   ///  1. multicasts a recovery marker in total order;
   ///  2. the chosen donor reads its validation state exactly at the
-  ///     marker and hands back a plan: the writeset-log suffix after
+  ///     marker and hands back a plan: its writeset log, to replay after
   ///     `from_tid`, or, when its log no longer reaches back that far, a
-  ///     full copy of its tables (a pinned snapshot) plus the log after
-  ///     its stable prefix;
+  ///     full copy of its tables (a pinned snapshot) and the log to
+  ///     replay after its stable prefix;
   ///  3. this thread copies the tables and replays the log
-  ///     (ApplyPlan()), adopts the donor's validation state, drains the
-  ///     messages buffered past the marker, and goes live.
+  ///     (ApplyPlan()), adopts the donor's whole log as its own, drains
+  ///     the messages buffered past the marker, and goes live.
   /// A donor fault or a buffer spill ends the attempt with a retryable
   /// status (kUnavailable / kTimedOut); the caller retries, and the
   /// next attempt starts over from `from_tid` (at the next donor after
@@ -188,13 +172,12 @@ class StateTransfer {
 
   /// Step 3's copy of Recover(): overwrites each of `plan`'s tables with
   /// the donor's rows and deletes the local rows the donor lacks, then
-  /// replays every log entry in tid order and appends it to `replayed`.
+  /// replays the log entries after `plan.replay_after` in tid order.
   /// Applies kRecoveryBatchRows rows or entries at a time and calls
   /// `after_batch` after each batch; a non-OK result ends the copy with
   /// it.
   Status ApplyPlan(const DonorPlan& plan,
-                   const std::function<Status()>& after_batch,
-                   std::vector<WsLogEntry>* replayed);
+                   const std::function<Status()>& after_batch);
 
   /// The host crashed or is shutting down: release a Recover() waiting
   /// on its fence.

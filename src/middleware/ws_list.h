@@ -5,7 +5,6 @@
 #include <deque>
 #include <memory>
 #include <utility>
-#include <vector>
 
 #include "storage/write_set.h"
 
@@ -28,7 +27,7 @@ namespace sirep::middleware {
 /// This is the literal O(window-suffix x writeset) formulation, kept for
 /// the reference SRCA middleware and as the oracle in differential
 /// tests; SrcaRepReplica's hot path uses the decision-equivalent
-/// WsIndex (ws_index.h), whose probes are O(writeset).
+/// WsLog (ws_log.h), whose probes are O(writeset).
 class WsList {
  public:
   explicit WsList(size_t max_entries = 65536) : max_entries_(max_entries) {}
@@ -72,26 +71,6 @@ class WsList {
 
   size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
-
-  /// State transfer for online recovery: export the retained window...
-  std::vector<std::pair<uint64_t, std::shared_ptr<const storage::WriteSet>>>
-  Snapshot() const {
-    std::vector<std::pair<uint64_t, std::shared_ptr<const storage::WriteSet>>>
-        out;
-    out.reserve(entries_.size());
-    for (const auto& e : entries_) out.emplace_back(e.tid, e.ws);
-    return out;
-  }
-
-  /// ...and adopt a donor's window verbatim (replaces current content),
-  /// so the recovering replica's validation decisions match the donor's.
-  void Load(
-      const std::vector<
-          std::pair<uint64_t, std::shared_ptr<const storage::WriteSet>>>&
-          snapshot) {
-    entries_.clear();
-    for (const auto& [tid, ws] : snapshot) Append(tid, ws);
-  }
 
  private:
   struct Entry {

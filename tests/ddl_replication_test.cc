@@ -5,7 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <thread>
+#include <vector>
+
 #include "cluster/cluster.h"
+#include "common/failpoint.h"
 
 namespace sirep {
 namespace {
@@ -75,6 +81,54 @@ TEST(DdlReplicationTest, DuplicateCreateFailsEverywhereConsistently) {
   auto dup = conn->Execute("CREATE TABLE t (k INT, PRIMARY KEY (k))");
   ASSERT_FALSE(dup.ok());
   EXPECT_EQ(dup.status().code(), StatusCode::kAlreadyExists);
+}
+
+TEST(DdlReplicationTest, CrashReleasesAWaitingDdl) {
+  auto cluster = MakeCluster(3);
+  ASSERT_TRUE(cluster
+                  ->ExecuteEverywhere(
+                      "CREATE TABLE kv (k INT, v INT, PRIMARY KEY (k))")
+                  .ok());
+  ASSERT_TRUE(cluster->ExecuteEverywhere("INSERT INTO kv VALUES (1, 0)").ok());
+  auto* origin = cluster->replica(0);
+  auto ddl_handle = std::move(origin->BeginTxn()).value();
+
+  // Every delivery thread holds in the validation of a writeset from
+  // replica 1, so replica 0's CREATE TABLE queues behind it.
+  failpoint::ScopedFailpoint hold("mw.validate", "delay(300ms)");
+  std::thread writer([&] {
+    auto* mw = cluster->replica(1);
+    auto handle = std::move(mw->BeginTxn()).value();
+    EXPECT_TRUE(mw->Execute(handle, "UPDATE kv SET v = 1 WHERE k = 1").ok());
+    EXPECT_TRUE(mw->CommitTxn(handle).ok());
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (failpoint::Hits("mw.validate") < 3 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(failpoint::Hits("mw.validate"), 3u);
+  Status ddl;
+  std::thread ddl_client([&] {
+    ddl = origin
+              ->Execute(ddl_handle,
+                        "CREATE TABLE t (k INT, v INT, PRIMARY KEY (k))")
+              .status();
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  cluster->CrashReplica(0);
+  ddl_client.join();
+  writer.join();
+
+  // The crash fails the waiting statement like a commit; the survivors
+  // still run it at its position.
+  EXPECT_EQ(ddl.code(), StatusCode::kUnavailable) << ddl;
+  cluster->Quiesce();
+  for (size_t r = 1; r < 3; ++r) {
+    EXPECT_NE(cluster->db(r)->engine().GetTable("t"), nullptr)
+        << "replica " << r;
+  }
 }
 
 TEST(DdlReplicationTest, RecoveryReplaysDdlFromLog) {

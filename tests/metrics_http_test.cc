@@ -12,22 +12,24 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <future>
 #include <string>
 #include <thread>
 #include <utility>
 
 #include "cluster/cluster.h"
 #include "middleware/metrics_http.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 
 namespace sirep {
 namespace {
 
-/// One curl-style request: connect, send, read to EOF.
-std::string HttpGet(uint16_t port, const std::string& path) {
+/// A socket connected to 127.0.0.1:`port`, or -1.
+int Connect(uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
+  if (fd < 0) return -1;
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
@@ -35,8 +37,15 @@ std::string HttpGet(uint16_t port, const std::string& path) {
   if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
                 sizeof(addr)) != 0) {
     ::close(fd);
-    return "";
+    return -1;
   }
+  return fd;
+}
+
+/// One curl-style request: connect, send, read to EOF.
+std::string HttpGet(uint16_t port, const std::string& path) {
+  const int fd = Connect(port);
+  if (fd < 0) return "";
   const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
   size_t sent = 0;
   while (sent < request.size()) {
@@ -91,6 +100,28 @@ TEST(MetricsHttpServerTest, HandlerEvaluatedPerRequest) {
             std::string::npos);
   server.Stop();
   EXPECT_FALSE(server.running());
+}
+
+TEST(MetricsHttpServerTest, SilentClientDoesNotBlockStop) {
+  middleware::MetricsHttpServer server;
+  server.AddEndpoint("/ping", "text/plain", [] { return "pong"; });
+  ASSERT_TRUE(server.Start().ok());
+  // A client that connects and never sends its request line.
+  const int silent = Connect(server.port());
+  ASSERT_GE(silent, 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+  std::promise<void> stopped;
+  std::future<void> done = stopped.get_future();
+  std::thread stopper([&] {
+    server.Stop();
+    stopped.set_value();
+  });
+  const bool returned =
+      done.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  ::close(silent);  // lets a Stop() that hung finish
+  stopper.join();
+  EXPECT_TRUE(returned) << "Stop() blocked behind a silent client";
 }
 
 TEST(MetricsHttpServerTest, OccupiedPortFallsBackToEphemeral) {
@@ -190,12 +221,28 @@ TEST(ClusterMetricsEndpointsTest, HealthzReportsRoleAndView) {
     const std::string health = HttpGet(port, "/healthz");
     EXPECT_EQ(health.rfind("HTTP/1.0 200", 0), 0u) << health;
     EXPECT_NE(health.find("application/json"), std::string::npos);
-    EXPECT_NE(health.find("\"role\":\"live\""), std::string::npos) << health;
-    EXPECT_NE(health.find("\"mode\":\"srca-rep\""), std::string::npos);
-    EXPECT_NE(health.find("\"view_members\":2"), std::string::npos);
-    EXPECT_NE(health.find("\"applier_threads\":8"), std::string::npos);
+    const size_t split = health.find("\r\n\r\n");
+    ASSERT_NE(split, std::string::npos) << health;
+    // Parse() views its input: the text must outlive the parsed value.
+    const std::string text = health.substr(split + 4);
+    auto body = obs::json::Parse(text);
+    ASSERT_TRUE(body.ok()) << body.status() << ": " << health;
+    const obs::json::Value& json = body.value();
+    const auto number = [&](const char* key) {
+      const obs::json::Value* field = json.Find(key);
+      int64_t value = 0;
+      EXPECT_TRUE(field != nullptr && field->AsI64(&value)) << key;
+      return value;
+    };
+    const obs::json::Value* role = json.Find("role");
+    const obs::json::Value* mode = json.Find("mode");
+    ASSERT_TRUE(role != nullptr && mode != nullptr) << health;
+    EXPECT_EQ(role->StringOr(""), "live") << health;
+    EXPECT_EQ(mode->StringOr(""), "srca-rep");
+    EXPECT_EQ(number("view_members"), 2);
+    EXPECT_EQ(number("applier_threads"), 8);
     // Full replication: no held-partition subset.
-    EXPECT_NE(health.find("\"held_partitions\":-1"), std::string::npos);
+    EXPECT_EQ(number("held_partitions"), -1);
   }
 
   // The body must match what GetHealth() reports directly.

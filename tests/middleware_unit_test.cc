@@ -1,4 +1,4 @@
-// Unit tests for the middleware building blocks: WsList, WsIndex,
+// Unit tests for the middleware building blocks: WsList, WsLog,
 // ToCommitQueue (with its Adjustment 3 hole rules), TableLockManager, and
 // commit-path stage tracing.
 
@@ -15,7 +15,7 @@
 #include "cluster/cluster.h"
 #include "middleware/table_locks.h"
 #include "middleware/tocommit_queue.h"
-#include "middleware/ws_index.h"
+#include "middleware/ws_log.h"
 #include "middleware/ws_list.h"
 #include "obs/trace.h"
 #include "sql/value.h"
@@ -68,69 +68,102 @@ TEST(WsListTest, WindowPruning) {
   EXPECT_FALSE(list.ConflictsAfter(4, *Ws({{"t", 4}})));
 }
 
-// ---- WsIndex ----
+// ---- WsLog ----
 
-TEST(WsIndexTest, ConflictsAfterCert) {
-  WsIndex index;
-  index.Append(1, Ws({{"t", 1}}));
-  index.Append(2, Ws({{"t", 2}}));
-  index.Append(3, Ws({{"t", 3}}));
-
-  EXPECT_TRUE(index.ConflictsAfter(0, *Ws({{"t", 2}})));
-  EXPECT_FALSE(index.ConflictsAfter(2, *Ws({{"t", 2}})));
-  EXPECT_TRUE(index.ConflictsAfter(2, *Ws({{"t", 3}})));
-  EXPECT_FALSE(index.ConflictsAfter(3, *Ws({{"t", 3}})));
-  EXPECT_FALSE(index.ConflictsAfter(0, *Ws({{"u", 1}})));
+std::vector<uint64_t> Tids(const WsLog& log) {
+  std::vector<uint64_t> tids;
+  for (const auto& entry : log.entries()) tids.push_back(entry.tid);
+  return tids;
 }
 
-TEST(WsIndexTest, WindowPruning) {
-  WsIndex index(/*max_entries=*/3);
-  for (uint64_t tid = 1; tid <= 5; ++tid) {
-    index.Append(tid, Ws({{"t", static_cast<int64_t>(tid)}}));
+TEST(WsLogTest, ConflictsAfterCert) {
+  WsLog log;
+  EXPECT_EQ(log.AppendWriteSet({1, 1}, Ws({{"t", 1}})), 1u);
+  EXPECT_EQ(log.AppendWriteSet({1, 2}, Ws({{"t", 2}})), 2u);
+  EXPECT_EQ(log.AppendWriteSet({1, 3}, Ws({{"t", 3}})), 3u);
+  EXPECT_EQ(log.lastvalidated(), 3u);
+
+  EXPECT_TRUE(log.ConflictsAfter(0, *Ws({{"t", 2}})));
+  EXPECT_FALSE(log.ConflictsAfter(2, *Ws({{"t", 2}})));
+  EXPECT_TRUE(log.ConflictsAfter(2, *Ws({{"t", 3}})));
+  EXPECT_FALSE(log.ConflictsAfter(3, *Ws({{"t", 3}})));
+  EXPECT_FALSE(log.ConflictsAfter(0, *Ws({{"u", 1}})));
+}
+
+TEST(WsLogTest, TrimsBelowTheFloor) {
+  WsLog log(/*capacity=*/3);
+  EXPECT_EQ(log.floor(), 1u);
+  for (int64_t key = 1; key <= 5; ++key) {
+    log.AppendWriteSet({1, static_cast<uint64_t>(key)}, Ws({{"t", key}}));
   }
-  EXPECT_EQ(index.size(), 3u);
-  EXPECT_EQ(index.MinRetainedTid(), 3u);
-  EXPECT_TRUE(index.ConflictsAfter(2, *Ws({{"t", 4}})));
-  EXPECT_FALSE(index.ConflictsAfter(4, *Ws({{"t", 4}})));
+  EXPECT_EQ(log.floor(), 3u);
+  EXPECT_EQ(Tids(log), (std::vector<uint64_t>{3, 4, 5}));
+  EXPECT_TRUE(log.ConflictsAfter(2, *Ws({{"t", 4}})));
+  EXPECT_FALSE(log.ConflictsAfter(4, *Ws({{"t", 4}})));
 }
 
-// Evicting an old writeset must not forget a *newer* writer of the same
-// tuple: the per-tuple map entry is dropped only when the evicted tid
-// still owns it.
-TEST(WsIndexTest, EvictionKeepsNewestWriterOfTuple) {
-  WsIndex index(/*max_entries=*/2);
-  index.Append(1, Ws({{"t", 7}}));
-  index.Append(2, Ws({{"t", 7}}));  // same tuple, newer writer
-  index.Append(3, Ws({{"t", 8}}));  // evicts tid 1's entry
-  EXPECT_EQ(index.MinRetainedTid(), 2u);
-  // tid 2 still conflicts even though tid 1 (same tuple) was evicted.
-  EXPECT_TRUE(index.ConflictsAfter(1, *Ws({{"t", 7}})));
-  EXPECT_FALSE(index.ConflictsAfter(2, *Ws({{"t", 7}})));
+// Trimming an old writeset must not forget a *newer* writer of the same
+// tuple: the tuple leaves the map only while the trimmed tid still owns
+// it.
+TEST(WsLogTest, TrimKeepsNewestWriterOfTuple) {
+  WsLog log(/*capacity=*/2);
+  log.AppendWriteSet({1, 1}, Ws({{"t", 7}}));
+  log.AppendWriteSet({1, 2}, Ws({{"t", 7}}));  // same tuple, newer writer
+  log.AppendWriteSet({1, 3}, Ws({{"t", 8}}));  // trims tid 1
+  EXPECT_EQ(log.floor(), 2u);
+  // tid 2 still conflicts even though tid 1 (same tuple) was trimmed.
+  EXPECT_TRUE(log.ConflictsAfter(1, *Ws({{"t", 7}})));
+  EXPECT_FALSE(log.ConflictsAfter(2, *Ws({{"t", 7}})));
 }
 
-TEST(WsIndexTest, SnapshotLoadRoundTrip) {
-  WsIndex donor;
-  donor.Append(4, Ws({{"t", 1}}));
-  donor.Append(5, Ws({{"t", 2}, {"u", 2}}));
+// A replicated DDL statement takes a tid whether or not it ran, so the
+// floor, which depends only on lastvalidated, stays the same at every
+// replica; only one that ran is logged, for recovery to replay.
+TEST(WsLogTest, DdlTakesATidWhetherOrNotItRan) {
+  const std::string ddl = "CREATE TABLE u (k INT, PRIMARY KEY (k))";
+  WsLog log(/*capacity=*/3);
+  EXPECT_EQ(log.AppendWriteSet({1, 1}, Ws({{"t", 1}})), 1u);
+  EXPECT_EQ(log.AppendDdl({1, 2}, ddl, /*ran=*/true), 2u);
+  EXPECT_EQ(log.AppendDdl({2, 1}, ddl, /*ran=*/false), 3u);
+  EXPECT_EQ(log.lastvalidated(), 3u);
+  ASSERT_EQ(Tids(log), (std::vector<uint64_t>{1, 2}));
+  EXPECT_EQ(log.entries()[1].ws, nullptr);
+  EXPECT_EQ(log.entries()[1].ddl, ddl);
 
-  WsIndex joiner;
-  joiner.Append(1, Ws({{"stale", 1}}));  // replaced by Load
-  joiner.Load(donor.Snapshot());
-  EXPECT_EQ(joiner.size(), 2u);
-  EXPECT_EQ(joiner.MinRetainedTid(), 4u);
+  // Both DDL tids count against the capacity: the next writeset moves
+  // the floor past tid 1, whose tuple leaves the map with it.
+  EXPECT_EQ(log.AppendWriteSet({1, 3}, Ws({{"t", 2}})), 4u);
+  EXPECT_EQ(log.floor(), 2u);
+  EXPECT_EQ(Tids(log), (std::vector<uint64_t>{2, 4}));
+  EXPECT_FALSE(log.ConflictsAfter(0, *Ws({{"t", 1}})));
+}
+
+TEST(WsLogTest, AdoptReplacesTheLog) {
+  WsLog donor;
+  donor.Adopt(3, {});  // a cold-start seed: tids up to 3, none logged
+  EXPECT_EQ(donor.AppendWriteSet({2, 1}, Ws({{"t", 1}})), 4u);
+  EXPECT_EQ(donor.AppendWriteSet({2, 2}, Ws({{"t", 2}, {"u", 2}})), 5u);
+
+  WsLog joiner;
+  joiner.AppendWriteSet({1, 1}, Ws({{"stale", 1}}));  // replaced by Adopt
+  joiner.Adopt(donor.lastvalidated(), donor.entries());
+  EXPECT_EQ(joiner.lastvalidated(), 5u);
+  EXPECT_EQ(Tids(joiner), (std::vector<uint64_t>{4, 5}));
   EXPECT_TRUE(joiner.ConflictsAfter(4, *Ws({{"u", 2}})));
   EXPECT_FALSE(joiner.ConflictsAfter(0, *Ws({{"stale", 1}})));
+  // The joiner continues the donor's tid sequence.
+  EXPECT_EQ(joiner.AppendWriteSet({1, 2}, Ws({{"t", 3}})), 6u);
 }
 
 // Differential check against WsList, the literal paper formulation: for
 // a long random append/probe sequence (fixed seed, deterministic) both
 // structures must return identical verdicts — validation decisions are
 // part of the cross-replica determinism argument, so the O(writeset)
-// index must be decision-equivalent, not just approximately right.
-TEST(WsIndexTest, DifferentialAgainstWsList) {
+// log must be decision-equivalent, not just approximately right.
+TEST(WsLogTest, DifferentialAgainstWsList) {
   constexpr size_t kWindow = 16;
   WsList oracle(kWindow);
-  WsIndex index(kWindow);
+  WsLog log(kWindow);
   std::mt19937 rng(20260808);
   std::uniform_int_distribution<int64_t> key(0, 24);
   std::uniform_int_distribution<int> nkeys(1, 4);
@@ -150,33 +183,34 @@ TEST(WsIndexTest, DifferentialAgainstWsList) {
   for (uint64_t tid = 1; tid <= 400; ++tid) {
     auto ws = random_ws();
     oracle.Append(tid, ws);
-    index.Append(tid, ws);
-    ASSERT_EQ(oracle.size(), index.size());
-    ASSERT_EQ(oracle.MinRetainedTid(), index.MinRetainedTid());
+    ASSERT_EQ(log.AppendWriteSet({1, tid}, ws), tid);
+    ASSERT_EQ(oracle.size(), log.size());
+    ASSERT_EQ(oracle.MinRetainedTid(), log.floor());
 
     // Probe both with certs across the whole window (including below
-    // MinRetainedTid and above the newest tid).
+    // the floor and above the newest tid).
     for (int probe = 0; probe < 8; ++probe) {
       auto probe_ws = random_ws();
       std::uniform_int_distribution<uint64_t> cert(
           tid > kWindow + 4 ? tid - kWindow - 4 : 0, tid + 2);
       const uint64_t c = cert(rng);
       ASSERT_EQ(oracle.ConflictsAfter(c, *probe_ws),
-                index.ConflictsAfter(c, *probe_ws))
+                log.ConflictsAfter(c, *probe_ws))
           << "tid=" << tid << " cert=" << c;
     }
   }
 }
 
-// The window-pruning / snapshot-load boundary, exhaustively: a donor
-// snapshot taken at every possible window fill level, loaded into
-// joiners whose own window is narrower, equal, and wider, then both
-// oracle and joiner keep appending past the eviction edge. Every probe
-// sweeps certs straddling MinRetainedTid - 1 (the conservative-abort
-// boundary) — the exact off-by-one territory where a pruning bug would
-// let a joiner reach a different verdict than a live replica.
-TEST(WsIndexTest, DifferentialAtSnapshotLoadPruneBoundary) {
-  constexpr size_t kDonorWindow = 8;
+// The adopt/trim boundary, exhaustively: a donor log at every fill
+// level, adopted by joiners whose capacity is narrower than and equal
+// to the donor's (the capacity is one value per cluster; a narrower one
+// shows that Adopt trims to the joiner's own floor), then both oracle
+// and joiner keep appending past the trim edge. Every probe sweeps
+// certs straddling floor - 1 (the conservative-abort boundary) — the
+// exact off-by-one territory where a trimming bug would let a joiner
+// reach a different verdict than a live replica.
+TEST(WsLogTest, DifferentialAtAdoptTrimBoundary) {
+  constexpr size_t kDonorCapacity = 8;
   std::mt19937 rng(8008);
   std::uniform_int_distribution<int64_t> key(0, 9);
 
@@ -187,45 +221,43 @@ TEST(WsIndexTest, DifferentialAtSnapshotLoadPruneBoundary) {
     return ws;
   };
 
-  for (size_t fill = 1; fill <= 2 * kDonorWindow; ++fill) {
-    WsIndex donor(kDonorWindow);
+  for (size_t fill = 1; fill <= 2 * kDonorCapacity; ++fill) {
+    WsLog donor(kDonorCapacity);
     for (uint64_t tid = 1; tid <= fill; ++tid) {
-      donor.Append(tid, ws_for(key(rng)));
+      donor.AppendWriteSet({2, tid}, ws_for(key(rng)));
     }
-    const auto snapshot = donor.Snapshot();
-    ASSERT_EQ(snapshot.size(), std::min(fill, kDonorWindow));
+    ASSERT_EQ(donor.size(), std::min(fill, kDonorCapacity));
 
-    for (size_t joiner_window : {kDonorWindow / 2, kDonorWindow,
-                                 2 * kDonorWindow}) {
-      // The oracle replays the *retained suffix the joiner keeps* —
-      // loading re-runs the normal prune, so a snapshot wider than the
-      // joiner's window must converge to exactly the suffix a live
-      // WsList of that width would hold.
-      WsList oracle(joiner_window);
-      for (const auto& entry : snapshot) oracle.Append(entry.tid, entry.ws);
+    for (size_t joiner_capacity : {kDonorCapacity / 2, kDonorCapacity}) {
+      // The oracle holds the suffix of the donor's log a live WsList of
+      // the joiner's width would hold.
+      WsList oracle(joiner_capacity);
+      for (const auto& entry : donor.entries()) {
+        oracle.Append(entry.tid, entry.ws);
+      }
 
-      WsIndex joiner(joiner_window);
-      joiner.Load(snapshot);
+      WsLog joiner(joiner_capacity);
+      joiner.Adopt(donor.lastvalidated(), donor.entries());
       ASSERT_EQ(joiner.size(), oracle.size());
-      ASSERT_EQ(joiner.MinRetainedTid(), oracle.MinRetainedTid());
+      ASSERT_EQ(joiner.floor(), oracle.MinRetainedTid());
 
-      // Both keep running: append past the eviction edge post-load.
-      for (uint64_t tid = fill + 1; tid <= fill + kDonorWindow; ++tid) {
+      // Both keep running: append past the trim edge after adoption.
+      for (uint64_t tid = fill + 1; tid <= fill + kDonorCapacity; ++tid) {
         auto ws = ws_for(key(rng));
         oracle.Append(tid, ws);
-        joiner.Append(tid, ws);
-        ASSERT_EQ(joiner.MinRetainedTid(), oracle.MinRetainedTid());
+        ASSERT_EQ(joiner.AppendWriteSet({1, tid}, ws), tid);
+        ASSERT_EQ(joiner.floor(), oracle.MinRetainedTid());
 
-        const uint64_t min_tid = oracle.MinRetainedTid();
+        const uint64_t floor = joiner.floor();
         for (int64_t k = 0; k <= 9; ++k) {
           auto probe = ws_for(k);
-          // Certs pinned to the boundary: min-2 .. min+1, plus the head.
-          for (uint64_t cert :
-               {min_tid >= 2 ? min_tid - 2 : 0, min_tid - 1, min_tid,
-                min_tid + 1, tid - 1, tid}) {
+          // Certs pinned to the boundary: floor-2 .. floor+1, plus the
+          // head.
+          for (uint64_t cert : {floor >= 2 ? floor - 2 : 0, floor - 1, floor,
+                                floor + 1, tid - 1, tid}) {
             ASSERT_EQ(oracle.ConflictsAfter(cert, *probe),
                       joiner.ConflictsAfter(cert, *probe))
-                << "fill=" << fill << " jw=" << joiner_window
+                << "fill=" << fill << " jc=" << joiner_capacity
                 << " tid=" << tid << " cert=" << cert << " key=" << k;
           }
         }

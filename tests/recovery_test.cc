@@ -107,6 +107,31 @@ TEST(RecoveryTest, RecoveredReplicaParticipatesAgain) {
   EXPECT_EQ(ReadAt(*cluster, 1, 4), 10);
 }
 
+TEST(RecoveryTest, RestartedReplicaAnswersForWritesetsItCommittedBefore) {
+  auto cluster = MakeCluster(3);
+  auto* origin = cluster->replica(0);
+  const gcs::MemberId origin_id = origin->member_id();
+  auto handle = std::move(origin->BeginTxn()).value();
+  const middleware::GlobalTxnId gid = handle.gid;
+  ASSERT_TRUE(origin->Execute(handle, "UPDATE kv SET v = 42 WHERE k = 1").ok());
+  ASSERT_TRUE(origin->CommitTxn(handle).ok());
+  cluster->Quiesce();
+
+  // Replica 1's new incarnation recovers past the writeset without
+  // replaying it: its previous incarnation committed it.
+  cluster->CrashReplica(1);
+  ASSERT_TRUE(cluster->RestartReplica(1).ok());
+  // Replica 2's crash makes the new incarnation install, while live, a
+  // view that contains the origin; then the origin crashes.
+  cluster->CrashReplica(2);
+  cluster->CrashReplica(0);
+
+  // Every replica committed the writeset, so it must not be called lost.
+  EXPECT_EQ(cluster->replica(1)->InquireOutcome(gid, origin_id),
+            middleware::TxnOutcome::kCommitted);
+  EXPECT_EQ(ReadAt(*cluster, 1, 1), 42);
+}
+
 TEST(RecoveryTest, RecoveryConcurrentWithTraffic) {
   // The headline property: transaction processing never stops while a
   // replica recovers, and the recovered replica still converges.

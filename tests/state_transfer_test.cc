@@ -23,8 +23,8 @@ namespace {
 using sql::Value;
 
 /// A replica reduced to what StateTransfer reaches: one database with
-/// table t(k, v), a fixed validation state to donate, and a record of
-/// the transactions replay committed.
+/// table t(k, v), a writeset log to donate, and a record of the log it
+/// adopted.
 class FakeHost : public StateTransferHost {
  public:
   FakeHost() {
@@ -42,15 +42,12 @@ class FakeHost : public StateTransferHost {
   }
   void ReadValidationState(
       const std::function<void(const ValidationView&)>& read) override {
-    read(ValidationView{lastvalidated, lastvalidated, ws_index_, log_});
+    read(ValidationView{log.lastvalidated(), log});
   }
   void AdoptValidationState(uint64_t validated,
-                            const std::vector<WsWindowEntry>&,
-                            std::vector<WsLogEntry>) override {
+                            std::deque<WsLogEntry> entries) override {
     adopted = validated;
-  }
-  void MarkLocallyCommitted(const GlobalTxnId& gid) override {
-    committed.push_back(gid.seq);
+    adopted_log = std::move(entries);
   }
   void ProcessDelivery(const gcs::Message&) override {}
 
@@ -83,27 +80,23 @@ class FakeHost : public StateTransferHost {
   gcs::MemberId id = 1;
   gcs::Group* group = nullptr;
   std::atomic<bool> running{true};
-  /// Donor side: the tid its validation state has reached (and
-  /// committed), with an empty log, so any earlier `from_tid` gets a
-  /// full copy.
-  uint64_t lastvalidated = 0;
+  /// Donor side: the validation state it donates; everything up to
+  /// lastvalidated() counts as committed here.
+  WsLog log;
   /// Recoverer side: what AdoptValidationState received.
   uint64_t adopted = 0;
-  /// Sequence numbers of the replayed transactions, in replay order.
-  std::vector<uint64_t> committed;
+  std::deque<WsLogEntry> adopted_log;
 
  private:
   mutable engine::Database db_;
-  WsIndex ws_index_;
-  std::deque<WsLogEntry> log_;
   int64_t next_key_ = 1000000;
 };
 
 /// Log entries first..last; entry i writes v = i into row `k(i)`.
-std::vector<WsLogEntry> Log(const FakeHost& host, uint64_t first,
-                            uint64_t last,
-                            const std::function<int64_t(uint64_t)>& k) {
-  std::vector<WsLogEntry> log;
+std::deque<WsLogEntry> Log(const FakeHost& host, uint64_t first,
+                           uint64_t last,
+                           const std::function<int64_t(uint64_t)>& k) {
+  std::deque<WsLogEntry> log;
   for (uint64_t tid = first; tid <= last; ++tid) {
     auto ws = std::make_shared<storage::WriteSet>();
     ws->Record({"t", host.Key(k(tid))}, storage::WriteOp::kUpdate,
@@ -117,7 +110,7 @@ std::vector<WsLogEntry> Log(const FakeHost& host, uint64_t first,
   return log;
 }
 
-std::vector<uint64_t> Tids(const std::vector<WsLogEntry>& log) {
+std::vector<uint64_t> Tids(const std::deque<WsLogEntry>& log) {
   std::vector<uint64_t> tids;
   for (const auto& entry : log) tids.push_back(entry.tid);
   return tids;
@@ -127,12 +120,15 @@ std::vector<uint64_t> Tids(const std::vector<WsLogEntry>& log) {
 
 class StateTransferTest : public ::testing::Test {
  protected:
-  /// A plan from donor_; a full copy pins its snapshot now.
-  DonorPlan Plan(bool full_copy, std::vector<WsLogEntry> log = {}) {
+  /// A plan from donor_ that replays `log` after `replay_after`; a full
+  /// copy pins its snapshot now.
+  DonorPlan Plan(bool full_copy, std::deque<WsLogEntry> log = {},
+                 uint64_t replay_after = 0) {
     DonorPlan plan;
     plan.donor = &donor_;
-    plan.meta.full_copy = full_copy;
-    plan.log_suffix = std::move(log);
+    plan.full_copy = full_copy;
+    plan.log = std::move(log);
+    plan.replay_after = replay_after;
     if (full_copy) {
       plan.tables = donor_.db()->engine().TableNames();
       plan.dump_txn = donor_.db()->Begin();
@@ -144,8 +140,7 @@ class StateTransferTest : public ::testing::Test {
                const std::function<Status()>& after_batch = [] {
                  return Status::OK();
                }) {
-    replayed_.clear();
-    return transfer_.ApplyPlan(plan, after_batch, &replayed_);
+    return transfer_.ApplyPlan(plan, after_batch);
   }
 
   FakeHost host_;
@@ -154,7 +149,6 @@ class StateTransferTest : public ::testing::Test {
   obs::FlightRecorder flight_{64};
   StateTransfer transfer_{&host_, nullptr, ReplicaOptions{}, &registry_,
                           &flight_};
-  std::vector<WsLogEntry> replayed_;
 };
 
 TEST_F(StateTransferTest, CopyOverwritesAndSweeps) {
@@ -191,31 +185,31 @@ TEST_F(StateTransferTest, FullCopyRestartReplaysLogAfterNewBase) {
   // the copy rolls the row back to 130, and the log (130, 150] must be
   // replayed again.
   donor_.Put(1, 130);
-  const DonorPlan plan = Plan(
-      /*full_copy=*/true, Log(host_, 131, 150, [](uint64_t) { return 1; }));
+  const DonorPlan plan =
+      Plan(/*full_copy=*/true,
+           Log(host_, 121, 150, [](uint64_t) { return 1; }),
+           /*replay_after=*/130);
   ASSERT_TRUE(Apply(plan).ok());
 
   EXPECT_EQ(host_.Get(1), 150);  // what the donor and every replica hold
-  EXPECT_EQ(host_.committed.size(), 20u);
-  ASSERT_EQ(replayed_.size(), 20u);
-  EXPECT_EQ(replayed_.front().tid, 131u);
 }
 
-TEST_F(StateTransferTest, EveryLogEntryIsReplayedAndAdoptedInTidOrder) {
+TEST_F(StateTransferTest, LogIsReplayedAfterTheReplayPointInTidOrder) {
   host_.Put(1, 0);
   host_.Put(2, 10);  // a previous incarnation already committed entry 10
-  // Entries 9 and 11 write row 1, entry 10 row 2.
-  const DonorPlan plan =
-      Plan(/*full_copy=*/false,
-           Log(host_, 9, 11, [](uint64_t tid) -> int64_t {
-             return tid == 10 ? 2 : 1;
-           }));
+  // Entries 8 and 9 write row 3, entry 10 row 2, entries 11 and 12 row 1.
+  const DonorPlan plan = Plan(/*full_copy=*/false,
+                              Log(host_, 8, 12,
+                                  [](uint64_t tid) -> int64_t {
+                                    if (tid <= 9) return 3;
+                                    return tid == 10 ? 2 : 1;
+                                  }),
+                              /*replay_after=*/9);
   ASSERT_TRUE(Apply(plan).ok());
 
-  EXPECT_EQ(host_.Get(1), 11);  // 9, then 11
+  EXPECT_EQ(host_.Get(3), -1);  // at or below the replay point: skipped
   EXPECT_EQ(host_.Get(2), 10);
-  EXPECT_EQ(host_.committed, (std::vector<uint64_t>{9, 10, 11}));
-  EXPECT_EQ(Tids(replayed_), (std::vector<uint64_t>{9, 10, 11}));
+  EXPECT_EQ(host_.Get(1), 12);  // 11, then 12
 }
 
 TEST_F(StateTransferTest, CheckRunsAfterEveryBatchAndEndsTheCopy) {
@@ -246,7 +240,9 @@ TEST_F(StateTransferTest, CheckRunsAfterEveryBatchAndEndsTheCopy) {
                 .code(),
             StatusCode::kUnavailable);
   EXPECT_EQ(checks, 2);
-  EXPECT_TRUE(replayed_.empty());
+  // The first batch copied row 0 back to the donor's 0; the log, which
+  // sets it to 3, was not replayed.
+  EXPECT_EQ(host_.Get(0), 0);
 }
 
 // ---- the plan's hand-off ------------------------------------------------
@@ -329,7 +325,7 @@ class Node : public gcs::GroupListener {
 class StateTransferRecoverTest : public ::testing::Test {
  protected:
   StateTransferRecoverTest() {
-    donor_.host.lastvalidated = 5;  // from_tid 0 needs a full copy
+    donor_.host.log.Adopt(5, {});  // from_tid 0 needs a full copy
     donor_.host.Put(1, 10);
     donor_.host.Put(2, 20);
     recoverer_.host.Put(3, 30);
@@ -350,6 +346,21 @@ TEST_F(StateTransferRecoverTest, RecoverCopiesTheDonorOnItsOwnThread) {
   EXPECT_EQ(recoverer_.host.Get(2), 20);
   EXPECT_EQ(recoverer_.host.Get(3), -1);
   EXPECT_TRUE(donor_.host.NoSnapshotPinned());
+}
+
+TEST_F(StateTransferRecoverTest, RecoverReplaysAfterFromTidAndAdoptsTheLog) {
+  // The donor's log reaches back to tid 6; entry i writes v = i into row
+  // i, and the recoverer already holds everything up to tid 7.
+  auto row_of = [](uint64_t tid) { return static_cast<int64_t>(tid); };
+  donor_.host.log.Adopt(9, Log(donor_.host, 6, 9, row_of));
+  ASSERT_TRUE(recoverer_.transfer().Recover(7).ok());
+  EXPECT_EQ(recoverer_.host.Get(7), -1);  // not replayed
+  EXPECT_EQ(recoverer_.host.Get(8), 8);
+  EXPECT_EQ(recoverer_.host.Get(9), 9);
+  EXPECT_EQ(recoverer_.host.Get(3), 30);  // no full copy: rows kept
+  EXPECT_EQ(recoverer_.host.adopted, 9u);
+  EXPECT_EQ(Tids(recoverer_.host.adopted_log),
+            (std::vector<uint64_t>{6, 7, 8, 9}));
 }
 
 TEST_F(StateTransferRecoverTest, DonorDeathMidCopyReleasesItsSnapshot) {
