@@ -2,8 +2,9 @@
 // cost model, on the statements that set the engine's share of the
 // native TPC-W costs:
 //   * the TPC-W best-seller query (order_line JOIN item, GROUP BY,
-//     ORDER BY sum DESC, LIMIT 50) at 1.2k and 4.2k order lines — the
-//     TPC-W load seeds 1.2k, and BuyConfirm keeps adding them;
+//     ORDER BY sum DESC, LIMIT 50) at 1.2k, 4.2k and 8.2k order lines —
+//     the TPC-W load seeds 1.2k, BuyConfirm keeps adding them, and a
+//     15 s native tpcw window at about 12k tps ends near 8k;
 //   * begin + point SELECT by primary key + commit;
 //   * begin + point UPDATE + commit on a row whose version chain is
 //     already 1,024 versions long (no vacuum runs during a native run).
@@ -97,7 +98,7 @@ int main(int argc, char** argv) {
       "SELECT i_title, SUM(ol_qty) FROM order_line JOIN item ON "
       "ol_i_id = i_id GROUP BY i_title ORDER BY sum(ol_qty) DESC LIMIT 50";
   int64_t lines = 1200;  // what the TPC-W load seeds
-  for (const int64_t target : {1200, 4200}) {
+  for (const int64_t target : {1200, 4200, 8200}) {
     for (; lines < target; ++lines) {
       RunTxn(db, "INSERT INTO order_line VALUES (?, ?, ?, ?)",
              {Value::Int(1'000'000 + lines), Value::Int(1), random_item(),

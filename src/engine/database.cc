@@ -196,56 +196,61 @@ bool AnyNull(size_t n, const auto& value_at) {
 /// Reads input `input` into `rows`, in key order, through the cheapest
 /// access path its local conjuncts allow: a primary-key point read when
 /// they pin every key column, else a secondary-index probe on the first
-/// pinned indexed column, else a snapshot scan. The conjuncts the path
-/// enforces are marked so; a row must pass the other local ones, in WHERE
-/// order. A pin to NULL matches no row.
+/// pinned indexed column, else a snapshot scan. The rows are the stored
+/// ones, not copies (StorageEngine reads in place). The conjuncts the
+/// path enforces are marked so; a row must pass the other local ones, in
+/// WHERE order, checked once the path has collected every row, so a scan
+/// holds its table latch only while it collects. A pin to NULL matches no
+/// row.
 Status ReadInput(storage::StorageEngine& engine, const TransactionPtr& txn,
                  const storage::MvccTable& table, uint32_t input,
                  const BoundExprs& exprs, const std::vector<Value>& params,
                  std::vector<Conjunct>* conjuncts,
-                 std::vector<sql::Row>* rows) {
-  Status filter_status;
+                 std::vector<const sql::Row*>* rows) {
+  auto collect = [&]() -> Status {
+    auto visit = [&](const sql::Key&, const sql::Row& row) {
+      rows->push_back(&row);
+    };
+    if (auto key = PinKey(exprs, input, table.schema(), params, conjuncts)) {
+      for (const Value& part : key->parts) {
+        if (part.is_null()) return Status::OK();
+      }
+      auto row = engine.Read(txn, table.name(), *key);
+      if (!row.ok()) return row.status();
+      if (row.value() != nullptr) rows->push_back(row.value());
+      return Status::OK();
+    }
+    for (Conjunct& c : *conjuncts) {
+      if (!IsLocal(c, input)) continue;
+      auto pin = exprs.AsPin(c.id, params);
+      if (!pin.has_value()) continue;
+      const std::string& column =
+          table.schema().columns()[pin->slot.column].name;
+      if (!table.HasIndex(column)) continue;
+      c.enforced = true;
+      if (pin->value->is_null()) return Status::OK();
+      return engine.LookupByIndex(txn, table.name(), column, *pin->value,
+                                  visit);
+    }
+    return engine.Scan(txn, table.name(), visit);
+  };
+  SIREP_RETURN_IF_ERROR(collect());
+
   const sql::Row* tuple[kMaxInputs] = {};
-  auto passes = [&](const sql::Row& row) {
-    if (!filter_status.ok()) return false;
-    tuple[input] = &row;
+  size_t kept = 0;
+  for (const sql::Row* row : *rows) {
+    tuple[input] = row;
+    bool pass = true;
     for (const Conjunct& c : *conjuncts) {
       if (c.enforced || !IsLocal(c, input)) continue;
       auto match = exprs.Test(c.id, tuple, params);
-      if (!match.ok()) filter_status = match.status();
-      if (!match.ok() || !match.value()) return false;
+      if (!match.ok()) return match.status();
+      if (!(pass = match.value())) break;
     }
-    return true;
-  };
-  auto visit = [&](const sql::Key&, const sql::Row& row) {
-    if (passes(row)) rows->push_back(row);
-  };
-
-  if (auto key = PinKey(exprs, input, table.schema(), params, conjuncts)) {
-    for (const Value& part : key->parts) {
-      if (part.is_null()) return Status::OK();
-    }
-    auto row = engine.Read(txn, table.name(), *key);
-    if (!row.ok()) return row.status();
-    if (row.value().has_value() && passes(*row.value())) {
-      rows->push_back(*std::move(row).value());
-    }
-    return filter_status;
+    if (pass) (*rows)[kept++] = row;
   }
-  for (Conjunct& c : *conjuncts) {
-    if (!IsLocal(c, input)) continue;
-    auto pin = exprs.AsPin(c.id, params);
-    if (!pin.has_value()) continue;
-    const std::string& column = table.schema().columns()[pin->slot.column].name;
-    if (!table.HasIndex(column)) continue;
-    c.enforced = true;
-    if (pin->value->is_null()) return Status::OK();
-    SIREP_RETURN_IF_ERROR(
-        engine.LookupByIndex(txn, table.name(), column, *pin->value, visit));
-    return filter_status;
-  }
-  SIREP_RETURN_IF_ERROR(engine.Scan(txn, table.name(), visit));
-  return filter_status;
+  rows->resize(kept);
+  return Status::OK();
 }
 
 /// Joined tuples, flat: `width` row pointers each.
@@ -262,7 +267,7 @@ struct Tuples {
 /// The conjuncts `column = column` linking t to an earlier input are the
 /// hash key and are marked enforced; a NULL key never matches. Without
 /// one, a nested loop up to kNestedLoopCap pairs.
-Status JoinInput(uint32_t t, const std::vector<sql::Row>& right,
+Status JoinInput(uint32_t t, const std::vector<const sql::Row*>& right,
                  const BoundExprs& exprs, std::vector<Conjunct>* conjuncts,
                  Tuples* acc) {
   std::vector<std::pair<Slot, uint32_t>> keys;  // acc slot, column of t
@@ -279,9 +284,9 @@ Status JoinInput(uint32_t t, const std::vector<sql::Row>& right,
   const size_t n = acc->size();
   Tuples out;
   out.width = acc->width + 1;
-  auto emit = [&](size_t i, const sql::Row& row) {
+  auto emit = [&](size_t i, const sql::Row* row) {
     out.rows.insert(out.rows.end(), acc->at(i), acc->at(i) + acc->width);
-    out.rows.push_back(&row);
+    out.rows.push_back(row);
   };
   if (keys.empty()) {
     if (n * right.size() > kNestedLoopCap) {
@@ -292,7 +297,7 @@ Status JoinInput(uint32_t t, const std::vector<sql::Row>& right,
     }
     out.rows.reserve(n * right.size() * out.width);
     for (size_t i = 0; i < n; ++i) {
-      for (const sql::Row& row : right) emit(i, row);
+      for (const sql::Row* row : right) emit(i, row);
     }
     *acc = std::move(out);
     return Status::OK();
@@ -304,7 +309,7 @@ Status JoinInput(uint32_t t, const std::vector<sql::Row>& right,
   std::vector<int32_t> head(buckets, -1), next(right.size(), -1);
   for (size_t r = right.size(); r-- > 0;) {
     auto right_key = [&](size_t k) -> const Value& {
-      return right[r][keys[k].second];
+      return (*right[r])[keys[k].second];
     };
     if (AnyNull(keys.size(), right_key)) continue;
     const size_t b = HashValues(keys.size(), right_key) & (buckets - 1);
@@ -321,10 +326,10 @@ Status JoinInput(uint32_t t, const std::vector<sql::Row>& right,
     if (AnyNull(keys.size(), left_key)) continue;
     const size_t b = HashValues(keys.size(), left_key) & (buckets - 1);
     for (int32_t r = head[b]; r >= 0; r = next[r]) {
-      const sql::Row& row = right[r];
+      const sql::Row* row = right[r];
       bool equal = true;
       for (size_t k = 0; k < keys.size() && equal; ++k) {
-        equal = left_key(k).Compare(row[keys[k].second]) == 0;
+        equal = left_key(k).Compare((*row)[keys[k].second]) == 0;
       }
       if (equal) emit(i, row);
     }
@@ -701,10 +706,10 @@ Result<QueryResult> Database::ExecSelect(const TransactionPtr& txn,
     return Status::NotSupported("more than " + std::to_string(kMaxInputs) +
                                 " tables in FROM");
   }
-  // Each FROM input's table and, once read, the rows tuples point into.
+  // Each FROM input's table and, once read, its stored rows.
   struct Input {
     const storage::MvccTable* table;
-    std::vector<sql::Row> rows;
+    std::vector<const sql::Row*> rows;
   };
   std::vector<Input> inputs;
   std::vector<ScopeInput> scope;
@@ -732,8 +737,7 @@ Result<QueryResult> Database::ExecSelect(const TransactionPtr& txn,
                                     params, &conjuncts, &inputs[t].rows));
   }
   Tuples tuples;
-  tuples.rows.reserve(inputs[0].rows.size());
-  for (const sql::Row& row : inputs[0].rows) tuples.rows.push_back(&row);
+  tuples.rows = std::move(inputs[0].rows);
   for (uint32_t t = 1; t < n; ++t) {
     SIREP_RETURN_IF_ERROR(
         JoinInput(t, inputs[t].rows, exprs, &conjuncts, &tuples));
@@ -777,18 +781,23 @@ Result<QueryResult> Database::ExecUpdate(const TransactionPtr& txn,
   std::vector<Conjunct> conjuncts;
   SIREP_RETURN_IF_ERROR(BindConjuncts(stmt.where.get(), &exprs, &conjuncts));
 
-  std::vector<sql::Row> matches;
+  std::vector<const sql::Row*> matches;
   SIREP_RETURN_IF_ERROR(ReadInput(engine_, txn, *table, 0, exprs, params,
                                   &conjuncts, &matches));
-  int64_t affected = 0;
-  for (const sql::Row& row : matches) {
-    const sql::Row* tuple = &row;
-    sql::Row new_row = row;
+  // Every new row is built before the first write: a write may move the
+  // own after-images that later matches point at.
+  std::vector<sql::Row> new_rows;
+  new_rows.reserve(matches.size());
+  for (const sql::Row* row : matches) {
+    sql::Row& new_row = new_rows.emplace_back(*row);
     for (const auto& [idx, id] : sets) {
-      auto v = exprs.Eval(id, &tuple, params);
+      auto v = exprs.Eval(id, &row, params);
       if (!v.ok()) return v.status();
       new_row[idx] = std::move(v).value();
     }
+  }
+  int64_t affected = 0;
+  for (sql::Row& new_row : new_rows) {
     Status st = engine_.Update(txn, stmt.table, std::move(new_row));
     if (st.code() == StatusCode::kNotFound) continue;  // raced: 0 rows
     SIREP_RETURN_IF_ERROR(st);
@@ -811,12 +820,19 @@ Result<QueryResult> Database::ExecDelete(const TransactionPtr& txn,
   std::vector<Conjunct> conjuncts;
   SIREP_RETURN_IF_ERROR(BindConjuncts(stmt.where.get(), &exprs, &conjuncts));
 
-  std::vector<sql::Row> matches;
+  std::vector<const sql::Row*> matches;
   SIREP_RETURN_IF_ERROR(ReadInput(engine_, txn, *table, 0, exprs, params,
                                   &conjuncts, &matches));
+  // Every key is taken before the first delete, which may move the own
+  // after-images that later matches point at.
+  std::vector<sql::Key> keys;
+  keys.reserve(matches.size());
+  for (const sql::Row* row : matches) {
+    keys.push_back(table->schema().KeyOf(*row));
+  }
   int64_t affected = 0;
-  for (const sql::Row& row : matches) {
-    Status st = engine_.Delete(txn, stmt.table, table->schema().KeyOf(row));
+  for (const sql::Key& key : keys) {
+    Status st = engine_.Delete(txn, stmt.table, key);
     if (st.code() == StatusCode::kNotFound) continue;
     SIREP_RETURN_IF_ERROR(st);
     ++affected;

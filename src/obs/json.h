@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -60,6 +61,12 @@ struct Value {
 /// raw control characters in strings, and trailing data; \u escapes
 /// are limited to ASCII, the only ones AppendString writes.
 Result<Value> Parse(std::string_view text);
+
+/// A temporary string would die before the `raw` views into it: keep the
+/// text in a variable that outlives the Value, and parse that.
+template <typename T>
+  requires std::is_same_v<std::remove_cv_t<T>, std::string>
+Result<Value> Parse(T&&) = delete;
 
 }  // namespace sirep::obs::json
 

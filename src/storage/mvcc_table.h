@@ -63,8 +63,9 @@ class MvccTable {
                  sql::Row data);
 
   /// Invokes `fn` for every key's newest version visible at `snapshot`
-  /// that is not a tombstone. Row data is handed out as shared_ptr-backed
-  /// const refs valid for the callback's duration.
+  /// that is not a tombstone, under the shared latch. The key and row are
+  /// the stored ones; how long they stay valid after the callback is the
+  /// read contract in storage_engine.h ("reads").
   void ScanVisible(
       Timestamp snapshot,
       const std::function<void(const sql::Key&, const sql::Row&)>& fn) const;

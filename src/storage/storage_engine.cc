@@ -169,23 +169,21 @@ void StorageEngine::Abort(const TransactionPtr& txn) {
   c_aborts_->Increment();
 }
 
-Result<std::optional<sql::Row>> StorageEngine::Read(
-    const TransactionPtr& txn, const std::string& table,
-    const sql::Key& key) const {
+Result<const sql::Row*> StorageEngine::Read(const TransactionPtr& txn,
+                                            const std::string& table,
+                                            const sql::Key& key) const {
   SIREP_RETURN_IF_ERROR(CheckActive(txn));
   MvccTable* t = GetTable(table);
   if (t == nullptr) return Status::NotFound("no table '" + table + "'");
   // Read-your-own-writes.
   const WriteSetEntry* own = txn->writes().Find(TupleId{table, key});
   if (own != nullptr) {
-    if (own->op == WriteOp::kDelete) return std::optional<sql::Row>();
-    return std::optional<sql::Row>(own->after);
+    return own->op == WriteOp::kDelete ? nullptr : &own->after;
   }
+  // The version outlives this handle: its chain keeps it (see the header).
   auto version = t->ReadVisible(key, txn->snapshot());
-  if (version == nullptr || version->deleted) {
-    return std::optional<sql::Row>();
-  }
-  return std::optional<sql::Row>(version->data);
+  if (version == nullptr || version->deleted) return nullptr;
+  return &version->data;
 }
 
 Status StorageEngine::Scan(
@@ -205,19 +203,19 @@ Status StorageEngine::Scan(
     return Status::OK();
   }
   // Merge: collect the snapshot view, then apply the overlay in key order.
-  std::map<sql::Key, sql::Row> merged;
+  std::map<sql::Key, const sql::Row*> merged;
   t->ScanVisible(txn->snapshot(),
                  [&](const sql::Key& key, const sql::Row& row) {
-                   merged[key] = row;
+                   merged.emplace(key, &row);
                  });
   for (const auto& [key, entry] : own) {
     if (entry->op == WriteOp::kDelete) {
       merged.erase(key);
     } else {
-      merged[key] = entry->after;
+      merged[key] = &entry->after;
     }
   }
-  for (const auto& [key, row] : merged) fn(key, row);
+  for (const auto& [key, row] : merged) fn(key, *row);
   return Status::OK();
 }
 
@@ -376,15 +374,15 @@ Status StorageEngine::LookupByIndex(
   const int col = t->schema().FindColumn(column);
   // Candidates from the index, re-checked through a visible point read
   // (which also sees the transaction's own writes).
-  std::map<sql::Key, sql::Row> matched;
+  std::map<sql::Key, const sql::Row*> matched;
   for (const auto& key : t->IndexLookup(column, value)) {
     auto row = Read(txn, table, key);
     if (!row.ok()) return row.status();
-    if (!row.value().has_value()) continue;
+    if (row.value() == nullptr) continue;
     if ((*row.value())[static_cast<size_t>(col)].Compare(value) != 0) {
       continue;  // stale index entry for an older version
     }
-    matched.emplace(key, *std::move(row).value());
+    matched.emplace(key, row.value());
   }
   // The transaction's own buffered writes are not indexed: merge them.
   for (const auto& entry : txn->writes().entries()) {
@@ -392,12 +390,12 @@ Status StorageEngine::LookupByIndex(
     if (entry.op == WriteOp::kDelete) {
       matched.erase(entry.tuple.key);
     } else if (entry.after[static_cast<size_t>(col)].Compare(value) == 0) {
-      matched[entry.tuple.key] = entry.after;
+      matched[entry.tuple.key] = &entry.after;
     } else {
       matched.erase(entry.tuple.key);  // own write moved it off this value
     }
   }
-  for (const auto& [key, row] : matched) fn(key, row);
+  for (const auto& [key, row] : matched) fn(key, *row);
   return Status::OK();
 }
 

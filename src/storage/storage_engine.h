@@ -6,7 +6,6 @@
 #include <set>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -106,15 +105,34 @@ class StorageEngine {
   void Abort(const TransactionPtr& txn);
 
   // ---- reads (never block, never lock) ----
+  //
+  // Rows are read in place. Read, Scan and LookupByIndex hand out the
+  // committed version visible at the transaction's snapshot, or the
+  // transaction's own buffered after-image, never a copy. A row stays
+  // valid until the transaction ends or writes again (the key passed
+  // with it only for the callback):
+  //  * Install only prepends versions.
+  //  * Vacuum keeps, per key, the newest version at or below the oldest
+  //    active snapshot and everything newer, so a version that an active
+  //    snapshot can see is never freed.
+  //  * An own after-image lives in the transaction's WriteSet until its
+  //    next Record (Insert, Update, Delete or ApplyWriteSet), which may
+  //    move it. A statement that writes reads everything it needs first.
+  // Caveat: SimulateRestart drops a dead incarnation's snapshots, so that
+  // incarnation's readers are covered only until the next Vacuum. Vacuum
+  // runs only when asked (Cluster::VacuumAll, the shell's vacuum command).
 
   /// Point read by primary key; sees the transaction's own writes.
-  /// nullopt => no visible live tuple.
-  Result<std::optional<sql::Row>> Read(const TransactionPtr& txn,
-                                       const std::string& table,
-                                       const sql::Key& key) const;
+  /// nullptr => no visible live tuple.
+  Result<const sql::Row*> Read(const TransactionPtr& txn,
+                               const std::string& table,
+                               const sql::Key& key) const;
 
   /// Snapshot scan including the transaction's own writes. Rows are
-  /// delivered in key order.
+  /// delivered in key order. Without own writes in `table`, `fn` runs
+  /// under the table's shared latch, which every install into the table
+  /// waits for while holding the commit mutex: collect the rows, and work
+  /// on them after Scan returns.
   Status Scan(const TransactionPtr& txn, const std::string& table,
               const std::function<void(const sql::Key&, const sql::Row&)>&
                   fn) const;
@@ -174,7 +192,8 @@ class StorageEngine {
 
   /// Index-assisted point-in: invokes `fn` for every live tuple visible
   /// to `txn` whose `column` equals `value`, including the transaction's
-  /// own uncommitted writes (which are never in the index). Returns
+  /// own uncommitted writes (which are never in the index), in key order
+  /// and with no latch held. Rows are read in place (see Read). Returns
   /// kNotFound if the column has no index.
   Status LookupByIndex(
       const TransactionPtr& txn, const std::string& table,

@@ -100,6 +100,36 @@ TEST_F(DatabaseTest, UpdatePrimaryKeyRejected) {
   EXPECT_EQ(result.status().code(), StatusCode::kNotSupported);
 }
 
+TEST_F(DatabaseTest, UpdateOverOwnAndCommittedRowsInOneStatement) {
+  // One UPDATE matches committed rows and rows the same transaction
+  // inserted. Reads hand out stored rows, and the own rows' after-images
+  // move as the statement's writes grow the write set, so every new row
+  // must be built before the first write (ASan catches the other order).
+  Must("CREATE TABLE t (k INT, v INT, PRIMARY KEY (k))");
+  auto load = db_.Begin();
+  for (int64_t k = 1; k <= 100; ++k) {
+    ASSERT_TRUE(db_.Execute(load, "INSERT INTO t VALUES (?, ?)",
+                            {Value::Int(k), Value::Int(k)})
+                    .ok());
+  }
+  ASSERT_TRUE(db_.Commit(load).ok());
+
+  auto txn = db_.Begin();
+  for (int64_t k = 101; k <= 103; ++k) {
+    ASSERT_TRUE(db_.Execute(txn, "INSERT INTO t VALUES (?, ?)",
+                            {Value::Int(k), Value::Int(k)})
+                    .ok());
+  }
+  auto update = db_.Execute(txn, "UPDATE t SET v = v + 1000");
+  ASSERT_TRUE(update.ok()) << update.status();
+  EXPECT_EQ(update.value().rows_affected, 103);
+  auto sum = db_.Execute(txn, "SELECT SUM(v) FROM t");
+  ASSERT_TRUE(sum.ok()) << sum.status();
+  EXPECT_EQ(sum.value().rows[0][0].AsInt(), 108356);
+  ASSERT_TRUE(db_.Commit(txn).ok());
+  EXPECT_EQ(Must("SELECT SUM(v) FROM t").rows[0][0].AsInt(), 108356);
+}
+
 TEST_F(DatabaseTest, DeleteWithPredicate) {
   auto r = Must("DELETE FROM acct WHERE bal >= 300.0");
   EXPECT_EQ(r.rows_affected, 2);

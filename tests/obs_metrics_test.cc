@@ -12,10 +12,13 @@
 #include <cmath>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/flight_recorder.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
@@ -218,6 +221,25 @@ TEST(SnapshotTest, FromJsonRejectsGarbage) {
                      .ok())
         << v;
   }
+}
+
+template <typename S>
+concept Parses = requires(S&& s) { json::Parse(std::forward<S>(s)); };
+
+TEST(JsonTest, ParseRefusesATemporaryString) {
+  // A parsed Value views its text, so the text must outlive it: a
+  // temporary std::string does not compile, everything else parses.
+  static_assert(!Parses<std::string>);
+  static_assert(Parses<std::string&>);
+  static_assert(Parses<const std::string&>);
+  static_assert(Parses<std::string_view>);
+  static_assert(Parses<const char*>);
+  const std::string text = R"({"n": 18446744073709551615})";
+  auto parsed = json::Parse(text);
+  ASSERT_TRUE(parsed.ok());
+  uint64_t n = 0;
+  ASSERT_TRUE(parsed.value().Find("n")->AsU64(&n));
+  EXPECT_EQ(n, UINT64_MAX);
 }
 
 TEST(SnapshotTest, PrometheusTextContainsSeries) {

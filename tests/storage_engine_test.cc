@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <random>
 #include <thread>
+#include <vector>
 
 namespace sirep::storage {
 namespace {
@@ -34,7 +36,7 @@ class StorageEngineTest : public ::testing::Test {
   int64_t MustReadV(const TransactionPtr& txn, int64_t k) {
     auto r = engine_.Read(txn, "t", K(k));
     EXPECT_TRUE(r.ok());
-    EXPECT_TRUE(r.value().has_value());
+    EXPECT_NE(r.value(), nullptr);
     return r.value()->at(1).AsInt();
   }
 
@@ -124,7 +126,7 @@ TEST_F(StorageEngineTest, ReadYourOwnWrites) {
   ASSERT_TRUE(engine_.Delete(txn, "t", K(2)).ok());
   auto r = engine_.Read(txn, "t", K(2));
   ASSERT_TRUE(r.ok());
-  EXPECT_FALSE(r.value().has_value());
+  EXPECT_EQ(r.value(), nullptr);
   engine_.Abort(txn);
 }
 
@@ -157,7 +159,7 @@ TEST_F(StorageEngineTest, AbortDiscardsEverything) {
   auto check = engine_.Begin();
   EXPECT_EQ(MustReadV(check, 1), 100);
   auto r = engine_.Read(check, "t", K(11));
-  EXPECT_FALSE(r.value().has_value());
+  EXPECT_EQ(r.value(), nullptr);
   // The lock must be free again.
   auto t2 = engine_.Begin();
   EXPECT_TRUE(engine_.Update(t2, "t", R(1, 8)).ok());
@@ -246,7 +248,7 @@ TEST_F(StorageEngineTest, ApplyWriteSetReplaysAtAnotherEngine) {
   auto check = replica.Begin();
   auto r1 = replica.Read(check, "t", K(1));
   EXPECT_EQ(r1.value()->at(1).AsInt(), 77);
-  EXPECT_FALSE(replica.Read(check, "t", K(2)).value().has_value());
+  EXPECT_EQ(replica.Read(check, "t", K(2)).value(), nullptr);
   EXPECT_EQ(replica.Read(check, "t", K(9)).value()->at(1).AsInt(), 900);
 }
 
@@ -330,7 +332,7 @@ TEST_F(StorageEngineTest, HotKeyIncrementsAreNeverLost) {
       for (int i = 0; i < kAttempts; ++i) {
         auto txn = engine_.Begin();
         auto r = engine_.Read(txn, "t", K(1));
-        if (!r.ok() || !r.value().has_value()) {
+        if (!r.ok() || r.value() == nullptr) {
           engine_.Abort(txn);
           continue;
         }
@@ -343,6 +345,147 @@ TEST_F(StorageEngineTest, HotKeyIncrementsAreNeverLost) {
   for (auto& t : threads) t.join();
   auto check = engine_.Begin();
   EXPECT_EQ(MustReadV(check, 1), 100 + commits.load());
+}
+
+TEST_F(StorageEngineTest, ReadRowsOutliveLaterCommitsAndVacuum) {
+  // Reads hand out stored versions, not copies: rows a reader holds from
+  // Read, Scan and LookupByIndex must keep its snapshot's values through
+  // later commits to the same keys and through Vacuum, which may free a
+  // version only once no active snapshot can see it.
+  ASSERT_TRUE(engine_.CreateIndex("t", "v").ok());
+  auto reader = engine_.Begin();
+  auto point = engine_.Read(reader, "t", K(1));
+  ASSERT_TRUE(point.ok());
+  ASSERT_NE(point.value(), nullptr);
+  std::vector<const sql::Row*> scanned;
+  ASSERT_TRUE(engine_
+                  .Scan(reader, "t",
+                        [&](const sql::Key&, const sql::Row& row) {
+                          scanned.push_back(&row);
+                        })
+                  .ok());
+  std::vector<const sql::Row*> looked_up;
+  ASSERT_TRUE(engine_
+                  .LookupByIndex(reader, "t", "v", Value::Int(300),
+                                 [&](const sql::Key&, const sql::Row& row) {
+                                   looked_up.push_back(&row);
+                                 })
+                  .ok());
+  ASSERT_EQ(scanned.size(), 5u);
+  ASSERT_EQ(looked_up.size(), 1u);
+
+  auto expect_snapshot_values = [&] {
+    EXPECT_EQ(point.value()->at(1).AsInt(), 100);
+    for (size_t i = 0; i < scanned.size(); ++i) {
+      EXPECT_EQ(scanned[i]->at(1).AsInt(), 100 * static_cast<int64_t>(i + 1));
+    }
+    EXPECT_EQ(looked_up[0]->at(0).AsInt(), 3);
+    EXPECT_EQ(looked_up[0]->at(1).AsInt(), 300);
+  };
+  // Three rounds of two commits that rewrite every row, each round
+  // followed by a Vacuum that must keep everything the reader can see.
+  for (int round = 0; round < 3; ++round) {
+    for (int commit = 0; commit < 2; ++commit) {
+      auto writer = engine_.Begin();
+      for (int64_t k = 1; k <= 5; ++k) {
+        ASSERT_TRUE(
+            engine_.Update(writer, "t", R(k, 1000 * (2 * round + commit + 1) + k))
+                .ok());
+      }
+      ASSERT_TRUE(engine_.Commit(writer).ok());
+    }
+    EXPECT_EQ(engine_.Vacuum(), 0u) << "round " << round;
+    expect_snapshot_values();
+  }
+  // Once the reader ends, every key keeps only its newest version: the
+  // seed and the five older rewrites of each of the 5 keys go.
+  ASSERT_TRUE(engine_.Commit(reader).ok());
+  EXPECT_EQ(engine_.Vacuum(), 30u);
+  auto check = engine_.Begin();
+  EXPECT_EQ(MustReadV(check, 3), 6003);
+}
+
+TEST_F(StorageEngineTest, ScannedRowsStayConsistentUnderConcurrentCommits) {
+  // Writers move one unit at a time between random rows while readers sum
+  // the rows a Scan handed them, after Scan returned and so without the
+  // table latch: every sum is the snapshot's, and no row changes under a
+  // reader.
+  sql::Schema schema(
+      {{"k", sql::ValueType::kInt}, {"v", sql::ValueType::kInt}}, {0});
+  ASSERT_TRUE(engine_.CreateTable("u", schema).ok());
+  constexpr int64_t kRows = 64;
+  constexpr int64_t kTotal = 100 * kRows;
+  {
+    auto seed = engine_.Begin();
+    for (int64_t k = 0; k < kRows; ++k) {
+      ASSERT_TRUE(engine_.Insert(seed, "u", R(k, 100)).ok());
+    }
+    ASSERT_TRUE(engine_.Commit(seed).ok());
+  }
+  constexpr int kWriterAttempts = 3000;
+  constexpr int kReaderScans = 1500;
+  std::atomic<int> commits{0};
+  std::atomic<int> bad_sums{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < 2; ++w) {
+    threads.emplace_back([&, w] {
+      std::mt19937_64 prng(1234 + w);
+      for (int i = 0; i < kWriterAttempts; ++i) {
+        const int64_t from = static_cast<int64_t>(prng() % kRows);
+        const int64_t to = (from + 1 + static_cast<int64_t>(
+                                           prng() % (kRows - 1))) % kRows;
+        auto txn = engine_.Begin();
+        auto a = engine_.Read(txn, "u", K(from));
+        auto b = engine_.Read(txn, "u", K(to));
+        if (!a.ok() || !b.ok() || a.value() == nullptr ||
+            b.value() == nullptr) {
+          engine_.Abort(txn);
+          continue;
+        }
+        // Both values are taken before the first write.
+        const int64_t va = a.value()->at(1).AsInt();
+        const int64_t vb = b.value()->at(1).AsInt();
+        if (engine_.Update(txn, "u", R(from, va - 1)).ok() &&
+            engine_.Update(txn, "u", R(to, vb + 1)).ok() &&
+            engine_.Commit(txn).ok()) {
+          commits.fetch_add(1);
+        } else {
+          engine_.Abort(txn);
+        }
+      }
+    });
+  }
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&] {
+      std::vector<const sql::Row*> rows;
+      for (int i = 0; i < kReaderScans; ++i) {
+        rows.clear();
+        auto txn = engine_.Begin();
+        Status st = engine_.Scan(txn, "u",
+                                 [&](const sql::Key&, const sql::Row& row) {
+                                   rows.push_back(&row);
+                                 });
+        int64_t sum = 0;
+        for (const sql::Row* row : rows) sum += row->at(1).AsInt();
+        if (!st.ok() || rows.size() != kRows || sum != kTotal) {
+          bad_sums.fetch_add(1);
+        }
+        engine_.Commit(txn);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(bad_sums.load(), 0);
+  EXPECT_GT(commits.load(), 0);
+  auto check = engine_.Begin();
+  int64_t sum = 0;
+  ASSERT_TRUE(engine_
+                  .Scan(check, "u",
+                        [&](const sql::Key&, const sql::Row& row) {
+                          sum += row[1].AsInt();
+                        })
+                  .ok());
+  EXPECT_EQ(sum, kTotal);
 }
 
 }  // namespace
