@@ -45,6 +45,9 @@ double Value::AsDouble() const {
 }
 
 namespace {
+/// 2^63, exactly: the doubles in [-kTwo63, kTwo63) truncate to an int64.
+constexpr double kTwo63 = 9223372036854775808.0;
+
 /// Rank used for cross-type ordering: NULL < BOOL < numeric < STRING.
 int TypeRank(ValueType t) {
   switch (t) {
@@ -59,6 +62,18 @@ int TypeRank(ValueType t) {
       return 3;
   }
   return 4;
+}
+
+/// Three-way comparison of an INT with a DOUBLE that is not NaN. Exact:
+/// `i` is never rounded to a double, so 2^53 + 1 sorts above 2^53.0.
+int CompareIntDouble(int64_t i, double d) {
+  if (d >= kTwo63) return -1;
+  if (d < -kTwo63) return 1;
+  const double whole = std::trunc(d);
+  const auto w = static_cast<int64_t>(whole);
+  if (i != w) return i < w ? -1 : 1;
+  // i == trunc(d): the fraction decides.
+  return d == whole ? 0 : (d > whole ? -1 : 1);
 }
 }  // namespace
 
@@ -82,7 +97,13 @@ int Value::Compare(const Value& other) const {
         return a == b ? 0 : (a < b ? -1 : 1);
       }
       const double a = AsDouble(), b = other.AsDouble();
-      return a == b ? 0 : (a < b ? -1 : 1);
+      // Two DOUBLEs, or a NaN on either side, compare as doubles (with a
+      // NaN, the left value reads as greater).
+      if (ta == tb || std::isnan(a) || std::isnan(b)) {
+        return a == b ? 0 : (a < b ? -1 : 1);
+      }
+      return ta == ValueType::kInt ? CompareIntDouble(AsInt(), b)
+                                   : -CompareIntDouble(other.AsInt(), a);
     }
     case ValueType::kString: {
       const int c = AsString().compare(other.AsString());
@@ -101,10 +122,10 @@ size_t Value::Hash() const {
     case ValueType::kInt:
       return std::hash<int64_t>()(AsInt());
     case ValueType::kDouble: {
-      // Hash doubles that hold integral values like the equal int so that
-      // Compare-equal values hash equal.
+      // An integral double in the int64 range hashes like the equal int,
+      // so that Compare-equal values hash equal.
       const double d = AsDouble();
-      if (d == std::floor(d) && std::abs(d) < 1e18) {
+      if (d == std::trunc(d) && d >= -kTwo63 && d < kTwo63) {
         return std::hash<int64_t>()(static_cast<int64_t>(d));
       }
       return std::hash<double>()(d);

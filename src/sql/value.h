@@ -19,7 +19,8 @@ const char* ValueTypeToString(ValueType type);
 /// A typed SQL value: NULL, INT (64-bit), DOUBLE, STRING (also used for
 /// VARCHAR/TEXT) or BOOL. Values order NULL < BOOL < INT/DOUBLE < STRING
 /// across types so they can key ordered containers; numeric types compare
-/// by value with each other.
+/// exactly by value with each other (an INT is never rounded to a DOUBLE),
+/// and values that compare equal hash equal.
 class Value {
  public:
   Value() : data_(std::monostate{}) {}

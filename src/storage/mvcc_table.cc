@@ -7,9 +7,9 @@ namespace sirep::storage {
 std::shared_ptr<const Version> MvccTable::ReadVisible(
     const sql::Key& key, Timestamp snapshot) const {
   std::shared_lock<std::shared_mutex> latch(latch_);
-  auto it = rows_.find(key);
-  if (it == rows_.end()) return nullptr;
-  for (auto v = it->second; v != nullptr; v = v->prev) {
+  const Entry* entry = FindLocked(key);
+  if (entry == nullptr) return nullptr;
+  for (auto v = entry->second; v != nullptr; v = v->prev) {
     if (v->commit_ts <= snapshot) return v;
   }
   return nullptr;
@@ -18,9 +18,8 @@ std::shared_ptr<const Version> MvccTable::ReadVisible(
 std::shared_ptr<const Version> MvccTable::ReadNewest(
     const sql::Key& key) const {
   std::shared_lock<std::shared_mutex> latch(latch_);
-  auto it = rows_.find(key);
-  if (it == rows_.end()) return nullptr;
-  return it->second;
+  const Entry* entry = FindLocked(key);
+  return entry == nullptr ? nullptr : entry->second;
 }
 
 size_t MvccTable::Install(const sql::Key& key, Timestamp commit_ts,
@@ -31,13 +30,17 @@ size_t MvccTable::Install(const sql::Key& key, Timestamp commit_ts,
   version->data = std::move(data);
   std::unique_lock<std::shared_mutex> latch(latch_);
   if (!version->deleted) IndexInsertLocked(key, version->data);
-  auto [it, inserted] = rows_.try_emplace(key, nullptr);
-  version->prev = it->second;
+  Entry* entry = FindLocked(key);
+  if (entry == nullptr) {
+    entry = &*rows_.try_emplace(key, nullptr).first;
+    point_.insert(entry);
+  }
+  version->prev = entry->second;
   if (version->prev != nullptr) {
     version->chain_len = version->prev->chain_len + 1;
   }
-  it->second = std::move(version);
-  return it->second->chain_len;
+  entry->second = std::move(version);
+  return entry->second->chain_len;
 }
 
 void MvccTable::IndexInsertLocked(const sql::Key& key, const sql::Row& data) {
@@ -96,8 +99,9 @@ std::vector<std::string> MvccTable::IndexedColumns() const {
 size_t MvccTable::Vacuum(Timestamp horizon) {
   std::unique_lock<std::shared_mutex> latch(latch_);
   size_t freed = 0;
-  std::vector<sql::Key> dead_keys;
-  for (auto& [key, head] : rows_) {
+  std::vector<Chains::iterator> dead;
+  for (auto it = rows_.begin(); it != rows_.end(); ++it) {
+    const auto& head = it->second;
     // Find the newest version visible at the horizon; everything older
     // can never be read again.
     std::shared_ptr<const Version> v = head;
@@ -119,10 +123,11 @@ size_t MvccTable::Vacuum(Timestamp horizon) {
         const_cast<Version*>(live)->chain_len = len--;
       }
     }
-    if (v == head && v->deleted) dead_keys.push_back(key);
+    if (v == head && v->deleted) dead.push_back(it);
   }
-  for (const auto& key : dead_keys) {
-    rows_.erase(key);
+  for (auto it : dead) {
+    point_.erase(&*it);
+    rows_.erase(it);
     ++freed;
   }
   // Rebuild indexes from the surviving versions (simple and correct; a

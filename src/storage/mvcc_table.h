@@ -7,6 +7,7 @@
 #include <memory>
 #include <shared_mutex>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -33,9 +34,16 @@ struct Version {
 /// Uncommitted writes never appear here; they live in the writing
 /// transaction's buffer until commit installs them.
 ///
-/// Readers are latch-light: a shared lock protects the key map during
-/// scans; version chains are immutable once published (installs swap the
-/// head pointer under the exclusive latch).
+/// Two structures reach the chains, under one latch:
+///  * `rows_`, an ordered map from key to chain head, owns the chains.
+///    Scans, index backfill, vacuum and `KeyCount` walk it, so scans
+///    deliver key order.
+///  * `point_`, a hash set of pointers to `rows_` entries (map nodes never
+///    move). Point accesses (`ReadVisible`, `ReadNewest`, `Install`) find
+///    a key's entry through it in O(1) instead of walking the tree.
+/// Readers hold the latch shared; `Install` and `Vacuum` hold it
+/// exclusively and keep both structures in step. Version chains are
+/// immutable once published (installs swap the head pointer).
 class MvccTable {
  public:
   MvccTable(std::string name, sql::Schema schema)
@@ -103,13 +111,46 @@ class MvccTable {
   size_t Vacuum(Timestamp horizon);
 
  private:
+  using Chains = std::map<sql::Key, std::shared_ptr<const Version>>;
+  using Entry = Chains::value_type;
+
+  /// Hashes and compares `point_`'s entries by their key, and probes them
+  /// by a bare key (heterogeneous lookup), so a probe copies no key. Not
+  /// noexcept on purpose: libstdc++ then caches each entry's hash in its
+  /// node, so a rehash or a probe dereferences no other key. Key equality
+  /// agrees with the map's ordering (sql::Value::Compare is exact).
+  struct EntryHash {
+    using is_transparent = void;
+    size_t operator()(const Entry* entry) const { return entry->first.Hash(); }
+    size_t operator()(const sql::Key& key) const { return key.Hash(); }
+  };
+  struct EntryEq {
+    using is_transparent = void;
+    bool operator()(const Entry* a, const Entry* b) const {
+      return a->first == b->first;
+    }
+    bool operator()(const sql::Key& key, const Entry* entry) const {
+      return key == entry->first;
+    }
+    bool operator()(const Entry* entry, const sql::Key& key) const {
+      return entry->first == key;
+    }
+  };
+
+  /// `key`'s entry in `rows_`, or nullptr. Caller holds latch_.
+  Entry* FindLocked(const sql::Key& key) const {
+    auto it = point_.find(key);
+    return it == point_.end() ? nullptr : *it;
+  }
+
   /// Caller holds latch_ exclusively.
   void IndexInsertLocked(const sql::Key& key, const sql::Row& data);
 
   std::string name_;
   sql::Schema schema_;
   mutable std::shared_mutex latch_;
-  std::map<sql::Key, std::shared_ptr<const Version>> rows_;
+  Chains rows_;
+  std::unordered_set<Entry*, EntryHash, EntryEq> point_;
   // column -> value -> keys (conservative, multi-version).
   std::map<std::string, std::map<sql::Value, std::set<sql::Key>>> indexes_;
 };

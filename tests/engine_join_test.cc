@@ -201,6 +201,34 @@ TEST_F(JoinTest, JoinRespectsSnapshot) {
   db_.Abort(reader);
 }
 
+TEST_F(JoinTest, IntAndDoubleKeysJoinWhenEqual) {
+  // 10^18 as INT and as DOUBLE are equal, so they hash alike and join.
+  Must("CREATE TABLE a (k INT, x INT, PRIMARY KEY (k))");
+  Must("CREATE TABLE b (k INT, y DOUBLE, PRIMARY KEY (k))");
+  Must("INSERT INTO a VALUES (?, ?)",
+       {Value::Int(1), Value::Int(1'000'000'000'000'000'000)});
+  Must("INSERT INTO a VALUES (?, ?)", {Value::Int(2), Value::Int(5)});
+  Must("INSERT INTO b VALUES (?, ?)", {Value::Int(1), Value::Double(1e18)});
+  Must("INSERT INTO b VALUES (?, ?)", {Value::Int(2), Value::Double(5.0)});
+  auto r = Must("SELECT a.k, b.k FROM a JOIN b ON x = y ORDER BY a.k");
+  ASSERT_EQ(r.NumRows(), 2u);
+  EXPECT_EQ(r.rows[0][0].AsInt(), 1);
+  EXPECT_EQ(r.rows[0][1].AsInt(), 1);
+  EXPECT_EQ(r.rows[1][0].AsInt(), 2);
+  EXPECT_EQ(r.rows[1][1].AsInt(), 2);
+}
+
+TEST_F(JoinTest, GroupByMergesEqualIntAndDouble) {
+  // A DOUBLE column holds 10^18 once as an INT and once as a DOUBLE.
+  Must("CREATE TABLE c (k INT, y DOUBLE, PRIMARY KEY (k))");
+  Must("INSERT INTO c VALUES (?, ?)",
+       {Value::Int(1), Value::Int(1'000'000'000'000'000'000)});
+  Must("INSERT INTO c VALUES (?, ?)", {Value::Int(2), Value::Double(1e18)});
+  auto r = Must("SELECT y, COUNT(*) FROM c GROUP BY y");
+  ASSERT_EQ(r.NumRows(), 1u);
+  EXPECT_EQ(r.rows[0][1].AsInt(), 2);
+}
+
 TEST_F(JoinTest, SelectStarOnJoinUsesQualifiedNames) {
   auto r = Must("SELECT * FROM emp JOIN dept ON e_dept = d_id LIMIT 1");
   ASSERT_EQ(r.columns.size(), 4u + 2u);

@@ -1,15 +1,18 @@
 // Unit tests for the observability substrate (src/obs): lock-free
 // counters/histograms under concurrency, bucket-boundary semantics,
 // snapshot consistency guarantees, merge, JSON round-tripping,
-// percentile extraction, the metric-name lint, and the flight
-// recorder's lock-free ring (including wraparound under concurrent
-// writers — run under TSan in CI).
+// percentile extraction, the metric-name lint, the flight recorder's
+// lock-free ring (including wraparound under concurrent writers — run
+// under TSan in CI), and the per-role thread CPU reader.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <time.h>
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <map>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -17,10 +20,12 @@
 #include <utility>
 #include <vector>
 
+#include "common/thread_name.h"
 #include "obs/flight_recorder.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
+#include "obs/thread_cpu.h"
 #include "obs/trace.h"
 
 namespace sirep::obs {
@@ -539,6 +544,63 @@ TEST(FlightRecorderTest, GlobalRecorderAppearsInDumpAll) {
                                   "obs_metrics_test marker");
   const std::string all = FlightRecorder::DumpAllText();
   EXPECT_NE(all.find("obs_metrics_test marker"), std::string::npos);
+}
+
+void NapMs() { std::this_thread::sleep_for(std::chrono::milliseconds(1)); }
+
+/// CPU time the calling thread has used, in ns.
+uint64_t ThreadCpuNs() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<uint64_t>(ts.tv_sec) * 1'000'000'000ULL +
+         static_cast<uint64_t>(ts.tv_nsec);
+}
+
+TEST(ThreadCpuTest, SumsCpuByRole) {
+  constexpr uint64_t kMs = 1'000'000;
+  std::atomic<bool> burned{false};
+  std::atomic<bool> done{false};
+  std::thread burner([&] {
+    while (ThreadCpuNs() < 60 * kMs) {
+    }
+    burned.store(true);
+    while (!done.load()) NapMs();
+  });
+  NameThread(burner, "burn/0");
+  std::thread idler([&] {
+    while (!done.load()) NapMs();
+  });
+  NameThread(idler, "idle/0");
+  while (!burned.load()) NapMs();
+
+  // Both readings while the threads still run: an exited thread's time
+  // is gone from /proc/self/task.
+  const std::map<std::string, RoleCpu> roles = ReadThreadCpuByRole();
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  done.store(true);
+  burner.join();
+  idler.join();
+
+  ASSERT_EQ(roles.count("burn"), 1u);
+  EXPECT_EQ(roles.at("burn").threads, 1);
+  EXPECT_GE(roles.at("burn").cpu_ns, 30 * kMs);  // 10 ms ticks
+  ASSERT_EQ(roles.count("idle"), 1u);
+  EXPECT_LT(roles.at("idle").cpu_ns, 20 * kMs);
+  EXPECT_GT(roles.at("idle").ctx_switches, 0u);  // it naps
+
+  uint64_t sum_ns = 0;
+  int threads = 0;
+  for (const auto& [role, cpu] : roles) {
+    sum_ns += cpu.cpu_ns;
+    threads += cpu.threads;
+  }
+  auto ns = [](const timeval& tv) {
+    return static_cast<uint64_t>(tv.tv_sec) * 1'000'000'000ULL +
+           static_cast<uint64_t>(tv.tv_usec) * 1000ULL;
+  };
+  const uint64_t process_ns = ns(usage.ru_utime) + ns(usage.ru_stime);
+  EXPECT_LE(sum_ns, process_ns + 10 * kMs * static_cast<uint64_t>(threads));
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <unordered_set>
 
@@ -23,6 +24,29 @@ TEST(ValueTest, IntDoubleCrossCompare) {
   EXPECT_EQ(Value::Int(3).Compare(Value::Double(3.0)), 0);
   EXPECT_LT(Value::Int(2).Compare(Value::Double(2.5)), 0);
   EXPECT_GT(Value::Double(4.1).Compare(Value::Int(4)), 0);
+}
+
+TEST(ValueTest, IntDoubleCompareIsExact) {
+  // An INT is never rounded to a DOUBLE, so equality stays transitive,
+  // and values that compare equal hash equal.
+  constexpr int64_t kBig = 1'000'000'000'000'000'000;
+  constexpr int64_t kTwo53 = int64_t{1} << 53;
+  const double two53 = static_cast<double>(kTwo53);
+  const double two63 = 9223372036854775808.0;
+
+  EXPECT_EQ(Value::Int(kBig).Compare(Value::Double(1e18)), 0);
+  EXPECT_EQ(Value::Int(kBig).Hash(), Value::Double(1e18).Hash());
+  EXPECT_GT(Value::Int(kTwo53 + 1).Compare(Value::Double(two53)), 0);
+  EXPECT_LT(Value::Double(two53).Compare(Value::Int(kTwo53 + 1)), 0);
+  EXPECT_LT(Value::Int(INT64_MAX).Compare(Value::Double(two63)), 0);
+  EXPECT_GT(Value::Double(two63).Compare(Value::Int(INT64_MAX)), 0);
+  EXPECT_EQ(Value::Int(INT64_MIN).Compare(Value::Double(-two63)), 0);
+  EXPECT_EQ(Value::Int(INT64_MIN).Hash(), Value::Double(-two63).Hash());
+  EXPECT_EQ(Value::Int(0).Compare(Value::Double(-0.0)), 0);
+  EXPECT_EQ(Value::Int(0).Hash(), Value::Double(-0.0).Hash());
+  EXPECT_LT(Value::Int(3).Compare(Value::Double(3.5)), 0);
+  EXPECT_GT(Value::Int(-3).Compare(Value::Double(-3.5)), 0);
+  EXPECT_LT(Value::Int(-4).Compare(Value::Double(-3.5)), 0);
 }
 
 TEST(ValueTest, IntIntCompareExact) {
